@@ -14,14 +14,18 @@ Layered as the paper presents it:
 * :mod:`~repro.core.coordinator` — builds the whole distributed
   system (graph → partition → blocks → overlay → transport → rankers)
   and runs it to convergence, producing the traces behind Figs 6–8.
-* :mod:`~repro.core.engine` — the flat bulk-synchronous execution
-  engine: whole-system block SpMV rounds with analytically accounted
-  traffic, bit-identical to the event engine's synchronous schedule.
+* :mod:`~repro.core.engine` — the round loop every bulk-synchronous
+  engine shares, and the flat engine: whole-system block SpMV rounds
+  with analytically accounted traffic, bit-identical to the event
+  engine's synchronous schedule.
 * :mod:`~repro.core.convergence` — relative-error/monotonicity
   instrumentation (Theorems 4.1/4.2 checks).
 * :mod:`~repro.core.recovery` — checkpointing and heartbeat-triggered
   takeover of permanently crashed rankers (§4.2's "shutdown" made
   survivable).
+* :mod:`~repro.core.faultplane` — the fault stack a config asks for
+  (reliability layer, injectors, heartbeat, checkpoint, recovery),
+  built once for every engine.
 """
 
 from repro.core.pagerank import (

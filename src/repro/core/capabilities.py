@@ -264,14 +264,11 @@ def validate_config(config: "DistributedConfig") -> None:
     """Registry-driven engine/schedule/feature validation.
 
     Raises ``ValueError`` with a message naming both the offending
-    features and the engines that support them.
+    features and the engines that support them.  The engine name itself
+    is checked by ``DistributedConfig.__post_init__`` before it calls
+    here.
     """
-    profile = ENGINES.get(config.engine)
-    if profile is None:
-        raise ValueError(
-            f"engine must be one of {tuple(sorted(ENGINES))}, "
-            f"got {config.engine!r}"
-        )
+    profile = ENGINES[config.engine]
     if config.schedule not in profile.schedules:
         supporters = [
             name
@@ -284,7 +281,7 @@ def validate_config(config: "DistributedConfig") -> None:
             f"schedule={config.schedule!r} is supported by "
             f"engines: {', '.join(supporters)}"
         )
-    codec = getattr(config, "codec", "none")
+    codec = config.codec
     if codec not in CODEC_ENGINES:
         raise ValueError(
             f"codec must be one of {tuple(CODEC_ENGINES)}, got {codec!r}"

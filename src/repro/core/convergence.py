@@ -8,24 +8,26 @@ The paper's experiments track two global time series:
   non-decreasing (Theorem 4.1) and bounded (Theorem 4.2), plateauing
   below ``E`` because of the open-system leak.
 
-:class:`Monitor` samples both at a fixed cadence on the simulator and
-drives convergence-triggered termination.  The module also provides
-the monotonicity checker used to *test* Theorems 4.1/4.2 empirically.
+:class:`Sampler` records both and decides when a run stops;
+:class:`Monitor` drives it at a fixed cadence on the simulator.  The
+module also provides the monotonicity checker used to *test*
+Theorems 4.1/4.2 empirically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.open_system import GroupSystem
-from repro.linalg.norms import relative_l1_error
+from repro.linalg.norms import l1_norm
 from repro.net.bandwidth import TrafficAccountant
 from repro.net.simulator import Simulator
 
-__all__ = ["ConvergenceTrace", "Monitor", "is_monotone_nondecreasing"]
+__all__ = ["ConvergenceTrace", "Monitor", "Sampler", "is_monotone_nondecreasing"]
 
 
 def is_monotone_nondecreasing(values: Sequence[float], *, tol: float = 1e-9) -> bool:
@@ -79,7 +81,106 @@ class ConvergenceTrace:
         }
 
 
-class Monitor:
+class Sampler:
+    """The one sample body every engine shares.
+
+    A sample appends one row to the :class:`ConvergenceTrace` (error,
+    mean rank, outer progress, traffic so far), then evaluates the two
+    stop rules: the target relative error, and *quiescence* — the
+    reference-free termination rule (see :class:`Monitor`).  The event
+    engine drives it from a simulator process (:class:`Monitor`), the
+    round engines from their tick loop
+    (:mod:`repro.core.engine`); because it is the same code, the
+    recorded values and the stop sample are identical across engines
+    wherever their states are.
+
+    The error is computed in place on the caller's rank vector with
+    the exact subtract/abs/sum/divide sequence of
+    :func:`~repro.linalg.norms.relative_l1_error`
+    (``l1_norm(x - ref) / l1_norm(ref)``), so the recorded values are
+    bit-identical to that function's; the reference norm is cached and
+    :attr:`buffer` is one reusable n-page vector, so a long run
+    allocates nothing per sample.
+    """
+
+    def __init__(
+        self,
+        reference: np.ndarray,
+        accountant: Optional[TrafficAccountant] = None,
+        *,
+        target_relative_error: Optional[float] = None,
+        quiescence_delta: Optional[float] = None,
+        quiescence_samples: int = 3,
+    ):
+        if quiescence_samples < 1:
+            raise ValueError("quiescence_samples must be >= 1")
+        self.reference = np.asarray(reference, dtype=np.float64)
+        self.accountant = accountant
+        self.target = target_relative_error
+        self.quiescence_delta = quiescence_delta
+        self.quiescence_samples = int(quiescence_samples)
+        self.trace = ConvergenceTrace()
+        self.converged = False
+        self.target_time: Optional[float] = None
+        self.quiescent = False
+        self.quiescence_time: Optional[float] = None
+        self._quiet_streak = 0
+        #: Scratch n-page vector callers assemble the ranks into.
+        self.buffer = np.empty(self.reference.shape, dtype=np.float64)
+        self._denom = l1_norm(self.reference)
+
+    def sample(
+        self,
+        t: float,
+        ranks: np.ndarray,
+        outer: np.ndarray,
+        quiet_now: Callable[[float], bool],
+    ) -> None:
+        """Record one sample at simulated time ``t``.
+
+        ``ranks`` is the current global rank vector and is **clobbered**
+        (pass :attr:`buffer`); ``outer`` holds the per-group outer
+        iteration counts; ``quiet_now(delta)`` is this sample's
+        quiescence verdict — every group has stepped at least once and
+        its last step delta is at or below ``delta`` — asked only while
+        the rule is armed.
+        """
+        # The mean is taken before the in-place subtract clobbers ranks.
+        mean_rank = float(ranks.mean()) if ranks.size else 0.0
+        np.subtract(ranks, self.reference, out=ranks)
+        np.abs(ranks, out=ranks)
+        num = float(ranks.sum())
+        if self._denom == 0.0:
+            err = 0.0 if num == 0.0 else math.inf
+        else:
+            err = num / self._denom
+        trace = self.trace
+        trace.times.append(t)
+        trace.relative_errors.append(err)
+        trace.mean_ranks.append(mean_rank)
+        trace.max_outer_iterations.append(int(outer.max()) if outer.size else 0)
+        trace.mean_outer_iterations.append(
+            float(outer.mean()) if outer.size else 0.0
+        )
+        if self.accountant is not None:
+            snap = self.accountant.snapshot(t)
+            trace.total_messages.append(snap.total_messages)
+            trace.total_bytes.append(snap.total_bytes)
+        else:
+            trace.total_messages.append(0)
+            trace.total_bytes.append(0)
+        if self.target is not None and err <= self.target and not self.converged:
+            self.converged = True
+            self.target_time = t
+        if self.quiescence_delta is not None and not self.quiescent:
+            quiet = quiet_now(self.quiescence_delta)
+            self._quiet_streak = self._quiet_streak + 1 if quiet else 0
+            if self._quiet_streak >= self.quiescence_samples:
+                self.quiescent = True
+                self.quiescence_time = t
+
+
+class Monitor(Sampler):
     """Periodic global sampler running inside the simulation.
 
     The monitor is *omniscient* — it reads every ranker's current local
@@ -90,8 +191,8 @@ class Monitor:
     Parameters
     ----------
     target_relative_error:
-        When set, :attr:`reached_target` flips as soon as a sample
-        meets the threshold; the coordinator uses it to stop the run.
+        When set, :attr:`converged` flips as soon as a sample meets
+        the threshold; the coordinator uses it to stop the run.
     quiescence_delta:
         When set, enables *reference-free* termination detection: the
         run is declared quiescent once every ranker has iterated at
@@ -120,26 +221,20 @@ class Monitor:
     ):
         if interval <= 0:
             raise ValueError("interval must be > 0")
-        if quiescence_samples < 1:
-            raise ValueError("quiescence_samples must be >= 1")
+        super().__init__(
+            reference,
+            accountant,
+            target_relative_error=target_relative_error,
+            quiescence_delta=quiescence_delta,
+            quiescence_samples=quiescence_samples,
+        )
         self.sim = sim
         self.system = system
         # Deliberately NOT copied: the recovery layer swaps replacement
         # rankers into the live list in place, and the monitor must
         # sample the current occupant of each group, not a stale one.
         self.rankers = rankers
-        self.reference = np.asarray(reference, dtype=np.float64)
         self.interval = float(interval)
-        self.accountant = accountant
-        self.target = target_relative_error
-        self.quiescence_delta = quiescence_delta
-        self.quiescence_samples = int(quiescence_samples)
-        self.trace = ConvergenceTrace()
-        self.reached_target = False
-        self.target_time: Optional[float] = None
-        self.reached_quiescence = False
-        self.quiescence_time: Optional[float] = None
-        self._quiet_streak = 0
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -151,43 +246,23 @@ class Monitor:
         """Stop scheduling further samples."""
         self._stopped = True
 
-    def current_ranks(self) -> np.ndarray:
+    def current_ranks(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Assemble the instantaneous global rank vector."""
-        return self.system.assemble([rk.node.r for rk in self.rankers])
+        return self.system.assemble([rk.node.r for rk in self.rankers], out=out)
 
     # ------------------------------------------------------------------
     def _sample(self) -> None:
         if self._stopped:
             return
-        ranks = self.current_ranks()
-        err = relative_l1_error(ranks, self.reference)
-        self.trace.times.append(self.sim.now)
-        self.trace.relative_errors.append(err)
-        self.trace.mean_ranks.append(float(ranks.mean()) if ranks.size else 0.0)
-        outer = [rk.node.outer_iterations for rk in self.rankers]
-        self.trace.max_outer_iterations.append(max(outer, default=0))
-        self.trace.mean_outer_iterations.append(
-            float(np.mean(outer)) if outer else 0.0
+        nodes = [rk.node for rk in self.rankers]
+        self.sample(
+            self.sim.now,
+            self.current_ranks(out=self.buffer),
+            np.array([n.outer_iterations for n in nodes], dtype=np.int64),
+            lambda delta: all(
+                n.outer_iterations > 0 and n.last_step_delta <= delta
+                for n in nodes
+            ),
         )
-        if self.accountant is not None:
-            snap = self.accountant.snapshot(self.sim.now)
-            self.trace.total_messages.append(snap.total_messages)
-            self.trace.total_bytes.append(snap.total_bytes)
-        else:
-            self.trace.total_messages.append(0)
-            self.trace.total_bytes.append(0)
-        if self.target is not None and err <= self.target and not self.reached_target:
-            self.reached_target = True
-            self.target_time = self.sim.now
-        if self.quiescence_delta is not None and not self.reached_quiescence:
-            quiet = all(
-                rk.node.outer_iterations > 0
-                and rk.node.last_step_delta <= self.quiescence_delta
-                for rk in self.rankers
-            )
-            self._quiet_streak = self._quiet_streak + 1 if quiet else 0
-            if self._quiet_streak >= self.quiescence_samples:
-                self.reached_quiescence = True
-                self.quiescence_time = self.sim.now
-        if not self.reached_target and not self.reached_quiescence:
+        if not self.converged and not self.quiescent:
             self.sim.schedule(self.interval, self._sample)

@@ -24,24 +24,17 @@ import numpy as np
 from repro.core.capabilities import ENGINES, resolve_engine, validate_config
 from repro.core.convergence import ConvergenceTrace, Monitor
 from repro.core.dpr import DPRNode
+from repro.core.faultplane import FaultPlane
 from repro.core.open_system import GroupSystem
 from repro.core.ranker import MIN_MEAN_WAIT, PageRanker
-from repro.core.recovery import Checkpointer, CheckpointStore, RecoveryManager
+from repro.core.recovery import RecoveryManager
 from repro.graph.partition import Partition, make_partition
 from repro.graph.webgraph import WebGraph
 from repro.net.bandwidth import TrafficAccountant, TrafficSnapshot
-from repro.net.failures import (
-    BernoulliLoss,
-    ChaosModel,
-    NodeCrashInjector,
-    NodePauseInjector,
-    NoLoss,
-)
-from repro.net.heartbeat import HeartbeatMonitor
+from repro.net.failures import BernoulliLoss, NodePauseInjector, NoLoss
 from repro.net.latency import FixedLatency
-from repro.net.reliable import ReliableTransport, RetryPolicy
 from repro.net.simulator import Simulator
-from repro.net.transport import build_transport
+from repro.net.transport import Transport, build_transport
 from repro.overlay import build_overlay
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import (
@@ -54,7 +47,9 @@ __all__ = [
     "DistributedConfig",
     "DistributedRun",
     "RunResult",
+    "RunSetup",
     "assemble_run_result",
+    "config_transport",
     "run_distributed_pagerank",
 ]
 
@@ -523,7 +518,160 @@ def assemble_run_result(
     )
 
 
-class DistributedRun:
+def config_transport(
+    config: DistributedConfig, sim: Simulator, overlay, accountant, loss
+) -> Transport:
+    """The transport ``config`` names, wired to ``sim``.
+
+    The one place the config's transport knobs (kind, hop delay,
+    aggregation delay) turn into a transport object: the event engine's
+    wire, the hybrid engine's fault plane and the round engines'
+    scratch accounting replay all come from here, so all of them charge
+    a send identically.
+    """
+    kwargs = {}
+    if config.transport == "indirect":
+        kwargs["aggregation_delay"] = config.aggregation_delay
+    return build_transport(
+        config.transport,
+        sim,
+        overlay,
+        accountant,
+        loss=loss,
+        latency=FixedLatency(config.hop_delay),
+        **kwargs,
+    )
+
+
+class RunSetup:
+    """What every engine builds first, from the same named seed streams.
+
+    Partition (checked against ``n_groups``), the group decomposition,
+    the centralized reference, the overlay, the traffic accountant, the
+    origin loss model, the shared wire-codec session manager and the
+    synchronous period.  The event engine
+    (:class:`DistributedRun`) and the round engines
+    (:mod:`repro.core.engine`, :mod:`repro.core.hybrid`) all start
+    here, so one seed gives every engine the same partition, overlay
+    ids and loss stream.  Named streams are independent: which of them
+    an engine goes on to draw, and in what order, changes none of the
+    others.
+
+    Parameters
+    ----------
+    graph, config:
+        The crawl and the experiment parameters.
+    partition, reference:
+        Optional precomputed partition / centralized solution.
+    group_system:
+        False skips the grouped operator (the Monte-Carlo engine walks
+        the raw CSR); the default reference is then
+        :func:`~repro.core.pagerank.pagerank_open` on the same graph.
+    """
+
+    def __init__(
+        self,
+        graph: WebGraph,
+        config: DistributedConfig,
+        *,
+        partition: Optional[Partition] = None,
+        reference: Optional[np.ndarray] = None,
+        group_system: bool = True,
+    ):
+        self.graph = graph
+        self.config = config
+        seeds = self._seeds = SeedSequenceFactory(config.seed)
+
+        self.partition = (
+            partition
+            if partition is not None
+            else make_partition(
+                graph,
+                config.n_groups,
+                config.partition_strategy,
+                seed=seeds.seed("partition"),
+            )
+        )
+        if self.partition.n_groups != config.n_groups:
+            raise ValueError("partition n_groups disagrees with config")
+
+        self.system: Optional[GroupSystem] = None
+        if group_system:
+            self.system = GroupSystem(
+                graph, self.partition, alpha=config.alpha, e=config.e
+            )
+        if reference is not None:
+            self.reference = np.asarray(reference, dtype=np.float64)
+        elif group_system:
+            self.reference = self.system.solve_exact()
+        else:
+            from repro.core.pagerank import pagerank_open
+
+            self.reference = pagerank_open(graph, config.alpha, e=config.e).ranks
+
+        self.overlay = build_overlay(
+            config.overlay, config.n_groups, seed=seeds.seed("overlay") % (2**31)
+        )
+        self.accountant = TrafficAccountant(config.n_groups)
+        self._loss = (
+            NoLoss()
+            if config.delivery_prob >= 1.0
+            else BernoulliLoss(config.delivery_prob, seed=seeds.generator("loss"))
+        )
+        #: Common tick period of the synchronous schedule.
+        self.period = max(0.5 * (config.t1 + config.t2), MIN_MEAN_WAIT)
+
+        #: Shared wire-codec session manager (None when codec="none",
+        #: and for the Monte-Carlo engine, whose token frames need no
+        #: session).  One instance serves every ranker: pair state is
+        #: keyed by (src, dst), and the per-pair error budget splits
+        #: ε_comm over the pairs that actually exchange updates — the
+        #: same pair universe in every engine, so the certified
+        #: budgets, and every frame's byte size, agree across engines.
+        self._codec = None
+        if config.codec != "none" and group_system:
+            from repro.net.adaptive import AdaptiveCodec
+
+            blocks = self.system.blocks
+            self._codec = AdaptiveCodec(
+                config.codec,
+                epsilon=config.comm_epsilon,
+                n_pairs=sum(
+                    len(blocks.destinations_of(g)) for g in range(config.n_groups)
+                ),
+            )
+
+    @property
+    def n_groups(self) -> int:
+        """Number of page groups (the paper's K)."""
+        return self.config.n_groups
+
+    def _group_mean_waits(self) -> List[float]:
+        """Each ranker's mean wait between loop steps (§5's timing)."""
+        cfg = self.config
+        if cfg.schedule == "sync":
+            # One common fixed period for every ranker; the "wait-
+            # means" stream is simply not drawn from (named streams
+            # are independent, so skipping it perturbs nothing).
+            return [0.5 * (cfg.t1 + cfg.t2)] * cfg.n_groups
+        if cfg.mean_waits is not None:
+            return [float(w) for w in cfg.mean_waits]
+        wait_rng = self._seeds.generator("wait-means")
+        return [
+            float(wait_rng.uniform(cfg.t1, cfg.t2)) for _ in range(cfg.n_groups)
+        ]
+
+    def _codec_stats(self) -> Optional[Dict]:
+        """Codec counter snapshot + certified bound (None when off)."""
+        if self._codec is None:
+            return None
+        return {
+            **self._codec.stats(),
+            "certified_bound": self._codec.certified_bound(self.config.alpha),
+        }
+
+
+class DistributedRun(RunSetup):
     """A fully wired distributed page-ranking system, ready to run.
 
     Splitting construction from :meth:`run` lets tests and examples
@@ -539,167 +687,35 @@ class DistributedRun:
         partition: Optional[Partition] = None,
         reference: Optional[np.ndarray] = None,
     ):
-        self.graph = graph
-        self.config = config
-        seeds = SeedSequenceFactory(config.seed)
-
-        self.partition = (
-            partition
-            if partition is not None
-            else make_partition(
-                graph,
-                config.n_groups,
-                config.partition_strategy,
-                seed=seeds.seed("partition"),
-            )
-        )
-        if self.partition.n_groups != config.n_groups:
-            raise ValueError("partition n_groups disagrees with config")
-
-        self.system = GroupSystem(
-            graph, self.partition, alpha=config.alpha, e=config.e
-        )
-        self.reference = (
-            np.asarray(reference, dtype=np.float64)
-            if reference is not None
-            else self.system.solve_exact()
-        )
-
-        #: Shared wire-codec session manager (None when codec="none").
-        #: One instance serves every ranker: pair state is keyed by
-        #: (src, dst), and the per-pair error budget splits ε_comm over
-        #: the pairs that actually exchange updates — the same count
-        #: the flat engine derives from its pair table.
-        self.codec = None
-        if config.codec != "none":
-            from repro.net.adaptive import AdaptiveCodec
-
-            blocks = self.system.blocks
-            n_pairs = sum(
-                len(blocks.destinations_of(g))
-                for g in range(config.n_groups)
-            )
-            self.codec = AdaptiveCodec(
-                config.codec,
-                epsilon=config.comm_epsilon,
-                n_pairs=n_pairs,
-            )
-
+        super().__init__(graph, config, partition=partition, reference=reference)
+        seeds = self._seeds
         self.sim = Simulator()
-        self.overlay = build_overlay(
-            config.overlay, config.n_groups, seed=seeds.seed("overlay") % (2**31)
-        )
-        self.accountant = TrafficAccountant(config.n_groups)
-        loss = (
-            NoLoss()
-            if config.delivery_prob >= 1.0
-            else BernoulliLoss(config.delivery_prob, seed=seeds.generator("loss"))
-        )
-        transport_kwargs = {}
-        if config.transport == "indirect":
-            transport_kwargs["aggregation_delay"] = config.aggregation_delay
-        self.transport = build_transport(
-            config.transport,
-            self.sim,
-            self.overlay,
-            self.accountant,
-            loss=loss,
-            latency=FixedLatency(config.hop_delay),
-            **transport_kwargs,
-        )
-        self.reliable: Optional[ReliableTransport] = None
-        if config.reliable:
-            chaos = ChaosModel(
-                duplicate_prob=config.duplicate_prob,
-                reorder_prob=config.reorder_prob,
-                reorder_max_delay=config.reorder_max_delay,
-                ack_loss_prob=config.ack_loss_prob,
-                seed=seeds.generator("chaos"),
-            )
-            self.reliable = ReliableTransport(
-                self.transport,
-                retry=RetryPolicy(
-                    timeout=config.retry_timeout,
-                    backoff=config.retry_backoff,
-                    jitter=config.retry_jitter,
-                    max_timeout=config.retry_max_timeout,
-                    max_retries=config.max_retries,
-                ),
-                chaos=chaos,
-                alive=lambda g: not self.rankers[g].crashed,
-                seed=seeds.generator("retry-jitter"),
-            )
-            # Rankers (and everything else) speak to the wrapper.
-            self.transport = self.reliable
-
-        wait_rng = seeds.generator("wait-means")
-        self._seeds = seeds
-        self._mean_waits: List[float] = []
         self.rankers: List[PageRanker] = []
-        sync_wait = 0.5 * (config.t1 + config.t2)
+        #: Reliability layer now (rankers are wired to its transport),
+        #: fault processes once the ranker list is populated.
+        self.faults = FaultPlane(
+            self.sim,
+            self.rankers,
+            config,
+            seeds,
+            self._make_replacement,
+            transport=config_transport(
+                config, self.sim, self.overlay, self.accountant, self._loss
+            ),
+        )
+        self.transport = self.faults.transport
+
+        self._mean_waits = self._group_mean_waits()
         for g in range(config.n_groups):
-            if config.schedule == "sync":
-                # One common fixed period for every ranker; the "wait-
-                # means" stream is simply not drawn from (named streams
-                # are independent, so skipping it perturbs nothing).
-                mean_wait = sync_wait
-            elif config.mean_waits is not None:
-                mean_wait = float(config.mean_waits[g])
-            else:
-                mean_wait = float(wait_rng.uniform(config.t1, config.t2))
-            self._mean_waits.append(mean_wait)
             self.rankers.append(self._make_ranker(g, seeds.generator(f"wait/{g}")))
         self.transport.attach(self._deliver)
         self.monitor: Optional[Monitor] = None
+        self.faults.install()
 
-        # -- fault injection ------------------------------------------
-        self.pause_injector: Optional[NodePauseInjector] = None
-        if config.pause_faults > 0:
-            self.pause_injector = NodePauseInjector(
-                n_faults=config.pause_faults,
-                horizon=config.pause_horizon,
-                mean_outage=config.pause_mean_outage,
-                seed=seeds.generator("pause-injector"),
-            )
-            self.pause_injector.install(self.sim, self.rankers)
-        self.crash_injector: Optional[NodeCrashInjector] = None
-        if config.crash_prob > 0.0:
-            self.crash_injector = NodeCrashInjector(
-                crash_prob=config.crash_prob,
-                after=config.crash_after,
-                horizon=config.crash_horizon,
-                seed=seeds.generator("crash-injector"),
-            )
-            self.crash_injector.install(self.sim, self.rankers)
-
-        # -- failure detection, checkpointing, takeover ---------------
-        self.heartbeat: Optional[HeartbeatMonitor] = None
-        if config.heartbeat_interval > 0.0:
-            self.heartbeat = HeartbeatMonitor(
-                self.sim,
-                self.rankers,
-                interval=config.heartbeat_interval,
-                miss_threshold=config.heartbeat_miss_threshold,
-            )
-        self.checkpoint_store = CheckpointStore()
-        self.checkpointer: Optional[Checkpointer] = None
-        if config.checkpoint_interval > 0.0:
-            self.checkpointer = Checkpointer(
-                self.sim,
-                self.rankers,
-                self.checkpoint_store,
-                interval=config.checkpoint_interval,
-            )
-        self.recovery: Optional[RecoveryManager] = None
-        if config.recovery:
-            self.recovery = RecoveryManager(
-                self.sim,
-                self.rankers,
-                self.checkpoint_store,
-                self._make_replacement,
-            )
-            assert self.heartbeat is not None  # enforced by the config
-            self.heartbeat.add_death_callback(self.recovery.on_death)
+    @property
+    def recovery(self) -> Optional[RecoveryManager]:
+        """The takeover manager (None unless ``config.recovery``)."""
+        return self.faults.recovery
 
     # ------------------------------------------------------------------
     def _make_ranker(self, g: int, seed) -> PageRanker:
@@ -723,7 +739,7 @@ class DistributedRun:
             seed=seed,
             suppress_tol=cfg.suppress_tol,
             fixed_wait=cfg.schedule == "sync",
-            codec=self.codec,
+            codec=self._codec,
         )
 
     def _make_replacement(self, g: int, epoch: int) -> PageRanker:
@@ -771,18 +787,20 @@ class DistributedRun:
         max_time: float = 1000.0,
         target_relative_error: Optional[float] = None,
         quiescence_delta: Optional[float] = None,
+        quiescence_samples: int = 3,
     ) -> RunResult:
         """Execute the simulation and gather results.
 
         The run stops at the first of: the target relative error being
         reached (sampled at ``config.sample_interval``), system-wide
         quiescence (when ``quiescence_delta`` is set — the
-        reference-free termination rule; see
+        reference-free termination rule, held for
+        ``quiescence_samples`` consecutive samples; see
         :class:`~repro.core.convergence.Monitor`), or simulated time
         ``max_time``.
         """
         cfg = self.config
-        self.monitor = Monitor(
+        monitor = self.monitor = Monitor(
             self.sim,
             self.system,
             self.rankers,
@@ -791,34 +809,26 @@ class DistributedRun:
             accountant=self.accountant,
             target_relative_error=target_relative_error,
             quiescence_delta=quiescence_delta,
+            quiescence_samples=quiescence_samples,
         )
-        self.monitor.start()
+        monitor.start()
         for ranker in self.rankers:
             ranker.start()
-        if self.heartbeat is not None:
-            self.heartbeat.start()
-        if self.checkpointer is not None:
-            self.checkpointer.start()
-        monitor = self.monitor
+        self.faults.start()
         stop = None
         if target_relative_error is not None or quiescence_delta is not None:
             def stop() -> bool:
-                return monitor.reached_target or monitor.reached_quiescence
+                return monitor.converged or monitor.quiescent
         self.sim.run(until=max_time, stop_condition=stop)
-        self.monitor.stop()
-        if self.heartbeat is not None:
-            self.heartbeat.stop()
-        if self.checkpointer is not None:
-            self.checkpointer.stop()
+        monitor.stop()
+        self.faults.stop()
 
-        rel = self.reliable
-        ranks = self.monitor.current_ranks()
         return assemble_run_result(
-            ranks=ranks,
+            ranks=monitor.current_ranks(),
             reference=self.reference,
-            trace=self.monitor.trace,
-            converged=self.monitor.reached_target,
-            time_to_target=self.monitor.target_time,
+            trace=monitor.trace,
+            converged=monitor.converged,
+            time_to_target=monitor.target_time,
             outer_iterations=np.array(
                 [rk.node.outer_iterations for rk in self.rankers], dtype=np.int64
             ),
@@ -828,36 +838,11 @@ class DistributedRun:
             accountant=self.accountant,
             now=self.sim.now,
             dropped_updates=self.transport.dropped_updates,
-            quiescent=self.monitor.reached_quiescence,
-            quiescence_time=self.monitor.quiescence_time,
+            quiescent=monitor.quiescent,
+            quiescence_time=monitor.quiescence_time,
             config=cfg,
-            retransmits=rel.retransmits if rel is not None else 0,
-            gave_up=rel.gave_up if rel is not None else 0,
-            dup_drops=rel.dup_drops if rel is not None else 0,
-            dead_drops=rel.dead_drops if rel is not None else 0,
-            acks_lost=rel.acks_lost if rel is not None else 0,
-            # Recovered groups hold a live replacement, so count fired
-            # injector crashes rather than currently-crashed slots.
-            crashed_groups=(
-                self.crash_injector.fired(self.sim.now)
-                if self.crash_injector is not None
-                else sum(1 for rk in self.rankers if rk.crashed)
-            ),
-            deaths_detected=(
-                self.heartbeat.deaths_detected if self.heartbeat is not None else 0
-            ),
-            takeovers=(
-                self.recovery.takeover_count if self.recovery is not None else 0
-            ),
-            checkpoint_saves=self.checkpoint_store.saves,
-            codec_stats=(
-                {
-                    **self.codec.stats(),
-                    "certified_bound": self.codec.certified_bound(cfg.alpha),
-                }
-                if self.codec is not None
-                else None
-            ),
+            codec_stats=self._codec_stats(),
+            **self.faults.counters(self.sim.now),
         )
 
 
@@ -870,6 +855,7 @@ def run_distributed_pagerank(
     max_time: float = 1000.0,
     target_relative_error: Optional[float] = None,
     quiescence_delta: Optional[float] = None,
+    quiescence_samples: int = 3,
     **config_overrides,
 ) -> RunResult:
     """One-call distributed PageRank.
@@ -888,26 +874,21 @@ def run_distributed_pagerank(
         from dataclasses import replace
 
         config = replace(config, **config_overrides)
-    if config.engine in ("flat", "mc", "hybrid"):
-        # Imported lazily: the engine modules import coordinator types.
-        from repro.core.engine import MonteCarloEngine, SynchronousEngine
+    # Imported lazily: the engine modules import coordinator types.
+    from repro.core.engine import MonteCarloEngine, SynchronousEngine
+    from repro.core.hybrid import HybridEngine
 
-        if config.engine == "hybrid":
-            from repro.core.hybrid import HybridEngine
-
-            cls = HybridEngine
-        else:
-            cls = SynchronousEngine if config.engine == "flat" else MonteCarloEngine
-        return cls(
-            graph, config, partition=partition, reference=reference
-        ).run(
-            max_time=max_time,
-            target_relative_error=target_relative_error,
-            quiescence_delta=quiescence_delta,
-        )
-    run = DistributedRun(graph, config, partition=partition, reference=reference)
-    return run.run(
+    engine_class = {
+        "event": DistributedRun,
+        "flat": SynchronousEngine,
+        "hybrid": HybridEngine,
+        "mc": MonteCarloEngine,
+    }[config.engine]
+    return engine_class(
+        graph, config, partition=partition, reference=reference
+    ).run(
         max_time=max_time,
         target_relative_error=target_relative_error,
         quiescence_delta=quiescence_delta,
+        quiescence_samples=quiescence_samples,
     )

@@ -29,9 +29,27 @@ tick, and the whole round collapses into dense linear algebra:
   :class:`~repro.net.bandwidth.TrafficAccountant` each round via
   :meth:`~repro.net.bandwidth.TrafficAccountant.merge`, and (b) the
   exact delivery order, which fixes the afferent summation order (see
-  below).  At ``delivery_prob = 1`` the calibration runs once for the
-  whole run; under loss it is replayed per round over the surviving
-  pairs (cost proportional to K², independent of page count).
+  below).  The last replay is memoised by its send set, so at
+  ``delivery_prob = 1`` — where every round ships the full pair set —
+  the calibration runs once for the whole run; under loss it is
+  replayed per round over the surviving pairs (cost proportional to
+  K², independent of page count).
+
+One loop, one emit step
+-----------------------
+Every round engine — this one, the Monte-Carlo engine below, and the
+hybrid engine of :mod:`repro.core.hybrid` — is a :class:`RoundEngine`:
+it supplies ``_round`` and its current ranks, and inherits the one
+tick/sample/stop loop (:meth:`RoundEngine.run`) over the one sample
+body (:class:`~repro.core.convergence.Sampler`) the event engine's
+monitor also uses.  A score-exchanging round ends in one *emit step*:
+:meth:`SynchronousEngine._build_sends` lists the round's sends in
+emission order (threshold suppression, then the wire codec), an
+*accounting backend* charges and routes them — here the scratch
+replay above; the hybrid engine adds an ARQ protocol replay and its
+fault plane's real transport — and every delivery lands through
+:meth:`SynchronousEngine._apply`.  The flat engine is the case
+"every group steps, scratch replay".
 
 Bit-identity
 ------------
@@ -72,36 +90,30 @@ select it end to end; results come back as the same
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.convergence import ConvergenceTrace
+from repro.core.convergence import Sampler
 from repro.core.coordinator import (
     DistributedConfig,
     RunResult,
+    RunSetup,
     assemble_run_result,
+    config_transport,
 )
-from repro.core.open_system import GroupSystem
-from repro.core.ranker import MIN_MEAN_WAIT
-from repro.graph.partition import Partition, make_partition
+from repro.graph.partition import Partition
 from repro.graph.webgraph import WebGraph
 from repro.linalg.jacobi import JacobiWorkspace, csr_matvec_into, jacobi_solve
-from repro.linalg.norms import l1_norm
 from repro.net.bandwidth import TrafficAccountant
-from repro.net.failures import BernoulliLoss, NoLoss
-from repro.net.latency import FixedLatency
+from repro.net.failures import NoLoss
 from repro.net.codec import token_frame_bytes
 from repro.net.message import ScoreUpdate
 from repro.net.simulator import Simulator
-from repro.net.transport import build_transport
-from repro.overlay import build_overlay
 from repro.utils.memory import trim_heap
-from repro.utils.rng import SeedSequenceFactory
 
-__all__ = ["MonteCarloEngine", "SynchronousEngine"]
+__all__ = ["MonteCarloEngine", "RoundEngine", "SynchronousEngine"]
 
 #: Shared zero-length payload for calibration ScoreUpdates — the
 #: transports only read routing metadata and ``n_link_records``.
@@ -111,16 +123,16 @@ _EMPTY = np.empty(0, dtype=np.float64)
 def _replay_transport_round(
     config: DistributedConfig,
     overlay,
-    sends: List[Tuple[int, int, int]],
+    sends: Sequence[Tuple],
 ) -> Tuple[List[Tuple[int, int]], TrafficAccountant]:
     """Route one round's sends through the real transport stack.
 
-    ``sends`` lists ``(src_group, dst_group, n_records)`` triples in
-    emission order (sources ascending, destinations ascending within a
-    source — the order rankers tick and emit in a synchronous round).
-    A send may carry an optional fourth element: the encoded frame's
-    calibrated wire size, stamped onto the replay update's
-    ``wire_bytes`` so the transports charge the codec's bytes as data
+    ``sends`` lists ``(src_group, dst_group, n_records, wire_bytes,
+    ...)`` tuples in emission order (sources ascending, destinations
+    ascending within a source — the order rankers tick and emit in a
+    synchronous round).  ``wire_bytes`` is an encoded frame's
+    calibrated wire size (-1 for an uncoded send), stamped onto the
+    replay update so the transports charge the codec's bytes as data
     while the paper-model counter keeps the flat 100 B/record charge
     (see :mod:`repro.net.bandwidth`).
     Returns the delivery order as (src, dst) in upcall sequence and a
@@ -128,25 +140,14 @@ def _replay_transport_round(
     empty-payload (byte accounting only reads ``n_link_records``) on a
     fresh simulator, so the cost is O(sends) regardless of page count.
 
-    Shared by the flat engine (fixed per-round record counts from the
+    Shared by the score engines (fixed per-round record counts from the
     cross blocks, plus per-round frame sizes under a codec) and the
     Monte-Carlo engine (per-round walk-token counts, a different
     number every round).
     """
     sim = Simulator()
     acc = TrafficAccountant(config.n_groups)
-    kwargs = {}
-    if config.transport == "indirect":
-        kwargs["aggregation_delay"] = config.aggregation_delay
-    transport = build_transport(
-        config.transport,
-        sim,
-        overlay,
-        acc,
-        loss=NoLoss(),
-        latency=FixedLatency(config.hop_delay),
-        **kwargs,
-    )
+    transport = config_transport(config, sim, overlay, acc, NoLoss())
     order: List[Tuple[int, int]] = []
     transport.attach(
         lambda dst, update: order.append((update.src_group, dst))
@@ -165,7 +166,7 @@ def _replay_transport_round(
                     values=_EMPTY,
                     n_link_records=send[2],
                     generation=0,
-                    wire_bytes=send[3] if len(send) > 3 else -1,
+                    wire_bytes=send[3],
                 )
             )
             i += 1
@@ -174,7 +175,214 @@ def _replay_transport_round(
     return order, acc
 
 
-class SynchronousEngine:
+def paper_round_estimate(
+    config: DistributedConfig, overlay, w: float, pairs: Sequence[Tuple[int, int]]
+) -> Dict[str, float]:
+    """Per-round traffic predicted by the paper's §4.4 formulas.
+
+    Evaluates :mod:`repro.analysis.cost_model` formulas 4.1–4.4 with
+    ``w`` link records crossing the cut per round, h as the mean
+    overlay hop count over the communicating ``pairs``, g as the
+    overlay's mean neighbor count, and N as the ranker count.  The
+    formulas assume all N² pairs communicate, so they are an upper
+    envelope of the measured totals on sparse cut graphs.
+    """
+    from repro.analysis.cost_model import (
+        direct_data_bytes,
+        direct_messages,
+        indirect_data_bytes,
+        indirect_messages,
+    )
+
+    k = config.n_groups
+    hop_counts = [overlay.hops(g, h) for g, h in pairs]
+    h_mean = float(np.mean(hop_counts)) if hop_counts else 0.0
+    if config.transport == "indirect":
+        return {
+            "data_messages": indirect_messages(k, overlay.mean_neighbor_count()),
+            "data_bytes": indirect_data_bytes(w, h_mean),
+        }
+    return {
+        "data_messages": direct_messages(k, h_mean),
+        "data_bytes": direct_data_bytes(w, h_mean, k),
+    }
+
+
+class RoundEngine(RunSetup):
+    """A bulk-synchronous engine: the one tick/sample/stop loop.
+
+    Subclasses supply the compute kernel — :meth:`_round` and
+    :meth:`_ranks` — and maintain the three per-group vectors the loop
+    reads: ``_outer`` (outer iterations), ``_last_delta`` (L1 change of
+    the last step; the quiescence signal) and ``_inner_sweeps`` (the
+    work counter reported as ``RunResult.inner_sweeps``).
+    """
+
+    def __init__(
+        self,
+        graph: WebGraph,
+        config: DistributedConfig,
+        *,
+        partition: Optional[Partition] = None,
+        reference: Optional[np.ndarray] = None,
+        group_system: bool = True,
+    ):
+        super().__init__(
+            graph,
+            config,
+            partition=partition,
+            reference=reference,
+            group_system=group_system,
+        )
+        k = config.n_groups
+        #: Updates suppressed by the loss model (same meaning as the
+        #: transports' counter of the same name).
+        self.dropped_updates = 0
+        self._outer = np.zeros(k, dtype=np.int64)
+        self._last_delta = np.full(k, np.inf, dtype=np.float64)
+        self._inner_sweeps = np.zeros(k, dtype=np.int64)
+
+    # -- what a subclass supplies --------------------------------------
+    def _round(self, t: float) -> None:
+        """Execute the round of the tick at simulated time ``t``."""
+        raise NotImplementedError
+
+    def _ranks(self, out: np.ndarray) -> np.ndarray:
+        """Current global rank vector in original page order."""
+        raise NotImplementedError
+
+    def _exhausted(self) -> bool:
+        """True when further rounds cannot change the ranks."""
+        return False
+
+    def _sync_to(self, t: float) -> None:
+        """Bring engine-side simulated processes up to time ``t``."""
+
+    def _dropped_total(self) -> int:
+        """Loss-model drops to report (transports may hold the counter)."""
+        return self.dropped_updates
+
+    def _extra_result_fields(self, now: float) -> Dict:
+        """Engine-specific RunResult fields (fidelity, fault counters)."""
+        return {}
+
+    def _quiescent_now(self, quiescence_delta: float) -> bool:
+        """One sample's quiescence verdict — the monitor's per-node
+        rule: every group has stepped at least once and its last step
+        delta is at or below the threshold (streak logic is the
+        sampler's)."""
+        return bool(
+            (self._outer > 0).all()
+            and (self._last_delta <= quiescence_delta).all()
+        )
+
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        *,
+        max_time: float = 1000.0,
+        target_relative_error: Optional[float] = None,
+        quiescence_delta: Optional[float] = None,
+        quiescence_samples: int = 3,
+    ) -> RunResult:
+        """Execute rounds until a stop condition; gather a RunResult.
+
+        Tick ``m`` runs at simulated time ``m × period`` (the exact
+        float sequence the event engine's fixed waits produce), and a
+        sample lands on every ``m``-th tick where
+        ``sample_interval = m × period`` (config validation guarantees
+        the whole-multiple ratio).  The sampling order replicates the
+        event engine's :class:`~repro.core.convergence.Monitor`, whose
+        sample at a tick always executes *before* that tick's ranker
+        wakes (its event was scheduled a full interval earlier, so it
+        carries the lower sequence number): the sample at tick ``m``
+        therefore observes the rounds completed *before* it, and when
+        it trips a stop condition the tick's round is never computed —
+        exactly as the event simulator halts before processing the
+        remaining same-time wakes.  The sample clock accumulates
+        ``sample_interval`` separately from the tick clock (mirroring
+        the monitor's relative rescheduling) so trace timestamps are
+        bit-identical too.  Stop conditions mirror the monitor: target
+        relative error, quiescence (every group's last step delta at
+        or below ``quiescence_delta`` for ``quiescence_samples``
+        consecutive samples), or ``max_time`` — plus, for an engine
+        whose work can run out (the Monte-Carlo estimator once every
+        token has terminated), the first sample that observes it
+        exhausted: the final ranks are on the trace and further rounds
+        are no-ops.
+        """
+        cfg = self.config
+        sampler = Sampler(
+            self.reference,
+            self.accountant,
+            target_relative_error=target_relative_error,
+            quiescence_delta=quiescence_delta,
+            quiescence_samples=quiescence_samples,
+        )
+
+        def sample(t: float) -> Tuple[bool, bool, bool]:
+            # The event engine's monitor samples after every event
+            # strictly before t has been processed; sync first so
+            # traffic snapshots and delivered state agree.
+            self._sync_to(t)
+            sampler.sample(
+                t, self._ranks(sampler.buffer), self._outer, self._quiescent_now
+            )
+            return sampler.converged, sampler.quiescent, self._exhausted()
+
+        interval = float(cfg.sample_interval)
+        every = int(round(interval / self.period))
+
+        converged, quiescent, exhausted = sample(0.0)
+        t = 0.0  # tick clock: accumulates the period like ranker waits
+        t_s = 0.0  # sample clock: accumulates the monitor's interval
+        k = 0
+        while not converged and not quiescent and not exhausted:
+            t_next = t + self.period
+            if t_next > max_time:
+                t = float(max_time)
+                break
+            t = t_next
+            k += 1
+            if k % every == 0:
+                t_s = t_s + interval
+                if t_s != t:
+                    raise ValueError(
+                        f"sample clock drifted from the tick clock "
+                        f"({t_s!r} vs {t!r}): sample_interval and the "
+                        "period accumulate differently in float "
+                        "arithmetic; pick exactly representable values"
+                    )
+                converged, quiescent, exhausted = sample(t_s)
+                if converged or quiescent or exhausted:
+                    break
+            self._round(t)
+
+        # Drain in-flight engine-side work to the run's final time, as
+        # the event engine runs its one simulator to the stop time.
+        self._sync_to(t)
+        return assemble_run_result(
+            # The sample buffer is dead after the loop, so the final
+            # assembly fills it and hands it to the result outright.
+            ranks=self._ranks(sampler.buffer),
+            reference=self.reference,
+            trace=sampler.trace,
+            converged=sampler.converged,
+            time_to_target=sampler.target_time,
+            outer_iterations=self._outer.copy(),
+            inner_sweeps=self._inner_sweeps.copy(),
+            accountant=self.accountant,
+            now=t,
+            dropped_updates=self._dropped_total(),
+            quiescent=sampler.quiescent,
+            quiescence_time=sampler.quiescence_time,
+            config=cfg,
+            codec_stats=self._codec_stats(),
+            **self._extra_result_fields(t),
+        )
+
+
+class SynchronousEngine(RoundEngine):
     """Whole-system block-SpMV runner for failure-free synchronous runs.
 
     Construction mirrors :class:`~repro.core.coordinator.DistributedRun`
@@ -204,45 +412,7 @@ class SynchronousEngine:
         partition: Optional[Partition] = None,
         reference: Optional[np.ndarray] = None,
     ):
-        self.graph = graph
-        self.config = config
-        seeds = SeedSequenceFactory(config.seed)
-
-        self.partition = (
-            partition
-            if partition is not None
-            else make_partition(
-                graph,
-                config.n_groups,
-                config.partition_strategy,
-                seed=seeds.seed("partition"),
-            )
-        )
-        if self.partition.n_groups != config.n_groups:
-            raise ValueError("partition n_groups disagrees with config")
-
-        self.system = GroupSystem(
-            graph, self.partition, alpha=config.alpha, e=config.e
-        )
-        self.reference = (
-            np.asarray(reference, dtype=np.float64)
-            if reference is not None
-            else self.system.solve_exact()
-        )
-
-        self.overlay = build_overlay(
-            config.overlay, config.n_groups, seed=seeds.seed("overlay") % (2**31)
-        )
-        self.accountant = TrafficAccountant(config.n_groups)
-        self._loss = (
-            NoLoss()
-            if config.delivery_prob >= 1.0
-            else BernoulliLoss(config.delivery_prob, seed=seeds.generator("loss"))
-        )
-        #: Updates suppressed by the loss model (same meaning as the
-        #: transports' counter of the same name).
-        self.dropped_updates = 0
-
+        super().__init__(graph, config, partition=partition, reference=reference)
         k = config.n_groups
         blocks = self.system.blocks
         sizes = [blocks.group_size(g) for g in range(k)]
@@ -336,6 +506,21 @@ class SynchronousEngine:
         # result assembly) works off them and the diagonal blocks.
         blocks.release_cross()
 
+        #: The same pairs per source, destinations ascending — the
+        #: ranker emission order.
+        self._pairs_by_src: List[List[Tuple[int, int, slice, np.ndarray, int]]] = [
+            [] for _ in range(k)
+        ]
+        for pair in self._pairs:
+            self._pairs_by_src[pair[0]].append(pair)
+        #: The send list of a round that ships every pair uncoded — the
+        #: lossless flat round, every round.  Always this one object,
+        #: recognised by identity (no per-round key to build).
+        self._full_sends = [(g, h, records, -1) for g, h, _, _, records in self._pairs]
+        #: Nothing can drop or resize a send: replays repeat whenever
+        #: the send set does, so the last one is worth keeping.
+        self._lossless = self._codec is None and isinstance(self._loss, NoLoss)
+
         # Mutable round state.
         self._r = np.zeros(n_total, dtype=np.float64)
         # dpr2's sweep ping-pong buffers — allocated on first dpr2
@@ -362,42 +547,31 @@ class SynchronousEngine:
             )
         #: Newest afferent vector (compressed to its nonzero elements)
         #: per source, per destination group — insertion-ordered
-        #: exactly like ``DPRNode._latest_values``.  Used only under
-        #: loss; the lossless path goes through :attr:`_afferent`.
+        #: exactly like ``DPRNode._latest_values`` — with the
+        #: generation it carried and the count of stale arrivals
+        #: rejected (``DPRNode.receive``'s bookkeeping).  Unused by the
+        #: lossless flat round, which goes through :attr:`_afferent`.
         self._latest: List[Dict[int, np.ndarray]] = [{} for _ in range(k)]
+        self._gen_latest: List[Dict[int, int]] = [{} for _ in range(k)]
+        self._stale = np.zeros(k, dtype=np.int64)
         #: 0/1 afferent matrix for the lossless fast path (X = F·Y),
         #: built lazily from the first calibration's arrival order.
         self._afferent: Optional[sp.csr_matrix] = None
-        #: Destinations that received mail last round (refresh set).
+        #: Destinations that received mail since their last refresh.
         self._mail: set = set()
+        #: Last segment sent per pair (threshold suppression only).
+        self._last_sent: Dict[Tuple[int, int], np.ndarray] = {}
         # Per-group solves run sequentially and copy their result out
         # before the next begins, so all K workspaces can be views of
         # one max-group-size allocation (3 vectors total, not 3·n).
         shared_ws = JacobiWorkspace(max(sizes) if sizes else 0)
         self._workspaces = [shared_ws.sliced(sizes[g]) for g in range(k)]
-        self._last_delta = np.full(k, np.inf, dtype=np.float64)
-        self._inner_sweeps = np.zeros(k, dtype=np.int64)
-        self._rounds = 0
-        #: Cached calibration for the lossless fast path: traffic of
-        #: one full round plus its delivery order (computed once).
-        self._calibration: Optional[Tuple[List[Tuple[int, int]], TrafficAccountant]] = None
-        #: Shared wire-codec session manager (None when codec="none").
-        #: One session per ordered pair, the same pair universe the
-        #: event engine's DistributedRun builds, so the certified
-        #: per-pair budgets — and every frame's byte size — agree
-        #: across engines.
-        self._codec = None
-        if config.codec != "none":
-            from repro.net.adaptive import AdaptiveCodec
-
-            self._codec = AdaptiveCodec(
-                config.codec,
-                epsilon=config.comm_epsilon,
-                n_pairs=len(self._pairs),
-            )
-
-        #: Common tick period of the synchronous schedule.
-        self.period = max(0.5 * (config.t1 + config.t2), MIN_MEAN_WAIT)
+        #: The last scratch replay as ``(send-set key, delivery order,
+        #: traffic)``.  One entry: measured over sync/async runs with
+        #: and without suppression, send sets either repeat
+        #: back-to-back (the full pair set of a lossless flat run, the
+        #: empty set of a suppressed tail) or do not recur at all.
+        self._memo: Optional[Tuple] = None
 
         # The grouped-operator build churned through chunk temporaries
         # whose freed pages glibc retains; hand them back so the run's
@@ -414,11 +588,6 @@ class SynchronousEngine:
         return self._a_all_cache
 
     # ------------------------------------------------------------------
-    @property
-    def n_groups(self) -> int:
-        """Number of page groups (the paper's K)."""
-        return self.config.n_groups
-
     def group_ranks(self) -> List[np.ndarray]:
         """Current per-group local rank vectors (views, group order)."""
         return [self._r[self._slices[g]] for g in range(self.n_groups)]
@@ -426,6 +595,8 @@ class SynchronousEngine:
     def assemble_ranks(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Current global rank vector in original page order."""
         return self.system.assemble(self.group_ranks(), out=out)
+
+    _ranks = assemble_ranks
 
     def calibrated_round_traffic(self):
         """Exact traffic of one lossless round as a snapshot at t=0.
@@ -436,60 +607,46 @@ class SynchronousEngine:
         once on the calibration replay, never by materializing real
         score updates.
         """
-        if self._calibration is None:
-            self._calibration = self._replay_round(self._pairs)
-            self._afferent = self._build_afferent(self._calibration[0])
-        return self._calibration[1].snapshot(0.0)
+        return self._replay(self._full_sends)[1].snapshot(0.0)
 
     def paper_round_estimate(self) -> Dict[str, float]:
         """Per-round traffic predicted by the paper's §4.4 formulas.
 
-        Evaluates :mod:`repro.analysis.cost_model` formulas 4.1–4.4
-        with this system's actual totals — W as the total cross-group
-        link records, h as the mean overlay hop count over the pairs
-        that actually exchange updates, g as the overlay's mean
-        neighbor count, and N as the ranker count — giving the
-        closed-form counterpart to :meth:`calibrated_round_traffic`
-        (the formulas assume all N² pairs communicate, so they are an
-        upper envelope of the measured totals on sparse cut graphs).
+        :func:`paper_round_estimate` with this system's actual totals —
+        W as the total cross-group link records and the pairs that
+        actually exchange updates — giving the closed-form counterpart
+        to :meth:`calibrated_round_traffic`.
         """
-        from repro.analysis.cost_model import (
-            direct_data_bytes,
-            direct_messages,
-            indirect_data_bytes,
-            indirect_messages,
+        return paper_round_estimate(
+            self.config,
+            self.overlay,
+            float(sum(p[4] for p in self._pairs)),
+            [(p[0], p[1]) for p in self._pairs],
         )
 
-        k = self.config.n_groups
-        w = float(sum(p[4] for p in self._pairs))
-        hop_counts = [self.overlay.hops(g, h) for g, h, _, _, _ in self._pairs]
-        h_mean = float(np.mean(hop_counts)) if hop_counts else 0.0
-        if self.config.transport == "indirect":
-            return {
-                "data_messages": indirect_messages(
-                    k, self.overlay.mean_neighbor_count()
-                ),
-                "data_bytes": indirect_data_bytes(w, h_mean),
-            }
-        return {
-            "data_messages": direct_messages(k, h_mean),
-            "data_bytes": direct_data_bytes(w, h_mean, k),
-        }
-
     # ------------------------------------------------------------------
-    def _replay_round(
-        self, pairs: List[Tuple[int, int, slice, np.ndarray, int]]
+    def _replay(
+        self, sends: Sequence[Tuple]
     ) -> Tuple[List[Tuple[int, int]], TrafficAccountant]:
-        """Route one round's surviving sends through the real transport.
+        """Scratch-replay one round's sends, memoising the last send set.
 
         Returns the delivery order as (src, dst) in upcall sequence and
         a scratch accountant holding the round's exact traffic (see
-        :func:`_replay_transport_round`, which the Monte-Carlo engine
-        shares for its per-round walk-token traffic).
+        :func:`_replay_transport_round`).  Under loss every round has
+        its own survivor set and under a codec its own frame sizes, so
+        only lossless uncoded rounds (and the full-set calibration)
+        consult the memo.
         """
-        return _replay_transport_round(
-            self.config, self.overlay, [(p[0], p[1], p[4]) for p in pairs]
-        )
+        full = sends is self._full_sends
+        if not (full or self._lossless):
+            return _replay_transport_round(self.config, self.overlay, sends)
+        key = "full" if full else tuple((s[0], s[1]) for s in sends)
+        if self._memo is None or self._memo[0] != key:
+            self._memo = (
+                key,
+                *_replay_transport_round(self.config, self.overlay, sends),
+            )
+        return self._memo[1], self._memo[2]
 
     def _build_afferent(self, order: List[Tuple[int, int]]) -> sp.csr_matrix:
         """Assemble the 0/1 afferent matrix F with X = F·Y (lossless).
@@ -539,334 +696,212 @@ class SynchronousEngine:
             shape=(n_rows, self._y.size),
         )
 
-    def _communicate_codec(self) -> None:
-        """Codec round: encode every pair, replay survivors, deliver.
+    def _build_sends(self, groups: Sequence[int]) -> List[Tuple]:
+        """This round's sends of the stepping ``groups``, emission order.
 
-        Config validation guarantees ``delivery_prob == 1`` under a
-        codec, so there is no loss interplay: every encoded frame is
-        delivered.  Each pair's compressed Y segment is encoded with
-        its nonzero-row map (so frame bytes match the event engine's
-        dense emissions — see :meth:`AdaptiveCodec.encode`), suppressed
-        pairs ship nothing, and receivers hold copies of the codec's
-        reconstruction mirror, reusing the loss path's
-        insertion-ordered ``_latest``/``_mail`` refresh machinery.  At
-        ε_comm = 0 the reconstruction equals the true segment bit for
-        bit, so the refresh re-sums exactly the values the lossless
-        SpMV path would deliver, in the same first-arrival order.
-        Per-round byte totals vary with frame content, so the replay
-        runs every round instead of caching one calibration.
+        One ``(src, dst, n_records, wire_bytes, values)`` per pair that
+        ships, sources ascending and destinations ascending within a
+        source — the order rankers tick and emit in a synchronous
+        round, and hence the order the loss stream is consumed in.
+        Threshold suppression filters first (a pair whose segment moved
+        at most ``suppress_tol`` in L1 since it was last sent ships
+        nothing; the compressed diff equals the dense diff because
+        structurally-zero rows are +0.0 on both sides), then the wire
+        codec: each pair's compressed Y segment is encoded with its
+        nonzero-row map (so frame bytes match the event engine's dense
+        emissions — see :meth:`AdaptiveCodec.encode`), a pair the
+        budget lets the codec suppress ships nothing, and ``values``
+        becomes the codec's reconstruction mirror — the receiver's
+        exact post-frame state — with the frame's calibrated
+        ``wire_bytes`` (-1 uncoded).  At ε_comm = 0 the reconstruction
+        equals the true segment bit for bit.  ``values`` is a view that
+        stays valid until the pair's next emission; a backend that
+        keeps it past the round copies it.
         """
-        sends = []
-        for g, h, csl, idx, records in self._pairs:
-            frame = self._codec.encode(g, h, self._y[csl], index_map=idx)
-            if frame is None:
-                continue
-            sends.append((g, h, records, frame.wire_bytes))
-        order, acc = _replay_transport_round(self.config, self.overlay, sends)
-        self.accountant.merge(acc)
-        for src, dst in order:
-            seg = self._codec.recon(src, dst)
-            held = self._latest[dst].get(src)
-            if held is None:
-                self._latest[dst][src] = seg.copy()
-            else:
-                np.copyto(held, seg)
-            self._mail.add(dst)
+        tol = self.config.suppress_tol
+        sends: List[Tuple] = []
+        for g in groups:
+            for _, h, csl, idx, records in self._pairs_by_src[g]:
+                values = self._y[csl]
+                wire_bytes = -1
+                if tol > 0.0:
+                    prev = self._last_sent.get((g, h))
+                    if (
+                        prev is not None
+                        and float(np.abs(values - prev).sum()) <= tol
+                    ):
+                        continue
+                    self._last_sent[(g, h)] = values.copy()
+                if self._codec is not None:
+                    frame = self._codec.encode(g, h, values, index_map=idx)
+                    if frame is None:
+                        continue
+                    values, wire_bytes = frame.values, frame.wire_bytes
+                sends.append((g, h, records, wire_bytes, values))
+        return sends
 
-    def _communicate(self) -> None:
-        """Apply loss, account the round's traffic, deliver the Y slices."""
-        if self._codec is not None:
-            self._communicate_codec()
-            return
-        if isinstance(self._loss, NoLoss):
-            if self._calibration is None:
-                self._calibration = self._replay_round(self._pairs)
-                self._afferent = self._build_afferent(self._calibration[0])
-            self.accountant.merge(self._calibration[1])
+    def _emit(self, sends: Sequence[Tuple], t: float) -> None:
+        """Account the round's ``sends`` and deliver what survives.
+
+        The scratch-replay accounting backend: apply loss, route the
+        survivors through the real transport on a scratch simulator
+        (exact per-round traffic, merged via
+        ``TrafficAccountant.merge``), and apply each segment in the
+        observed delivery order.
+        """
+        if not isinstance(self._loss, NoLoss):
+            # One Bernoulli draw per send in emission order — the same
+            # stream consumption as the event engine's transports.
+            survivors = []
+            for send in sends:
+                if self._loss.delivered(send[0], send[1]):
+                    survivors.append(send)
+                else:
+                    self.dropped_updates += 1
+            sends = survivors
+        order, acc = self._replay(sends)
+        self.accountant.merge(acc)
+        if sends is self._full_sends:
             # Every source re-arrives, so the whole delivery + refresh
             # is one SpMV in arrival order (see _build_afferent).
+            if self._afferent is None:
+                self._afferent = self._build_afferent(order)
             csr_matvec_into(self._afferent, self._y, self._x)
             return
-
-        # One Bernoulli draw per pair in emission order — the same
-        # stream consumption as the event engine's transports.
-        survivors = []
-        for pair in self._pairs:
-            if self._loss.delivered(pair[0], pair[1]):
-                survivors.append(pair)
-            else:
-                self.dropped_updates += 1
-        order, acc = self._replay_round(survivors)
-        self.accountant.merge(acc)
-
-        by_pair = self._pair_cslice
+        values = {(send[0], send[1]): send[4] for send in sends}
         for src, dst in order:
-            seg = self._y[by_pair[(src, dst)]]
-            held = self._latest[dst].get(src)
-            if held is None:
-                # First arrival: append (fixes this source's position
-                # in the destination's summation order for good).
-                self._latest[dst][src] = seg.copy()
+            self._apply(src, dst, values[(src, dst)], int(self._outer[src]))
+
+    def _apply(self, src: int, dst: int, values: np.ndarray, generation: int) -> None:
+        """Land one delivery: ``DPRNode.receive`` semantics over flat
+        state (generation check, first-arrival summation order, mail
+        flag).  A source's generation is its outer count at emission,
+        so only a backend that can deliver late or after a rollback
+        (ARQ over a recovered sender, the fault plane's transport)
+        ever presents a stale one."""
+        gens = self._gen_latest[dst]
+        prev_gen = gens.get(src)
+        if prev_gen is not None and generation <= prev_gen:
+            self._stale[dst] += 1
+            return
+        gens[src] = generation
+        held = self._latest[dst].get(src)
+        if held is None:
+            # First arrival: append (fixes this source's position in
+            # the destination's re-summation order for good).
+            self._latest[dst][src] = np.array(values, dtype=np.float64)
+        else:
+            np.copyto(held, values)
+        self._mail.add(dst)
+
+    def _refresh_x(self, h: int) -> None:
+        """Re-sum mailed destination ``h``'s newest compressed vectors
+        in first-arrival order.  Scattering each source's nonzero
+        elements through its index array performs the same elementwise
+        additions as ``DPRNode._refresh``'s dense vector adds — the
+        skipped elements only ever add +0.0."""
+        xh = self._x[self._slices[h]]
+        xh[:] = 0.0
+        for src, vec in self._latest[h].items():
+            xh[self._pair_idx[(src, h)]] += vec
+
+    def _step_groups(self, groups: Sequence[int]) -> None:
+        """Step each of ``groups`` exactly as ``DPRNode.step`` would."""
+        cfg = self.config
+        for g in groups:
+            self._outer[g] += 1
+            sl = self._slices[g]
+            if sl.stop == sl.start:
+                self._last_delta[g] = 0.0
+                continue
+            if g in self._mail:
+                self._refresh_x(g)
+                self._mail.discard(g)
+            r_g = self._r[sl]
+            # Group g's f = βE + X assembled into the shared buffer:
+            # the identical per-slice add a whole-system f performs,
+            # one group at a time.
+            f_g = self._fbuf[: sl.stop - sl.start]
+            np.add(self._beta_e[sl], self._x[sl], out=f_g)
+            ws = self._workspaces[g]
+            if cfg.algorithm == "dpr2":
+                delta = ws.sweep_delta(
+                    self.system.diag(g), r_g, f_g, out=ws._ping
+                )
+                np.copyto(r_g, ws._ping)
+                self._last_delta[g] = float(delta)
+                self._inner_sweeps[g] += 1
+                continue
+            if cfg.inner_solver == "gauss_seidel":
+                from repro.linalg.acceleration import gauss_seidel_solve
+
+                res = gauss_seidel_solve(
+                    self.system.diag(g), f_g, x0=r_g,
+                    tol=cfg.local_tol, max_iter=cfg.max_inner,
+                )
             else:
-                np.copyto(held, seg)
-            self._mail.add(dst)
+                res = jacobi_solve(
+                    self.system.diag(g), f_g, x0=r_g,
+                    tol=cfg.local_tol, max_iter=cfg.max_inner,
+                    workspace=ws,
+                )
+            self._inner_sweeps[g] += res.iterations
+            sc = ws._scratch
+            np.subtract(res.x, r_g, out=sc)
+            np.abs(sc, out=sc)
+            self._last_delta[g] = float(sc.sum())
+            np.copyto(r_g, res.x)
 
     def _compute(self) -> None:
-        """One outer loop for every group, as global vector kernels."""
+        """One outer loop for every group."""
         cfg = self.config
-        # Refresh X (loss path only; lossless X was computed by the
-        # afferent SpMV): re-sum each mailed destination's newest
-        # compressed vectors in first-arrival order.  Scattering each
-        # source's nonzero elements through its index array performs
-        # the same elementwise additions as DPRNode._refresh's dense
-        # vector adds — the skipped elements only ever add +0.0.
+        if cfg.algorithm == "dpr1":
+            self._step_groups(range(cfg.n_groups))
+            return
+        # dpr2 with every group stepping is one whole-system sweep.
+        # Refresh X first (loss/codec rounds only; lossless X was
+        # computed by the afferent SpMV).
         for h in self._mail:
-            xh = self._x[self._slices[h]]
-            xh[:] = 0.0
-            for src, vec in self._latest[h].items():
-                xh[self._pair_idx[(src, h)]] += vec
-        self._mail = set()
+            self._refresh_x(h)
+        self._mail.clear()
+        # f = βE + X over the whole system (same elementwise add
+        # the nodes perform per group; a cached unchanged f re-adds
+        # to the same bits, so recomputing globally is safe).
+        if self._f is None:
+            self._f = np.empty_like(self._r)
+        np.add(self._beta_e, self._x, out=self._f)
+        # One whole-system sweep: R ← A·R + f, fused with the
+        # per-group ‖ΔR‖₁ reductions over contiguous slices.
+        if self._ping is None:
+            self._ping = np.zeros_like(self._r)
+            self._scratch = np.zeros_like(self._r)
+        csr_matvec_into(self._a_all(), self._r, self._ping)
+        np.add(self._ping, self._f, out=self._ping)
+        np.subtract(self._ping, self._r, out=self._scratch)
+        np.abs(self._scratch, out=self._scratch)
+        for g in range(cfg.n_groups):
+            sl = self._slices[g]
+            if sl.stop == sl.start:
+                self._last_delta[g] = 0.0
+                continue
+            self._last_delta[g] = float(self._scratch[sl].sum())
+            self._inner_sweeps[g] += 1
+        self._r, self._ping = self._ping, self._r
+        self._outer += 1
 
-        if cfg.algorithm == "dpr2":
-            # f = βE + X over the whole system (same elementwise add
-            # the nodes perform per group; a cached unchanged f re-adds
-            # to the same bits, so recomputing globally is safe).
-            if self._f is None:
-                self._f = np.empty_like(self._r)
-            np.add(self._beta_e, self._x, out=self._f)
-            # One whole-system sweep: R ← A·R + f, fused with the
-            # per-group ‖ΔR‖₁ reductions over contiguous slices.
-            if self._ping is None:
-                self._ping = np.zeros_like(self._r)
-                self._scratch = np.zeros_like(self._r)
-            csr_matvec_into(self._a_all(), self._r, self._ping)
-            np.add(self._ping, self._f, out=self._ping)
-            np.subtract(self._ping, self._r, out=self._scratch)
-            np.abs(self._scratch, out=self._scratch)
-            for g in range(cfg.n_groups):
-                sl = self._slices[g]
-                if sl.stop == sl.start:
-                    self._last_delta[g] = 0.0
-                    continue
-                self._last_delta[g] = float(self._scratch[sl].sum())
-                self._inner_sweeps[g] += 1
-            self._r, self._ping = self._ping, self._r
-        else:
-            for g in range(cfg.n_groups):
-                sl = self._slices[g]
-                if sl.stop == sl.start:
-                    self._last_delta[g] = 0.0
-                    continue
-                r_g = self._r[sl]
-                # Group g's f = βE + X assembled into the shared
-                # buffer: the identical per-slice add the global-f
-                # path performed, one group at a time.
-                f_g = self._fbuf[: sl.stop - sl.start]
-                np.add(self._beta_e[sl], self._x[sl], out=f_g)
-                ws = self._workspaces[g]
-                if cfg.inner_solver == "gauss_seidel":
-                    from repro.linalg.acceleration import gauss_seidel_solve
-
-                    res = gauss_seidel_solve(
-                        self.system.diag(g), f_g, x0=r_g,
-                        tol=cfg.local_tol, max_iter=cfg.max_inner,
-                    )
-                else:
-                    res = jacobi_solve(
-                        self.system.diag(g), f_g, x0=r_g,
-                        tol=cfg.local_tol, max_iter=cfg.max_inner,
-                        workspace=ws,
-                    )
-                self._inner_sweeps[g] += res.iterations
-                sc = ws._scratch
-                np.subtract(res.x, r_g, out=sc)
-                np.abs(sc, out=sc)
-                self._last_delta[g] = float(sc.sum())
-                np.copyto(r_g, res.x)
-        self._rounds += 1
-
-    def _round(self) -> None:
+    def _round(self, t: float) -> None:
         """One bulk-synchronous round: compute, emit Y, communicate."""
         self._compute()
         csr_matvec_into(self._cut, self._r, self._y)
-        self._communicate()
-
-    # ------------------------------------------------------------------
-    # Subclass hooks (the hybrid engine overrides these; see
-    # repro.core.hybrid).  The base implementations reproduce the
-    # flat engine's historical behaviour exactly.
-    # ------------------------------------------------------------------
-    def _pre_sample(self, t: float) -> None:
-        """Called at the top of every sample, before state is read."""
-
-    def _finish(self, t: float) -> None:
-        """Called once after the run loop, before result assembly."""
-
-    def _outer_progress(self) -> Tuple[int, float]:
-        """(max, mean) outer-iteration progress for the trace."""
-        return self._rounds, float(self._rounds)
-
-    def _outer_vector(self) -> np.ndarray:
-        """Per-group outer iteration counts for the result."""
-        return np.full(self.config.n_groups, self._rounds, dtype=np.int64)
-
-    def _quiescent_now(self, quiescence_delta: float) -> bool:
-        """One sample's quiescence verdict (streak logic is the caller's)."""
-        return self._rounds > 0 and bool(
-            (self._last_delta <= quiescence_delta).all()
-        )
-
-    def _dropped_total(self) -> int:
-        """Loss-model drops to report (transports may hold the counter)."""
-        return self.dropped_updates
-
-    def _extra_result_fields(self, now: float) -> Dict:
-        """Engine-specific RunResult fields (fidelity, fault counters)."""
-        return {}
-
-    def _codec_stats(self) -> Optional[Dict]:
-        """Codec counter snapshot + certified bound (None when off)."""
-        if self._codec is None:
-            return None
-        return {
-            **self._codec.stats(),
-            "certified_bound": self._codec.certified_bound(self.config.alpha),
-        }
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        *,
-        max_time: float = 1000.0,
-        target_relative_error: Optional[float] = None,
-        quiescence_delta: Optional[float] = None,
-        quiescence_samples: int = 3,
-    ) -> RunResult:
-        """Execute rounds until a stop condition; gather a RunResult.
-
-        Tick ``m`` runs at simulated time ``m × period`` (the exact
-        float sequence the event engine's fixed waits produce), and a
-        sample lands on every ``m``-th tick where
-        ``sample_interval = m × period`` (config validation guarantees
-        the whole-multiple ratio).  The sampling order replicates the
-        event engine's :class:`~repro.core.convergence.Monitor`, whose
-        sample at a tick always executes *before* that tick's ranker
-        wakes (its event was scheduled a full interval earlier, so it
-        carries the lower sequence number): the sample at tick ``m``
-        therefore observes the rounds completed *before* it, and when
-        it trips a stop condition the tick's round is never computed —
-        exactly as the event simulator halts before processing the
-        remaining same-time wakes.  The sample clock accumulates
-        ``sample_interval`` separately from the tick clock (mirroring
-        the monitor's relative rescheduling) so trace timestamps are
-        bit-identical too.  Stop conditions mirror the monitor: target
-        relative error, quiescence (every group's last step delta at
-        or below ``quiescence_delta`` for ``quiescence_samples``
-        consecutive samples), or ``max_time``.
-        """
-        cfg = self.config
-        trace = ConvergenceTrace()
-        converged = False
-        target_time: Optional[float] = None
-        quiescent = False
-        quiescence_time: Optional[float] = None
-        quiet_streak = 0
-
-        # Sampling reuses one n-page buffer and the cached reference
-        # norm so a long run allocates nothing per sample.  The error
-        # below performs the exact subtract/abs/sum/divide sequence of
-        # relative_l1_error (l1_norm(x - ref) / l1_norm(ref)), so the
-        # recorded values are bit-identical to the event engine's; the
-        # mean is taken before the in-place subtract clobbers ranks.
-        ranks_buf = np.empty(self.graph.n_pages, dtype=np.float64)
-        denom = l1_norm(self.reference)
-
-        def sample(t: float) -> None:
-            nonlocal converged, target_time, quiescent, quiescence_time, quiet_streak
-            self._pre_sample(t)
-            ranks = self.assemble_ranks(out=ranks_buf)
-            mean_rank = float(ranks.mean()) if ranks.size else 0.0
-            np.subtract(ranks, self.reference, out=ranks)
-            np.abs(ranks, out=ranks)
-            num = float(ranks.sum())
-            if denom == 0.0:
-                err = 0.0 if num == 0.0 else math.inf
-            else:
-                err = num / denom
-            trace.times.append(t)
-            trace.relative_errors.append(err)
-            trace.mean_ranks.append(mean_rank)
-            max_outer, mean_outer = self._outer_progress()
-            trace.max_outer_iterations.append(max_outer)
-            trace.mean_outer_iterations.append(mean_outer)
-            snap = self.accountant.snapshot(t)
-            trace.total_messages.append(snap.total_messages)
-            trace.total_bytes.append(snap.total_bytes)
-            if (
-                target_relative_error is not None
-                and err <= target_relative_error
-                and not converged
-            ):
-                converged = True
-                target_time = t
-            if quiescence_delta is not None and not quiescent:
-                quiet = self._quiescent_now(quiescence_delta)
-                quiet_streak = quiet_streak + 1 if quiet else 0
-                if quiet_streak >= quiescence_samples:
-                    quiescent = True
-                    quiescence_time = t
-
-        interval = float(cfg.sample_interval)
-        every = int(round(interval / self.period))
-
-        sample(0.0)
-        t = 0.0  # tick clock: accumulates the period like ranker waits
-        t_s = 0.0  # sample clock: accumulates the monitor's interval
-        k = 0
-        while not converged and not quiescent:
-            t_next = t + self.period
-            if t_next > max_time:
-                t = float(max_time)
-                break
-            t = t_next
-            k += 1
-            if k % every == 0:
-                t_s = t_s + interval
-                if t_s != t:
-                    raise ValueError(
-                        f"sample clock drifted from the tick clock "
-                        f"({t_s!r} vs {t!r}): sample_interval and the "
-                        "period accumulate differently in float "
-                        "arithmetic; pick exactly representable values"
-                    )
-                sample(t_s)
-                if converged or quiescent:
-                    break
-            self._round()
-
-        self._finish(t)
-        return assemble_run_result(
-            # The sample buffer is dead after the loop, so the final
-            # assembly fills it and hands it to the result outright.
-            ranks=self.assemble_ranks(out=ranks_buf),
-            reference=self.reference,
-            trace=trace,
-            converged=converged,
-            time_to_target=target_time,
-            outer_iterations=self._outer_vector(),
-            inner_sweeps=self._inner_sweeps.copy(),
-            accountant=self.accountant,
-            now=t,
-            dropped_updates=self._dropped_total(),
-            quiescent=quiescent,
-            quiescence_time=quiescence_time,
-            config=cfg,
-            codec_stats=self._codec_stats(),
-            **self._extra_result_fields(t),
+        self._emit(
+            self._full_sends
+            if self._lossless
+            else self._build_sends(range(self.config.n_groups)),
+            t,
         )
 
 
-class MonteCarloEngine:
+class MonteCarloEngine(RoundEngine):
     """Distributed random-walk ranking over the partitioned system.
 
     Construction mirrors :class:`SynchronousEngine` (same partition
@@ -904,7 +939,6 @@ class MonteCarloEngine:
         on the same graph — the fixed point the estimator is unbiased
         for under ``dangling_mode="absorb"``.
     """
-
     def __init__(
         self,
         graph: WebGraph,
@@ -913,38 +947,15 @@ class MonteCarloEngine:
         partition: Optional[Partition] = None,
         reference: Optional[np.ndarray] = None,
     ):
-        from repro.core.pagerank import pagerank_open
         from repro.linalg.montecarlo import RandomWalkState
 
-        self.graph = graph
-        self.config = config
-        seeds = SeedSequenceFactory(config.seed)
-
-        self.partition = (
-            partition
-            if partition is not None
-            else make_partition(
-                graph,
-                config.n_groups,
-                config.partition_strategy,
-                seed=seeds.seed("partition"),
-            )
+        super().__init__(
+            graph,
+            config,
+            partition=partition,
+            reference=reference,
+            group_system=False,
         )
-        if self.partition.n_groups != config.n_groups:
-            raise ValueError("partition n_groups disagrees with config")
-
-        self.reference = (
-            np.asarray(reference, dtype=np.float64)
-            if reference is not None
-            else pagerank_open(graph, config.alpha, e=config.e).ranks
-        )
-
-        self.overlay = build_overlay(
-            config.overlay, config.n_groups, seed=seeds.seed("overlay") % (2**31)
-        )
-        self.accountant = TrafficAccountant(config.n_groups)
-        self.dropped_updates = 0
-
         self.state = RandomWalkState(
             graph,
             alpha=config.alpha,
@@ -952,18 +963,15 @@ class MonteCarloEngine:
             walk_mode=config.walk_mode,
             dangling=config.dangling_mode,
             start_weight=1.0 if config.e is None else float(config.e),
-            rng=seeds.generator("walks"),
+            rng=self._seeds.generator("walks"),
         )
-        k = config.n_groups
         self._group_of = self.partition.group_of
-        self._rounds = 0
-        #: Token steps executed per group — the mc analogue of the
-        #: Jacobi engines' inner-sweep work counter.
-        self._token_steps = np.zeros(k, dtype=np.int64)
-        #: Per-group L1 growth of the estimate in the last round (the
-        #: estimate is monotone, so growth == |change|) — drives the
-        #: same quiescence test the other engines run.
-        self._last_delta = np.full(k, np.inf, dtype=np.float64)
+        # The loop's per-group vectors, in mc terms: ``_inner_sweeps``
+        # counts token steps executed per group (the analogue of the
+        # Jacobi engines' inner-sweep work counter) and ``_last_delta``
+        # is the L1 growth of the estimate in the last round (the
+        # estimate is monotone, so growth == |change|) — driving the
+        # same quiescence test the other engines run.
         # §4.4 bridge inputs, accumulated over the run: total crossing
         # link records and the set of communicating pairs.
         self._crossing_records = 0
@@ -977,15 +985,7 @@ class MonteCarloEngine:
         self._codec_frames = 0
         self._codec_entries = 0
 
-        #: Common tick period of the synchronous schedule.
-        self.period = max(0.5 * (config.t1 + config.t2), MIN_MEAN_WAIT)
-
     # ------------------------------------------------------------------
-    @property
-    def n_groups(self) -> int:
-        """Number of page groups (the paper's K)."""
-        return self.config.n_groups
-
     def paper_round_estimate(self) -> Dict[str, float]:
         """Per-round traffic predicted by the paper's §4.4 formulas.
 
@@ -997,36 +997,27 @@ class MonteCarloEngine:
         tokens.  Call after :meth:`run`; before any round both terms
         are zero.
         """
-        from repro.analysis.cost_model import (
-            direct_data_bytes,
-            direct_messages,
-            indirect_data_bytes,
-            indirect_messages,
+        return paper_round_estimate(
+            self.config,
+            self.overlay,
+            self._crossing_records / max(int(self._outer.max()), 1),
+            sorted(self._pairs_seen),
         )
 
-        k = self.config.n_groups
-        w = self._crossing_records / max(self._rounds, 1)
-        hop_counts = [self.overlay.hops(g, h) for g, h in sorted(self._pairs_seen)]
-        h_mean = float(np.mean(hop_counts)) if hop_counts else 0.0
-        if self.config.transport == "indirect":
-            return {
-                "data_messages": indirect_messages(
-                    k, self.overlay.mean_neighbor_count()
-                ),
-                "data_bytes": indirect_data_bytes(w, h_mean),
-            }
-        return {
-            "data_messages": direct_messages(k, h_mean),
-            "data_bytes": direct_data_bytes(w, h_mean, k),
-        }
-
     # ------------------------------------------------------------------
-    def _round(self) -> None:
+    def _ranks(self, out: np.ndarray) -> np.ndarray:
+        return self.state.estimate(out=out)
+
+    def _exhausted(self) -> bool:
+        # Once every token has terminated the estimate is final.
+        return self.state.alive == 0
+
+    def _round(self, t: float) -> None:
         """One bulk-synchronous round: step all tokens, ship crossers."""
         k = self.config.n_groups
         pos = self.state.pos
         if pos.size:
-            self._token_steps += np.bincount(self._group_of[pos], minlength=k)
+            self._inner_sweeps += np.bincount(self._group_of[pos], minlength=k)
         src, dst, counted = self.state.step()
         # Per-group estimate growth (quiescence signal): exactly the
         # mass credited this round, in rank units.
@@ -1076,7 +1067,7 @@ class MonteCarloEngine:
                     self._codec_frames += len(sends)
                 else:
                     sends = [
-                        (int(c) // k, int(c) % k, int(counts[c]))
+                        (int(c) // k, int(c) % k, int(counts[c]), -1)
                         for c in present
                     ]
                 _, acc = _replay_transport_round(
@@ -1085,131 +1076,21 @@ class MonteCarloEngine:
                 self.accountant.merge(acc)
                 self._crossing_records += int(counts.sum())
                 self._pairs_seen.update((s[0], s[1]) for s in sends)
-        self._rounds += 1
+        self._outer += 1
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        *,
-        max_time: float = 1000.0,
-        target_relative_error: Optional[float] = None,
-        quiescence_delta: Optional[float] = None,
-        quiescence_samples: int = 3,
-    ) -> RunResult:
-        """Execute rounds until a stop condition; gather a RunResult.
-
-        The tick/sample clocks replicate :meth:`SynchronousEngine.run`
-        (rounds at the common period, samples at whole multiples of
-        it, the sample at a tick observing the rounds completed before
-        it).  Stop conditions: target relative error, quiescence
-        (every group's last-round estimate growth at or below
-        ``quiescence_delta`` for ``quiescence_samples`` consecutive
-        samples), ``max_time`` — plus the estimator's natural
-        completion: once every token has terminated the estimate is
-        final, so the run ends at the first sample that observes an
-        empty ensemble.
-        """
-        cfg = self.config
-        trace = ConvergenceTrace()
-        converged = False
-        target_time: Optional[float] = None
-        quiescent = False
-        quiescence_time: Optional[float] = None
-        quiet_streak = 0
-
-        ranks_buf = np.empty(self.graph.n_pages, dtype=np.float64)
-        denom = l1_norm(self.reference)
-
-        def sample(t: float) -> None:
-            nonlocal converged, target_time, quiescent, quiescence_time, quiet_streak
-            ranks = self.state.estimate(out=ranks_buf)
-            mean_rank = float(ranks.mean()) if ranks.size else 0.0
-            np.subtract(ranks, self.reference, out=ranks)
-            np.abs(ranks, out=ranks)
-            num = float(ranks.sum())
-            if denom == 0.0:
-                err = 0.0 if num == 0.0 else math.inf
-            else:
-                err = num / denom
-            trace.times.append(t)
-            trace.relative_errors.append(err)
-            trace.mean_ranks.append(mean_rank)
-            trace.max_outer_iterations.append(self._rounds)
-            trace.mean_outer_iterations.append(float(self._rounds))
-            snap = self.accountant.snapshot(t)
-            trace.total_messages.append(snap.total_messages)
-            trace.total_bytes.append(snap.total_bytes)
-            if (
-                target_relative_error is not None
-                and err <= target_relative_error
-                and not converged
-            ):
-                converged = True
-                target_time = t
-            if quiescence_delta is not None and not quiescent:
-                quiet = self._rounds > 0 and bool(
-                    (self._last_delta <= quiescence_delta).all()
-                )
-                quiet_streak = quiet_streak + 1 if quiet else 0
-                if quiet_streak >= quiescence_samples:
-                    quiescent = True
-                    quiescence_time = t
-
-        interval = float(cfg.sample_interval)
-        every = int(round(interval / self.period))
-
-        sample(0.0)
-        t = 0.0
-        t_s = 0.0
-        k = 0
-        exhausted = self.state.alive == 0
-        while not converged and not quiescent and not exhausted:
-            t_next = t + self.period
-            if t_next > max_time:
-                t = float(max_time)
-                break
-            t = t_next
-            k += 1
-            if k % every == 0:
-                t_s = t_s + interval
-                sample(t_s)
-                if converged or quiescent:
-                    break
-                if self.state.alive == 0:
-                    # Every token terminated and the final estimate is
-                    # on the trace; further rounds are no-ops.
-                    exhausted = True
-                    break
-            self._round()
-
-        codec_stats = None
-        if self._codec_on:
-            # Token frames are exact, so the certificate is trivially 0.
-            codec_stats = {
-                "codec": cfg.codec,
-                "epsilon": 0.0,
-                "pairs": len(self._pairs_seen),
-                "frames": self._codec_frames,
-                "suppressed_frames": 0,
-                "exact_flushes": self._codec_frames,
-                "entries_sent": self._codec_entries,
-                "resyncs": 0,
-                "residual_mass": 0.0,
-                "certified_bound": 0.0,
-            }
-        return assemble_run_result(
-            ranks=self.state.estimate(out=ranks_buf),
-            reference=self.reference,
-            trace=trace,
-            converged=converged,
-            time_to_target=target_time,
-            outer_iterations=np.full(cfg.n_groups, self._rounds, dtype=np.int64),
-            inner_sweeps=self._token_steps.copy(),
-            accountant=self.accountant,
-            now=t,
-            dropped_updates=self.dropped_updates,
-            quiescent=quiescent,
-            quiescence_time=quiescence_time,
-            config=cfg,
-            codec_stats=codec_stats,
-        )
+    def _codec_stats(self) -> Optional[Dict]:
+        if not self._codec_on:
+            return None
+        # Token frames are exact, so the certificate is trivially 0.
+        return {
+            "codec": self.config.codec,
+            "epsilon": 0.0,
+            "pairs": len(self._pairs_seen),
+            "frames": self._codec_frames,
+            "suppressed_frames": 0,
+            "exact_flushes": self._codec_frames,
+            "entries_sent": self._codec_entries,
+            "resyncs": 0,
+            "residual_mass": 0.0,
+            "certified_bound": 0.0,
+        }

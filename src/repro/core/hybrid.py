@@ -32,6 +32,16 @@ Execution model (one round at tick ``t``):
    chaos, ARQ, and sequence numbering behave identically to the event
    engine.
 
+Steps 2 and 3 are the flat engine's own
+:meth:`~repro.core.engine.SynchronousEngine._step_groups` and emit
+step (``_build_sends`` → accounting backend → ``_apply``), called with
+the stepping subset instead of every group.  This module adds two
+accounting backends beside the inherited scratch replay: the fault
+plane's real transport, and — for reliable + direct configs — the
+round-granular :class:`_ReplayARQ`.  The fault stack itself is built
+by the same :class:`~repro.core.faultplane.FaultPlane` the event
+engine uses, over the shadows.
+
 When the config needs no fault plane and no approximation (sync
 schedule, no faults, no suppression) the engine *is* the flat engine:
 every round runs the inherited three-kernel path and the result is
@@ -65,26 +75,20 @@ waits come from ``config.mean_waits`` or the same named
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import groupby
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.coordinator import DistributedConfig
-from repro.core.engine import SynchronousEngine, _replay_transport_round
+from repro.core.capabilities import requested_features
+from repro.core.coordinator import DistributedConfig, config_transport
+from repro.core.engine import SynchronousEngine
+from repro.core.faultplane import FaultPlane
 from repro.core.ranker import MIN_MEAN_WAIT
-from repro.core.recovery import Checkpointer, CheckpointStore, RecoveryManager
 from repro.graph.partition import Partition
 from repro.graph.webgraph import WebGraph
-from repro.linalg.jacobi import csr_matvec_into, jacobi_solve
-from repro.net.bandwidth import TrafficAccountant
-from repro.net.failures import (
-    ChaosModel,
-    NodeCrashInjector,
-    NodePauseInjector,
-    NoLoss,
-)
-from repro.net.heartbeat import HeartbeatMonitor
-from repro.net.latency import FixedLatency
+from repro.linalg.jacobi import csr_matvec_into
+from repro.net.failures import ChaosModel
 from repro.net.message import (
     ACK_MESSAGE_BYTES,
     LINK_RECORD_BYTES,
@@ -92,12 +96,15 @@ from repro.net.message import (
     PACKAGE_HEADER_BYTES,
     ScoreUpdate,
 )
-from repro.net.reliable import ReliableTransport, RetryPolicy
+from repro.net.reliable import RetryPolicy
 from repro.net.simulator import Simulator
-from repro.net.transport import build_transport
-from repro.utils.rng import SeedSequenceFactory
 
 __all__ = ["HybridEngine"]
+
+#: Capability-table features that run as fault-plane processes.
+_PLANE_FEATURES = frozenset(
+    {"pause", "crash", "heartbeat", "checkpoint", "recovery"}
+)
 
 
 class _ShadowNode:
@@ -117,14 +124,6 @@ class _ShadowNode:
     def __init__(self, engine: "HybridEngine", group: int):
         self.engine = engine
         self.group = group
-
-    @property
-    def outer_iterations(self) -> int:
-        return int(self.engine._outer[self.group])
-
-    @property
-    def inner_sweeps(self) -> int:
-        return int(self.engine._inner_sweeps[self.group])
 
     def state_dict(self) -> dict:
         eng, g = self.engine, self.group
@@ -378,25 +377,18 @@ class HybridEngine(SynchronousEngine):
         )
         cfg = config
         k = cfg.n_groups
+        seeds = self._seeds
 
-        #: Fault-plane processes (injectors/heartbeat/checkpoint/recovery)
-        #: that need the persistent simulator regardless of data path.
-        self._plane = bool(
-            cfg.pause_faults > 0
-            or cfg.crash_prob > 0.0
-            or cfg.heartbeat_interval > 0.0
-            or cfg.checkpoint_interval > 0.0
-            or cfg.recovery
-        )
-        self._fault_world = bool(cfg.reliable or self._plane)
-        #: Reliable+direct data traffic runs the round-granular ARQ
-        #: replay (the fast path the chaos bench gates); reliable over
-        #: the indirect transport keeps full world-mode fidelity.
-        self._arq_mode = bool(cfg.reliable and cfg.transport == "direct")
+        # Fault-plane processes (injectors/heartbeat/checkpoint/recovery)
+        # need the persistent simulator regardless of data path.
+        plane = not _PLANE_FEATURES.isdisjoint(requested_features(cfg))
+        fault_world = bool(cfg.reliable or plane)
+        # Reliable+direct data traffic runs the round-granular ARQ
+        # replay (the fast path the chaos bench gates); reliable over
+        # the indirect transport keeps full world-mode fidelity.
+        arq_mode = bool(cfg.reliable and cfg.transport == "direct")
         self._async = cfg.schedule == "async"
-        self._approx = (
-            self._async or self._fault_world or cfg.suppress_tol > 0.0
-        )
+        self._approx = self._async or fault_world or cfg.suppress_tol > 0.0
         #: Rounds run on the pure inherited flat path.
         self._fast_rounds = 0
         #: Rounds whose messaging went through the fault plane or the
@@ -405,67 +397,17 @@ class HybridEngine(SynchronousEngine):
 
         self._fsim: Optional[Simulator] = None
         self._transport = None
-        self._reliable: Optional[ReliableTransport] = None
         self._arq: Optional[_ReplayARQ] = None
-        self._pause_injector: Optional[NodePauseInjector] = None
-        self._crash_injector: Optional[NodeCrashInjector] = None
-        self._heartbeat: Optional[HeartbeatMonitor] = None
-        self._checkpoint_store = CheckpointStore()
-        self._checkpointer: Optional[Checkpointer] = None
-        self._recovery: Optional[RecoveryManager] = None
-
-        if not self._approx:
-            # Pure flat path: the inherited engine runs every round and
-            # the result is bit-identical to engine="flat".
-            return
-
-        # A second factory over the same seed reproduces the event
-        # engine's named streams exactly ("wait-means", "chaos",
-        # "retry-jitter", injector streams); the streams the base
-        # constructor already consumed (partition/overlay/loss) are
-        # name-derived and independent, so nothing is double-drawn.
-        seeds = SeedSequenceFactory(cfg.seed)
-        self._seeds = seeds
-
-        # Per-group outer counters and afferent bookkeeping replace the
-        # flat engine's single round counter once groups step unevenly.
-        self._outer = np.zeros(k, dtype=np.int64)
-        self._gen_latest: List[Dict[int, int]] = [{} for _ in range(k)]
-        self._stale = np.zeros(k, dtype=np.int64)
-        self._dropped_while_crashed = 0
-        self._suppressed_sends = 0
-        self._last_sent: Dict[Tuple[int, int], np.ndarray] = {}
-        #: Tick clock mirroring the run loop's float-add sequence.
-        self._clock = 0.0
-        #: Per-source emission pairs: (dst, compressed slice, records),
-        #: destinations ascending (the ranker emission order).
-        self._pairs_by_src: List[List[Tuple[int, slice, int]]] = [
-            [] for _ in range(k)
-        ]
-        for g, h, csl, _idx, records in self._pairs:
-            self._pairs_by_src[g].append((h, csl, records))
-        #: Calibration cache for the non-world approx path, keyed by
-        #: the round's surviving (src, dst) send set (lossless only —
-        #: under loss every round replays its own survivor set).
-        self._partial_cal: Dict[
-            Tuple, Tuple[List[Tuple[int, int]], TrafficAccountant]
-        ] = {}
+        self._faults: Optional[FaultPlane] = None
 
         # Async rate credits (sync runs at rate 1: every group steps
-        # each round unless paused/crashed).
-        sync_wait = 0.5 * (cfg.t1 + cfg.t2)
-        if not self._async:
-            waits = [sync_wait] * k
-        elif cfg.mean_waits is not None:
-            waits = [float(w) for w in cfg.mean_waits]
-        else:
-            wait_rng = seeds.generator("wait-means")
-            waits = [
-                float(wait_rng.uniform(cfg.t1, cfg.t2)) for _ in range(k)
-            ]
-        self._mean_waits = waits
+        # each round unless paused/crashed), from the same per-group
+        # mean waits the event engine gives its rankers.
         self._rates = np.array(
-            [self.period / max(w, MIN_MEAN_WAIT) for w in waits],
+            [
+                self.period / max(w, MIN_MEAN_WAIT)
+                for w in self._group_mean_waits()
+            ],
             dtype=np.float64,
         )
         self._credit = np.zeros(k, dtype=np.float64)
@@ -474,121 +416,49 @@ class HybridEngine(SynchronousEngine):
             _ShadowRanker(self, g) for g in range(k)
         ]
 
-        if not self._fault_world:
+        if not fault_world:
             return
 
-        retry = RetryPolicy(
-            timeout=cfg.retry_timeout,
-            backoff=cfg.retry_backoff,
-            jitter=cfg.retry_jitter,
-            max_timeout=cfg.retry_max_timeout,
-            max_retries=cfg.max_retries,
-        ) if cfg.reliable else None
-        chaos = ChaosModel(
-            duplicate_prob=cfg.duplicate_prob,
-            reorder_prob=cfg.reorder_prob,
-            reorder_max_delay=cfg.reorder_max_delay,
-            ack_loss_prob=cfg.ack_loss_prob,
-            seed=seeds.generator("chaos"),
-        ) if cfg.reliable else None
-
-        if self._arq_mode:
-            # Reliable+direct: data traffic runs the round-granular ARQ
-            # replay; only the fault-plane *processes* (if any) need the
-            # persistent simulator.
-            self._arq = _ReplayARQ(
+        # Reliable+direct data traffic needs no simulator of its own;
+        # only the fault-plane *processes* (if any) do.
+        inner = None
+        if plane or not arq_mode:
+            self._fsim = Simulator()
+        if not arq_mode:
+            # The fault plane carries the real transport.  It reuses
+            # the base constructor's loss model instance, so the "loss"
+            # stream is consumed exactly once, per send attempt, in the
+            # same order as the event engine's stack, and it records
+            # into the *main* accountant at event-simulated send and
+            # delivery times — the same counter arithmetic as the event
+            # engine, ACK bytes included.
+            inner = config_transport(
+                cfg, self._fsim, self.overlay, self.accountant, self._loss
+            )
+        self._faults = FaultPlane(
+            self._fsim,
+            self._shadows,
+            cfg,
+            seeds,
+            self._make_replacement,
+            transport=inner,
+        )
+        if arq_mode:
+            self._arq = self._faults.reliable = _ReplayARQ(
                 loss=self._loss,
-                chaos=chaos,
-                retry=retry,
+                chaos=self._faults.chaos,
+                retry=self._faults.retry,
                 accountant=self.accountant,
                 overlay=self.overlay,
                 jitter_rng=seeds.generator("retry-jitter"),
             )
-            if not self._plane:
-                return
-            self._fsim = Simulator()
         else:
-            # ---- the fault plane carries the real transport ----------
-            fsim = Simulator()
-            self._fsim = fsim
-            transport_kwargs = {}
-            if cfg.transport == "indirect":
-                transport_kwargs["aggregation_delay"] = cfg.aggregation_delay
-            # The inner transport reuses the base constructor's loss
-            # model instance, so the "loss" stream is consumed exactly
-            # once, per send attempt, in the same order as the event
-            # engine's stack.  It records into the *main* accountant at
-            # event-simulated send and delivery times — the same counter
-            # arithmetic as the event engine, ACK bytes included.
-            transport = build_transport(
-                cfg.transport,
-                fsim,
-                self.overlay,
-                self.accountant,
-                loss=self._loss,
-                latency=FixedLatency(cfg.hop_delay),
-                **transport_kwargs,
-            )
-            if cfg.reliable:
-                shadows = self._shadows
-                self._reliable = ReliableTransport(
-                    transport,
-                    retry=retry,
-                    chaos=chaos,
-                    alive=lambda g: not shadows[g].crashed,
-                    seed=seeds.generator("retry-jitter"),
-                )
-                transport = self._reliable
-            self._transport = transport
-            transport.attach(self._on_deliver)
-        fsim = self._fsim
-
-        if cfg.pause_faults > 0:
-            self._pause_injector = NodePauseInjector(
-                n_faults=cfg.pause_faults,
-                horizon=cfg.pause_horizon,
-                mean_outage=cfg.pause_mean_outage,
-                seed=seeds.generator("pause-injector"),
-            )
-            self._pause_injector.install(fsim, self._shadows)
-        if cfg.crash_prob > 0.0:
-            self._crash_injector = NodeCrashInjector(
-                crash_prob=cfg.crash_prob,
-                after=cfg.crash_after,
-                horizon=cfg.crash_horizon,
-                seed=seeds.generator("crash-injector"),
-            )
-            self._crash_injector.install(fsim, self._shadows)
-
-        if cfg.heartbeat_interval > 0.0:
-            self._heartbeat = HeartbeatMonitor(
-                fsim,
-                self._shadows,
-                interval=cfg.heartbeat_interval,
-                miss_threshold=cfg.heartbeat_miss_threshold,
-            )
-        if cfg.checkpoint_interval > 0.0:
-            self._checkpointer = Checkpointer(
-                fsim,
-                self._shadows,
-                self._checkpoint_store,
-                interval=cfg.checkpoint_interval,
-            )
-        if cfg.recovery:
-            self._recovery = RecoveryManager(
-                fsim,
-                self._shadows,
-                self._checkpoint_store,
-                self._make_replacement,
-            )
-            assert self._heartbeat is not None  # enforced by the config
-            self._heartbeat.add_death_callback(self._recovery.on_death)
+            self._transport = self._faults.transport
+            self._transport.attach(self._on_deliver)
+        self._faults.install()
         # Started here (fsim.now == 0) rather than in run(): identical
         # to the event engine starting them before its sim advances.
-        if self._heartbeat is not None:
-            self._heartbeat.start()
-        if self._checkpointer is not None:
-            self._checkpointer.start()
+        self._faults.start()
 
     # ------------------------------------------------------------------
     # Fault-plane callbacks
@@ -611,42 +481,19 @@ class HybridEngine(SynchronousEngine):
         self._last_delta[g] = np.inf
         self._credit[g] = 0.0
         self._mail.discard(g)
-        if self.config.suppress_tol > 0.0:
-            # A fresh ranker has sent nothing yet.
-            for h, _csl, _records in self._pairs_by_src[g]:
-                self._last_sent.pop((g, h), None)
+        # A fresh ranker has sent nothing yet.
+        for pair in self._pairs_by_src[g]:
+            self._last_sent.pop((g, pair[1]), None)
         return _ShadowRanker(self, g)
 
-    def _apply_values(self, src: int, dst: int, values, generation: int) -> None:
-        """DPRNode.receive semantics over flat state (gen check, first-
-        arrival summation order, mail flag)."""
-        gens = self._gen_latest[dst]
-        prev_gen = gens.get(src)
-        if prev_gen is not None and generation <= prev_gen:
-            self._stale[dst] += 1
-            return
-        gens[src] = generation
-        held = self._latest[dst].get(src)
-        if held is None:
-            # First arrival fixes this source's position in the
-            # destination's re-summation order for good (dict order).
-            self._latest[dst][src] = np.array(values, dtype=np.float64)
-        else:
-            np.copyto(held, values)
-        self._mail.add(dst)
-
     def _on_deliver(self, dst: int, update: ScoreUpdate) -> None:
-        """Transport upcall: DPRNode.receive semantics over flat state."""
-        shadow = self._shadows[dst]
-        if self._reliable is None and shadow.crashed:
+        """Transport upcall: land the update unless the group is dead."""
+        if self._faults.reliable is None and self._shadows[dst].crashed:
             # Plain transports deliver into the dead group's ranker,
             # which drops on the floor (PageRanker.receive); the
             # reliable wrapper's alive-oracle already dead-dropped.
-            self._dropped_while_crashed += 1
             return
-        self._apply_values(
-            update.src_group, dst, update.values, update.generation
-        )
+        self._apply(update.src_group, dst, update.values, update.generation)
 
     # ------------------------------------------------------------------
     # Round execution
@@ -671,270 +518,88 @@ class HybridEngine(SynchronousEngine):
             out.append(g)
         return out
 
-    def _compute_masked(self, stepping: List[int]) -> None:
-        """Step each eligible group exactly as DPRNode.step would."""
-        cfg = self.config
-        for g in stepping:
-            sl = self._slices[g]
-            if sl.stop == sl.start:
-                self._last_delta[g] = 0.0
-                self._outer[g] += 1
-                continue
-            if g in self._mail:
-                # Refresh X: re-sum the newest compressed afferent
-                # vectors in first-arrival order (same elementwise adds
-                # as DPRNode._refresh; skipped rows only ever add +0.0).
-                xh = self._x[sl]
-                xh[:] = 0.0
-                for src, vec in self._latest[g].items():
-                    xh[self._pair_idx[(src, g)]] += vec
-                self._mail.discard(g)
-            r_g = self._r[sl]
-            f_g = self._fbuf[: sl.stop - sl.start]
-            np.add(self._beta_e[sl], self._x[sl], out=f_g)
-            ws = self._workspaces[g]
-            if cfg.algorithm == "dpr2":
-                delta = ws.sweep_delta(
-                    self.system.diag(g), r_g, f_g, out=ws._ping
-                )
-                np.copyto(r_g, ws._ping)
-                self._last_delta[g] = float(delta)
-                self._inner_sweeps[g] += 1
-            else:
-                if cfg.inner_solver == "gauss_seidel":
-                    from repro.linalg.acceleration import gauss_seidel_solve
+    def _emit(self, sends: Sequence[Tuple], t: float) -> None:
+        """Account and deliver ``sends`` through the config's backend.
 
-                    res = gauss_seidel_solve(
-                        self.system.diag(g), f_g, x0=r_g,
-                        tol=cfg.local_tol, max_iter=cfg.max_inner,
-                    )
-                else:
-                    res = jacobi_solve(
-                        self.system.diag(g), f_g, x0=r_g,
-                        tol=cfg.local_tol, max_iter=cfg.max_inner,
-                        workspace=ws,
-                    )
-                self._inner_sweeps[g] += res.iterations
-                sc = ws._scratch
-                np.subtract(res.x, r_g, out=sc)
-                np.abs(sc, out=sc)
-                self._last_delta[g] = float(sc.sum())
-                np.copyto(r_g, res.x)
-            self._outer[g] += 1
-
-    def _emit_pairs(self, g: int) -> List[Tuple[int, slice, int]]:
-        """Group ``g``'s non-suppressed sends this round."""
-        cfg = self.config
-        out: List[Tuple[int, slice, int]] = []
-        for h, csl, records in self._pairs_by_src[g]:
-            seg = self._y[csl]
-            if cfg.suppress_tol > 0.0:
-                prev = self._last_sent.get((g, h))
-                if (
-                    prev is not None
-                    and float(np.abs(seg - prev).sum()) <= cfg.suppress_tol
-                ):
-                    # Compressed diff == dense diff: structurally-zero
-                    # rows are +0.0 on both sides.
-                    self._suppressed_sends += 1
-                    continue
-                self._last_sent[(g, h)] = seg.copy()
-            out.append((h, csl, records))
-        return out
-
-    def _emit_world(self, stepping: List[int], t: float) -> None:
-        """Send this round's updates through the fault plane.
-
-        Under a codec each pair's compressed segment is encoded first:
-        the update carries a copy of the reconstruction mirror (the
-        receiver's exact post-frame state, safe against retransmission
-        because every resend ships the same object) with the frame's
-        calibrated ``wire_bytes``; codec-suppressed pairs send nothing.
+        * **ARQ replay** (reliable + direct): each send's whole ARQ
+          conversation resolves now; a payload that reaches a live
+          destination applies in the sending round (straight from the
+          send's view, no per-message copy — the chain resolves before
+          the buffer is reused).
+        * **fault plane**: real :class:`ScoreUpdate` payloads through
+          the plane's transport, one ``send_updates`` per source; they
+          land through :meth:`_on_deliver` when the simulator reaches
+          their delivery time.  Payloads are copied: the Y buffer and
+          the codec mirror are rewritten next round, and the ARQ layer
+          must retransmit the *original* payload (every resend ships
+          the same object).
+        * otherwise the inherited **scratch replay** — the round set is
+          perturbed only by the async credit mask and/or suppression.
         """
-        transport = self._transport
-        for g in stepping:
-            gen = int(self._outer[g])
-            updates = []
-            for h, csl, records in self._emit_pairs(g):
-                wire_bytes = -1
-                if self._codec is not None:
-                    frame = self._codec.encode(
-                        g, h, self._y[csl],
-                        index_map=self._pair_idx[(g, h)],
-                    )
-                    if frame is None:
-                        self._suppressed_sends += 1
-                        continue
-                    values = frame.values.copy()
-                    wire_bytes = frame.wire_bytes
-                else:
-                    # Copied: self._y is reused next round, and the ARQ
-                    # layer must retransmit the *original* payload.
-                    values = self._y[csl].copy()
-                updates.append(
-                    ScoreUpdate(
-                        src_group=g,
-                        dst_group=h,
-                        values=values,
-                        n_link_records=records,
-                        generation=gen,
-                        sent_at=t,
-                        wire_bytes=wire_bytes,
-                    )
-                )
-            if updates:
-                transport.send_updates(g, updates)
-
-    def _emit_arq(self, stepping: List[int]) -> None:
-        """Reliable+direct fast path: per-message ARQ protocol replay.
-
-        Payloads that reach a live destination apply in the sending
-        round (segments straight from ``self._y``, no per-message
-        copies — the chain resolves before the buffer is reused).
-        """
-        arq = self._arq
-        shadows = self._shadows
-        for g in stepping:
-            gen = int(self._outer[g])
-            for h, csl, records in self._emit_pairs(g):
-                alive = not shadows[h].crashed
+        if self._arq is not None:
+            for g, h, records, wire_bytes, values in sends:
+                # The payload is the encoded frame if there is one,
+                # else the flat §4.4 charge, which rides beside it
+                # either way.
                 paper = records * LINK_RECORD_BYTES
-                if self._codec is not None:
-                    frame = self._codec.encode(
-                        g, h, self._y[csl],
-                        index_map=self._pair_idx[(g, h)],
-                    )
-                    if frame is None:
-                        self._suppressed_sends += 1
-                        continue
-                    if arq.send(
-                        g, h, frame.wire_bytes, alive, paper_bytes=paper
-                    ):
-                        # _apply_values copies immediately, so the
-                        # mirror view is safe to hand over.
-                        self._apply_values(g, h, frame.values, gen)
-                    continue
-                if arq.send(g, h, paper, alive):
-                    self._apply_values(g, h, self._y[csl], gen)
+                if self._arq.send(
+                    g,
+                    h,
+                    paper if wire_bytes < 0 else wire_bytes,
+                    not self._shadows[h].crashed,
+                    paper_bytes=paper,
+                ):
+                    self._apply(g, h, values, int(self._outer[g]))
+        elif self._transport is not None:
+            for g, batch in groupby(sends, key=lambda send: send[0]):
+                gen = int(self._outer[g])
+                self._transport.send_updates(
+                    g,
+                    [
+                        ScoreUpdate(
+                            src_group=g,
+                            dst_group=h,
+                            values=values.copy(),
+                            n_link_records=records,
+                            generation=gen,
+                            sent_at=t,
+                            wire_bytes=wire_bytes,
+                        )
+                        for _, h, records, wire_bytes, values in batch
+                    ],
+                )
+        else:
+            super()._emit(sends, t)
 
-    def _emit_replay(self, stepping: List[int]) -> None:
-        """Faultless approx path: loss draws + calibration-style replay.
-
-        Used when the round set is perturbed only by the async credit
-        mask and/or suppression: the surviving sends are replayed
-        through the real transport on a scratch simulator (exact
-        per-round traffic, merged via ``TrafficAccountant.merge``) and
-        the segments are applied in the observed delivery order.
-        """
-        sent: List[Tuple] = []
-        for g in stepping:
-            for h, csl, records in self._emit_pairs(g):
-                if self._codec is not None:
-                    # Codec configs are lossless by validation; the
-                    # frame size rides as the send's fourth element.
-                    frame = self._codec.encode(
-                        g, h, self._y[csl],
-                        index_map=self._pair_idx[(g, h)],
-                    )
-                    if frame is None:
-                        self._suppressed_sends += 1
-                        continue
-                    sent.append((g, h, records, frame.wire_bytes))
-                    continue
-                if not self._loss.delivered(g, h):
-                    self.dropped_updates += 1
-                    continue
-                sent.append((g, h, records))
-        # Per-round frame sizes vary under a codec, so its rounds never
-        # reuse a cached calibration.
-        lossless = isinstance(self._loss, NoLoss) and self._codec is None
-        key = tuple((s[0], s[1]) for s in sent) if lossless else None
-        cached = self._partial_cal.get(key) if key is not None else None
-        if cached is None:
-            cached = _replay_transport_round(self.config, self.overlay, sent)
-            if key is not None:
-                self._partial_cal[key] = cached
-        order, acc = cached
-        self.accountant.merge(acc)
-        for src, dst in order:
-            if self._codec is not None:
-                seg = self._codec.recon(src, dst)
-            else:
-                seg = self._y[self._pair_cslice[(src, dst)]]
-            held = self._latest[dst].get(src)
-            if held is None:
-                self._latest[dst][src] = seg.copy()
-            else:
-                np.copyto(held, seg)
-            self._mail.add(dst)
-
-    def _round(self) -> None:
+    def _round(self, t: float) -> None:
         if not self._approx:
-            super()._round()
+            super()._round(t)
             self._fast_rounds += 1
             return
-        # Same float-add sequence as the run loop's tick clock, so the
-        # fault plane's "now" is bitwise the loop's t at every round.
-        self._clock += self.period
-        t = self._clock
-        if self._fsim is not None:
-            # Everything scheduled before this tick lands first:
-            # deliveries, crashes, pauses, heartbeats, checkpoints,
-            # takeovers, ACK timeouts — in event order.
-            self._fsim.run(until=t)
+        # Everything scheduled before this tick lands first:
+        # deliveries, crashes, pauses, heartbeats, checkpoints,
+        # takeovers, ACK timeouts — in event order.  ``t`` is the run
+        # loop's own tick clock, so the fault plane's "now" is bitwise
+        # the loop's at every round.
+        self._sync_to(t)
         stepping = self._stepping_groups()
-        self._compute_masked(stepping)
+        self._step_groups(stepping)
         csr_matvec_into(self._cut, self._r, self._y)
-        if self._arq is not None:
-            self._emit_arq(stepping)
-        elif self._fsim is not None:
-            self._emit_world(stepping, t)
+        self._emit(self._build_sends(stepping), t)
+        if self._transport is not None:
             # Zero-delay deliveries (hop_delay=0) land at t, exactly as
             # the event simulator keeps draining same-time events.
             self._fsim.run(until=t)
-        else:
-            self._emit_replay(stepping)
-        self._rounds += 1
         self._replayed_rounds += 1
 
     # ------------------------------------------------------------------
-    # Run-loop hooks (see SynchronousEngine)
+    # Run-loop hooks (see RoundEngine)
     # ------------------------------------------------------------------
-    def _pre_sample(self, t: float) -> None:
-        # The event engine's monitor samples after every event strictly
-        # before t has been processed; drain the fault plane so traffic
-        # snapshots and delivered state agree.  Idempotent with the
-        # round's own advance (Simulator.run(until=now) is a no-op).
-        if self._approx and self._fsim is not None:
+    def _sync_to(self, t: float) -> None:
+        # Idempotent with the round's own advance
+        # (Simulator.run(until=now) is a no-op).
+        if self._fsim is not None:
             self._fsim.run(until=t)
-
-    def _finish(self, t: float) -> None:
-        # Drain in-flight fault-plane work to the run's final time, as
-        # the event engine runs its one simulator to the stop time.
-        if self._approx and self._fsim is not None:
-            self._fsim.run(until=t)
-
-    def _outer_progress(self) -> Tuple[int, float]:
-        if not self._approx:
-            return super()._outer_progress()
-        if not self._outer.size:
-            return 0, 0.0
-        return int(self._outer.max()), float(self._outer.mean())
-
-    def _outer_vector(self) -> np.ndarray:
-        if not self._approx:
-            return super()._outer_vector()
-        return self._outer.copy()
-
-    def _quiescent_now(self, quiescence_delta: float) -> bool:
-        if not self._approx:
-            return super()._quiescent_now(quiescence_delta)
-        # The monitor's per-node rule: every group has stepped at least
-        # once and its last step delta is at or below the threshold.
-        return bool(
-            (self._outer > 0).all()
-            and (self._last_delta <= quiescence_delta).all()
-        )
 
     def _dropped_total(self) -> int:
         if self._transport is not None:
@@ -951,30 +616,6 @@ class HybridEngine(SynchronousEngine):
             "fast_rounds": self._fast_rounds,
             "replayed_rounds": self._replayed_rounds,
         }
-        rel = self._reliable if self._reliable is not None else self._arq
-        if rel is not None:
-            fields.update(
-                retransmits=rel.retransmits,
-                gave_up=rel.gave_up,
-                dup_drops=rel.dup_drops,
-                dead_drops=rel.dead_drops,
-                acks_lost=rel.acks_lost,
-            )
-        if self._fault_world:
-            fields["crashed_groups"] = (
-                self._crash_injector.fired(now)
-                if self._crash_injector is not None
-                else sum(1 for s in self._shadows if s.crashed)
-            )
-            fields["deaths_detected"] = (
-                self._heartbeat.deaths_detected
-                if self._heartbeat is not None
-                else 0
-            )
-            fields["takeovers"] = (
-                self._recovery.takeover_count
-                if self._recovery is not None
-                else 0
-            )
-            fields["checkpoint_saves"] = self._checkpoint_store.saves
+        if self._faults is not None:
+            fields.update(self._faults.counters(now))
         return fields

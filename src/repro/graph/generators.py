@@ -31,7 +31,6 @@ import numpy as np
 from repro.graph.webgraph import WebGraph
 from repro.utils.rng import as_generator, RngLike
 from repro.utils.validation import (
-    check_fraction,
     check_positive,
     check_probability,
 )
