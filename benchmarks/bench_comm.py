@@ -23,7 +23,8 @@ accuracy.
 
 On teardown the module writes ``BENCH_comm.json`` at the repo root;
 ``tools/check_bench_regression.py`` compares the gated reduction
-factor against the committed copy in CI.
+factors and the coded-over-uncoded wall ratios against the committed
+copy in CI.
 """
 
 import json
@@ -43,6 +44,11 @@ BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_comm.json"
 #: CI gate: minimum paper-bytes-over-data-bytes reduction for the
 #: lossless delta codec at the headline scale.
 GATE_MIN_REDUCTION = 3.0
+
+#: CI gate: maximum wall time of the lossless delta run over the same
+#: rounds uncoded — the bookkeeping that saves the bytes has to stay
+#: cheaper than the bytes.
+GATE_MAX_DELTA_WALL_X = 4.0
 
 #: Headline workload: the Figure-8 scale and round budget.
 N_PAGES = 100_000
@@ -71,6 +77,7 @@ def emit_bench_json():
                 "workload": "dpr2 / direct transport / pastry overlay / "
                 "site partition / flat engine / synchronous schedule",
                 "gate_min_reduction_100k": GATE_MIN_REDUCTION,
+                "gate_max_delta_wall_x": GATE_MAX_DELTA_WALL_X,
                 "cases": _RESULTS,
             },
             indent=2,
@@ -143,6 +150,13 @@ def test_codec_reduction_100k():
     assert q16.codec_stats["residual_mass"] <= COMM_EPSILON + 1e-12
     q16_reduction = q16.traffic.paper_data_bytes / q16.traffic.data_bytes
 
+    # Gate 4 — the codec's wall-time price over the same rounds uncoded.
+    delta_wall_x = delta_s / base_s
+    assert delta_wall_x <= GATE_MAX_DELTA_WALL_X, (
+        f"lossless delta costs {delta_wall_x:.2f}x the uncoded wall, "
+        f"above the {GATE_MAX_DELTA_WALL_X}x gate"
+    )
+
     _RESULTS["codec_100k"] = {
         "n_pages": N_PAGES,
         "n_groups": N_GROUPS,
@@ -164,6 +178,8 @@ def test_codec_reduction_100k():
         "none_wall_s": round(base_s, 3),
         "delta_wall_s": round(delta_s, 3),
         "q16_wall_s": round(q16_s, 3),
+        "delta_over_none_wall_x": round(delta_wall_x, 2),
+        "q16_over_none_wall_x": round(q16_s / base_s, 2),
     }
 
 

@@ -44,7 +44,13 @@ tick/sample/stop loop (:meth:`RoundEngine.run`) over the one sample
 body (:class:`~repro.core.convergence.Sampler`) the event engine's
 monitor also uses.  A score-exchanging round ends in one *emit step*:
 :meth:`SynchronousEngine._build_sends` lists the round's sends in
-emission order (threshold suppression, then the wire codec), an
+emission order — under a wire codec with **one codec call per
+source**: a source's efferent segments sit contiguously in ``Y``, so
+its whole emission (every destination's suppress / quantize /
+exact-flush verdict and frame size) is one vectorized pass of
+:meth:`~repro.net.adaptive.AdaptiveCodec.encode` over that span, K
+calls a round rather than one per communicating pair; without a codec,
+per-pair threshold suppression — an
 *accounting backend* charges and routes them — here the scratch
 replay above; the hybrid engine adds an ARQ protocol replay and its
 fault plane's real transport — and every delivery lands through
@@ -451,10 +457,11 @@ class SynchronousEngine(RoundEngine):
         # destination-local indices of its nonzero rows, and its
         # link-record count for byte accounting.
         idx_dtype = np.int32 if n_total <= np.iinfo(np.int32).max else np.int64
-        self._pairs: List[Tuple[int, int, slice, np.ndarray, int]] = []
+        layout: List[Tuple[int, int, slice, int]] = []
         data_parts: List[np.ndarray] = []
         idx_parts: List[np.ndarray] = []
         nnz_parts: List[np.ndarray] = []
+        row_parts: List[np.ndarray] = []
         n_nz = 0
         for g in range(k):
             for h in blocks.destinations_of(g):
@@ -466,16 +473,27 @@ class SynchronousEngine(RoundEngine):
                     block.indices.astype(idx_dtype) + idx_dtype(offsets[g])
                 )
                 nnz_parts.append(row_nnz[local_idx])
-                self._pairs.append(
+                row_parts.append(local_idx)
+                layout.append(
                     (
                         g,
                         h,
                         slice(n_nz, n_nz + int(local_idx.size)),
-                        local_idx,
                         self.system.cross_records(g, h),
                     )
                 )
                 n_nz += int(local_idx.size)
+        #: Destination-local row of every compressed Y element; a
+        #: pair's nonzero-row indices and a source's codec index map
+        #: are both slices of it.
+        self._row_map = (
+            np.concatenate(row_parts) if row_parts else np.zeros(0, dtype=np.intp)
+        )
+        del row_parts
+        self._pairs: List[Tuple[int, int, slice, np.ndarray, int]] = [
+            (g, h, csl, self._row_map[csl], records)
+            for g, h, csl, records in layout
+        ]
         comp_indptr = np.zeros(n_nz + 1, dtype=idx_dtype)
         if nnz_parts:
             np.cumsum(
@@ -513,6 +531,25 @@ class SynchronousEngine(RoundEngine):
         ]
         for pair in self._pairs:
             self._pairs_by_src[pair[0]].append(pair)
+        #: Per source, its emission as the wire codec sees it: the
+        #: source's contiguous span of the compressed Y vector, its
+        #: destinations, and the pairs' starts within the span (``None``
+        #: for a source that sends nothing).
+        self._emissions: List[
+            Optional[Tuple[slice, Tuple[int, ...], np.ndarray]]
+        ] = [
+            (
+                slice(pairs[0][2].start, pairs[-1][2].stop),
+                tuple(pair[1] for pair in pairs),
+                np.array(
+                    [pair[2].start - pairs[0][2].start for pair in pairs],
+                    dtype=np.int64,
+                ),
+            )
+            if pairs
+            else None
+            for pairs in self._pairs_by_src
+        ]
         #: The send list of a round that ships every pair uncoded — the
         #: lossless flat round, every round.  Always this one object,
         #: recognised by identity (no per-round key to build).
@@ -703,27 +740,49 @@ class SynchronousEngine(RoundEngine):
         ships, sources ascending and destinations ascending within a
         source — the order rankers tick and emit in a synchronous
         round, and hence the order the loss stream is consumed in.
-        Threshold suppression filters first (a pair whose segment moved
-        at most ``suppress_tol`` in L1 since it was last sent ships
-        nothing; the compressed diff equals the dense diff because
-        structurally-zero rows are +0.0 on both sides), then the wire
-        codec: each pair's compressed Y segment is encoded with its
-        nonzero-row map (so frame bytes match the event engine's dense
-        emissions — see :meth:`AdaptiveCodec.encode`), a pair the
-        budget lets the codec suppress ships nothing, and ``values``
-        becomes the codec's reconstruction mirror — the receiver's
-        exact post-frame state — with the frame's calibrated
-        ``wire_bytes`` (-1 uncoded).  At ε_comm = 0 the reconstruction
-        equals the true segment bit for bit.  ``values`` is a view that
-        stays valid until the pair's next emission; a backend that
-        keeps it past the round copies it.
+
+        Under a wire codec each source is **one** codec call: its
+        contiguous span of the compressed Y vector, the pair starts
+        within it and the span's nonzero-row map (so frame bytes match
+        the event engine's dense emissions — see
+        :meth:`AdaptiveCodec.encode`) go in, and the per-destination
+        verdicts come back.  A pair the budget lets the codec suppress
+        ships nothing; for the others ``values`` is the pair's slice of
+        the source's reconstruction mirror — the receiver's exact
+        post-frame state — with the frame's calibrated ``wire_bytes``.
+        At ε_comm = 0 the reconstruction equals the true segment bit
+        for bit.
+
+        Without a codec ``wire_bytes`` is -1, ``values`` the pair's Y
+        segment, and threshold suppression filters (config validation
+        makes it and the codec mutually exclusive): a pair whose
+        segment moved at most ``suppress_tol`` in L1 since it was last
+        sent ships nothing; the compressed diff equals the dense diff
+        because structurally-zero rows are +0.0 on both sides.
+
+        Either way ``values`` is a view that stays valid until the
+        source's next emission; a backend that keeps it past the round
+        copies it.
         """
         tol = self.config.suppress_tol
         sends: List[Tuple] = []
         for g in groups:
-            for _, h, csl, idx, records in self._pairs_by_src[g]:
+            pairs = self._pairs_by_src[g]
+            if self._codec is not None:
+                if not pairs:
+                    continue
+                span, dsts, starts = self._emissions[g]
+                out = self._codec.encode(
+                    g, dsts, self._y[span], starts, self._row_map[span]
+                )
+                base, sizes = span.start, out.frame_bytes.tolist()
+                for j in np.flatnonzero(out.shipped).tolist():
+                    _, h, csl, _, records = pairs[j]
+                    mirror = out.values[csl.start - base : csl.stop - base]
+                    sends.append((g, h, records, sizes[j], mirror))
+                continue
+            for _, h, csl, _, records in pairs:
                 values = self._y[csl]
-                wire_bytes = -1
                 if tol > 0.0:
                     prev = self._last_sent.get((g, h))
                     if (
@@ -732,12 +791,7 @@ class SynchronousEngine(RoundEngine):
                     ):
                         continue
                     self._last_sent[(g, h)] = values.copy()
-                if self._codec is not None:
-                    frame = self._codec.encode(g, h, values, index_map=idx)
-                    if frame is None:
-                        continue
-                    values, wire_bytes = frame.values, frame.wire_bytes
-                sends.append((g, h, records, wire_bytes, values))
+                sends.append((g, h, records, -1, values))
         return sends
 
     def _emit(self, sends: Sequence[Tuple], t: float) -> None:

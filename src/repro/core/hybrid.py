@@ -199,7 +199,7 @@ class _ReplayARQ:
 
     * every wire attempt re-rolls the origin loss model and is
       accounted exactly as :class:`~repro.net.transport.DirectTransport`
-      would (per-send DHT lookup from a per-pair hop cache, one
+      would (per-send DHT lookup at the overlay's memoised hop count, one
       end-to-end data message, one ACK per live delivery);
     * chaos draws (duplicate, ACK-loss, reorder) come from the same
       named streams the event engine seeds, so the replay is
@@ -235,8 +235,6 @@ class _ReplayARQ:
         self.accountant = accountant
         self.overlay = overlay
         self._rng = jitter_rng
-        #: Deterministic per-pair hop counts (static overlay routes).
-        self._hops: Dict[Tuple[int, int], int] = {}
         self._next_seq: Dict[Tuple[int, int], int] = {}
         # Same counter names as ReliableTransport.stats().
         self.retransmits = 0
@@ -249,13 +247,6 @@ class _ReplayARQ:
         #: Origin-loss drops across all attempts (inner-transport view).
         self.dropped_updates = 0
 
-    def _hops_for(self, src: int, dst: int) -> int:
-        hops = self._hops.get((src, dst))
-        if hops is None:
-            hops = self.overlay.hops(src, dst)
-            self._hops[(src, dst)] = hops
-        return hops
-
     def _transmission(
         self, src: int, dst: int, payload_bytes: int, alive: bool,
         delivered_before: bool, paper_bytes: Optional[int] = None,
@@ -267,7 +258,7 @@ class _ReplayARQ:
         acc = self.accountant
         if src != dst:
             acc.record_lookup(
-                src, self._hops_for(src, dst), LOOKUP_MESSAGE_BYTES
+                src, self.overlay.hops(src, dst), LOOKUP_MESSAGE_BYTES
             )
         acc.record_data_message(
             src,

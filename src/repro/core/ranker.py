@@ -166,7 +166,7 @@ class PageRanker:
         for dst, values in self.system.efferent(self.group, r).items():
             wire_bytes = -1
             if self.codec is not None:
-                frame = self.codec.encode(self.group, dst, values)
+                frame = self.codec.encode_pair(self.group, dst, values)
                 if frame is None:
                     self.suppressed_sends += 1
                     continue

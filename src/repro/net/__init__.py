@@ -49,7 +49,7 @@ from repro.net.codec import (
     frame_wire_bytes,
     token_frame_bytes,
 )
-from repro.net.adaptive import AdaptiveCodec, EncodedFrame
+from repro.net.adaptive import AdaptiveCodec, EncodedEmission, EncodedFrame
 from repro.net.failures import (
     BernoulliLoss,
     ChaosModel,
@@ -83,6 +83,7 @@ __all__ = [
     "frame_wire_bytes",
     "token_frame_bytes",
     "AdaptiveCodec",
+    "EncodedEmission",
     "EncodedFrame",
     "BernoulliLoss",
     "ChaosModel",

@@ -1,4 +1,4 @@
-"""Adaptive per-pair codec sessions with a certified error budget.
+"""Adaptive codec sessions with a certified error budget.
 
 One :class:`AdaptiveCodec` instance serves a whole run.  For every
 ordered (src-group, dst-group) pair it keeps the sender-side
@@ -8,7 +8,15 @@ exact-replay by construction, see :mod:`repro.net.codec`) — plus the
 outstanding **residual** ``‖true − recon‖₁``: the efferent mass the
 receiver has not seen.
 
-Encoding one emission of the true efferent vector ``v``:
+The unit of work is **one source's emission**: the efferent vectors of
+all its destinations, concatenated, with the pair boundaries
+(:meth:`AdaptiveCodec.encode`).  The source's pairs share one flat
+mirror and every step below runs once over it, segmented by pair — a
+round costs one call per source, not one per pair.  A single pair
+(:meth:`AdaptiveCodec.encode_pair`, the event engine's per-destination
+emit) is the one-destination emission, not a second code path.
+
+Encoding the true efferent vector ``v`` of each pair:
 
 1. ``delta = v − recon``; candidate entries are those with
    ``|delta| > θ`` where ``θ = ε_pair / (2·len(v))`` (with a zero
@@ -44,19 +52,47 @@ while still replacing the paper's 100 B/record charge with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.net.codec import (
     CODEC_DELTA,
     CODEC_DELTA_Q16,
+    EXACT_VALUE_BYTES,
     VALUE_BYTES,
     VALUE_DTYPE,
-    frame_wire_bytes,
+    frames_wire_bytes,
 )
 
-__all__ = ["AdaptiveCodec", "EncodedFrame"]
+__all__ = ["AdaptiveCodec", "EncodedEmission", "EncodedFrame"]
+
+#: Pair boundaries of a one-destination emission.
+_ONE_PAIR = np.zeros(1, dtype=np.int64)
+
+
+@dataclass
+class EncodedEmission:
+    """One encoded source emission: per destination, what ships and
+    what it costs.
+
+    ``values`` is the source's flat reconstruction mirror — pair ``j``'s
+    slice of it is that receiver's post-frame state — and is a *view*
+    of the codec's state, valid until the source's next encode; copy a
+    slice before handing it to anything with a longer lifetime
+    (in-flight messages, held state).  The per-destination arrays are
+    indexed like the emission's ``dsts``; a suppressed destination has
+    ``shipped`` False and zero ``frame_bytes`` / ``entries``.
+    """
+
+    values: np.ndarray
+    shipped: np.ndarray
+    frame_bytes: np.ndarray
+    entries: np.ndarray
+    exact: np.ndarray
+    #: Total wire bytes of the emission's shipped frames.
+    wire_bytes: int
 
 
 @dataclass
@@ -75,16 +111,58 @@ class EncodedFrame:
     exact: bool
 
 
-class _PairState:
-    __slots__ = ("recon", "residual")
+class _Session:
+    """Mirror and residuals of one source emission layout."""
 
-    def __init__(self, size: int):
+    __slots__ = (
+        "dsts", "starts", "bounds", "pair_of", "theta", "recon", "residual",
+        "_local",
+    )
+
+    def __init__(
+        self, dsts: Tuple[int, ...], starts: np.ndarray, size: int, budget: float
+    ):
+        self.dsts = dsts
+        #: Pair ``j`` owns mirror elements ``bounds[j]:bounds[j + 1]``.
+        self.bounds = np.append(np.asarray(starts, dtype=np.int64), size)
+        self.starts = self.bounds[:-1]
+        lengths = np.diff(self.bounds)
+        if (
+            np.ndim(starts) != 1
+            or self.starts.size != len(dsts)
+            or len(dsts) == 0
+            or self.starts[0] != 0
+            # np.add.reduceat reads an empty segment as its next
+            # element, not 0: zero-length pairs are not representable.
+            or lengths.min() <= 0
+        ):
+            raise ValueError(
+                "an emission needs one start per destination, beginning "
+                "at 0 and strictly ascending within the values "
+                "(no zero-length pairs)"
+            )
+        #: Pair position of every mirror element.
+        self.pair_of = np.repeat(np.arange(len(dsts)), lengths)
+        #: Per-element candidate threshold θ = ε_pair / (2·len(pair)).
+        self.theta = (
+            np.repeat(budget / (2.0 * lengths), lengths) if budget > 0.0 else None
+        )
         self.recon = np.zeros(size, dtype=np.float64)
-        self.residual = 0.0
+        self.residual = np.zeros(len(dsts), dtype=np.float64)
+        self._local: Optional[np.ndarray] = None
+
+    def local_index(self) -> np.ndarray:
+        """Wire index of every element when no index map translates it:
+        its position within its own pair's vector."""
+        if self._local is None:
+            self._local = (
+                np.arange(self.recon.size) - self.starts[self.pair_of]
+            )
+        return self._local
 
 
 class AdaptiveCodec:
-    """Per-pair delta codec sessions under one shared error budget.
+    """Delta codec sessions under one shared error budget.
 
     Parameters
     ----------
@@ -114,7 +192,10 @@ class AdaptiveCodec:
         self.pair_budget = self.epsilon / self.n_pairs
         self.value_bytes = VALUE_BYTES[codec]
         self._dtype = VALUE_DTYPE[codec]
-        self._pairs: Dict[Tuple[int, int], _PairState] = {}
+        #: Every pair's session and its position in it, in first-encode
+        #: order.
+        self._pairs: Dict[Tuple[int, int], Tuple[_Session, int]] = {}
+        self._sessions: List[_Session] = []
         #: Frames shipped (quantized + exact flushes).
         self.frames = 0
         #: Emissions suppressed entirely (zero wire bytes).
@@ -123,121 +204,180 @@ class AdaptiveCodec:
         self.exact_flushes = 0
         #: Total entries shipped across all frames.
         self.entries_sent = 0
-        #: Pair sessions dropped (receiver resync after takeover).
+        #: Pair sessions reset (receiver resync after takeover).
         self.resyncs = 0
 
     # ------------------------------------------------------------------
+    def _session(
+        self, src: int, dsts: Sequence[int], size: int, starts: np.ndarray
+    ) -> _Session:
+        """The session of this emission layout, created on first use."""
+        dsts = tuple(dsts)
+        known = self._pairs.get((src, dsts[0])) if dsts else None
+        if known is None:
+            if any((src, dst) in self._pairs for dst in dsts):
+                raise ValueError(
+                    f"source {src} emitted {dsts} but some of those pairs "
+                    "already belong to another emission layout"
+                )
+            session = _Session(dsts, starts, size, self.pair_budget)
+            self._sessions.append(session)
+            for j, dst in enumerate(dsts):
+                self._pairs[(src, dst)] = (session, j)
+            return session
+        session = known[0]
+        if session.dsts != dsts or not np.array_equal(session.starts, starts):
+            raise ValueError(
+                f"source {src} emission layout changed "
+                f"({session.dsts} -> {dsts}, or its pair boundaries)"
+            )
+        if session.recon.size != size:
+            raise ValueError(
+                f"source {src} -> {dsts} efferent length changed "
+                f"({session.recon.size} -> {size})"
+            )
+        return session
+
     def encode(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        values: np.ndarray,
+        starts: np.ndarray,
+        index_map: Optional[np.ndarray] = None,
+    ) -> EncodedEmission:
+        """Encode one source's emission to all of ``dsts`` in one pass.
+
+        ``values`` concatenates the efferent vectors of ``dsts`` in
+        order; pair ``j`` owns ``values[starts[j]:starts[j + 1]]`` (the
+        last runs to the end).  A source always emits with the same
+        layout.
+
+        ``index_map`` translates positions in ``values`` to the wire's
+        destination-local index space before gap coding (default: the
+        position within the pair's own vector).  The flat engine passes
+        its compressed segments with their nonzero-row map so frames
+        cost exactly what the event engine's dense emissions cost (a
+        dense vector's structural zeros never change, so both views
+        select the same wire indices); the event engine passes dense
+        vectors and no map.
+        """
+        vec = np.asarray(values, dtype=np.float64)
+        s = self._session(src, dsts, vec.size, starts)
+        budget = self.pair_budget
+        delta = vec - s.recon
+        # ``ship`` marks the entries that go on the wire, ``flush`` the
+        # pairs that send theirs as an exact float64 flush.
+        if budget > 0.0:
+            absd = np.abs(delta)
+            ship = absd > s.theta
+            cand = np.flatnonzero(ship)
+            quant = delta[cand].astype(self._dtype).astype(np.float64)
+            # Post-frame residual = withheld mass + quantization error,
+            # computed *before* committing so an over-budget frame
+            # escalates to a single exact flush instead of two frames.
+            absd[cand] = 0.0
+            residual = np.add.reduceat(absd, s.starts)
+            residual += np.bincount(
+                s.pair_of[cand],
+                weights=np.abs(delta[cand] - quant),
+                minlength=residual.size,
+            )
+            flush = residual > budget
+            if flush.any():
+                flushed = flush[s.pair_of]
+                ship = np.where(flushed, delta != 0.0, ship)
+                np.copyto(s.recon, vec, where=flushed)
+                residual[flush] = 0.0
+                keep = ~flushed[cand]
+                cand, quant = cand[keep], quant[keep]
+            s.recon[cand] += quant
+            s.residual = residual
+        else:
+            # Lossless mode: every changed entry ships, exactly.
+            ship = delta != 0.0
+        wire = np.flatnonzero(ship)
+        entries = np.bincount(s.pair_of[wire], minlength=len(s.dsts))
+        shipped = entries > 0
+        if wire.size == 0:
+            # A converged source: every destination suppressed.
+            self.suppressed_frames += shipped.size
+            return EncodedEmission(
+                values=s.recon,
+                shipped=shipped,
+                frame_bytes=entries,
+                entries=entries,
+                exact=shipped,
+                wire_bytes=0,
+            )
+        if budget == 0.0:
+            flush = shipped
+            np.copyto(s.recon, vec, where=flush[s.pair_of])
+        local = s.local_index() if index_map is None else index_map
+        frame_bytes = frames_wire_bytes(
+            local[wire],
+            np.cumsum(entries) - entries,
+            np.where(flush, EXACT_VALUE_BYTES, self.value_bytes),
+        )
+        frame_bytes[~shipped] = 0
+        n_shipped = int(np.count_nonzero(shipped))
+        self.frames += n_shipped
+        self.suppressed_frames += shipped.size - n_shipped
+        self.exact_flushes += int(np.count_nonzero(flush))
+        self.entries_sent += int(wire.size)
+        return EncodedEmission(
+            values=s.recon,
+            shipped=shipped,
+            frame_bytes=frame_bytes,
+            entries=entries,
+            exact=flush,
+            wire_bytes=int(frame_bytes.sum()),
+        )
+
+    def encode_pair(
         self,
         src: int,
         dst: int,
         values: np.ndarray,
         index_map: Optional[np.ndarray] = None,
     ) -> Optional[EncodedFrame]:
-        """Encode one emission; ``None`` means the frame was suppressed.
-
-        ``index_map`` translates positions in ``values`` to the wire's
-        destination-local index space before gap coding.  The flat
-        engine passes its compressed segments with their nonzero-row
-        map so frames cost exactly what the event engine's dense
-        emissions cost (a dense vector's structural zeros never change,
-        so both views select the same wire indices); the event engine
-        passes dense vectors and no map.
-        """
-        vec = np.asarray(values, dtype=np.float64)
-        state = self._pairs.get((src, dst))
-        if state is None:
-            state = _PairState(vec.size)
-            self._pairs[(src, dst)] = state
-        elif state.recon.size != vec.size:
-            raise ValueError(
-                f"pair ({src}, {dst}) efferent length changed "
-                f"({state.recon.size} -> {vec.size})"
-            )
-        delta = vec - state.recon
-        if self.pair_budget > 0.0:
-            theta = self.pair_budget / (2.0 * max(1, vec.size))
-            send = np.abs(delta) > theta
-        else:
-            send = delta != 0.0
-        idx = np.flatnonzero(send)
-        if idx.size == 0:
-            residual = float(np.abs(delta).sum())
-            if residual <= self.pair_budget:
-                state.residual = residual
-                self.suppressed_frames += 1
-                return None
-            return self._exact_flush(state, vec, delta, index_map=index_map)
-        if self.pair_budget == 0.0:
-            # Lossless mode: ship the changed entries exactly.
-            return self._exact_flush(
-                state, vec, delta, idx=idx, index_map=index_map
-            )
-        quant = delta[idx].astype(self._dtype).astype(np.float64)
-        # Post-frame residual = withheld mass + quantization error,
-        # computed *before* committing so an over-budget frame
-        # escalates to a single exact flush instead of two frames.
-        withheld = float(np.abs(np.where(send, 0.0, delta)).sum())
-        residual = withheld + float(np.abs(delta[idx] - quant).sum())
-        if residual > self.pair_budget:
-            return self._exact_flush(state, vec, delta, index_map=index_map)
-        state.recon[idx] += quant
-        state.residual = residual
-        self.frames += 1
-        self.entries_sent += int(idx.size)
-        wire_idx = idx if index_map is None else index_map[idx]
+        """Encode a one-destination emission; ``None`` means the frame
+        was suppressed."""
+        out = self.encode(src, (dst,), values, _ONE_PAIR, index_map)
+        if not out.shipped[0]:
+            return None
         return EncodedFrame(
-            values=state.recon,
-            wire_bytes=frame_wire_bytes(
-                wire_idx, value_bytes=self.value_bytes
-            ),
-            entries=int(idx.size),
-            exact=False,
-        )
-
-    def _exact_flush(
-        self,
-        state: _PairState,
-        vec: np.ndarray,
-        delta: np.ndarray,
-        idx: Optional[np.ndarray] = None,
-        index_map: Optional[np.ndarray] = None,
-    ) -> EncodedFrame:
-        if idx is None:
-            idx = np.flatnonzero(delta)
-        np.copyto(state.recon, vec)
-        state.residual = 0.0
-        self.frames += 1
-        self.exact_flushes += 1
-        self.entries_sent += int(idx.size)
-        wire_idx = idx if index_map is None else index_map[idx]
-        return EncodedFrame(
-            values=state.recon,
-            wire_bytes=frame_wire_bytes(
-                wire_idx, value_bytes=self.value_bytes, exact=True
-            ),
-            entries=int(idx.size),
-            exact=True,
+            values=out.values,
+            wire_bytes=out.wire_bytes,
+            entries=int(out.entries[0]),
+            exact=bool(out.exact[0]),
         )
 
     # ------------------------------------------------------------------
     def recon(self, src: int, dst: int) -> np.ndarray:
         """The receiver's current reconstruction for a pair (a view)."""
-        return self._pairs[(src, dst)].recon
+        session, j = self._pairs[(src, dst)]
+        return session.recon[session.bounds[j] : session.bounds[j + 1]]
 
     def reset_pair(self, src: int, dst: int) -> None:
-        """Drop a pair session (receiver lost state; next frame resyncs).
+        """Reset a pair session (receiver lost state; next frame resyncs).
 
-        The next :meth:`encode` for the pair starts from an all-zero
-        mirror, so it ships a full exact-replayable frame — the resync
-        handshake a takeover or rejoin would perform on a real wire.
+        The next encode for the pair starts from an all-zero mirror, so
+        it ships a full exact-replayable frame — the resync handshake a
+        takeover or rejoin would perform on a real wire.
         """
-        if self._pairs.pop((src, dst), None) is not None:
+        known = self._pairs.get((src, dst))
+        if known is not None:
+            session, j = known
+            session.recon[session.bounds[j] : session.bounds[j + 1]] = 0.0
+            session.residual[j] = 0.0
             self.resyncs += 1
 
     def residual_mass(self) -> float:
         """Outstanding suppressed mass Σ_pairs ‖true − recon‖₁."""
-        return float(sum(s.residual for s in self._pairs.values()))
+        return float(
+            sum(chain.from_iterable(s.residual.tolist() for s in self._sessions))
+        )
 
     def certified_bound(self, alpha: float) -> float:
         """Certified L1 rank-deviation bound ε_comm / (1 − α).

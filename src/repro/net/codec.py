@@ -31,18 +31,20 @@ frames (:func:`encode_token_frame`) are varint gap lists over the
 sorted global target page ids — exact by construction, no value
 payload at all.
 
-The hot paths never materialize frames: :func:`frame_wire_bytes` and
+The hot paths never materialize frames: :func:`frames_wire_bytes`
+(every frame of one source emission in a single pass;
+:func:`frame_wire_bytes` is its one-frame case) and
 :func:`token_frame_bytes` compute the exact encoded size with
 vectorized varint-length arithmetic, and the engines charge those
 bytes to the accountant while shipping numpy views in-process.  Tests
-pin ``frame_wire_bytes(...) == len(encode_frame(...))`` so the fast
+pin every per-frame size ``== len(encode_frame(...))`` so the fast
 size model can never drift from the real encoder.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +62,7 @@ __all__ = [
     "uvarint_sizes",
     "index_gaps",
     "frame_wire_bytes",
+    "frames_wire_bytes",
     "encode_frame",
     "decode_frame",
     "token_frame_bytes",
@@ -84,6 +87,8 @@ VALUE_DTYPE = {CODEC_DELTA: np.float32, CODEC_DELTA_Q16: np.float16}
 
 _FLAG_EXACT = 0x01
 _WIDTH_DTYPE = {2: "<f2", 4: "<f4", 8: "<f8"}
+#: Frame starts of a single-frame index list.
+_ONE_FRAME = np.zeros(1, dtype=np.int64)
 
 
 def encode_uvarint(value: int) -> bytes:
@@ -126,30 +131,74 @@ def uvarint_sizes(values: np.ndarray) -> np.ndarray:
     return sizes
 
 
-def index_gaps(indices: np.ndarray) -> np.ndarray:
-    """Strictly-ascending indices → gap form ``idx[0], diff - 1``."""
+def index_gaps(
+    indices: np.ndarray, heads: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Strictly-ascending indices → gap form ``idx[0], diff - 1``.
+
+    ``indices`` may concatenate several frames: ``heads`` lists the
+    position of every frame's first index, where the gap restarts at
+    the absolute index, and the strictly-ascending check then holds per
+    frame.  The default is one frame.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     gaps = np.empty(idx.shape, dtype=np.int64)
     if idx.size:
         gaps[0] = idx[0]
         np.subtract(idx[1:], idx[:-1], out=gaps[1:])
         gaps[1:] -= 1
-    if gaps.size and gaps.min() < 0:
-        raise ValueError("frame indices must be strictly ascending and >= 0")
+        if heads is not None:
+            gaps[heads] = idx[heads]
+        if gaps.min() < 0:
+            raise ValueError(
+                "frame indices must be strictly ascending and >= 0"
+            )
     return gaps
+
+
+def frames_wire_bytes(
+    indices: np.ndarray,
+    starts: np.ndarray,
+    value_bytes: Union[int, np.ndarray],
+) -> np.ndarray:
+    """Exact encoded size of many delta frames in one pass.
+
+    ``indices`` concatenates the frames' index lists; frame ``i`` owns
+    ``indices[starts[i]:starts[i + 1]]`` (the last runs to the end), so
+    ``starts`` begins at 0, never decreases, and a repeated start is an
+    empty, header-only frame.  ``value_bytes`` is the per-entry value
+    width, one per frame or a scalar (:data:`EXACT_VALUE_BYTES` for an
+    exact flush).  All arithmetic is integer, so every size equals
+    ``len(encode_frame(...))`` of that frame alone.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    bounds = np.append(np.asarray(starts, dtype=np.int64), idx.size)
+    counts = np.diff(bounds)
+    if counts.size == 0 or bounds[0] != 0 or counts.min() < 0:
+        raise ValueError(
+            "frame starts must begin at 0 and be non-decreasing "
+            "within the index list"
+        )
+    # Varint bytes per frame as a difference of running totals: exact,
+    # and an empty frame reads 0 (np.add.reduceat would not).
+    varint = np.zeros(idx.size + 1, dtype=np.int64)
+    np.cumsum(
+        uvarint_sizes(index_gaps(idx, bounds[:-1][counts > 0])),
+        out=varint[1:],
+    )
+    return (
+        FRAME_HEADER_BYTES
+        + (varint[bounds[1:]] - varint[bounds[:-1]])
+        + counts * np.asarray(value_bytes, dtype=np.int64)
+    )
 
 
 def frame_wire_bytes(
     indices: np.ndarray, *, value_bytes: int, exact: bool = False
 ) -> int:
     """Exact encoded size of a delta frame, without materializing it."""
-    idx = np.asarray(indices, dtype=np.int64)
     width = EXACT_VALUE_BYTES if exact else value_bytes
-    return (
-        FRAME_HEADER_BYTES
-        + int(uvarint_sizes(index_gaps(idx)).sum())
-        + idx.size * width
-    )
+    return int(frames_wire_bytes(indices, _ONE_FRAME, width)[0])
 
 
 def encode_frame(

@@ -15,13 +15,21 @@ distributed page-ranking layer uses exactly three capabilities:
 Invariant required of every implementation: from any node, repeatedly
 applying ``next_hop`` toward ``dst`` terminates at ``dst`` (no routing
 loops on a static membership).
+
+Overlays are **immutable once constructed**: they model a converged
+structure over a static membership (no joins, leaves or table repair
+after ``__init__``), so ``next_hop`` is a pure function of
+``(at, dst)``.  :meth:`Overlay.hops` relies on that to memoise hop
+counts per ordered pair — the accounting paths ask for the same few
+thousand pairs every round.  An implementation that ever mutates its
+routing state must clear ``_hop_cache`` when it does.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +64,8 @@ class Overlay(abc.ABC):
         if n_nodes < 1:
             raise ValueError("overlay needs at least one node")
         self.n_nodes = int(n_nodes)
+        #: Memoised :meth:`hops` per ordered pair (see module docstring).
+        self._hop_cache: Dict[Tuple[int, int], int] = {}
 
     # -- mandatory interface -------------------------------------------
     @abc.abstractmethod
@@ -94,8 +104,11 @@ class Overlay(abc.ABC):
         return RouteResult(path=path)
 
     def hops(self, src: int, dst: int) -> int:
-        """Hop count of :meth:`route`."""
-        return self.route(src, dst).hops
+        """Hop count of :meth:`route`, routed once per ordered pair."""
+        hops = self._hop_cache.get((src, dst))
+        if hops is None:
+            hops = self._hop_cache[(src, dst)] = self.route(src, dst).hops
+        return hops
 
     def mean_neighbor_count(self) -> float:
         """Average ``g`` over all nodes (formula 4.3's neighbor count)."""

@@ -31,6 +31,7 @@ from repro.net.codec import (
     encode_token_frame,
     encode_uvarint,
     frame_wire_bytes,
+    frames_wire_bytes,
     index_gaps,
     token_frame_bytes,
     uvarint_sizes,
@@ -94,6 +95,50 @@ class TestDeltaFrames:
         assert out_exact == exact
         np.testing.assert_array_equal(out_idx, idx)
         np.testing.assert_array_equal(out_deltas, deltas)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(ascending_indices(), st.sampled_from([2, 4, 8])),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_segmented_sizes_match_encoder(self, frames):
+        """Many frames sized in one pass (empty ones included) cost,
+        frame for frame, what the real encoder emits for each alone."""
+        counts = [len(indices) for indices, _ in frames]
+        sizes = frames_wire_bytes(
+            np.asarray(sum((i for i, _ in frames), []), dtype=np.int64),
+            np.cumsum([0] + counts[:-1]),
+            np.asarray([width for _, width in frames]),
+        )
+        assert sizes.tolist() == [
+            len(
+                encode_frame(
+                    np.asarray(indices, dtype=np.int64),
+                    np.zeros(len(indices)),
+                    value_bytes=width,
+                    exact=width == 8,
+                )
+            )
+            for indices, width in frames
+        ]
+
+    def test_segmented_ascending_check_is_per_frame(self):
+        # A new frame may restart below the previous frame's last index…
+        sizes = frames_wire_bytes(np.array([5, 9, 0, 300]), np.array([0, 2]), 4)
+        assert sizes.tolist() == [
+            frame_wire_bytes(np.array([5, 9]), value_bytes=4),
+            frame_wire_bytes(np.array([0, 300]), value_bytes=4),
+        ]
+        # …but not within itself, and starts must tile the index list.
+        with pytest.raises(ValueError):
+            frames_wire_bytes(np.array([5, 9, 7, 7]), np.array([0, 2]), 4)
+        with pytest.raises(ValueError):
+            frames_wire_bytes(np.array([1, 2]), np.array([1]), 4)
+        with pytest.raises(ValueError):
+            frames_wire_bytes(np.array([1, 2]), np.array([0, 3]), 4)
 
     def test_empty_frame_is_header_only(self):
         empty = np.array([], dtype=np.int64)
@@ -160,6 +205,59 @@ def vector_sequences():
     )
 
 
+@st.composite
+def emission_sequences(draw):
+    """A source's emission layout (1-6 destinations, segments of 1-8
+    entries, with or without index maps), a few successive emissions
+    over it — entries are kept, nudged or redrawn step to step so
+    suppressed, quantized and exact-flush frames all occur — and where
+    to inject one ``reset_pair`` (step, destination)."""
+    lengths = draw(
+        st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=6)
+    )
+    index_maps = None
+    if draw(st.booleans()):
+        index_maps = [
+            np.cumsum(
+                draw(
+                    st.lists(
+                        st.integers(min_value=1, max_value=300),
+                        min_size=n,
+                        max_size=n,
+                    )
+                )
+            )
+            - 1
+            for n in lengths
+        ]
+    total = sum(lengths)
+    score = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+    steps = [draw(st.lists(score, min_size=total, max_size=total))]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        moves = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["keep", "nudge", "redraw"]),
+                    st.floats(min_value=0.0, max_value=1e-4),
+                    score,
+                ),
+                min_size=total,
+                max_size=total,
+            )
+        )
+        steps.append(
+            [
+                {"keep": prev, "nudge": prev + nudge, "redraw": fresh}[move]
+                for prev, (move, nudge, fresh) in zip(steps[-1], moves)
+            ]
+        )
+    reset_at = (
+        draw(st.integers(min_value=0, max_value=len(steps))),
+        draw(st.integers(min_value=0, max_value=5)),
+    )
+    return lengths, index_maps, steps, reset_at
+
+
 class TestAdaptiveCodec:
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -170,11 +268,11 @@ class TestAdaptiveCodec:
     def test_lossless_mode_ships_exact_or_suppresses(self):
         codec = AdaptiveCodec("delta", epsilon=0.0, n_pairs=4)
         v = np.array([0.5, 0.0, 0.25])
-        frame = codec.encode(0, 1, v)
+        frame = codec.encode_pair(0, 1, v)
         assert frame.exact
         np.testing.assert_array_equal(codec.recon(0, 1), v)
         # Unchanged vector -> free suppression, residual stays 0.
-        assert codec.encode(0, 1, v) is None
+        assert codec.encode_pair(0, 1, v) is None
         assert codec.residual_mass() == 0.0
         assert codec.stats()["suppressed_frames"] == 1
 
@@ -191,7 +289,7 @@ class TestAdaptiveCodec:
         codec = AdaptiveCodec(name, epsilon=epsilon, n_pairs=2)
         for vec in vectors:
             v = np.asarray(vec)
-            codec.encode(3, 1, v)
+            codec.encode_pair(3, 1, v)
             gap = float(np.abs(v - codec.recon(3, 1)).sum())
             assert gap <= codec.pair_budget + 1e-12
             assert codec.residual_mass() <= codec.epsilon + 1e-12
@@ -199,7 +297,7 @@ class TestAdaptiveCodec:
     def test_escalates_to_exact_flush_when_over_budget(self):
         codec = AdaptiveCodec("delta-q16", epsilon=1e-6, n_pairs=1)
         v = np.array([1 / 3, 2 / 3, 0.123])  # not float16-representable
-        frame = codec.encode(0, 1, v)
+        frame = codec.encode_pair(0, 1, v)
         # float16 quantization error on these values dwarfs the
         # budget, so the very first frame must be an exact flush.
         assert frame.exact
@@ -217,8 +315,8 @@ class TestAdaptiveCodec:
 
         a = AdaptiveCodec("delta", epsilon=0.0, n_pairs=1)
         b = AdaptiveCodec("delta", epsilon=0.0, n_pairs=1)
-        f_dense = a.encode(0, 1, dense)
-        f_seg = b.encode(0, 1, seg, index_map=rows)
+        f_dense = a.encode_pair(0, 1, dense)
+        f_seg = b.encode_pair(0, 1, seg, index_map=rows)
         assert f_dense.wire_bytes == f_seg.wire_bytes
         assert f_dense.entries == f_seg.entries
         np.testing.assert_array_equal(b.recon(0, 1), seg)
@@ -227,10 +325,10 @@ class TestAdaptiveCodec:
     def test_reset_pair_resyncs(self):
         codec = AdaptiveCodec("delta", epsilon=0.0, n_pairs=1)
         v = np.array([1.0, 2.0])
-        codec.encode(0, 1, v)
+        codec.encode_pair(0, 1, v)
         codec.reset_pair(0, 1)
         assert codec.resyncs == 1
-        frame = codec.encode(0, 1, v)  # full resync frame
+        frame = codec.encode_pair(0, 1, v)  # full resync frame
         assert frame.entries == 2
         # Resetting an unknown pair is a no-op.
         codec.reset_pair(9, 9)
@@ -238,9 +336,89 @@ class TestAdaptiveCodec:
 
     def test_length_change_rejected(self):
         codec = AdaptiveCodec("delta", epsilon=0.0, n_pairs=1)
-        codec.encode(0, 1, np.array([1.0, 2.0]))
+        codec.encode_pair(0, 1, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            codec.encode(0, 1, np.array([1.0]))
+            codec.encode_pair(0, 1, np.array([1.0]))
+
+    def test_emission_layout_is_validated(self):
+        codec = AdaptiveCodec("delta", epsilon=0.0, n_pairs=2)
+        v = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="zero-length"):
+            codec.encode(0, (1, 2), v, np.array([0, 3]))
+        with pytest.raises(ValueError, match="zero-length"):
+            codec.encode(0, (1, 2), v, np.array([0, 0]))
+        with pytest.raises(ValueError, match="one start per destination"):
+            codec.encode(0, (1, 2), v, np.array([0]))
+        with pytest.raises(ValueError):
+            codec.encode(0, (), v, np.array([], dtype=np.int64))
+        out = codec.encode(0, (1, 2), v, np.array([0, 1]))
+        assert out.shipped.tolist() == [True, True]
+        assert out.wire_bytes == int(out.frame_bytes.sum())
+        # A source always emits with the layout it started with.
+        with pytest.raises(ValueError, match="layout changed"):
+            codec.encode(0, (1, 2), v, np.array([0, 2]))
+        with pytest.raises(ValueError, match="layout changed"):
+            codec.encode(0, (1, 3), v, np.array([0, 1]))
+        with pytest.raises(ValueError, match="layout changed"):
+            codec.encode_pair(0, 2, v[1:])
+        with pytest.raises(ValueError, match="another emission layout"):
+            codec.encode(0, (5, 2), v, np.array([0, 1]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        emission_sequences(),
+        st.sampled_from(["delta", "delta-q16"]),
+        st.sampled_from([0.0, 1e-6, 1e-3]),
+    )
+    def test_emission_equals_independent_pair_sessions(
+        self, sequence, name, epsilon
+    ):
+        """One multi-destination emission and the same vectors encoded
+        as independent one-destination sessions agree exactly on every
+        verdict, byte count, mirror bit and counter — the batched pass
+        has no behaviour of its own."""
+        lengths, index_maps, steps, reset_at = sequence
+        dsts = tuple(range(10, 10 + len(lengths)))
+        starts = np.cumsum([0] + lengths[:-1])
+        bounds = np.cumsum([0] + lengths)
+        flat_map = None if index_maps is None else np.concatenate(index_maps)
+        batched = AdaptiveCodec(name, epsilon=epsilon, n_pairs=len(dsts))
+        single = AdaptiveCodec(name, epsilon=epsilon, n_pairs=len(dsts))
+        for t, values in enumerate(steps):
+            if t == reset_at[0]:
+                victim = dsts[reset_at[1] % len(dsts)]
+                batched.reset_pair(7, victim)
+                single.reset_pair(7, victim)
+            vec = np.asarray(values)
+            out = batched.encode(7, dsts, vec, starts, flat_map)
+            frames = [
+                single.encode_pair(
+                    7,
+                    dst,
+                    vec[bounds[j] : bounds[j + 1]],
+                    None if index_maps is None else index_maps[j],
+                )
+                for j, dst in enumerate(dsts)
+            ]
+            assert out.shipped.tolist() == [f is not None for f in frames]
+            assert out.frame_bytes.tolist() == [
+                0 if f is None else f.wire_bytes for f in frames
+            ]
+            assert out.entries.tolist() == [
+                0 if f is None else f.entries for f in frames
+            ]
+            assert out.exact.tolist() == [
+                f is not None and f.exact for f in frames
+            ]
+            assert out.wire_bytes == sum(
+                f.wire_bytes for f in frames if f is not None
+            )
+            for j, dst in enumerate(dsts):
+                mirror = batched.recon(7, dst)
+                assert mirror.tobytes() == single.recon(7, dst).tobytes()
+                assert np.shares_memory(mirror, out.values)
+            assert batched.residual_mass() == single.residual_mass()
+            assert batched.stats() == single.stats()
 
     def test_certified_bound(self):
         codec = AdaptiveCodec("delta", epsilon=0.5, n_pairs=5)
@@ -314,10 +492,10 @@ def small_world():
     return graph
 
 
-def _small_run(graph, engine, codec, epsilon, **kw):
+def _small_run(graph, engine, codec, epsilon, n_groups=4, **kw):
     return run_distributed_pagerank(
         graph,
-        n_groups=4,
+        n_groups=n_groups,
         engine=engine,
         algorithm="dpr2",
         partition_strategy="site",
@@ -372,3 +550,51 @@ class TestEndToEnd:
         assert coded.ranks.tobytes() == base.ranks.tobytes()
         assert coded.traffic.data_bytes < base.traffic.data_bytes
         assert coded.codec_stats["certified_bound"] == 0.0
+
+
+#: Counters of the 2 000-page / K=8 flat run below, recorded from the
+#: per-pair encoder this batched codec replaced (commit 7cfdb2d).
+_PINNED = {
+    ("delta", 0.0): dict(
+        frames=1650, suppressed_frames=0, exact_flushes=1650,
+        entries_sent=30933, data_bytes=319735, paper_data_bytes=3627000,
+        lookup_bytes=82500, data_messages=1650,
+    ),
+    ("delta-q16", 1e-4): dict(
+        frames=1028, suppressed_frames=622, exact_flushes=162,
+        entries_sent=16244, data_bytes=99696, paper_data_bytes=2908860,
+        lookup_bytes=51400, data_messages=1028,
+    ),
+}
+
+
+def _counters(res):
+    keys = ("frames", "suppressed_frames", "exact_flushes", "entries_sent")
+    return {
+        **{key: res.codec_stats[key] for key in keys},
+        "data_bytes": res.traffic.data_bytes,
+        "paper_data_bytes": res.traffic.paper_data_bytes,
+        "lookup_bytes": res.traffic.lookup_bytes,
+        "data_messages": res.traffic.data_messages,
+    }
+
+
+class TestPinnedEngineCounters:
+    """The per-source codec pass reproduces the per-pair encoder's
+    verdicts and bytes on a whole engine run, flat and hybrid."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return google_contest_like(2000, 60, seed=3)
+
+    @pytest.mark.parametrize("codec,epsilon", list(_PINNED))
+    def test_flat_and_hybrid_reproduce_pinned_counters(
+        self, graph, codec, epsilon
+    ):
+        flat = _small_run(graph, "flat", codec, epsilon, n_groups=8)
+        assert _counters(flat) == _PINNED[(codec, epsilon)]
+        # Sync and fault-free: the hybrid engine promises exactness.
+        hybrid = _small_run(graph, "hybrid", codec, epsilon, n_groups=8)
+        assert hybrid.fidelity == "exact"
+        assert _counters(hybrid) == _counters(flat)
+        assert hybrid.ranks.tobytes() == flat.ranks.tobytes()

@@ -55,3 +55,32 @@ class TestFactory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown overlay"):
             build_overlay("kademlia", 10)
+
+
+class TestHopMemo:
+    @pytest.mark.parametrize("kind", ["pastry", "chord", "can", "tapestry"])
+    def test_memoised_hops_match_routes_and_stop_routing(self, kind, monkeypatch):
+        """``hops`` is routed once per ordered pair: it equals
+        ``route(...).hops`` everywhere, and a second sweep over a warm
+        cache takes no ``next_hop`` step at all."""
+        ov = build_overlay(kind, 64, seed=3)
+        pairs = [(s, d) for s in range(64) for d in range(64)]
+        first = {p: ov.hops(*p) for p in pairs}
+        assert first == {p: ov.route(*p).hops for p in pairs}
+
+        steps = []
+        real = type(ov).next_hop
+        monkeypatch.setattr(
+            type(ov),
+            "next_hop",
+            lambda self, at, dst: steps.append((at, dst)) or real(self, at, dst),
+        )
+        assert ov.route(0, 63).hops == first[(0, 63)] and steps  # spy is live
+        steps.clear()
+        assert {p: ov.hops(*p) for p in pairs} == first
+        assert steps == []
+
+    def test_out_of_range_is_still_rejected(self):
+        ov = build_overlay("chord", 8, seed=0)
+        with pytest.raises(IndexError):
+            ov.hops(0, 8)

@@ -41,6 +41,8 @@ MANIFEST = {
     "BENCH_comm.json": [
         ("cases.codec_100k.delta_reduction_x", "higher"),
         ("cases.codec_100k.q16_reduction_x", "higher"),
+        ("cases.codec_100k.delta_over_none_wall_x", "lower"),
+        ("cases.codec_100k.q16_over_none_wall_x", "lower"),
     ],
     "BENCH_engine.json": [
         ("scales.-1.speedup", "higher"),
