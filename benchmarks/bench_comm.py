@@ -48,7 +48,7 @@ GATE_MIN_REDUCTION = 3.0
 #: CI gate: maximum wall time of the lossless delta run over the same
 #: rounds uncoded — the bookkeeping that saves the bytes has to stay
 #: cheaper than the bytes.
-GATE_MAX_DELTA_WALL_X = 4.0
+GATE_MAX_DELTA_WALL_X = 2.5
 
 #: Headline workload: the Figure-8 scale and round budget.
 N_PAGES = 100_000

@@ -18,22 +18,26 @@ tick, and the whole round collapses into dense linear algebra:
 * **communicate** — all stacked per-group efferent operators are
   assembled once into a single whole-system *cut matrix*, compressed
   to its structurally nonzero rows, so every efferent vector ``Y`` of
-  the round is one more SpMV over exactly the cross-link elements; at
-  ``delivery_prob = 1`` delivery + afferent refresh then collapse into
-  a third SpMV ``X = F·Y`` against a 0/1 *afferent matrix* whose
-  per-row storage order replays the observed arrival order;
+  the round is one more SpMV over exactly the cross-link elements;
+  when no send can be lost or withheld (``delivery_prob = 1``, no
+  threshold suppression — with or without a wire codec) delivery +
+  afferent refresh collapse into a third SpMV ``X = F·held`` against
+  a 0/1 *afferent matrix* whose per-row storage order replays the
+  observed first-arrival order; ``held`` is what the receivers hold:
+  ``Y`` uncoded, the senders' reconstruction mirrors under a codec;
 * **account** — instead of materializing ScoreUpdate objects, the
-  engine replays one *calibration round* of empty-payload sends
-  through the real transport classes on a scratch simulator.  That
-  yields (a) the exact per-round traffic, merged into the main
-  :class:`~repro.net.bandwidth.TrafficAccountant` each round via
-  :meth:`~repro.net.bandwidth.TrafficAccountant.merge`, and (b) the
-  exact delivery order, which fixes the afferent summation order (see
-  below).  The last replay is memoised by its send set, so at
-  ``delivery_prob = 1`` — where every round ships the full pair set —
-  the calibration runs once for the whole run; under loss it is
-  replayed per round over the surviving pairs (cost proportional to
-  K², independent of page count).
+  engine names a round's sends by position in its pair table and
+  charges them as arrays.  Direct transmission is closed form
+  (:func:`~repro.net.transport.charge_direct_round`, formulas 4.2/4.4
+  per pair): integer sums and scatters into the run's
+  :class:`~repro.net.bandwidth.TrafficAccountant` and a stable sort of
+  the arrival times — no simulator event, ``ScoreUpdate`` or
+  ``record_*`` call per frame, whatever the round ships.  Indirect
+  packages recombine at every hop, so those rounds are routed as
+  empty-payload sends through the real transport on a scratch
+  simulator (cost proportional to K², independent of page count), once
+  per run for the uncoded full pair set.  Either way the charges and
+  the delivery order are exactly the real transport's.
 
 One loop, one emit step
 -----------------------
@@ -51,11 +55,12 @@ exact-flush verdict and frame size) is one vectorized pass of
 :meth:`~repro.net.adaptive.AdaptiveCodec.encode` over that span, K
 calls a round rather than one per communicating pair; without a codec,
 per-pair threshold suppression — an
-*accounting backend* charges and routes them — here the scratch
-replay above; the hybrid engine adds an ARQ protocol replay and its
+*accounting backend* charges and routes them — here the round
+ledger above; the hybrid engine adds an ARQ protocol replay and its
 fault plane's real transport — and every delivery lands through
-:meth:`SynchronousEngine._apply`.  The flat engine is the case
-"every group steps, scratch replay".
+:meth:`SynchronousEngine._apply`, or all of them at once through
+``X = F·held``.  The flat engine is the case "every group steps,
+round ledger".
 
 Bit-identity
 ------------
@@ -74,16 +79,22 @@ equivalence tests assert.  The reasoning:
   bit of any afferent sum;
 * afferent sums: a :class:`~repro.core.dpr.DPRNode` re-sums its
   newest per-source vectors in *first-arrival order* (dict insertion
-  order).  Under loss the engine keeps the same insertion-ordered
-  dict per destination, appending sources in the delivery order
-  observed on the calibration replay — the same order the event
-  simulator produces, since both route through identical transports.
-  At ``delivery_prob = 1`` every source re-arrives every round, so the
-  whole refresh is one SpMV ``X = F·Y``: scipy's CSR kernel
-  accumulates each output row over its stored entries *in storage
-  order*, and ``F``'s rows are laid out in exactly the arrival order,
-  so the scalar additions happen in the same sequence the node's
-  vector adds produce;
+  order).  The engine keeps the same insertion-ordered dict per
+  destination, appending sources in the delivery order the accounting
+  step reports — the event simulator's own: every send of a round is
+  scheduled at the tick, so ``(time, sequence)`` order is a stable
+  sort of the arrival times in emission order.  When no send can be
+  lost or withheld each receiver holds exactly the sender-side vector
+  of its pair (a frame that ships lands in its own round; a pair the
+  codec suppresses was not moved by its sender either), so the whole
+  refresh is one SpMV ``X = F·held``: scipy's CSR kernel accumulates
+  each output row over its stored entries *in storage order*, and
+  ``F``'s rows are laid out in exactly the first-arrival order.  ``F``
+  is frozen once every pair has arrived, from the order the arrivals
+  were *observed* in — a pair whose first frame ships rounds after its
+  neighbours' keeps that later place, as in the node's dict.  A pair
+  that has not arrived holds only ``+0.0``, which a nonnegative sum
+  cannot see, so nothing depends on when the switch happens;
 * loss draws: the Bernoulli stream is consumed in (source group
   ascending, destination ascending) order, exactly the order rankers
   tick and emit in a synchronous event round.
@@ -96,6 +107,8 @@ select it end to end; results come back as the same
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -117,68 +130,74 @@ from repro.net.failures import NoLoss
 from repro.net.codec import token_frame_bytes
 from repro.net.message import ScoreUpdate
 from repro.net.simulator import Simulator
+from repro.net.transport import charge_direct_round
 from repro.utils.memory import trim_heap
 
 __all__ = ["MonteCarloEngine", "RoundEngine", "SynchronousEngine"]
 
-#: Shared zero-length payload for calibration ScoreUpdates — the
-#: transports only read routing metadata and ``n_link_records``.
+#: Shared zero-length payload for the indirect replay's ScoreUpdates —
+#: the transports only read routing metadata and ``n_link_records``.
 _EMPTY = np.empty(0, dtype=np.float64)
+
+#: A round that ships nothing.
+_NO_SENDS = np.zeros(0, dtype=np.int64)
 
 
 def _replay_transport_round(
     config: DistributedConfig,
     overlay,
-    sends: Sequence[Tuple],
-) -> Tuple[List[Tuple[int, int]], TrafficAccountant]:
-    """Route one round's sends through the real transport stack.
+    accountant: TrafficAccountant,
+    src: np.ndarray,
+    dst: np.ndarray,
+    records: np.ndarray,
+    wire_bytes: np.ndarray,
+) -> np.ndarray:
+    """Charge one round's surviving sends to ``accountant``.
 
-    ``sends`` lists ``(src_group, dst_group, n_records, wire_bytes,
-    ...)`` tuples in emission order (sources ascending, destinations
-    ascending within a source — the order rankers tick and emit in a
-    synchronous round).  ``wire_bytes`` is an encoded frame's
-    calibrated wire size (-1 for an uncoded send), stamped onto the
-    replay update so the transports charge the codec's bytes as data
-    while the paper-model counter keeps the flat 100 B/record charge
-    (see :mod:`repro.net.bandwidth`).
-    Returns the delivery order as (src, dst) in upcall sequence and a
-    scratch accountant holding the round's exact traffic.  Updates are
-    empty-payload (byte accounting only reads ``n_link_records``) on a
-    fresh simulator, so the cost is O(sends) regardless of page count.
+    The sends are int64 arrays in emission order (sources ascending,
+    destinations ascending within a source — the order rankers tick
+    and emit in a synchronous round), one entry per communicating pair.
+    ``wire_bytes`` is an encoded frame's calibrated wire size (-1 for
+    an uncoded send): the codec's bytes are charged as data while the
+    paper-model counter keeps the flat 100 B/record charge (see
+    :mod:`repro.net.bandwidth`).  Returns the delivery order as
+    positions into the arrays, in upcall sequence.
 
-    Shared by the score engines (fixed per-round record counts from the
-    cross blocks, plus per-round frame sizes under a codec) and the
-    Monte-Carlo engine (per-round walk-token counts, a different
-    number every round).
+    Direct transmission is closed form; indirect packages recombine at
+    every hop, so those sends are routed as empty-payload updates (byte
+    accounting only reads ``n_link_records``) through the real
+    transport on a scratch simulator — O(sends) either way, regardless
+    of page count.  Shared by the score engines (fixed record counts,
+    per-round frame sizes under a codec) and the Monte-Carlo engine
+    (walk-token counts, a different number every round).
     """
+    if config.transport == "direct":
+        return charge_direct_round(
+            overlay, accountant, src, dst, records, wire_bytes, config.hop_delay
+        )
     sim = Simulator()
-    acc = TrafficAccountant(config.n_groups)
-    transport = config_transport(config, sim, overlay, acc, NoLoss())
-    order: List[Tuple[int, int]] = []
+    transport = config_transport(config, sim, overlay, accountant, NoLoss())
+    pairs = list(zip(src.tolist(), dst.tolist()))
+    position = {pair: i for i, pair in enumerate(pairs)}
+    order: List[int] = []
     transport.attach(
-        lambda dst, update: order.append((update.src_group, dst))
+        lambda h, update: order.append(position[(update.src_group, h)])
     )
-    i = 0
-    n = len(sends)
-    while i < n:
-        g = sends[i][0]
-        updates = []
-        while i < n and sends[i][0] == g:
-            send = sends[i]
-            updates.append(
-                ScoreUpdate(
-                    src_group=g,
-                    dst_group=send[1],
-                    values=_EMPTY,
-                    n_link_records=send[2],
-                    generation=0,
-                    wire_bytes=send[3],
-                )
-            )
-            i += 1
-        transport.send_updates(g, updates)
+    updates = [
+        ScoreUpdate(
+            src_group=g,
+            dst_group=h,
+            values=_EMPTY,
+            n_link_records=n,
+            generation=0,
+            wire_bytes=w,
+        )
+        for (g, h), n, w in zip(pairs, records.tolist(), wire_bytes.tolist())
+    ]
+    for g, batch in groupby(updates, key=attrgetter("src_group")):
+        transport.send_updates(g, list(batch))
     sim.run()
-    return order, acc
+    return np.array(order, dtype=np.int64)
 
 
 def paper_round_estimate(
@@ -520,17 +539,23 @@ class SynchronousEngine(RoundEngine):
         self._offsets = offsets
         # The cut matrix and pair tables above are the last copies the
         # engine needs of the cross-link structure; every later step
-        # (calibration replay, afferent matrix, per-group solves,
+        # (round ledger, afferent matrix, per-group solves,
         # result assembly) works off them and the diagonal blocks.
         blocks.release_cross()
 
-        #: The same pairs per source, destinations ascending — the
-        #: ranker emission order.
-        self._pairs_by_src: List[List[Tuple[int, int, slice, np.ndarray, int]]] = [
-            [] for _ in range(k)
+        #: The pairs as arrays, indexed by position in ``_pairs`` — what
+        #: a round's sends are named by and charged from.
+        self._pair_src = np.array([p[0] for p in self._pairs], dtype=np.int64)
+        self._pair_dst = np.array([p[1] for p in self._pairs], dtype=np.int64)
+        self._pair_records = np.array(
+            [p[4] for p in self._pairs], dtype=np.int64
+        )
+        #: Per source, the positions of its pairs (contiguous,
+        #: destinations ascending — the ranker emission order).
+        first = np.searchsorted(self._pair_src, np.arange(k + 1))
+        self._src_pairs = [
+            np.arange(first[g], first[g + 1], dtype=np.int64) for g in range(k)
         ]
-        for pair in self._pairs:
-            self._pairs_by_src[pair[0]].append(pair)
         #: Per source, its emission as the wire codec sees it: the
         #: source's contiguous span of the compressed Y vector, its
         #: destinations, and the pairs' starts within the span (``None``
@@ -548,15 +573,17 @@ class SynchronousEngine(RoundEngine):
             )
             if pairs
             else None
-            for pairs in self._pairs_by_src
+            for pairs in (
+                self._pairs[first[g] : first[g + 1]] for g in range(k)
+            )
         ]
-        #: The send list of a round that ships every pair uncoded — the
-        #: lossless flat round, every round.  Always this one object,
-        #: recognised by identity (no per-round key to build).
-        self._full_sends = [(g, h, records, -1) for g, h, _, _, records in self._pairs]
-        #: Nothing can drop or resize a send: replays repeat whenever
-        #: the send set does, so the last one is worth keeping.
-        self._lossless = self._codec is None and isinstance(self._loss, NoLoss)
+        #: Every send that ships is delivered in its own round and
+        #: nothing is withheld by a threshold: each receiver then holds
+        #: exactly the sender-side vector of the pair (``_held``), which
+        #: is what lets delivery + refresh collapse into ``X = F·held``.
+        self._mirrored = (
+            isinstance(self._loss, NoLoss) and config.suppress_tol == 0.0
+        )
 
         # Mutable round state.
         self._r = np.zeros(n_total, dtype=np.float64)
@@ -586,13 +613,20 @@ class SynchronousEngine(RoundEngine):
         #: per source, per destination group — insertion-ordered
         #: exactly like ``DPRNode._latest_values`` — with the
         #: generation it carried and the count of stale arrivals
-        #: rejected (``DPRNode.receive``'s bookkeeping).  Unused by the
-        #: lossless flat round, which goes through :attr:`_afferent`.
+        #: rejected (``DPRNode.receive``'s bookkeeping).  Dropped once
+        #: :attr:`_afferent` is frozen.
         self._latest: List[Dict[int, np.ndarray]] = [{} for _ in range(k)]
         self._gen_latest: List[Dict[int, int]] = [{} for _ in range(k)]
         self._stale = np.zeros(k, dtype=np.int64)
-        #: 0/1 afferent matrix for the lossless fast path (X = F·Y),
-        #: built lazily from the first calibration's arrival order.
+        #: What each receiver holds of each pair once its newest frame
+        #: has landed, laid out like ``_y``: Y itself uncoded, the
+        #: sources' reconstruction mirrors under a wire codec.
+        self._held = (
+            self._y if self._codec is None else np.zeros(n_nz, dtype=np.float64)
+        )
+        #: 0/1 afferent matrix of the mirrored fast path (X = F·held),
+        #: frozen from the first-arrival order once every pair has
+        #: arrived (see :meth:`_emit`).
         self._afferent: Optional[sp.csr_matrix] = None
         #: Destinations that received mail since their last refresh.
         self._mail: set = set()
@@ -603,12 +637,10 @@ class SynchronousEngine(RoundEngine):
         # one max-group-size allocation (3 vectors total, not 3·n).
         shared_ws = JacobiWorkspace(max(sizes) if sizes else 0)
         self._workspaces = [shared_ws.sliced(sizes[g]) for g in range(k)]
-        #: The last scratch replay as ``(send-set key, delivery order,
-        #: traffic)``.  One entry: measured over sync/async runs with
-        #: and without suppression, send sets either repeat
-        #: back-to-back (the full pair set of a lossless flat run, the
-        #: empty set of a suppressed tail) or do not recur at all.
-        self._memo: Optional[Tuple] = None
+        #: Indirect transmission only: delivery order and traffic of the
+        #: uncoded full pair set, whose simulator replay repeats
+        #: identically every round it ships.
+        self._calibration: Optional[Tuple[np.ndarray, TrafficAccountant]] = None
 
         # The grouped-operator build churned through chunk temporaries
         # whose freed pages glibc retains; hand them back so the run's
@@ -636,15 +668,24 @@ class SynchronousEngine(RoundEngine):
     _ranks = assemble_ranks
 
     def calibrated_round_traffic(self):
-        """Exact traffic of one lossless round as a snapshot at t=0.
+        """Exact traffic of one lossless uncoded round as a snapshot at t=0.
 
-        This is the per-round quantity the engine adds to its main
-        accountant every round via
-        :meth:`~repro.net.bandwidth.TrafficAccountant.merge` — measured
-        once on the calibration replay, never by materializing real
+        This is the per-round quantity the engine charges its main
+        accountant every such round — computed from the pair table by
+        :func:`_replay_transport_round`, never by materializing real
         score updates.
         """
-        return self._replay(self._full_sends)[1].snapshot(0.0)
+        acc = TrafficAccountant(self.n_groups)
+        _replay_transport_round(
+            self.config,
+            self.overlay,
+            acc,
+            self._pair_src,
+            self._pair_dst,
+            self._pair_records,
+            np.full(len(self._pairs), -1, dtype=np.int64),
+        )
+        return acc.snapshot(0.0)
 
     def paper_round_estimate(self) -> Dict[str, float]:
         """Per-round traffic predicted by the paper's §4.4 formulas.
@@ -662,36 +703,43 @@ class SynchronousEngine(RoundEngine):
         )
 
     # ------------------------------------------------------------------
-    def _replay(
-        self, sends: Sequence[Tuple]
-    ) -> Tuple[List[Tuple[int, int]], TrafficAccountant]:
-        """Scratch-replay one round's sends, memoising the last send set.
+    def _charge(self, idx: np.ndarray, wire_bytes: np.ndarray) -> np.ndarray:
+        """Charge the sends of pairs ``idx`` to the main accountant;
+        return the delivery order as positions into ``idx``.
 
-        Returns the delivery order as (src, dst) in upcall sequence and
-        a scratch accountant holding the round's exact traffic (see
-        :func:`_replay_transport_round`).  Under loss every round has
-        its own survivor set and under a codec its own frame sizes, so
-        only lossless uncoded rounds (and the full-set calibration)
-        consult the memo.
+        One round is worth remembering: over the indirect transport
+        the uncoded full pair set costs a simulator replay and repeats
+        identically, so it is replayed once into a scratch accountant.
         """
-        full = sends is self._full_sends
-        if not (full or self._lossless):
-            return _replay_transport_round(self.config, self.overlay, sends)
-        key = "full" if full else tuple((s[0], s[1]) for s in sends)
-        if self._memo is None or self._memo[0] != key:
-            self._memo = (
-                key,
-                *_replay_transport_round(self.config, self.overlay, sends),
-            )
-        return self._memo[1], self._memo[2]
+        cfg = self.config
+        sends = (
+            self._pair_src[idx],
+            self._pair_dst[idx],
+            self._pair_records[idx],
+            wire_bytes,
+        )
+        repeats = (
+            cfg.transport == "indirect"
+            and self._codec is None
+            and idx.size == len(self._pairs)
+        )
+        if not repeats:
+            return _replay_transport_round(cfg, self.overlay, self.accountant, *sends)
+        if self._calibration is None:
+            acc = TrafficAccountant(self.n_groups)
+            order = _replay_transport_round(cfg, self.overlay, acc, *sends)
+            self._calibration = (order, acc)
+        order, acc = self._calibration
+        self.accountant.merge(acc)
+        return order
 
     def _build_afferent(self, order: List[Tuple[int, int]]) -> sp.csr_matrix:
-        """Assemble the 0/1 afferent matrix F with X = F·Y (lossless).
+        """Assemble the 0/1 afferent matrix F with X = F·held.
 
         Row ``offsets[dst] + i`` holds one unit entry per source whose
         efferent segment touches destination-local element ``i``, with
-        the entries *stored in the arrival order* of the calibration
-        replay.  scipy's CSR matvec kernel accumulates each row
+        the entries *stored in the first-arrival order* ``order`` lists
+        the pairs in.  scipy's CSR matvec kernel accumulates each row
         sequentially over its stored entries, so F reproduces the
         event engine's per-destination vector-add sequence scalar for
         scalar (a stable sort by row preserves the arrival order the
@@ -733,13 +781,15 @@ class SynchronousEngine(RoundEngine):
             shape=(n_rows, self._y.size),
         )
 
-    def _build_sends(self, groups: Sequence[int]) -> List[Tuple]:
+    def _build_sends(self, groups: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """This round's sends of the stepping ``groups``, emission order.
 
-        One ``(src, dst, n_records, wire_bytes, values)`` per pair that
-        ships, sources ascending and destinations ascending within a
-        source — the order rankers tick and emit in a synchronous
-        round, and hence the order the loss stream is consumed in.
+        Returns ``(idx, wire_bytes)``: the positions in ``_pairs`` of
+        the pairs that ship — sources ascending and destinations
+        ascending within a source, the order rankers tick and emit in a
+        synchronous round, and hence the order the loss stream is
+        consumed in — and each one's encoded frame size (-1 uncoded).
+        What a shipped pair delivers is its slice of :attr:`_held`.
 
         Under a wire codec each source is **one** codec call: its
         contiguous span of the compressed Y vector, the pair starts
@@ -747,43 +797,43 @@ class SynchronousEngine(RoundEngine):
         the event engine's dense emissions — see
         :meth:`AdaptiveCodec.encode`) go in, and the per-destination
         verdicts come back.  A pair the budget lets the codec suppress
-        ships nothing; for the others ``values`` is the pair's slice of
-        the source's reconstruction mirror — the receiver's exact
-        post-frame state — with the frame's calibrated ``wire_bytes``.
-        At ε_comm = 0 the reconstruction equals the true segment bit
-        for bit.
+        ships nothing; the source's reconstruction mirror — every
+        receiver's exact post-frame state — is copied into its span of
+        ``_held``.  At ε_comm = 0 the reconstruction equals the true
+        segment bit for bit.
 
-        Without a codec ``wire_bytes`` is -1, ``values`` the pair's Y
-        segment, and threshold suppression filters (config validation
-        makes it and the codec mutually exclusive): a pair whose
-        segment moved at most ``suppress_tol`` in L1 since it was last
-        sent ships nothing; the compressed diff equals the dense diff
-        because structurally-zero rows are +0.0 on both sides.
+        Without a codec ``_held`` is Y itself, and threshold
+        suppression filters (config validation makes it and the codec
+        mutually exclusive): a pair whose segment moved at most
+        ``suppress_tol`` in L1 since it was last sent ships nothing;
+        the compressed diff equals the dense diff because
+        structurally-zero rows are +0.0 on both sides.
 
-        Either way ``values`` is a view that stays valid until the
+        Either way a pair's slice of ``_held`` stays valid until the
         source's next emission; a backend that keeps it past the round
         copies it.
         """
         tol = self.config.suppress_tol
-        sends: List[Tuple] = []
+        idx_parts: List[np.ndarray] = []
+        wire_parts: List[np.ndarray] = []
         for g in groups:
-            pairs = self._pairs_by_src[g]
+            positions = self._src_pairs[g]
+            if positions.size == 0:
+                continue
             if self._codec is not None:
-                if not pairs:
-                    continue
                 span, dsts, starts = self._emissions[g]
                 out = self._codec.encode(
                     g, dsts, self._y[span], starts, self._row_map[span]
                 )
-                base, sizes = span.start, out.frame_bytes.tolist()
-                for j in np.flatnonzero(out.shipped).tolist():
-                    _, h, csl, _, records = pairs[j]
-                    mirror = out.values[csl.start - base : csl.stop - base]
-                    sends.append((g, h, records, sizes[j], mirror))
+                np.copyto(self._held[span], out.values)
+                idx_parts.append(positions[out.shipped])
+                wire_parts.append(out.frame_bytes[out.shipped])
                 continue
-            for _, h, csl, _, records in pairs:
-                values = self._y[csl]
-                if tol > 0.0:
+            if tol > 0.0:
+                moved = []
+                for p in positions.tolist():
+                    _, h, csl, _, _ = self._pairs[p]
+                    values = self._y[csl]
                     prev = self._last_sent.get((g, h))
                     if (
                         prev is not None
@@ -791,40 +841,68 @@ class SynchronousEngine(RoundEngine):
                     ):
                         continue
                     self._last_sent[(g, h)] = values.copy()
-                sends.append((g, h, records, -1, values))
-        return sends
+                    moved.append(p)
+                positions = np.array(moved, dtype=np.int64)
+            idx_parts.append(positions)
+        idx = np.concatenate(idx_parts) if idx_parts else _NO_SENDS
+        if self._codec is None:
+            return idx, np.full(idx.size, -1, dtype=np.int64)
+        return idx, np.concatenate(wire_parts) if wire_parts else _NO_SENDS
 
-    def _emit(self, sends: Sequence[Tuple], t: float) -> None:
+    def _emit(self, sends: Tuple[np.ndarray, np.ndarray], t: float) -> None:
         """Account the round's ``sends`` and deliver what survives.
 
-        The scratch-replay accounting backend: apply loss, route the
-        survivors through the real transport on a scratch simulator
-        (exact per-round traffic, merged via
-        ``TrafficAccountant.merge``), and apply each segment in the
-        observed delivery order.
+        The round-ledger accounting backend: apply loss, charge the
+        survivors exactly as the real transport would
+        (:meth:`_charge`), and land them in the delivery order it
+        reports — one by one through :meth:`_apply`, or, once a
+        *mirrored* run has heard from every pair, all at once as
+        ``X = F·held`` (module docstring, "afferent sums").
         """
+        idx, wire_bytes = sends
         if not isinstance(self._loss, NoLoss):
             # One Bernoulli draw per send in emission order — the same
             # stream consumption as the event engine's transports.
-            survivors = []
-            for send in sends:
-                if self._loss.delivered(send[0], send[1]):
-                    survivors.append(send)
-                else:
-                    self.dropped_updates += 1
-            sends = survivors
-        order, acc = self._replay(sends)
-        self.accountant.merge(acc)
-        if sends is self._full_sends:
-            # Every source re-arrives, so the whole delivery + refresh
-            # is one SpMV in arrival order (see _build_afferent).
-            if self._afferent is None:
-                self._afferent = self._build_afferent(order)
-            csr_matvec_into(self._afferent, self._y, self._x)
-            return
-        values = {(send[0], send[1]): send[4] for send in sends}
-        for src, dst in order:
-            self._apply(src, dst, values[(src, dst)], int(self._outer[src]))
+            pairs = zip(self._pair_src[idx].tolist(), self._pair_dst[idx].tolist())
+            keep = np.array(
+                [self._loss.delivered(g, h) for g, h in pairs], dtype=bool
+            )
+            self.dropped_updates += int(idx.size - np.count_nonzero(keep))
+            idx, wire_bytes = idx[keep], wire_bytes[keep]
+        order = self._charge(idx, wire_bytes)
+        if self._afferent is None:
+            arrivals = [self._pairs[p] for p in idx[order].tolist()]
+            if not (self._mirrored and self._freeze_afferent(arrivals)):
+                for src, dst, csl, _, _ in arrivals:
+                    self._apply(src, dst, self._held[csl], int(self._outer[src]))
+                return
+        csr_matvec_into(self._afferent, self._held, self._x)
+
+    def _freeze_afferent(self, arrivals: List[Tuple]) -> bool:
+        """Build F if this round's ``arrivals`` complete the pair set.
+
+        The first-arrival order is the insertion order of the
+        per-destination memory (earlier rounds, landed through
+        :meth:`_apply`) followed by this round's newcomers in delivery
+        order; only the order *within* a destination matters.
+        """
+        first = [
+            (src, dst) for dst in range(self.n_groups) for src in self._latest[dst]
+        ]
+        first += [
+            (src, dst)
+            for src, dst, _, _, _ in arrivals
+            if src not in self._latest[dst]
+        ]
+        if len(first) < len(self._pairs):
+            return False
+        self._afferent = self._build_afferent(first)
+        # The per-destination memory is dead from here on (and a
+        # pending mail flag would re-sum it over the SpMV's X).
+        for memory in self._latest + self._gen_latest:
+            memory.clear()
+        self._mail.clear()
+        return True
 
     def _apply(self, src: int, dst: int, values: np.ndarray, generation: int) -> None:
         """Land one delivery: ``DPRNode.receive`` semantics over flat
@@ -947,12 +1025,7 @@ class SynchronousEngine(RoundEngine):
         """One bulk-synchronous round: compute, emit Y, communicate."""
         self._compute()
         csr_matvec_into(self._cut, self._r, self._y)
-        self._emit(
-            self._full_sends
-            if self._lossless
-            else self._build_sends(range(self.config.n_groups)),
-            t,
-        )
+        self._emit(self._build_sends(range(self.config.n_groups)), t)
 
 
 class MonteCarloEngine(RoundEngine):
@@ -966,7 +1039,7 @@ class MonteCarloEngine(RoundEngine):
     bulk-synchronous round advances every alive walk token one step,
     and tokens whose step crosses the partition cut become that
     round's messages — binned per ordered (source, destination) group
-    pair and replayed through the real transport stack via
+    pair and charged exactly as the real transport stack would by
     :func:`_replay_transport_round`, one link record per forwarded
     token.  Per-round traffic therefore *decays* with the alive-token
     population (geometric in the round number) instead of staying
@@ -1087,8 +1160,8 @@ class MonteCarloEngine(RoundEngine):
         # Cut-crossing tokens become this round's messages: bin them
         # per ordered (src, dst) group pair — bincount over src·K+dst
         # yields (source ascending, destination ascending), the same
-        # emission order the other engines use — and replay through
-        # the real transport, one link record per forwarded token.
+        # emission order the other engines use — and charge them as
+        # the real transport would, one link record per forwarded token.
         if src.size:
             gs = self._group_of[src]
             gd = self._group_of[dst]
@@ -1103,33 +1176,30 @@ class MonteCarloEngine(RoundEngine):
                     # page ids, and charge the exact varint frame size
                     # instead of 100 B per forwarded token.
                     targets = dst[cross][np.argsort(codes, kind="stable")]
-                    bounds = np.cumsum(counts[present])
-                    sends = []
-                    start = 0
-                    for j, c in enumerate(present):
-                        ids = np.sort(targets[start : int(bounds[j])])
-                        start = int(bounds[j])
-                        sends.append(
-                            (
-                                int(c) // k,
-                                int(c) % k,
-                                int(counts[c]),
-                                token_frame_bytes(ids),
-                            )
-                        )
-                        self._codec_entries += int(ids.size)
-                    self._codec_frames += len(sends)
+                    bounds = np.cumsum(counts[present]).tolist()
+                    wire_bytes = np.array(
+                        [
+                            token_frame_bytes(np.sort(targets[lo:hi]))
+                            for lo, hi in zip([0] + bounds, bounds)
+                        ],
+                        dtype=np.int64,
+                    )
+                    self._codec_entries += int(targets.size)
+                    self._codec_frames += int(present.size)
                 else:
-                    sends = [
-                        (int(c) // k, int(c) % k, int(counts[c]), -1)
-                        for c in present
-                    ]
-                _, acc = _replay_transport_round(
-                    self.config, self.overlay, sends
+                    wire_bytes = np.full(present.size, -1, dtype=np.int64)
+                pair_src, pair_dst = present // k, present % k
+                _replay_transport_round(
+                    self.config,
+                    self.overlay,
+                    self.accountant,
+                    pair_src,
+                    pair_dst,
+                    counts[present],
+                    wire_bytes,
                 )
-                self.accountant.merge(acc)
                 self._crossing_records += int(counts.sum())
-                self._pairs_seen.update((s[0], s[1]) for s in sends)
+                self._pairs_seen.update(zip(pair_src.tolist(), pair_dst.tolist()))
         self._outer += 1
 
     def _codec_stats(self) -> Optional[Dict]:

@@ -36,7 +36,7 @@ Steps 2 and 3 are the flat engine's own
 :meth:`~repro.core.engine.SynchronousEngine._step_groups` and emit
 step (``_build_sends`` → accounting backend → ``_apply``), called with
 the stepping subset instead of every group.  This module adds two
-accounting backends beside the inherited scratch replay: the fault
+accounting backends beside the inherited round ledger: the fault
 plane's real transport, and — for reliable + direct configs — the
 round-granular :class:`_ReplayARQ`.  The fault stack itself is built
 by the same :class:`~repro.core.faultplane.FaultPlane` the event
@@ -76,7 +76,7 @@ waits come from ``config.mean_waits`` or the same named
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -473,8 +473,8 @@ class HybridEngine(SynchronousEngine):
         self._credit[g] = 0.0
         self._mail.discard(g)
         # A fresh ranker has sent nothing yet.
-        for pair in self._pairs_by_src[g]:
-            self._last_sent.pop((g, pair[1]), None)
+        for h in self._pair_dst[self._src_pairs[g]].tolist():
+            self._last_sent.pop((g, h), None)
         return _ShadowRanker(self, g)
 
     def _on_deliver(self, dst: int, update: ScoreUpdate) -> None:
@@ -509,7 +509,7 @@ class HybridEngine(SynchronousEngine):
             out.append(g)
         return out
 
-    def _emit(self, sends: Sequence[Tuple], t: float) -> None:
+    def _emit(self, sends: Tuple[np.ndarray, np.ndarray], t: float) -> None:
         """Account and deliver ``sends`` through the config's backend.
 
         * **ARQ replay** (reliable + direct): each send's whole ARQ
@@ -524,11 +524,18 @@ class HybridEngine(SynchronousEngine):
           the codec mirror are rewritten next round, and the ARQ layer
           must retransmit the *original* payload (every resend ships
           the same object).
-        * otherwise the inherited **scratch replay** — the round set is
+        * otherwise the inherited **round ledger** — the round set is
           perturbed only by the async credit mask and/or suppression.
         """
+        if self._arq is None and self._transport is None:
+            super()._emit(sends, t)
+            return
+        shipped = [
+            (*self._pairs[p], wire_bytes)
+            for p, wire_bytes in zip(sends[0].tolist(), sends[1].tolist())
+        ]
         if self._arq is not None:
-            for g, h, records, wire_bytes, values in sends:
+            for g, h, csl, _, records, wire_bytes in shipped:
                 # The payload is the encoded frame if there is one,
                 # else the flat §4.4 charge, which rides beside it
                 # either way.
@@ -540,27 +547,25 @@ class HybridEngine(SynchronousEngine):
                     not self._shadows[h].crashed,
                     paper_bytes=paper,
                 ):
-                    self._apply(g, h, values, int(self._outer[g]))
-        elif self._transport is not None:
-            for g, batch in groupby(sends, key=lambda send: send[0]):
-                gen = int(self._outer[g])
-                self._transport.send_updates(
-                    g,
-                    [
-                        ScoreUpdate(
-                            src_group=g,
-                            dst_group=h,
-                            values=values.copy(),
-                            n_link_records=records,
-                            generation=gen,
-                            sent_at=t,
-                            wire_bytes=wire_bytes,
-                        )
-                        for _, h, records, wire_bytes, values in batch
-                    ],
-                )
-        else:
-            super()._emit(sends, t)
+                    self._apply(g, h, self._held[csl], int(self._outer[g]))
+            return
+        for g, batch in groupby(shipped, key=lambda send: send[0]):
+            gen = int(self._outer[g])
+            self._transport.send_updates(
+                g,
+                [
+                    ScoreUpdate(
+                        src_group=g,
+                        dst_group=h,
+                        values=self._held[csl].copy(),
+                        n_link_records=records,
+                        generation=gen,
+                        sent_at=t,
+                        wire_bytes=wire_bytes,
+                    )
+                    for _, h, csl, _, records, wire_bytes in batch
+                ],
+            )
 
     def _round(self, t: float) -> None:
         if not self._approx:

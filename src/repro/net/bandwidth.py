@@ -143,12 +143,11 @@ class TrafficAccountant:
     def merge(self, other: "TrafficAccountant") -> None:
         """Accumulate another accountant's counters into this one.
 
-        This is the single reporting path shared by both execution
-        engines: the event engine records message-by-message, while the
-        synchronous engine records one *calibration round* into a
-        scratch accountant and merges it once per round — so both
-        engines' :class:`TrafficSnapshot` totals come out of identical
-        counter arithmetic.
+        The round engines use it for the one round whose traffic is
+        worth keeping: over the indirect transport the uncoded full
+        pair set is replayed once into a scratch accountant and merged
+        every round it ships.  (Direct rounds are charged in place by
+        :func:`~repro.net.transport.charge_direct_round`.)
         """
         if other.n_nodes != self.n_nodes:
             raise ValueError(

@@ -26,10 +26,13 @@ import abc
 from collections import defaultdict
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.net.bandwidth import TrafficAccountant
 from repro.net.failures import LossModel, NoLoss
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import (
+    LINK_RECORD_BYTES,
     LOOKUP_MESSAGE_BYTES,
     PACKAGE_HEADER_BYTES,
     Package,
@@ -38,7 +41,13 @@ from repro.net.message import (
 from repro.net.simulator import Simulator
 from repro.overlay.base import Overlay
 
-__all__ = ["Transport", "DirectTransport", "IndirectTransport", "build_transport"]
+__all__ = [
+    "Transport",
+    "DirectTransport",
+    "IndirectTransport",
+    "build_transport",
+    "charge_direct_round",
+]
 
 DeliverFn = Callable[[int, ScoreUpdate], None]
 
@@ -81,37 +90,23 @@ class Transport(abc.ABC):
 class DirectTransport(Transport):
     """Lookup-then-send end-to-end transmission.
 
-    Parameters
-    ----------
-    cache_lookups:
-        When True, a sender resolves each destination only once and
-        reuses the address afterwards — an obvious engineering
-        improvement the paper does *not* assume (its formulas charge a
-        lookup per send), kept as an ablation knob, default off.
+    Every send pays its own DHT lookup, as the paper's formulas charge
+    it.  :func:`charge_direct_round` below is the same rule in closed
+    form; change one and the ledger ≡ replay property test fails.
     """
 
-    def __init__(self, *args, cache_lookups: bool = False, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.cache_lookups = bool(cache_lookups)
-        self._resolved: Dict[int, set] = defaultdict(set)
-
     def send_updates(self, src_group: int, updates: List[ScoreUpdate]) -> None:
-        """Lookup each destination (unless cached), then send end to end."""
+        """Lookup each destination, then send end to end."""
         for update in updates:
             if not self.loss.delivered(src_group, update.dst_group):
                 self.dropped_updates += 1
                 continue
             dst = update.dst_group
             delay = 0.0
-            needs_lookup = not (
-                self.cache_lookups and dst in self._resolved[src_group]
-            )
-            if needs_lookup and src_group != dst:
+            if src_group != dst:
                 hops = self.overlay.hops(src_group, dst)
                 self.accountant.record_lookup(src_group, hops, LOOKUP_MESSAGE_BYTES)
                 delay += hops * self.latency.hop_delay(src_group, dst)
-                if self.cache_lookups:
-                    self._resolved[src_group].add(dst)
             # One end-to-end data message (IP-level, a single "hop").
             # Calibrated charge (codec frame when stamped) plus the
             # parallel paper-model charge for §4.4 comparability.
@@ -124,6 +119,45 @@ class DirectTransport(Transport):
             delay += self.latency.hop_delay(src_group, dst)
             update.sent_at = self.sim.now
             self.sim.schedule(delay, self._deliver_local, update)
+
+
+def charge_direct_round(
+    overlay: Overlay,
+    accountant: TrafficAccountant,
+    src: np.ndarray,
+    dst: np.ndarray,
+    records: np.ndarray,
+    wire_bytes: np.ndarray,
+    hop_delay: float,
+) -> np.ndarray:
+    """Charge one lossless direct-transmission round without simulating it.
+
+    The sends — int64 arrays in emission order, duplicate-free pairs,
+    ``wire_bytes`` -1 for an uncoded send — cost exactly what
+    :meth:`DirectTransport.send_updates` charges them one by one under
+    a fixed per-hop latency: ``hops`` lookup messages of ``r`` bytes on
+    the sender's egress, then one data message of header + frame (or
+    header + ``l``·records when uncoded) on both ends, with the paper
+    model's flat charge beside it.  These are formulas 4.2/4.4 per
+    pair instead of in the mean.
+
+    Returns the delivery order as positions into the arrays.  Every
+    send of a round is scheduled at time 0 and lands at
+    ``hops·d + d``, and the simulator breaks ties by scheduling
+    sequence, so the order is a stable sort of those times.
+    """
+    hops = overlay.hop_counts(src, dst)
+    lookup = hops * LOOKUP_MESSAGE_BYTES
+    paper = PACKAGE_HEADER_BYTES + records * LINK_RECORD_BYTES
+    data = np.where(wire_bytes < 0, paper, PACKAGE_HEADER_BYTES + wire_bytes)
+    accountant.lookup_messages += int(hops.sum())
+    accountant.lookup_bytes += int(lookup.sum())
+    accountant.data_messages += int(src.size)
+    accountant.data_bytes += int(data.sum())
+    accountant.paper_data_bytes += int(paper.sum())
+    np.add.at(accountant.bytes_out, src, lookup + data)
+    np.add.at(accountant.bytes_in, dst, data)
+    return np.argsort(hops * hop_delay + hop_delay, kind="stable")
 
 
 class IndirectTransport(Transport):
@@ -199,7 +233,7 @@ class IndirectTransport(Transport):
         self._buffer[node] = []
         by_next: Dict[int, List[ScoreUpdate]] = defaultdict(list)
         for u in pending:
-            nxt = self.overlay.next_hop(node, u.dst_group)
+            nxt = self.overlay.forward(node, u.dst_group)
             by_next[nxt].append(u)
         for nxt, batch in by_next.items():
             package = Package(from_node=node, to_node=nxt, updates=batch)

@@ -19,17 +19,23 @@ loops on a static membership).
 Overlays are **immutable once constructed**: they model a converged
 structure over a static membership (no joins, leaves or table repair
 after ``__init__``), so ``next_hop`` is a pure function of
-``(at, dst)``.  :meth:`Overlay.hops` relies on that to memoise hop
-counts per ordered pair — the accounting paths ask for the same few
-thousand pairs every round.  An implementation that ever mutates its
-routing state must clear ``_hop_cache`` when it does.
+``(at, dst)``.  Two memos rely on that.  :meth:`Overlay.hops` keeps hop
+counts per ordered pair (``_hop_cache``; :meth:`Overlay.hop_counts` is
+its array form over a K×K table) — the accounting paths ask for the
+same few thousand pairs every round.  :meth:`Overlay.forward` keeps
+single routing steps per ``(at, dst)`` (``_next_hop_cache``) — the
+indirect transport forwards every package of a run over the same few
+hundred steps, and :meth:`Overlay.route` walks through it too, so
+routes that share a suffix share the work.  An implementation that
+ever mutates its routing state must clear ``_hop_cache``,
+``_hop_table`` and ``_next_hop_cache`` when it does.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +72,11 @@ class Overlay(abc.ABC):
         self.n_nodes = int(n_nodes)
         #: Memoised :meth:`hops` per ordered pair (see module docstring).
         self._hop_cache: Dict[Tuple[int, int], int] = {}
+        #: The same memo as a K×K array for :meth:`hop_counts` (-1 =
+        #: not routed yet); allocated on first use.
+        self._hop_table: Optional[np.ndarray] = None
+        #: Memoised :meth:`next_hop` per ``(at, dst)`` (:meth:`forward`).
+        self._next_hop_cache: Dict[Tuple[int, int], int] = {}
 
     # -- mandatory interface -------------------------------------------
     @abc.abstractmethod
@@ -81,6 +92,13 @@ class Overlay(abc.ABC):
         """
 
     # -- derived helpers -----------------------------------------------
+    def forward(self, at: int, dst: int) -> int:
+        """:meth:`next_hop`, computed once per ``(at, dst)``."""
+        nxt = self._next_hop_cache.get((at, dst))
+        if nxt is None:
+            nxt = self._next_hop_cache[(at, dst)] = self.next_hop(at, dst)
+        return nxt
+
     def route(self, src: int, dst: int, *, max_hops: int = 256) -> RouteResult:
         """Full routing path from ``src`` to ``dst``.
 
@@ -92,7 +110,7 @@ class Overlay(abc.ABC):
         path = [src]
         at = src
         while at != dst:
-            nxt = self.next_hop(at, dst)
+            nxt = self.forward(at, dst)
             if nxt == at:
                 raise RuntimeError(f"overlay made no progress at node {at} -> {dst}")
             path.append(nxt)
@@ -109,6 +127,19 @@ class Overlay(abc.ABC):
         if hops is None:
             hops = self._hop_cache[(src, dst)] = self.route(src, dst).hops
         return hops
+
+    def hop_counts(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """:meth:`hops` of every ``(src[i], dst[i])`` as an int64 array."""
+        table = self._hop_table
+        if table is None:
+            table = self._hop_table = np.full(
+                (self.n_nodes, self.n_nodes), -1, dtype=np.int32
+            )
+        counts = table[src, dst].astype(np.int64)
+        for i in np.flatnonzero(counts < 0).tolist():
+            s, d = int(src[i]), int(dst[i])
+            counts[i] = table[s, d] = self.hops(s, d)
+        return counts
 
     def mean_neighbor_count(self) -> float:
         """Average ``g`` over all nodes (formula 4.3's neighbor count)."""

@@ -1,6 +1,6 @@
 """What the engines share after the collapse of ``repro.core``.
 
-One sampler, one round loop, one calibration memo and one fault-plane
+One sampler, one round loop, one round-charging rule and one fault-plane
 builder serve all four engines; these tests pin the behaviour that
 sharing is supposed to buy:
 
@@ -10,8 +10,8 @@ sharing is supposed to buy:
   while keeping its own "ensemble exhausted" stop;
 * the event and hybrid engines drawing one fault schedule from one
   seed;
-* the scratch-replay memo holding a single entry however much the send
-  set varies.
+* every lossless flat round costing exactly the calibrated round, over
+  both transports (the indirect one replays its full pair set once).
 """
 
 import numpy as np
@@ -168,40 +168,19 @@ def test_shared_fault_plane_reports_the_same_crashes(graph):
     assert event.takeovers == hybrid.takeovers == event.crashed_groups
 
 
-# -- (iv) the calibration memo is one entry --------------------------------
-
-
-def test_async_hybrid_run_keeps_one_memo_entry(graph):
-    cfg = DistributedConfig(
-        engine="hybrid", n_groups=8, algorithm="dpr2", transport="direct",
-        schedule="async", t1=0.0, t2=6.0, seed=3,
-    )
-    engine = HybridEngine(graph, cfg)
-    seen = set()
-    replay = engine._replay
-
-    def spy(sends):
-        out = replay(sends)
-        seen.add(engine._memo[0])
-        # (send-set key, delivery order, traffic): one entry, replaced.
-        assert len(engine._memo) == 3
-        return out
-
-    engine._replay = spy
-    res = engine.run(max_time=50 * engine.period)
-    assert res.replayed_rounds == 50
-    assert len(seen) > 1, "send sets vary under the async credit mask"
-    assert not hasattr(engine, "_partial_cal")
+# -- (iv) a lossless round costs the calibration ----------------------------
 
 
 def test_flat_memo_is_the_calibration(graph):
-    engine = SynchronousEngine(graph, DistributedConfig(engine="flat", **SYNC))
-    per_round = engine.calibrated_round_traffic()
-    memo = engine._memo
-    res = engine.run(max_time=5 * T)
-    # The full pair set is the key that always repeats: never replayed
-    # again, and five rounds cost five times the calibration.
-    assert engine._memo is memo
-    assert res.max_outer_iterations == 5
-    assert res.traffic.total_bytes == 5 * per_round.total_bytes
-    assert np.array_equal(res.outer_iterations, np.full(6, 5))
+    for transport in ("direct", "indirect"):
+        cfg = DistributedConfig(engine="flat", **{**SYNC, "transport": transport})
+        engine = SynchronousEngine(graph, cfg)
+        per_round = engine.calibrated_round_traffic()
+        res = engine.run(max_time=5 * T)
+        # Direct rounds are charged in closed form; only the indirect
+        # full pair set needs its simulator replay remembered.
+        assert (engine._calibration is None) == (transport == "direct")
+        assert res.max_outer_iterations == 5
+        assert res.traffic.total_bytes == 5 * per_round.total_bytes
+        assert res.traffic.total_messages == 5 * per_round.total_messages
+        assert np.array_equal(res.outer_iterations, np.full(6, 5))

@@ -1,5 +1,6 @@
 """Unit tests for repro.overlay.metrics and the factory."""
 
+import numpy as np
 import pytest
 
 from repro.overlay import build_overlay, hop_statistics, neighbor_statistics
@@ -60,13 +61,23 @@ class TestFactory:
 class TestHopMemo:
     @pytest.mark.parametrize("kind", ["pastry", "chord", "can", "tapestry"])
     def test_memoised_hops_match_routes_and_stop_routing(self, kind, monkeypatch):
-        """``hops`` is routed once per ordered pair: it equals
-        ``route(...).hops`` everywhere, and a second sweep over a warm
-        cache takes no ``next_hop`` step at all."""
+        """``hops`` is routed once per ordered pair and ``forward``
+        stepped once per ``(at, dst)``: both equal the uncached answers
+        everywhere (``hop_counts`` is the array form), and a second
+        sweep over warm caches takes no ``next_hop`` step at all."""
         ov = build_overlay(kind, 64, seed=3)
+        cold = build_overlay(kind, 64, seed=3)
         pairs = [(s, d) for s in range(64) for d in range(64)]
         first = {p: ov.hops(*p) for p in pairs}
-        assert first == {p: ov.route(*p).hops for p in pairs}
+        for s, d in pairs:
+            path = [s]
+            while path[-1] != d:
+                path.append(cold.next_hop(path[-1], d))
+            assert ov.route(s, d).path == path
+            assert first[(s, d)] == len(path) - 1
+        src, dst = np.array(pairs).T
+        assert ov.hop_counts(src, dst).tolist() == list(first.values())
+        assert cold.hop_counts(src[::7], dst[::7]).tolist() == list(first.values())[::7]
 
         steps = []
         real = type(ov).next_hop
@@ -75,9 +86,11 @@ class TestHopMemo:
             "next_hop",
             lambda self, at, dst: steps.append((at, dst)) or real(self, at, dst),
         )
-        assert ov.route(0, 63).hops == first[(0, 63)] and steps  # spy is live
+        fresh = build_overlay(kind, 64, seed=3)
+        assert fresh.route(0, 63).hops == first[(0, 63)] and steps  # spy is live
         steps.clear()
         assert {p: ov.hops(*p) for p in pairs} == first
+        assert all(ov.forward(s, d) == ov.route(s, d).path[1] for s, d in pairs if s != d)
         assert steps == []
 
     def test_out_of_range_is_still_rejected(self):

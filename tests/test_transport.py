@@ -99,16 +99,6 @@ class TestDirectTransport:
         assert acc.lookup_messages == 0
         assert t.dropped_updates == 2
 
-    def test_lookup_cache(self, harness):
-        sim, overlay, acc, inbox = harness
-        t = DirectTransport(sim, overlay, acc, cache_lookups=True)
-        t.attach(lambda dst, u: inbox.append(u))
-        t.send_updates(0, [update(0, 3)])
-        t.send_updates(0, [update(0, 3)])
-        sim.run()
-        assert acc.lookup_messages == 3  # one lookup, not two
-        assert acc.data_messages == 2
-
     def test_without_cache_every_send_looks_up(self, harness):
         sim, overlay, acc, inbox = harness
         t = DirectTransport(sim, overlay, acc)
