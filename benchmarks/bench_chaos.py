@@ -7,8 +7,8 @@ checkpointing and recovery — for a fixed round horizon.  The event
 engine schedules every transmission, retransmission, ACK, heartbeat
 and checkpoint as a simulator event; the hybrid engine runs flat
 kernels per round with the fault plane advanced between rounds and
-the reliable ARQ conversations replayed at round granularity
-(DESIGN.md §13).
+the reliable ARQ conversations replayed at round granularity as
+array waves (DESIGN.md §13).
 
 The comparison is only meaningful if the approximation holds, so each
 scale first asserts the equivalence contract:
@@ -45,8 +45,11 @@ import pytest
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_chaos.json"
 
-#: CI gate: minimum hybrid-over-event speedup at the largest scale.
-GATE_MIN_SPEEDUP = 3.0
+#: CI gate: minimum hybrid-over-event speedup at the largest scale
+#: (measured 9.3-9.6x over four runs with the array ARQ replay and the flat receiver
+#: memory; the relative ratchet in tools/check_bench_regression.py sits
+#: on top).
+GATE_MIN_SPEEDUP = 7.5
 
 #: ε for the convergence verdict both engines must agree on.
 EPSILON = 1e-4

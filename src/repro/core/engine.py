@@ -57,10 +57,12 @@ calls a round rather than one per communicating pair; without a codec,
 per-pair threshold suppression — an
 *accounting backend* charges and routes them — here the round
 ledger above; the hybrid engine adds an ARQ protocol replay and its
-fault plane's real transport — and every delivery lands through
+fault plane's real transport — and the arrivals land
+(:meth:`SynchronousEngine._land`) one by one through
 :meth:`SynchronousEngine._apply`, or all of them at once through
-``X = F·held``.  The flat engine is the case "every group steps,
-round ledger".
+``X = F·held``; the hybrid engine's approximate mode lands them in a
+flat receiver memory of its own.  The flat engine is the case "every
+group steps, round ledger".
 
 Bit-identity
 ------------
@@ -855,23 +857,24 @@ class SynchronousEngine(RoundEngine):
         The round-ledger accounting backend: apply loss, charge the
         survivors exactly as the real transport would
         (:meth:`_charge`), and land them in the delivery order it
-        reports — one by one through :meth:`_apply`, or, once a
-        *mirrored* run has heard from every pair, all at once as
-        ``X = F·held`` (module docstring, "afferent sums").
+        reports (:meth:`_land`).
         """
         idx, wire_bytes = sends
         if not isinstance(self._loss, NoLoss):
             # One Bernoulli draw per send in emission order — the same
             # stream consumption as the event engine's transports.
-            pairs = zip(self._pair_src[idx].tolist(), self._pair_dst[idx].tolist())
-            keep = np.array(
-                [self._loss.delivered(g, h) for g, h in pairs], dtype=bool
-            )
+            keep = self._loss.delivered_batch(idx.size)
             self.dropped_updates += int(idx.size - np.count_nonzero(keep))
             idx, wire_bytes = idx[keep], wire_bytes[keep]
-        order = self._charge(idx, wire_bytes)
+        self._land(idx[self._charge(idx, wire_bytes)])
+
+    def _land(self, arrived: np.ndarray) -> None:
+        """Deliver the pairs ``arrived`` (positions in ``_pairs``, in
+        delivery order): one by one through :meth:`_apply`, or, once a
+        *mirrored* run has heard from every pair, all at once as
+        ``X = F·held`` (module docstring, "afferent sums")."""
         if self._afferent is None:
-            arrivals = [self._pairs[p] for p in idx[order].tolist()]
+            arrivals = [self._pairs[p] for p in arrived.tolist()]
             if not (self._mirrored and self._freeze_afferent(arrivals)):
                 for src, dst, csl, _, _ in arrivals:
                     self._apply(src, dst, self._held[csl], int(self._outer[src]))
@@ -908,9 +911,9 @@ class SynchronousEngine(RoundEngine):
         """Land one delivery: ``DPRNode.receive`` semantics over flat
         state (generation check, first-arrival summation order, mail
         flag).  A source's generation is its outer count at emission,
-        so only a backend that can deliver late or after a rollback
-        (ARQ over a recovered sender, the fault plane's transport)
-        ever presents a stale one."""
+        so the round ledger never presents a stale one; the backends
+        that can (late or rolled-back senders) land through the hybrid
+        engine's own memory."""
         gens = self._gen_latest[dst]
         prev_gen = gens.get(src)
         if prev_gen is not None and generation <= prev_gen:

@@ -22,47 +22,46 @@ Execution model (one round at tick ``t``):
    would interleave them (they share one timeline, so a crash firing
    mid-delivery-window swallows exactly the deliveries the event
    engine drops);
-2. step every *eligible* group (alive, unpaused, and — under the
-   async schedule — due per its rate credit) with the flat per-group
-   kernels, mirroring :meth:`repro.core.dpr.DPRNode.step` bit for bit;
-3. emit each stepping group's compressed cut segments as real
-   :class:`~repro.net.message.ScoreUpdate` payloads through the fault
-   plane's transport (byte accounting reads ``n_link_records``, so
-   compressed payloads cost exactly what dense ones do), where loss,
-   chaos, ARQ, and sequence numbering behave identically to the event
-   engine.
+2. refresh every afferent sum at once, ``X = F·recv``, and step every
+   *eligible* group (alive, unpaused, and — under the async schedule —
+   due per its rate credit) with the flat per-group kernels, mirroring
+   :meth:`repro.core.dpr.DPRNode.step` bit for bit;
+3. emit the stepping groups' cut segments through one of three
+   accounting backends: the inherited round ledger; the fault plane's
+   real transport (real :class:`~repro.net.message.ScoreUpdate`
+   payloads, so loss, chaos, ARQ and sequence numbering behave
+   identically to the event engine); or — reliable + direct configs —
+   the round-granular :class:`_ReplayARQ`, which resolves the round's
+   ARQ conversations as array waves and charges them in closed form.
 
-Steps 2 and 3 are the flat engine's own
-:meth:`~repro.core.engine.SynchronousEngine._step_groups` and emit
-step (``_build_sends`` → accounting backend → ``_apply``), called with
-the stepping subset instead of every group.  This module adds two
-accounting backends beside the inherited round ledger: the fault
-plane's real transport, and — for reliable + direct configs — the
-round-granular :class:`_ReplayARQ`.  The fault stack itself is built
-by the same :class:`~repro.core.faultplane.FaultPlane` the event
-engine uses, over the shadows.
-
-When the config needs no fault plane and no approximation (sync
-schedule, no faults, no suppression) the engine *is* the flat engine:
-every round runs the inherited three-kernel path and the result is
-bit-identical to ``engine="flat"`` — and therefore to the event
-engine.  Rounds are counted either way (``fast_rounds`` vs
-``replayed_rounds`` in the :class:`~repro.core.coordinator.RunResult`).
+Steps 2 and 3 are the flat engine's own ``_step_groups`` and
+``_build_sends``, called with the stepping subset.  Whatever the
+backend, deliveries land in **one flat receiver memory**: what each
+receiver holds of each pair, laid out like ``Y``, with the generation
+it carried and the pair's first-arrival stamp.  A round's deliveries
+are one masked copy behind a vectorised generation check, the refresh
+is one SpMV whose rows sum in first-arrival order (so the fault-plane
+and suppression paths keep the event engine's bits), and a shadow's
+checkpoint, restore or blank replacement is two gathers or scatters.
+The fault stack itself is built by the same
+:class:`~repro.core.faultplane.FaultPlane` the event engine uses, over
+the shadows.
 
 Equivalence contracts (verified by ``tests/test_hybrid.py``; see
 DESIGN.md §13 for the full argument):
 
-* **exact** — sync fault-free configs: bit-identical ranks, traffic,
-  and trace versus both the flat and event engines;
-* **approximate** — faulted or async configs: the run reports
-  ``fidelity="approximate"`` and reconverges to the same ε verdict as
-  the event engine.  The known divergence sources are all timing
-  artifacts, not state corruption: recovered replacements re-step on
-  the round grid instead of the event engine's off-grid wake chain,
-  async wake jitter is replaced by a per-group rate credit
-  (``period / mean_wait`` steps per round on average, at most one
-  step per round), and exact event-time ties (a retransmit timer
-  landing precisely on a wake) may order differently.
+* **exact** — a config that needs no fault plane and no approximation
+  (sync schedule, no faults, no suppression) runs the inherited
+  three-kernel round untouched: bit-identical ranks, traffic, and trace
+  versus both the flat and event engines (``fast_rounds``);
+* **approximate** — faulted or async configs (``replayed_rounds``): the
+  run reports ``fidelity="approximate"`` and reconverges to the same ε
+  verdict as the event engine.  The known divergence sources are all
+  timing artifacts, not state corruption: recovered replacements
+  re-step on the round grid instead of the event engine's off-grid wake
+  chain, async wake jitter is replaced by a per-group rate credit, ARQ
+  conversations resolve inside their sending round, and exact
+  event-time ties may order differently.
 
 Async approximation: each group accumulates ``period / mean_wait_g``
 of *credit* per round and steps when credit reaches 1 (consuming it);
@@ -89,15 +88,10 @@ from repro.graph.partition import Partition
 from repro.graph.webgraph import WebGraph
 from repro.linalg.jacobi import csr_matvec_into
 from repro.net.failures import ChaosModel
-from repro.net.message import (
-    ACK_MESSAGE_BYTES,
-    LINK_RECORD_BYTES,
-    LOOKUP_MESSAGE_BYTES,
-    PACKAGE_HEADER_BYTES,
-    ScoreUpdate,
-)
+from repro.net.message import ScoreUpdate
 from repro.net.reliable import RetryPolicy
 from repro.net.simulator import Simulator
+from repro.net.transport import charge_direct_round
 
 __all__ = ["HybridEngine"]
 
@@ -110,13 +104,13 @@ _PLANE_FEATURES = frozenset(
 class _ShadowNode:
     """DPRNode-shaped view of one group's slice of the flat state.
 
-    Implements exactly the :class:`~repro.core.dpr.DPRNode`
+    Implements the :class:`~repro.core.dpr.DPRNode`
     ``state_dict``/``load_state_dict`` contract the checkpoint and
-    recovery layers consume, reading and writing the engine's global
-    arrays in place.  Snapshots keep afferent vectors in the engine's
-    *compressed* (nonzero-row) form — the format only has to round-trip
-    within the hybrid engine, and the compressed scatter re-sums to the
-    same bits as the dense refresh (see the flat engine's docstring).
+    recovery layers consume, over the engine's global arrays.  The
+    group's afferent memory is its elements of the flat receiver vector
+    and its pairs' generations: a snapshot gathers them (fancy indexing
+    copies, so nothing aliases live state), a restore scatters them.
+    The format only has to round-trip within the hybrid engine.
     """
 
     __slots__ = ("engine", "group")
@@ -131,10 +125,8 @@ class _ShadowNode:
             "group": g,
             "mode": eng.config.algorithm,
             "r": eng._r[eng._slices[g]].copy(),
-            "latest_values": {
-                src: vec.copy() for src, vec in eng._latest[g].items()
-            },
-            "latest_gen": dict(eng._gen_latest[g]),
+            "latest_values": eng._recv[eng._aff_elems[g]],
+            "latest_gen": eng._recv_gen[eng._aff_pairs[g]],
             "outer_iterations": int(eng._outer[g]),
             "inner_sweeps": int(eng._inner_sweeps[g]),
             "stale_updates": int(eng._stale[g]),
@@ -143,17 +135,11 @@ class _ShadowNode:
     def load_state_dict(self, state: dict) -> None:
         eng, g = self.engine, self.group
         np.copyto(eng._r[eng._slices[g]], state["r"])
-        eng._latest[g] = {
-            src: np.array(vec, dtype=np.float64)
-            for src, vec in state["latest_values"].items()
-        }
-        eng._gen_latest[g] = dict(state["latest_gen"])
+        eng._recv[eng._aff_elems[g]] = state["latest_values"]
+        eng._recv_gen[eng._aff_pairs[g]] = state["latest_gen"]
         eng._outer[g] = int(state["outer_iterations"])
         eng._inner_sweeps[g] = int(state["inner_sweeps"])
         eng._stale[g] = int(state["stale_updates"])
-        # Force an X refresh from the restored afferent vectors on the
-        # group's next step (DPRNode.load_state_dict marks X dirty).
-        eng._mail.add(g)
 
 
 class _ShadowRanker:
@@ -191,51 +177,49 @@ class _ReplayARQ:
 
     Running the reliable transport on the fault plane is *exact* but
     pays one simulator event per transmission, retransmission, and ACK
-    — at 1e5-page churn that costs nearly as much as the full event
-    engine.  This replay collapses each logical message's whole ARQ
-    conversation (attempts, chaos duplicates, ACKs, ACK losses,
-    retransmissions, give-ups) into a tight loop at the *sending round*
-    instead of spreading it along the timeout/backoff timeline:
+    — at 1e5-page churn nearly the full event engine's cost.  This
+    replay resolves a round's ARQ conversations (attempts, chaos
+    duplicates, ACKs, ACK losses, retransmissions, give-ups) together
+    at the *sending round*, as array *attempt waves*:
 
-    * every wire attempt re-rolls the origin loss model and is
-      accounted exactly as :class:`~repro.net.transport.DirectTransport`
-      would (per-send DHT lookup at the overlay's memoised hop count, one
-      end-to-end data message, one ACK per live delivery);
-    * chaos draws (duplicate, ACK-loss, reorder) come from the same
-      named streams the event engine seeds, so the replay is
-      deterministic — but consumed in round order rather than timer
-      order, which is the documented ε-level divergence of counters
-      like ``retransmits`` on faulted configs;
-    * sequence numbers advance one per logical message per (src, dst)
-      pair, identical to :class:`~repro.net.reliable.ReliableTransport`
-      numbering, and :meth:`window_state` reports the same shape for
-      the continuity tests.
+    * wave ``k`` puts every still-unacknowledged message on the wire —
+      twice where chaos duplicates it — drawing, in this order, a
+      duplicate verdict per waiting message (``"chaos"`` stream), an
+      origin-loss verdict per transmission, first copies then
+      duplicates (``"loss"``), and an ACK-loss verdict per copy that
+      reached a live group (``"chaos"``).  Same named streams as the
+      event engine, consumed wave by wave instead of in timer order:
+      the documented ε-level divergence of counters like
+      ``retransmits``.  Draws that only move a transmission in time
+      (reorder delay, retry-timer jitter) price nothing here and are
+      not made;
+    * the round is charged once, in closed form
+      (:func:`~repro.net.transport.charge_direct_round` weighted by
+      each message's transmission and ACK counts) — byte for byte what
+      ``DirectTransport`` + ``ReliableTransport`` charge per copy;
+    * sequence numbers advance one per logical message per pair, as
+      :class:`~repro.net.reliable.ReliableTransport` numbers them.
 
-    Rank-state fidelity: with ARQ a payload reaches any *live*
-    destination with probability ``1 - p_fail^(1+max_retries)`` ≈ 1;
-    the replay applies it in the sending round, whereas the event
-    engine's retransmitted copies can spill past a round boundary.
-    DPR's staleness tolerance (Theorems 4.1/4.2) bounds the effect —
-    this is the same approximation class as the async rate credit.
+    Rank-state fidelity: a payload reaches any *live* destination with
+    probability ``1 - p_fail^(1+max_retries)`` ≈ 1 and lands in the
+    sending round, whereas the event engine's retransmitted copies can
+    spill past a round boundary.  DPR's staleness tolerance (Theorems
+    4.1/4.2) bounds the effect — the async rate credit's approximation
+    class.
     """
 
     def __init__(
-        self,
-        *,
-        loss,
-        chaos: ChaosModel,
-        retry: RetryPolicy,
-        accountant,
-        overlay,
-        jitter_rng,
+        self, loss, chaos: ChaosModel, retry: RetryPolicy, accountant, overlay,
+        pair_src: np.ndarray, pair_dst: np.ndarray,
     ):
         self.loss = loss
         self.chaos = chaos
         self.retry = retry
         self.accountant = accountant
         self.overlay = overlay
-        self._rng = jitter_rng
-        self._next_seq: Dict[Tuple[int, int], int] = {}
+        self._src = pair_src
+        self._dst = pair_dst
+        self._next_seq = np.zeros(pair_src.size, dtype=np.int64)
         # Same counter names as ReliableTransport.stats().
         self.retransmits = 0
         self.gave_up = 0
@@ -247,89 +231,53 @@ class _ReplayARQ:
         #: Origin-loss drops across all attempts (inner-transport view).
         self.dropped_updates = 0
 
-    def _transmission(
-        self, src: int, dst: int, payload_bytes: int, alive: bool,
-        delivered_before: bool, paper_bytes: Optional[int] = None,
-    ) -> Tuple[bool, bool]:
-        """One wire attempt; returns (delivered fresh, ACK got back)."""
-        if not self.loss.delivered(src, dst):
-            self.dropped_updates += 1
-            return False, False
-        acc = self.accountant
-        if src != dst:
-            acc.record_lookup(
-                src, self.overlay.hops(src, dst), LOOKUP_MESSAGE_BYTES
-            )
-        acc.record_data_message(
-            src,
-            dst,
-            PACKAGE_HEADER_BYTES + payload_bytes,
-            paper_bytes=(
-                None
-                if paper_bytes is None
-                else PACKAGE_HEADER_BYTES + paper_bytes
-            ),
-        )
-        if not alive:
-            self.dead_drops += 1
-            return False, False
-        fresh = not delivered_before
-        if not fresh:
-            self.dup_drops += 1
-        # ACK unconditionally (duplicates included), as the receiver does.
-        acc.record_ack(dst, src, ACK_MESSAGE_BYTES)
-        if self.chaos.active and self.chaos.ack_lost():
-            self.acks_lost += 1
-            return fresh, False
-        return fresh, True
-
-    def send(
+    def resolve(
         self,
-        src: int,
-        dst: int,
-        payload_bytes: int,
-        alive: bool,
-        paper_bytes: Optional[int] = None,
-    ) -> bool:
-        """Replay one logical message's full ARQ chain.
-
-        Returns True when the payload reached a live destination on any
-        attempt (at-least-once delivery with an idempotent receiver).
-        ``paper_bytes`` carries the flat §4.4 payload charge when
-        ``payload_bytes`` is an encoded frame size (codec runs); every
-        attempt — retransmissions and chaos duplicates included —
-        resends the same frame, so both charges ride the whole chain.
-        """
-        pair = (src, dst)
-        self._next_seq[pair] = self._next_seq.get(pair, 0) + 1
-        chaos = self.chaos
-        delivered = False
-        acked = False
-        attempts = 0
-        while True:
-            if chaos.active:
-                chaos.reorder_delay()  # timing-only draw (stream parity)
-            fresh, got_ack = self._transmission(
-                src, dst, payload_bytes, alive, delivered, paper_bytes
-            )
-            delivered = delivered or fresh
-            acked = acked or got_ack
-            if chaos.active and chaos.duplicate():
-                self.chaos_duplicates += 1
-                fresh, got_ack = self._transmission(
-                    src, dst, payload_bytes, alive, delivered, paper_bytes
-                )
-                delivered = delivered or fresh
-                acked = acked or got_ack
-            # The event engine arms an ACK timer per staged attempt.
-            self.retry.delay(attempts, self._rng)
-            if acked:
-                return delivered
-            if attempts >= self.retry.max_retries:
-                self.gave_up += 1
-                return delivered
-            attempts += 1
-            self.retransmits += 1
+        idx: np.ndarray,
+        records: np.ndarray,
+        wire_bytes: np.ndarray,
+        alive: np.ndarray,
+    ) -> np.ndarray:
+        """Replay the full ARQ chains of one round's logical messages:
+        the pairs ``idx`` with their record counts and encoded frame
+        sizes (-1 uncoded; every copy resends the same frame).  Returns
+        the mask of messages that reached a live destination (``alive``
+        per group) on any attempt — at-least-once delivery."""
+        n = idx.size
+        src, dst = self._src[idx], self._dst[idx]
+        self._next_seq[idx] += 1
+        up = alive[dst]
+        copies = np.zeros(n, dtype=np.int64)  # transmissions on the wire
+        acks = np.zeros(n, dtype=np.int64)  # of which reached a live group
+        waiting = np.arange(n)
+        for attempt in range(self.retry.max_retries + 1):
+            if attempt:
+                self.retransmits += waiting.size
+            dup = self.chaos.duplicates(waiting.size)
+            self.chaos_duplicates += int(np.count_nonzero(dup))
+            sent = np.concatenate([waiting, waiting[dup]])
+            wire = sent[self.loss.delivered_batch(sent.size)]
+            self.dropped_updates += sent.size - wire.size
+            copies += np.bincount(wire, minlength=n)
+            # The receiver ACKs every copy, duplicates included.
+            landed = wire[up[wire]]
+            acks += np.bincount(landed, minlength=n)
+            lost = self.chaos.acks_lost(landed.size)
+            self.acks_lost += int(np.count_nonzero(lost))
+            heard = np.zeros(n, dtype=bool)
+            heard[landed[~lost]] = True
+            waiting = waiting[~heard[waiting]]
+            if not waiting.size:
+                break
+        self.gave_up += waiting.size
+        delivered = acks > 0
+        self.dead_drops += int((copies - acks).sum())
+        self.dup_drops += int(acks.sum() - np.count_nonzero(delivered))
+        charge_direct_round(
+            self.overlay, self.accountant, src, dst, records, wire_bytes, 0.0,
+            copies=copies, acks=acks,
+        )
+        return delivered
 
     def window_state(self) -> Dict[Tuple[int, int], Dict[str, object]]:
         """ReliableTransport-shaped window snapshot.
@@ -338,10 +286,8 @@ class _ReplayARQ:
         ``pending`` is always empty; ``next_seq`` advances exactly as
         the event engine's per-pair numbering.
         """
-        return {
-            pair: {"next_seq": nxt, "pending": []}
-            for pair, nxt in self._next_seq.items()
-        }
+        pairs = zip(self._src.tolist(), self._dst.tolist(), self._next_seq.tolist())
+        return {(g, h): {"next_seq": n, "pending": []} for g, h, n in pairs if n}
 
 
 class HybridEngine(SynchronousEngine):
@@ -407,6 +353,27 @@ class HybridEngine(SynchronousEngine):
             _ShadowRanker(self, g) for g in range(k)
         ]
 
+        if not self._approx:
+            return
+        # The flat receiver memory (module docstring): values laid out
+        # like ``_y``, per-pair generation (-1: nothing yet, elements
+        # +0.0) and first-arrival stamp, F built on first use.
+        self._recv = np.zeros_like(self._y)
+        self._recv_gen = np.full(len(self._pairs), -1, dtype=np.int64)
+        self._recv_rank = np.zeros_like(self._recv_gen)
+        self._arrivals = 0
+        self._recv_matrix = None
+        self._pair_len = np.array([p[3].size for p in self._pairs], dtype=np.int64)
+        self._pair_pos = {pair: p for p, pair in enumerate(self._pair_cslice)}
+        #: Per destination, the positions of its afferent pairs and of
+        #: their elements in ``_recv`` — what a checkpoint gathers.
+        self._aff_pairs = [np.flatnonzero(self._pair_dst == g) for g in range(k)]
+        elem_dst = np.repeat(self._pair_dst, self._pair_len)
+        self._aff_elems = np.split(
+            np.argsort(elem_dst, kind="stable"),
+            np.cumsum(np.bincount(elem_dst, minlength=k))[:-1],
+        )
+
         if not fault_world:
             return
 
@@ -436,12 +403,8 @@ class HybridEngine(SynchronousEngine):
         )
         if arq_mode:
             self._arq = self._faults.reliable = _ReplayARQ(
-                loss=self._loss,
-                chaos=self._faults.chaos,
-                retry=self._faults.retry,
-                accountant=self.accountant,
-                overlay=self.overlay,
-                jitter_rng=seeds.generator("retry-jitter"),
+                self._loss, self._faults.chaos, self._faults.retry,
+                self.accountant, self.overlay, self._pair_src, self._pair_dst,
             )
         else:
             self._transport = self._faults.transport
@@ -461,17 +424,14 @@ class HybridEngine(SynchronousEngine):
         empty afferent memory, zeroed counters); the recovery manager
         restores the latest checkpoint on top, if one exists.
         """
-        sl = self._slices[g]
-        self._r[sl] = 0.0
-        self._x[sl] = 0.0
-        self._latest[g] = {}
-        self._gen_latest[g] = {}
+        self._r[self._slices[g]] = 0.0
+        self._recv[self._aff_elems[g]] = 0.0
+        self._recv_gen[self._aff_pairs[g]] = -1
         self._outer[g] = 0
         self._inner_sweeps[g] = 0
         self._stale[g] = 0
         self._last_delta[g] = np.inf
         self._credit[g] = 0.0
-        self._mail.discard(g)
         # A fresh ranker has sent nothing yet.
         for h in self._pair_dst[self._src_pairs[g]].tolist():
             self._last_sent.pop((g, h), None)
@@ -484,7 +444,63 @@ class HybridEngine(SynchronousEngine):
             # which drops on the floor (PageRanker.receive); the
             # reliable wrapper's alive-oracle already dead-dropped.
             return
-        self._apply(update.src_group, dst, update.values, update.generation)
+        # :meth:`_land`'s rule for one pair, with the payload the frame
+        # carried (it may arrive late, after ``_held`` moved on).
+        p = self._pair_pos[(update.src_group, dst)]
+        held = self._recv_gen[p]
+        if update.generation <= held:
+            self._stale[dst] += 1
+            return
+        if held < 0:
+            self._recv_rank[p] = self._arrivals
+            self._arrivals += 1
+            self._recv_matrix = None
+        self._recv_gen[p] = update.generation
+        self._recv[self._pairs[p][2]] = update.values
+
+    def _land(self, arrived: np.ndarray) -> None:
+        """Deliver the pairs ``arrived`` (delivery order) into the flat
+        receiver memory: ``DPRNode.receive``'s bookkeeping for all of
+        them at once — stale generations counted against their
+        destinations, first arrivals stamped — then one masked copy of
+        the fresh pairs' segments of ``_held``.  A source's generation
+        is its outer count at emission, so only a sender rolled back by
+        a takeover presents a stale one."""
+        if not self._approx:
+            super()._land(arrived)
+            return
+        gens = self._outer[self._pair_src[arrived]]
+        fresh = gens > self._recv_gen[arrived]
+        np.add.at(self._stale, self._pair_dst[arrived[~fresh]], 1)
+        arrived = arrived[fresh]
+        first = arrived[self._recv_gen[arrived] < 0]
+        if first.size:
+            # A first arrival takes the last place in its destination's
+            # summation order for good; F is rebuilt before its next use.
+            self._recv_rank[first] = self._arrivals + np.arange(first.size)
+            self._arrivals += first.size
+            self._recv_matrix = None
+        self._recv_gen[arrived] = gens[fresh]
+        mask = np.zeros(len(self._pairs), dtype=bool)
+        mask[arrived] = True
+        np.copyto(self._recv, self._held, where=np.repeat(mask, self._pair_len))
+
+    def _refresh(self) -> None:
+        """``X = F·recv`` for every destination in one SpMV.
+
+        F's rows store their entries in first-arrival (stamp) order, so
+        the sums are the event engine's re-summation scalar for scalar,
+        as in the flat engine's ``X = F·held``; a pair that has not
+        arrived holds only +0.0, which a nonnegative sum cannot see.
+        """
+        if self._recv_matrix is None:
+            if not self._arrivals:
+                return
+            order = np.argsort(self._recv_rank, kind="stable")
+            self._recv_matrix = self._build_afferent(
+                list(zip(self._pair_src[order].tolist(), self._pair_dst[order].tolist()))
+            )
+        csr_matvec_into(self._recv_matrix, self._recv, self._x)
 
     # ------------------------------------------------------------------
     # Round execution
@@ -510,45 +526,28 @@ class HybridEngine(SynchronousEngine):
         return out
 
     def _emit(self, sends: Tuple[np.ndarray, np.ndarray], t: float) -> None:
-        """Account and deliver ``sends`` through the config's backend.
-
-        * **ARQ replay** (reliable + direct): each send's whole ARQ
-          conversation resolves now; a payload that reaches a live
-          destination applies in the sending round (straight from the
-          send's view, no per-message copy — the chain resolves before
-          the buffer is reused).
-        * **fault plane**: real :class:`ScoreUpdate` payloads through
-          the plane's transport, one ``send_updates`` per source; they
-          land through :meth:`_on_deliver` when the simulator reaches
-          their delivery time.  Payloads are copied: the Y buffer and
-          the codec mirror are rewritten next round, and the ARQ layer
-          must retransmit the *original* payload (every resend ships
-          the same object).
-        * otherwise the inherited **round ledger** — the round set is
-          perturbed only by the async credit mask and/or suppression.
-        """
-        if self._arq is None and self._transport is None:
+        """Account and deliver ``sends`` through the config's backend
+        (module docstring, step 3).  The fault plane's payloads are
+        copied: the Y buffer and the codec mirror are rewritten next
+        round, and its ARQ layer must retransmit the *original* payload
+        (every resend ships the same object); they land through
+        :meth:`_on_deliver` when the simulator reaches their delivery
+        time.  The ARQ replay's land in the sending round."""
+        idx, wire_bytes = sends
+        if self._arq is not None:
+            alive = np.array([not shadow.crashed for shadow in self._shadows])
+            delivered = self._arq.resolve(
+                idx, self._pair_records[idx], wire_bytes, alive
+            )
+            self._land(idx[delivered])
+            return
+        if self._transport is None:
             super()._emit(sends, t)
             return
         shipped = [
-            (*self._pairs[p], wire_bytes)
-            for p, wire_bytes in zip(sends[0].tolist(), sends[1].tolist())
+            (*self._pairs[p], wire)
+            for p, wire in zip(idx.tolist(), wire_bytes.tolist())
         ]
-        if self._arq is not None:
-            for g, h, csl, _, records, wire_bytes in shipped:
-                # The payload is the encoded frame if there is one,
-                # else the flat §4.4 charge, which rides beside it
-                # either way.
-                paper = records * LINK_RECORD_BYTES
-                if self._arq.send(
-                    g,
-                    h,
-                    paper if wire_bytes < 0 else wire_bytes,
-                    not self._shadows[h].crashed,
-                    paper_bytes=paper,
-                ):
-                    self._apply(g, h, self._held[csl], int(self._outer[g]))
-            return
         for g, batch in groupby(shipped, key=lambda send: send[0]):
             gen = int(self._outer[g])
             self._transport.send_updates(
@@ -561,9 +560,9 @@ class HybridEngine(SynchronousEngine):
                         n_link_records=records,
                         generation=gen,
                         sent_at=t,
-                        wire_bytes=wire_bytes,
+                        wire_bytes=wire,
                     )
-                    for _, h, csl, _, records, wire_bytes in batch
+                    for _, h, csl, _, records, wire in batch
                 ],
             )
 
@@ -578,6 +577,7 @@ class HybridEngine(SynchronousEngine):
         # loop's own tick clock, so the fault plane's "now" is bitwise
         # the loop's at every round.
         self._sync_to(t)
+        self._refresh()
         stepping = self._stepping_groups()
         self._step_groups(stepping)
         csr_matvec_into(self._cut, self._r, self._y)

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Protocol, TYPE_CHECKING
 
+import numpy as np
+
 from repro.utils.rng import as_generator, RngLike
 from repro.utils.validation import check_non_negative, check_probability
 
@@ -50,6 +52,11 @@ class LossModel(Protocol):
     def delivered(self, src_group: int, dst_group: int) -> bool:
         """True if this send attempt survives."""
 
+    def delivered_batch(self, n: int) -> np.ndarray:
+        """Survival mask of ``n`` send attempts — the same stream as
+        ``n`` :meth:`delivered` calls (``Generator.random(n)`` equals
+        ``n`` scalar draws)."""
+
 
 class NoLoss:
     """Every message is delivered (the paper's ``p = 1``)."""
@@ -57,6 +64,10 @@ class NoLoss:
     def delivered(self, src_group: int, dst_group: int) -> bool:
         """Always True."""
         return True
+
+    def delivered_batch(self, n: int) -> np.ndarray:
+        """All True."""
+        return np.ones(n, dtype=bool)
 
 
 class BernoulliLoss:
@@ -76,6 +87,12 @@ class BernoulliLoss:
         if self.delivery_prob >= 1.0:
             return True
         return bool(self._rng.random() < self.delivery_prob)
+
+    def delivered_batch(self, n: int) -> np.ndarray:
+        """``n`` Bernoulli draws at once (none at ``delivery_prob = 1``)."""
+        if self.delivery_prob >= 1.0:
+            return np.ones(n, dtype=bool)
+        return self._rng.random(n) < self.delivery_prob
 
 
 class NodePauseInjector:
@@ -248,6 +265,13 @@ class ChaosModel:
             return False
         return bool(self._rng.random() < self.duplicate_prob)
 
+    def duplicates(self, n: int) -> np.ndarray:
+        """:meth:`duplicate` for ``n`` transmissions — the same stream
+        as ``n`` scalar calls, and no draw at probability 0."""
+        if self.duplicate_prob <= 0.0:
+            return np.zeros(n, dtype=bool)
+        return self._rng.random(n) < self.duplicate_prob
+
     def reorder_delay(self) -> float:
         """Extra send-side delay for this transmission (0 = in order)."""
         if self.reorder_prob <= 0.0 or self.reorder_max_delay <= 0.0:
@@ -261,3 +285,10 @@ class ChaosModel:
         if self.ack_loss_prob <= 0.0:
             return False
         return bool(self._rng.random() < self.ack_loss_prob)
+
+    def acks_lost(self, n: int) -> np.ndarray:
+        """:meth:`ack_lost` for ``n`` acknowledgements — the same stream
+        as ``n`` scalar calls, and no draw at probability 0."""
+        if self.ack_loss_prob <= 0.0:
+            return np.zeros(n, dtype=bool)
+        return self._rng.random(n) < self.ack_loss_prob

@@ -32,6 +32,7 @@ from repro.net.bandwidth import TrafficAccountant
 from repro.net.failures import LossModel, NoLoss
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import (
+    ACK_MESSAGE_BYTES,
     LINK_RECORD_BYTES,
     LOOKUP_MESSAGE_BYTES,
     PACKAGE_HEADER_BYTES,
@@ -129,6 +130,8 @@ def charge_direct_round(
     records: np.ndarray,
     wire_bytes: np.ndarray,
     hop_delay: float,
+    copies: Optional[np.ndarray] = None,
+    acks: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Charge one lossless direct-transmission round without simulating it.
 
@@ -141,22 +144,39 @@ def charge_direct_round(
     model's flat charge beside it.  These are formulas 4.2/4.4 per
     pair instead of in the mean.
 
+    A round of ARQ conversations is the same charge weighted per send:
+    ``copies`` counts the times a send went on the wire (each pays its
+    own lookup) and ``acks`` the acknowledgements its destination sent
+    back, :data:`~repro.net.message.ACK_MESSAGE_BYTES` each on the
+    reverse path.
+
     Returns the delivery order as positions into the arrays.  Every
     send of a round is scheduled at time 0 and lands at
     ``hops·d + d``, and the simulator breaks ties by scheduling
     sequence, so the order is a stable sort of those times.
     """
     hops = overlay.hop_counts(src, dst)
-    lookup = hops * LOOKUP_MESSAGE_BYTES
-    paper = PACKAGE_HEADER_BYTES + records * LINK_RECORD_BYTES
-    data = np.where(wire_bytes < 0, paper, PACKAGE_HEADER_BYTES + wire_bytes)
-    accountant.lookup_messages += int(hops.sum())
+    if copies is None:
+        copies = np.ones_like(hops)
+    lookup_messages = copies * hops
+    lookup = lookup_messages * LOOKUP_MESSAGE_BYTES
+    paper = copies * (PACKAGE_HEADER_BYTES + records * LINK_RECORD_BYTES)
+    data = np.where(
+        wire_bytes < 0, paper, copies * (PACKAGE_HEADER_BYTES + wire_bytes)
+    )
+    accountant.lookup_messages += int(lookup_messages.sum())
     accountant.lookup_bytes += int(lookup.sum())
-    accountant.data_messages += int(src.size)
+    accountant.data_messages += int(copies.sum())
     accountant.data_bytes += int(data.sum())
     accountant.paper_data_bytes += int(paper.sum())
     np.add.at(accountant.bytes_out, src, lookup + data)
     np.add.at(accountant.bytes_in, dst, data)
+    if acks is not None:
+        ack = acks * ACK_MESSAGE_BYTES
+        accountant.ack_messages += int(acks.sum())
+        accountant.ack_bytes += int(ack.sum())
+        np.add.at(accountant.bytes_out, dst, ack)
+        np.add.at(accountant.bytes_in, src, ack)
     return np.argsort(hops * hop_delay + hop_delay, kind="stable")
 
 

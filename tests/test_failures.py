@@ -205,3 +205,41 @@ class TestChaosModel:
             ChaosModel(ack_loss_prob=-0.5)
         with pytest.raises(ValueError):
             ChaosModel(reorder_max_delay=-1.0)
+
+
+class TestBatchDraws:
+    """An ``n``-way draw is the same stream as ``n`` scalar draws."""
+
+    def test_no_loss_batch_is_all_true(self):
+        assert NoLoss().delivered_batch(7).tolist() == [True] * 7
+        assert NoLoss().delivered_batch(0).size == 0
+
+    @pytest.mark.parametrize("prob", [0.0, 0.3, 0.85, 1.0])
+    def test_bernoulli_batch_matches_scalar_stream(self, prob):
+        batch, scalar = BernoulliLoss(prob, seed=9), BernoulliLoss(prob, seed=9)
+        # Two batches back to back: a split draw continues the stream.
+        got = np.concatenate([batch.delivered_batch(13), batch.delivered_batch(50)])
+        assert got.dtype == bool
+        assert got.tolist() == [scalar.delivered(0, 1) for _ in range(63)]
+        assert batch._rng.random() == scalar._rng.random()
+
+    @pytest.mark.parametrize("prob", [0.0, 0.1, 1.0])
+    def test_chaos_batches_match_scalar_stream(self, prob):
+        knobs = dict(duplicate_prob=prob, ack_loss_prob=prob, seed=4)
+        batch, scalar = ChaosModel(**knobs), ChaosModel(**knobs)
+        dup, lost = batch.duplicates(40), batch.acks_lost(25)
+        assert dup.dtype == lost.dtype == bool
+        assert dup.tolist() == [scalar.duplicate() for _ in range(40)]
+        assert lost.tolist() == [scalar.ack_lost() for _ in range(25)]
+        assert batch._rng.random() == scalar._rng.random()
+
+    def test_zero_probability_chaos_leaves_its_generator_untouched(self):
+        chaos = ChaosModel(seed=0)
+        before = chaos._rng.bit_generator.state
+        assert not chaos.duplicates(100).any() and not chaos.acks_lost(100).any()
+        assert chaos._rng.bit_generator.state == before
+        # Likewise a certain delivery draws nothing.
+        loss = BernoulliLoss(1.0, seed=0)
+        before = loss._rng.bit_generator.state
+        assert loss.delivered_batch(100).all()
+        assert loss._rng.bit_generator.state == before

@@ -205,5 +205,6 @@ def test_rounds_that_can_lose_a_send_stay_on_the_per_delivery_path(graph):
         ),
     )
     res = arq.run(max_time=MAX_TIME)
-    assert arq._afferent is None and any(arq._latest)
+    # Never `X = F·held`: what lands is what the ARQ replay delivered.
+    assert arq._afferent is None and (arq._recv_gen >= 0).any()
     assert res.codec_stats["frames"] > 0 and res.retransmits > 0

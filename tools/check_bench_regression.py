@@ -38,6 +38,9 @@ TOLERANCE = 0.20
 #: file -> [(dotted path, direction)]; path segments index dicts by
 #: key and lists by integer (negative OK).
 MANIFEST = {
+    "BENCH_chaos.json": [
+        ("scales.-1.speedup", "higher"),
+    ],
     "BENCH_comm.json": [
         ("cases.codec_100k.delta_reduction_x", "higher"),
         ("cases.codec_100k.q16_reduction_x", "higher"),
