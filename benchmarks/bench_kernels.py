@@ -18,6 +18,11 @@ benchmarked against the naive implementation it replaced:
   groups (refresh X + sweep + efferent for every ranker), naive vs
   fast; this is the composite number the acceptance gate tracks.
 
+``group_blocks_k_scaling`` times the partitioned-operator build on one
+1e5-page graph at K = 16, 64 and 256: the builder makes a fixed number
+of passes over the links, so the K=256 build may cost at most 3x the
+K=16 one (a per-block builder paid ~95 µs per ordered group pair: 22x).
+
 On teardown the module writes ``BENCH_kernels.json`` at the repo root
 (per-kernel median ns, graph scale, speedups) so the perf trajectory
 is machine-readable from this PR onward.
@@ -25,6 +30,8 @@ is machine-readable from this PR onward.
 
 import json
 import pathlib
+import statistics
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -33,7 +40,7 @@ from repro.core.dpr import DPRNode
 from repro.core.open_system import GroupSystem
 from repro.core.pagerank import pagerank_open
 from repro.experiments import default_graph
-from repro.graph import make_partition
+from repro.graph import google_contest_like, make_partition
 from repro.linalg import (
     JacobiWorkspace,
     group_blocks,
@@ -51,6 +58,8 @@ N_GROUPS = 32
 
 #: kernel -> {"naive_ns": float, "fast_ns": float}
 _MEDIANS = {}
+#: Cases that time themselves: name -> JSON-ready record.
+_CASES = {}
 
 
 def _record(kind, variant, benchmark):
@@ -100,6 +109,7 @@ def emit_bench_json(scale):
                     "n_groups": N_GROUPS,
                 },
                 "kernels": kernels,
+                **_CASES,
             },
             indent=2,
         )
@@ -144,12 +154,24 @@ def test_jacobi_solve_workspace(benchmark, graph, operator):
     _record("jacobi_solve", "fast", benchmark)
 
 
+def _naive_efferent(blocks):
+    """The pre-stacking efferent: scan every cross block (built once,
+    outside the timed calls), one SpMV per destination."""
+    cross = dict(blocks.cross)
+
+    def efferent(g, r):
+        return {h: block @ r for (src, h), block in cross.items() if src == g}
+
+    return efferent
+
+
 def test_efferent_naive(benchmark, partitioned):
     blocks = partitioned.blocks
     rs = [np.random.default_rng(g).random(blocks.group_size(g)) for g in range(N_GROUPS)]
+    efferent = _naive_efferent(blocks)
 
     def all_groups():
-        return [blocks.efferent_reference(g, rs[g]) for g in range(N_GROUPS)]
+        return [efferent(g, rs[g]) for g in range(N_GROUPS)]
 
     result = benchmark(all_groups)
     assert len(result) == N_GROUPS
@@ -252,9 +274,7 @@ def test_dpr2_outer_step_naive(benchmark, partitioned):
         for u in mail:
             nodes[u.dst_group].receive(u)
 
-    benchmark(
-        _dpr2_round, nodes, partitioned.blocks.efferent_reference, receive_all
-    )
+    benchmark(_dpr2_round, nodes, _naive_efferent(partitioned.blocks), receive_all)
     assert all(n.outer_iterations > 0 for n in nodes)
     _record("dpr2_outer_step", "naive", benchmark)
 
@@ -288,6 +308,29 @@ def test_group_blocks_build(benchmark, graph):
     part = make_partition(graph, N_GROUPS, "site")
     blocks = benchmark(group_blocks, graph, part, 0.85)
     assert blocks.n_groups == N_GROUPS
+
+
+def test_group_blocks_k_scaling():
+    graph = google_contest_like(100_000, 2_000, seed=17)
+    partitions = {k: make_partition(graph, k, "site") for k in (16, 64, 256)}
+    for part in partitions.values():  # the partition's own caches, untimed
+        part.local_index()
+        part.pages_of_group(0)
+    samples = {k: [] for k in partitions}
+    for _ in range(5):  # interleaved, so drift hits every K alike
+        for k, part in partitions.items():
+            t0 = perf_counter()
+            blocks = group_blocks(graph, part, 0.85)
+            samples[k].append(perf_counter() - t0)
+            assert len(blocks.cross) > k
+    seconds = {k: statistics.median(v) for k, v in samples.items()}
+    ratio = seconds[256] / seconds[16]
+    _CASES["group_blocks_k_scaling"] = {
+        "n_pages": graph.n_pages,
+        "seconds": {str(k): v for k, v in seconds.items()},
+        "k256_over_k16_x": ratio,
+    }
+    assert ratio <= 3.0, f"K=256 build costs {ratio:.1f}x the K=16 build"
 
 
 def test_centralized_pagerank_solve(benchmark, graph):

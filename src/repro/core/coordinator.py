@@ -632,13 +632,10 @@ class RunSetup:
         if config.codec != "none" and group_system:
             from repro.net.adaptive import AdaptiveCodec
 
-            blocks = self.system.blocks
             self._codec = AdaptiveCodec(
                 config.codec,
                 epsilon=config.comm_epsilon,
-                n_pairs=sum(
-                    len(blocks.destinations_of(g)) for g in range(config.n_groups)
-                ),
+                n_pairs=self.system.blocks.pair_src.size,
             )
 
     @property

@@ -9,16 +9,17 @@ synchronous — every ranker ticking at the same fixed period — the
 per-message machinery computes exactly one bulk-synchronous round per
 tick, and the whole round collapses into dense linear algebra:
 
-* **compute** — all K in-group operators ``A_G`` are assembled once
-  into a single block-diagonal CSR, so a DPR2 outer loop over the
-  entire system is *one* SpMV over the concatenated rank vector (plus
-  one fused add/delta pass); DPR1 runs the same per-group warm-started
-  Jacobi solves as the event engine, sharing its
+* **compute** — the K in-group operators ``A_G`` are one
+  block-diagonal CSR (built that way, straight from the edge list, by
+  :func:`~repro.linalg.operators.group_blocks`), so a DPR2 outer loop
+  over the entire system is *one* SpMV over the concatenated rank
+  vector (plus one fused add/delta pass); DPR1 runs the same per-group
+  warm-started Jacobi solves as the event engine, sharing its
   :class:`~repro.linalg.jacobi.JacobiWorkspace` kernels;
-* **communicate** — all stacked per-group efferent operators are
-  assembled once into a single whole-system *cut matrix*, compressed
-  to its structurally nonzero rows, so every efferent vector ``Y`` of
-  the round is one more SpMV over exactly the cross-link elements;
+* **communicate** — the K stacked efferent operators are one
+  whole-system *cut matrix* (same builder), compressed to its
+  structurally nonzero rows, so every efferent vector ``Y`` of the
+  round is one more SpMV over exactly the cross-link elements;
   when no send can be lost or withheld (``delivery_prob = 1``, no
   threshold suppression — with or without a wire codec) delivery +
   afferent refresh collapse into a third SpMV ``X = F·held`` against
@@ -109,6 +110,7 @@ select it end to end; results come back as the same
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -441,120 +443,37 @@ class SynchronousEngine(RoundEngine):
     ):
         super().__init__(graph, config, partition=partition, reference=reference)
         k = config.n_groups
+        # The operators and the pair table are the builder's
+        # (repro.linalg.operators): the block-diagonal in-group
+        # operator, the whole-system cut operator compressed to its
+        # structurally nonzero rows — a dense efferent segment's zero
+        # rows are always exactly +0.0 in the event engine too, and
+        # adding +0.0 to a nonnegative score is a bitwise no-op (module
+        # docstring) — and, per ordered (src, dst) pair in emission
+        # order (also the event engine's loss draw order), the pair's
+        # span of the compressed Y vector and its link-record count.
+        # What follows only allocates round state around them.
         blocks = self.system.blocks
         sizes = [blocks.group_size(g) for g in range(k)]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        offsets = self._offsets = blocks.offsets
         self._slices = [slice(int(offsets[g]), int(offsets[g + 1])) for g in range(k)]
         n_total = int(offsets[-1])
-
-        # One block-diagonal CSR for every in-group operator: row i of
-        # group g's block becomes global row offset[g]+i with the same
-        # stored values in the same order, so SpMV results match the
-        # per-block products bit for bit.  Only the dpr2 sweep uses
-        # it, and it duplicates every diag block — build lazily so
-        # dpr1 runs (the out-of-core default) never pay the copy.
-        self._a_all_cache: Optional[sp.csr_matrix] = None
-        # One whole-system cut matrix: conceptually the block-diagonal
-        # stack of every group's stacked efferent operator, compressed
-        # to its structurally nonzero rows.  A dense efferent segment's
-        # zero rows are always exactly +0.0 in the event engine too,
-        # and adding +0.0 to a nonnegative score is a bitwise no-op, so
-        # computing/summing only the nonzero rows is exact (see module
-        # docstring).  Output segment g holds group g's efferent
-        # vectors, destinations ascending.
-        #
-        # Assembled directly in compressed form, pair by pair: the
-        # dense stack has K·n rows (gigabytes of row pointers alone at
-        # 1e7 pages), while the compressed matrix is bounded by the cut
-        # links.  Walking pairs in (source ascending, destination
-        # ascending) order concatenates each cross block's stored data
-        # verbatim in exactly the row order the block-diagonal stack
-        # would produce, so the resulting matrix — and every SpMV over
-        # it — is bit-identical to the dense-then-compress build.
-        #
-        # Alongside the matrix, per ordered (src, dst) pair in that
-        # same emission order (also the event engine's loss draw
-        # order): the pair's slice of the *compressed* Y vector, the
-        # destination-local indices of its nonzero rows, and its
-        # link-record count for byte accounting.
-        idx_dtype = np.int32 if n_total <= np.iinfo(np.int32).max else np.int64
-        layout: List[Tuple[int, int, slice, int]] = []
-        data_parts: List[np.ndarray] = []
-        idx_parts: List[np.ndarray] = []
-        nnz_parts: List[np.ndarray] = []
-        row_parts: List[np.ndarray] = []
-        n_nz = 0
-        for g in range(k):
-            for h in blocks.destinations_of(g):
-                block = blocks.cross[(g, h)]
-                row_nnz = np.diff(block.indptr)
-                local_idx = np.flatnonzero(row_nnz)
-                data_parts.append(block.data)
-                idx_parts.append(
-                    block.indices.astype(idx_dtype) + idx_dtype(offsets[g])
-                )
-                nnz_parts.append(row_nnz[local_idx])
-                row_parts.append(local_idx)
-                layout.append(
-                    (
-                        g,
-                        h,
-                        slice(n_nz, n_nz + int(local_idx.size)),
-                        self.system.cross_records(g, h),
-                    )
-                )
-                n_nz += int(local_idx.size)
+        self._cut = blocks.cut
+        n_nz = self._cut.shape[0]
         #: Destination-local row of every compressed Y element; a
         #: pair's nonzero-row indices and a source's codec index map
         #: are both slices of it.
-        self._row_map = (
-            np.concatenate(row_parts) if row_parts else np.zeros(0, dtype=np.intp)
-        )
-        del row_parts
-        self._pairs: List[Tuple[int, int, slice, np.ndarray, int]] = [
-            (g, h, csl, self._row_map[csl], records)
-            for g, h, csl, records in layout
-        ]
-        comp_indptr = np.zeros(n_nz + 1, dtype=idx_dtype)
-        if nnz_parts:
-            np.cumsum(
-                np.concatenate(nnz_parts).astype(idx_dtype), out=comp_indptr[1:]
-            )
-        self._cut = sp.csr_matrix(
-            (
-                np.concatenate(data_parts)
-                if data_parts
-                else np.zeros(0, dtype=np.float64),
-                np.concatenate(idx_parts)
-                if idx_parts
-                else np.zeros(0, dtype=idx_dtype),
-                comp_indptr,
-            ),
-            shape=(n_nz, n_total),
-        )
-        self._pair_cslice: Dict[Tuple[int, int], slice] = {
-            (g, h): csl for g, h, csl, _, _ in self._pairs
-        }
-        self._pair_idx: Dict[Tuple[int, int], np.ndarray] = {
-            (g, h): idx for g, h, _, idx, _ in self._pairs
-        }
-        self._offsets = offsets
-        # The cut matrix and pair tables above are the last copies the
-        # engine needs of the cross-link structure; every later step
-        # (round ledger, afferent matrix, per-group solves,
-        # result assembly) works off them and the diagonal blocks.
-        blocks.release_cross()
-
-        #: The pairs as arrays, indexed by position in ``_pairs`` — what
-        #: a round's sends are named by and charged from.
-        self._pair_src = np.array([p[0] for p in self._pairs], dtype=np.int64)
-        self._pair_dst = np.array([p[1] for p in self._pairs], dtype=np.int64)
-        self._pair_records = np.array(
-            [p[4] for p in self._pairs], dtype=np.int64
-        )
+        self._row_map = blocks.row_map
+        #: The pairs as arrays, indexed by pair position — what a
+        #: round's sends are named by and charged from.  Pair ``p``
+        #: owns ``_y[_pair_start[p]:_pair_start[p + 1]]``.
+        self._pair_src = blocks.pair_src
+        self._pair_dst = blocks.pair_dst
+        self._pair_start = start = blocks.pair_start
+        self._pair_records = blocks.pair_records
         #: Per source, the positions of its pairs (contiguous,
         #: destinations ascending — the ranker emission order).
-        first = np.searchsorted(self._pair_src, np.arange(k + 1))
+        first = blocks.pair_first.tolist()
         self._src_pairs = [
             np.arange(first[g], first[g + 1], dtype=np.int64) for g in range(k)
         ]
@@ -566,18 +485,13 @@ class SynchronousEngine(RoundEngine):
             Optional[Tuple[slice, Tuple[int, ...], np.ndarray]]
         ] = [
             (
-                slice(pairs[0][2].start, pairs[-1][2].stop),
-                tuple(pair[1] for pair in pairs),
-                np.array(
-                    [pair[2].start - pairs[0][2].start for pair in pairs],
-                    dtype=np.int64,
-                ),
+                slice(int(start[lo]), int(start[hi])),
+                tuple(self._pair_dst[lo:hi].tolist()),
+                start[lo:hi] - start[lo],
             )
-            if pairs
+            if hi > lo
             else None
-            for pairs in (
-                self._pairs[first[g] : first[g + 1]] for g in range(k)
-            )
+            for lo, hi in zip(first[:-1], first[1:])
         ]
         #: Every send that ships is delivered in its own round and
         #: nothing is withheld by a threshold: each receiver then holds
@@ -612,10 +526,11 @@ class SynchronousEngine(RoundEngine):
                 out=self._beta_e[self._slices[g]],
             )
         #: Newest afferent vector (compressed to its nonzero elements)
-        #: per source, per destination group — insertion-ordered
-        #: exactly like ``DPRNode._latest_values`` — with the
-        #: generation it carried and the count of stale arrivals
-        #: rejected (``DPRNode.receive``'s bookkeeping).  Dropped once
+        #: per afferent pair (keyed by pair position), per destination
+        #: group — insertion-ordered exactly like
+        #: ``DPRNode._latest_values`` — with the generation it carried
+        #: and the count of stale arrivals rejected
+        #: (``DPRNode.receive``'s bookkeeping).  Dropped once
         #: :attr:`_afferent` is frozen.
         self._latest: List[Dict[int, np.ndarray]] = [{} for _ in range(k)]
         self._gen_latest: List[Dict[int, int]] = [{} for _ in range(k)]
@@ -632,8 +547,8 @@ class SynchronousEngine(RoundEngine):
         self._afferent: Optional[sp.csr_matrix] = None
         #: Destinations that received mail since their last refresh.
         self._mail: set = set()
-        #: Last segment sent per pair (threshold suppression only).
-        self._last_sent: Dict[Tuple[int, int], np.ndarray] = {}
+        #: Last segment sent per pair position (threshold suppression only).
+        self._last_sent: Dict[int, np.ndarray] = {}
         # Per-group solves run sequentially and copy their result out
         # before the next begins, so all K workspaces can be views of
         # one max-group-size allocation (3 vectors total, not 3·n).
@@ -650,13 +565,24 @@ class SynchronousEngine(RoundEngine):
         # high-water stays at the build peak (see repro.utils.memory).
         trim_heap()
 
-    def _a_all(self) -> sp.csr_matrix:
-        """The block-diagonal in-group operator, built on first use."""
-        if self._a_all_cache is None:
-            self._a_all_cache = sp.block_diag(
-                self.system.blocks.diag, format="csr"
+    @cached_property
+    def _pairs(self) -> List[Tuple[int, int, slice, np.ndarray, int]]:
+        """The pair table row by row — ``(src, dst, slice of the
+        compressed Y vector, destination-local rows, link records)`` —
+        for the paths that are per-pair Python anyway: per-delivery
+        landing, threshold suppression, the fault plane's real
+        transport.  Rounds on the array paths never build it."""
+        start = self._pair_start.tolist()
+        return [
+            (g, h, slice(a, b), self._row_map[a:b], records)
+            for g, h, a, b, records in zip(
+                self._pair_src.tolist(),
+                self._pair_dst.tolist(),
+                start[:-1],
+                start[1:],
+                self._pair_records.tolist(),
             )
-        return self._a_all_cache
+        ]
 
     # ------------------------------------------------------------------
     def group_ranks(self) -> List[np.ndarray]:
@@ -685,7 +611,7 @@ class SynchronousEngine(RoundEngine):
             self._pair_src,
             self._pair_dst,
             self._pair_records,
-            np.full(len(self._pairs), -1, dtype=np.int64),
+            np.full(self._pair_src.size, -1, dtype=np.int64),
         )
         return acc.snapshot(0.0)
 
@@ -700,8 +626,8 @@ class SynchronousEngine(RoundEngine):
         return paper_round_estimate(
             self.config,
             self.overlay,
-            float(sum(p[4] for p in self._pairs)),
-            [(p[0], p[1]) for p in self._pairs],
+            float(self._pair_records.sum()),
+            list(zip(self._pair_src.tolist(), self._pair_dst.tolist())),
         )
 
     # ------------------------------------------------------------------
@@ -723,7 +649,7 @@ class SynchronousEngine(RoundEngine):
         repeats = (
             cfg.transport == "indirect"
             and self._codec is None
-            and idx.size == len(self._pairs)
+            and idx.size == self._pair_src.size
         )
         if not repeats:
             return _replay_transport_round(cfg, self.overlay, self.accountant, *sends)
@@ -735,59 +661,47 @@ class SynchronousEngine(RoundEngine):
         self.accountant.merge(acc)
         return order
 
-    def _build_afferent(self, order: List[Tuple[int, int]]) -> sp.csr_matrix:
+    def _build_afferent(self, order: np.ndarray) -> sp.csr_matrix:
         """Assemble the 0/1 afferent matrix F with X = F·held.
 
         Row ``offsets[dst] + i`` holds one unit entry per source whose
         efferent segment touches destination-local element ``i``, with
         the entries *stored in the first-arrival order* ``order`` lists
-        the pairs in.  scipy's CSR matvec kernel accumulates each row
-        sequentially over its stored entries, so F reproduces the
-        event engine's per-destination vector-add sequence scalar for
-        scalar (a stable sort by row preserves the arrival order the
-        column blocks were appended in).
+        the pair positions in.  scipy's CSR matvec kernel accumulates
+        each row sequentially over its stored entries, so F reproduces
+        the event engine's per-destination vector-add sequence scalar
+        for scalar.
+
+        List the elements of Y pair by pair in arrival order, each with
+        the global row it adds into, and transpose: the CSC → CSR
+        conversion is a stable counting sort by row, so every row keeps
+        its elements in arrival order.
         """
-        n_rows = self._x.size
-        idx_dtype = np.int32 if self._y.size < 2**31 else np.int64
-        # Two-pass counting scatter instead of a global stable argsort:
-        # each pair's row list (``np.flatnonzero`` output) is unique and
-        # ascending, so walking pairs in arrival order and appending at
-        # per-row cursors yields each row's entries in arrival order —
-        # exactly what a stable sort of the concatenated (row, col)
-        # pairs by row produces — without ever materializing the
-        # concatenated int64 row/col/permutation arrays.
-        cnt = np.zeros(n_rows, dtype=idx_dtype)
-        for src, dst in order:
-            cnt[int(self._offsets[dst]) :][self._pair_idx[(src, dst)]] += 1
-        nnz = int(cnt.sum())
-        # Exclusive prefix sums seeded at indptr[1:] become per-row
-        # write cursors; pass 2 advances them in place, leaving the
-        # final (inclusive) row pointers with no separate cursor array.
-        indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
-        if n_rows > 1:
-            np.cumsum(cnt[:-1], out=indptr[2:])
-        del cnt
-        cursor = indptr[1:]
-        cols = np.empty(nnz, dtype=idx_dtype)
-        for src, dst in order:
-            idx = self._pair_idx[(src, dst)]
-            csl = self._pair_cslice[(src, dst)]
-            cur = cursor[int(self._offsets[dst]) :]
-            pos = cur[idx]
-            cols[pos] = np.arange(
-                csl.start, csl.start + idx.size, dtype=idx_dtype
-            )
-            cur[idx] += 1
+        n_rows, n_nz = self._x.size, self._y.size
+        idx_dtype = np.int32 if n_nz < 2**31 else np.int64
+        start = self._pair_start
+        lens = np.diff(start)[order]
+        total = int(lens.sum())
+        elems = np.arange(total, dtype=idx_dtype) + np.repeat(
+            start[order] - (np.cumsum(lens) - lens), lens
+        ).astype(idx_dtype)
+        rows = self._row_map[elems] + np.repeat(
+            self._offsets[self._pair_dst[order]], lens
+        )
+        by_row = sp.csc_matrix(
+            (elems, rows, np.arange(total + 1, dtype=idx_dtype)),
+            shape=(n_rows, total),
+        ).tocsr()
         return sp.csr_matrix(
-            (np.ones(nnz, dtype=np.float64), cols, indptr),
-            shape=(n_rows, self._y.size),
+            (np.ones(total, dtype=np.float64), by_row.data, by_row.indptr),
+            shape=(n_rows, n_nz),
         )
 
     def _build_sends(self, groups: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """This round's sends of the stepping ``groups``, emission order.
 
-        Returns ``(idx, wire_bytes)``: the positions in ``_pairs`` of
-        the pairs that ship — sources ascending and destinations
+        Returns ``(idx, wire_bytes)``: the pair positions of the
+        pairs that ship — sources ascending and destinations
         ascending within a source, the order rankers tick and emit in a
         synchronous round, and hence the order the loss stream is
         consumed in — and each one's encoded frame size (-1 uncoded).
@@ -834,15 +748,14 @@ class SynchronousEngine(RoundEngine):
             if tol > 0.0:
                 moved = []
                 for p in positions.tolist():
-                    _, h, csl, _, _ = self._pairs[p]
-                    values = self._y[csl]
-                    prev = self._last_sent.get((g, h))
+                    values = self._y[self._pairs[p][2]]
+                    prev = self._last_sent.get(p)
                     if (
                         prev is not None
                         and float(np.abs(values - prev).sum()) <= tol
                     ):
                         continue
-                    self._last_sent[(g, h)] = values.copy()
+                    self._last_sent[p] = values.copy()
                     moved.append(p)
                 positions = np.array(moved, dtype=np.int64)
             idx_parts.append(positions)
@@ -869,37 +782,32 @@ class SynchronousEngine(RoundEngine):
         self._land(idx[self._charge(idx, wire_bytes)])
 
     def _land(self, arrived: np.ndarray) -> None:
-        """Deliver the pairs ``arrived`` (positions in ``_pairs``, in
-        delivery order): one by one through :meth:`_apply`, or, once a
+        """Deliver the pairs ``arrived`` (pair positions, in delivery
+        order): one by one through :meth:`_apply`, or, once a
         *mirrored* run has heard from every pair, all at once as
         ``X = F·held`` (module docstring, "afferent sums")."""
         if self._afferent is None:
-            arrivals = [self._pairs[p] for p in arrived.tolist()]
-            if not (self._mirrored and self._freeze_afferent(arrivals)):
-                for src, dst, csl, _, _ in arrivals:
-                    self._apply(src, dst, self._held[csl], int(self._outer[src]))
+            if not (self._mirrored and self._freeze_afferent(arrived)):
+                for p in arrived.tolist():
+                    self._apply(p, int(self._outer[self._pair_src[p]]))
                 return
         csr_matvec_into(self._afferent, self._held, self._x)
 
-    def _freeze_afferent(self, arrivals: List[Tuple]) -> bool:
-        """Build F if this round's ``arrivals`` complete the pair set.
+    def _freeze_afferent(self, arrived: np.ndarray) -> bool:
+        """Build F if this round's ``arrived`` pairs complete the set.
 
         The first-arrival order is the insertion order of the
         per-destination memory (earlier rounds, landed through
         :meth:`_apply`) followed by this round's newcomers in delivery
         order; only the order *within* a destination matters.
         """
-        first = [
-            (src, dst) for dst in range(self.n_groups) for src in self._latest[dst]
-        ]
+        first = [p for memory in self._latest for p in memory]
         first += [
-            (src, dst)
-            for src, dst, _, _, _ in arrivals
-            if src not in self._latest[dst]
+            p for p in arrived.tolist() if p not in self._latest[self._pair_dst[p]]
         ]
-        if len(first) < len(self._pairs):
+        if len(first) < self._pair_src.size:
             return False
-        self._afferent = self._build_afferent(first)
+        self._afferent = self._build_afferent(np.array(first, dtype=np.int64))
         # The per-destination memory is dead from here on (and a
         # pending mail flag would re-sum it over the SpMV's X).
         for memory in self._latest + self._gen_latest:
@@ -907,26 +815,27 @@ class SynchronousEngine(RoundEngine):
         self._mail.clear()
         return True
 
-    def _apply(self, src: int, dst: int, values: np.ndarray, generation: int) -> None:
-        """Land one delivery: ``DPRNode.receive`` semantics over flat
-        state (generation check, first-arrival summation order, mail
-        flag).  A source's generation is its outer count at emission,
-        so the round ledger never presents a stale one; the backends
-        that can (late or rolled-back senders) land through the hybrid
-        engine's own memory."""
+    def _apply(self, p: int, generation: int) -> None:
+        """Land pair ``p``'s slice of ``_held``: ``DPRNode.receive``
+        semantics over flat state (generation check, first-arrival
+        summation order, mail flag).  A source's generation is its
+        outer count at emission, so the round ledger never presents a
+        stale one; the backends that can (late or rolled-back senders)
+        land through the hybrid engine's own memory."""
+        _, dst, csl, _, _ = self._pairs[p]
         gens = self._gen_latest[dst]
-        prev_gen = gens.get(src)
+        prev_gen = gens.get(p)
         if prev_gen is not None and generation <= prev_gen:
             self._stale[dst] += 1
             return
-        gens[src] = generation
-        held = self._latest[dst].get(src)
+        gens[p] = generation
+        held = self._latest[dst].get(p)
         if held is None:
-            # First arrival: append (fixes this source's position in
-            # the destination's re-summation order for good).
-            self._latest[dst][src] = np.array(values, dtype=np.float64)
+            # First arrival: append (fixes this pair's position in the
+            # destination's re-summation order for good).
+            self._latest[dst][p] = self._held[csl].copy()
         else:
-            np.copyto(held, values)
+            np.copyto(held, self._held[csl])
         self._mail.add(dst)
 
     def _refresh_x(self, h: int) -> None:
@@ -937,8 +846,8 @@ class SynchronousEngine(RoundEngine):
         skipped elements only ever add +0.0."""
         xh = self._x[self._slices[h]]
         xh[:] = 0.0
-        for src, vec in self._latest[h].items():
-            xh[self._pair_idx[(src, h)]] += vec
+        for p, vec in self._latest[h].items():
+            xh[self._pairs[p][3]] += vec
 
     def _step_groups(self, groups: Sequence[int]) -> None:
         """Step each of ``groups`` exactly as ``DPRNode.step`` would."""
@@ -1010,7 +919,7 @@ class SynchronousEngine(RoundEngine):
         if self._ping is None:
             self._ping = np.zeros_like(self._r)
             self._scratch = np.zeros_like(self._r)
-        csr_matvec_into(self._a_all(), self._r, self._ping)
+        csr_matvec_into(self.system.blocks.block_diagonal(), self._r, self._ping)
         np.add(self._ping, self._f, out=self._ping)
         np.subtract(self._ping, self._r, out=self._scratch)
         np.abs(self._scratch, out=self._scratch)

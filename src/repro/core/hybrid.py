@@ -359,12 +359,12 @@ class HybridEngine(SynchronousEngine):
         # like ``_y``, per-pair generation (-1: nothing yet, elements
         # +0.0) and first-arrival stamp, F built on first use.
         self._recv = np.zeros_like(self._y)
-        self._recv_gen = np.full(len(self._pairs), -1, dtype=np.int64)
+        self._recv_gen = np.full(self._pair_src.size, -1, dtype=np.int64)
         self._recv_rank = np.zeros_like(self._recv_gen)
         self._arrivals = 0
         self._recv_matrix = None
-        self._pair_len = np.array([p[3].size for p in self._pairs], dtype=np.int64)
-        self._pair_pos = {pair: p for p, pair in enumerate(self._pair_cslice)}
+        self._pair_len = np.diff(self._pair_start)
+        self._pair_pos = self.system.blocks.pair_position
         #: Per destination, the positions of its afferent pairs and of
         #: their elements in ``_recv`` — what a checkpoint gathers.
         self._aff_pairs = [np.flatnonzero(self._pair_dst == g) for g in range(k)]
@@ -433,8 +433,8 @@ class HybridEngine(SynchronousEngine):
         self._last_delta[g] = np.inf
         self._credit[g] = 0.0
         # A fresh ranker has sent nothing yet.
-        for h in self._pair_dst[self._src_pairs[g]].tolist():
-            self._last_sent.pop((g, h), None)
+        for p in self._src_pairs[g].tolist():
+            self._last_sent.pop(p, None)
         return _ShadowRanker(self, g)
 
     def _on_deliver(self, dst: int, update: ScoreUpdate) -> None:
@@ -481,7 +481,7 @@ class HybridEngine(SynchronousEngine):
             self._arrivals += first.size
             self._recv_matrix = None
         self._recv_gen[arrived] = gens[fresh]
-        mask = np.zeros(len(self._pairs), dtype=bool)
+        mask = np.zeros(self._pair_src.size, dtype=bool)
         mask[arrived] = True
         np.copyto(self._recv, self._held, where=np.repeat(mask, self._pair_len))
 
@@ -496,9 +496,8 @@ class HybridEngine(SynchronousEngine):
         if self._recv_matrix is None:
             if not self._arrivals:
                 return
-            order = np.argsort(self._recv_rank, kind="stable")
             self._recv_matrix = self._build_afferent(
-                list(zip(self._pair_src[order].tolist(), self._pair_dst[order].tolist()))
+                np.argsort(self._recv_rank, kind="stable")
             )
         csr_matvec_into(self._recv_matrix, self._recv, self._x)
 

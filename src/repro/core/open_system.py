@@ -173,8 +173,7 @@ class GroupSystem:
 
     def cross_records(self, g: int, h: int) -> int:
         """Number of link records group ``g`` ships to group ``h``."""
-        block = self.blocks.cross.get((g, h))
-        return int(block.nnz) if block is not None else 0
+        return self.blocks.cross_records(g, h)
 
     # ------------------------------------------------------------------
     def assemble(

@@ -13,40 +13,74 @@ for each link ``u → v``, so that a Jacobi sweep is the plain SpMV
 rows of ``P`` sum to at most α and strictly less wherever a page has
 external links — the open-system rank leak of §3.
 
-Group blocks
-------------
-For a partitioned graph, :func:`group_blocks` splits ``P`` into one
-diagonal block per group (rank flowing inside a ranker) and one
-off-diagonal block per ordered group pair with at least one cut link
-(rank flowing between rankers, i.e. the payload of the transports of
-§4.4).  Diagonal blocks power ``GroupPageRank``; off-diagonal blocks
-compute the efferent vectors ``Y``.
+Two operators, not K² blocks
+----------------------------
+The paper's unit of work is the page group (``R = A·R + βE + X``,
+``Y = B·R``), and what a set of K rankers consumes is *one* in-group
+operator and *one* thin cut operator.  :func:`group_blocks` builds
+exactly those, in *group-major* coordinates (group 0's pages first,
+each group's pages ascending), in one chunked pass over the CSR edge
+list whose cost depends on the links, not on K:
+
+* ``diag_stack`` — the row-stack of every group's diagonal block
+  ``A_G`` (row = group-major destination, column = the source's index
+  *within its group*).  Intra-group links stream out of the edge list
+  in source order and one counting transposition (CSC → CSR) lands
+  them by destination row.  Rows ``offsets[g]:offsets[g+1]`` *are*
+  ``diag[g]``; :meth:`GroupBlocks.block_diagonal` is the same data and
+  row pointers under global column ids — the whole-system ``A``.
+* ``cut`` — every cut link, one stable sort on ``(source group,
+  destination group, destination-local row)``: the block-diagonal
+  stack of all K stacked efferent operators compressed to its
+  structurally nonzero rows, columns group-major.  ``row_map`` names
+  each compressed row's destination-local index, and the *pair table*
+  (``pair_src``, ``pair_dst``, ``pair_start``, ``pair_records``) names
+  each communicating ordered pair's span of rows and its link-record
+  count, in emission order (source ascending, destination ascending).
+
+``GroupBlocks.diag[g]`` and ``GroupBlocks.cross[(g, h)]`` remain, as
+lazy read-only views that slice the two operators on demand; only
+consumers that want per-block matrices (the event engine's nodes, the
+serving tier, tests) ever build one.
+
+Why the one-pass build is bit-identical to a per-block build
+------------------------------------------------------------
+Every stored value is ``α/d(u)`` of the entry's *column* page, so
+duplicate links sum equal values and scipy's sequential
+``sum_duplicates`` gives the same bits whatever order they arrive in.
+A page's index within its group is monotone in its page id, so the
+edge list's own order (sources ascending) already yields ascending
+columns within every row of either operator — a stable transposition
+or sort needs no secondary column key.  And ``(source group,
+destination group, destination-local row)`` ascending is exactly the
+order in which a walk over the ordered pairs concatenates per-pair
+blocks.  The property tests compare every view with a naive per-block
+``csr_matrix`` byte for byte.
 
 Stacked efferent operators
 --------------------------
-Computing ``Y`` one destination at a time means one SpMV *and* one
-output allocation per destination, preceded by a scan over every
-cross block to find this group's.  At build time we therefore
-vertically stack each source group's cross blocks (destinations in
-ascending order) into a single CSR ``efferent operator`` with a
-destination-offset table, and precompute the group-pair adjacency
-(``destinations_of``/``sources_of``).  :meth:`GroupBlocks.efferent`
-then runs **one** SpMV for all destinations and returns zero-copy
-views into the stacked output; :meth:`GroupBlocks.efferent_into`
-is the fully allocation-free variant for hot loops.  Row slices of
-the stacked operator are the rows of the original blocks, so results
-are bit-identical to the per-block products (asserted by the
-equivalence tests against :meth:`GroupBlocks.efferent_reference`).
+The event engine wants each destination's efferent vector ``Y`` dense
+over the destination's pages.  Source ``g``'s *stacked efferent
+operator* — its cross blocks stacked vertically, destinations
+ascending — is cut from ``g``'s span of ``cut`` rows on first use
+(same stored values in the same order, rows re-expanded), with the
+per-destination output bounds computed once alongside:
+:meth:`GroupBlocks.efferent` runs one SpMV for all destinations and
+returns zero-copy views into the output, :meth:`GroupBlocks.efferent_into`
+is the allocation-free variant.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.graph.io import madvise_dontneed
 from repro.graph.partition import Partition
 from repro.graph.webgraph import WebGraph
 from repro.linalg.jacobi import csr_matvec_into
@@ -60,6 +94,27 @@ __all__ = [
 ]
 
 
+#: A source's stacked efferent operator and, per destination, the span
+#: ``(dst, start, stop)`` of its output that the destination owns.
+_StackedEfferent = Tuple[sp.csr_matrix, List[Tuple[int, int, int]]]
+
+
+def _link_weights(alpha: float, degrees: np.ndarray) -> np.ndarray:
+    """``α/d(u)`` per page as ``α·(1/d)``, ``+0.0`` for dangling pages.
+
+    In place on one float64 copy, so only one page-sized temporary is
+    ever live.
+    """
+    check_fraction(alpha, "alpha")
+    w = np.array(degrees, dtype=np.float64)
+    dangling = ~(w > 0)
+    np.maximum(w, 1e-300, out=w)
+    np.divide(1.0, w, out=w)
+    w[dangling] = 0.0
+    np.multiply(w, alpha, out=w)
+    return w
+
+
 def propagation_matrix(graph: WebGraph, alpha: float = 0.85) -> sp.csr_matrix:
     """Global propagation operator ``P`` with ``P[v,u] = α/d(u)``.
 
@@ -67,27 +122,125 @@ def propagation_matrix(graph: WebGraph, alpha: float = 0.85) -> sp.csr_matrix:
     Dangling pages (``d(u)=0``) produce empty columns: they forward no
     rank, matching Algorithm 2's ``B[u,v]`` guard ``d(u)>0``.
     """
-    check_fraction(alpha, "alpha")
     n = graph.n_pages
     src, dst = graph.edges()
-    d = graph.out_degrees().astype(np.float64)
-    with np.errstate(divide="ignore"):
-        inv_d = np.where(d > 0, 1.0 / np.maximum(d, 1e-300), 0.0)
-    data = alpha * inv_d[src]
+    data = _link_weights(alpha, graph.out_degrees())[src]
     return sp.csr_matrix((data, (dst, src)), shape=(n, n))
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal ``keys``."""
+    if keys.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
+def _csr_view(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: Tuple[int, int]
+) -> sp.csr_matrix:
+    """A canonical CSR matrix over the given arrays *as they are*.
+
+    scipy's constructor copies any array that is a view of less than
+    half its base (``prune``), which would silently duplicate the
+    shared operators slice by slice; assigning the arrays to an empty
+    matrix keeps the views views.
+    """
+    m = sp.csr_matrix(shape, dtype=data.dtype)
+    m.data, m.indices, m.indptr = data, indices, indptr
+    m.has_canonical_format = True
+    return m
+
+
+class _DiagBlocks(Sequence):
+    """``diag[g]`` — lazy views of the diagonal stack's row ranges.
+
+    A view shares the stack's data and column arrays and owns only its
+    re-based row pointers, so keeping all K costs one page-sized int
+    array in total; they are cached because per-group solves ask for
+    the same block every round.
+    """
+
+    def __init__(self, stack: sp.csr_matrix, offsets: np.ndarray):
+        self._stack = stack
+        self._offsets = offsets
+        self._blocks: List[Optional[sp.csr_matrix]] = [None] * (offsets.size - 1)
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, g: int) -> sp.csr_matrix:
+        g = range(len(self._blocks))[g]  # IndexError past K ends iteration
+        block = self._blocks[g]
+        if block is None:
+            r0, r1 = int(self._offsets[g]), int(self._offsets[g + 1])
+            indptr = self._stack.indptr
+            lo, hi = int(indptr[r0]), int(indptr[r1])
+            block = self._blocks[g] = _csr_view(
+                self._stack.data[lo:hi],
+                self._stack.indices[lo:hi],
+                indptr[r0 : r1 + 1] - lo,
+                (r1 - r0, r1 - r0),
+            )
+        return block
+
+
+class _CrossBlocks(Mapping):
+    """``cross[(g, h)]`` — lazy per-pair blocks sliced from the cut.
+
+    Keys are the communicating ordered pairs in emission order.  Each
+    lookup builds a fresh matrix (the pair's values are a view of the
+    cut operator's; its columns are re-based to the source group and
+    its rows re-expanded to the destination's pages) and nothing is
+    cached — K² of them is what this layout exists to avoid.
+    """
+
+    def __init__(self, blocks: "GroupBlocks"):
+        self._b = blocks
+
+    def __len__(self) -> int:
+        return self._b.pair_src.size
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return iter(self._b.pair_position)
+
+    def __getitem__(self, key: Tuple[int, int]) -> sp.csr_matrix:
+        b = self._b
+        p = b.pair_position[key]
+        g, h = key
+        s, e = int(b.pair_start[p]), int(b.pair_start[p + 1])
+        indptr, lo, hi = b._expand_rows(s, e, b.row_map[s:e], b.group_size(h))
+        return _csr_view(
+            b.cut.data[lo:hi],
+            b.cut.indices[lo:hi] - int(b.offsets[g]),
+            indptr,
+            (b.group_size(h), b.group_size(g)),
+        )
 
 
 @dataclass
 class GroupBlocks:
-    """Per-group decomposition of the propagation operator.
+    """The propagation operator split along a partition (module docs).
 
     Attributes
     ----------
     alpha:
-        Damping factor used to scale the blocks.
+        Damping factor used to scale the entries.
     pages:
         ``pages[g]`` — sorted global page ids owned by group ``g``;
-        local index ``i`` within a group refers to ``pages[g][i]``.
+        local index ``i`` within a group refers to ``pages[g][i]`` and
+        group-major position ``offsets[g] + i``.
+    diag_stack:
+        Row-stack of the diagonal blocks, group-local columns.
+    cut:
+        Compressed whole-system cut operator, group-major columns.
+    row_map:
+        Destination-local row of every ``cut`` row.
+    pair_src, pair_dst, pair_start, pair_records:
+        The pair table: pair ``p`` ships ``pair_src[p] → pair_dst[p]``,
+        owns ``cut`` rows ``pair_start[p]:pair_start[p+1]`` and carries
+        ``pair_records[p]`` link records (stored entries).
+    offsets:
+        ``offsets[g]`` — group-major position of group ``g``'s first page.
     diag:
         ``diag[g]`` — CSR block mapping group ``g``'s local rank vector
         to the in-group rank it receives (the ``A`` of Algorithm 2).
@@ -100,47 +253,34 @@ class GroupBlocks:
 
     alpha: float
     pages: List[np.ndarray]
-    diag: List[sp.csr_matrix]
-    cross: Dict[Tuple[int, int], sp.csr_matrix] = field(default_factory=dict)
-    #: Built once from ``cross`` in ``__post_init__`` (see module docs).
-    _dests: List[List[int]] = field(init=False, repr=False)
-    _srcs: List[List[int]] = field(init=False, repr=False)
-    #: Stacked efferent operators, built on first use: they duplicate
-    #: every cross block's storage, and the flat engine — which
-    #: assembles its own compressed cut matrix straight from ``cross``
-    #: — never needs them.  Only the event engine's per-node
-    #: ``efferent_into`` calls pay the copy.
-    _efferent_op: Optional[List[sp.csr_matrix]] = field(init=False, repr=False)
-    _efferent_offsets: Optional[List[np.ndarray]] = field(init=False, repr=False)
+    diag_stack: sp.csr_matrix
+    cut: sp.csr_matrix
+    row_map: np.ndarray
+    pair_src: np.ndarray
+    pair_dst: np.ndarray
+    pair_start: np.ndarray
+    pair_records: np.ndarray
+    offsets: np.ndarray = field(init=False, repr=False)
+    #: Per source, the position of its first pair (pairs of one source
+    #: are contiguous, destinations ascending).
+    pair_first: np.ndarray = field(init=False, repr=False)
+    diag: Sequence = field(init=False, repr=False)
+    cross: Mapping = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        k = self.n_groups
-        self._dests = [[] for _ in range(k)]
-        self._srcs = [[] for _ in range(k)]
-        for g, h in sorted(self.cross):
-            self._dests[g].append(h)
-            self._srcs[h].append(g)
-        self._efferent_op = None
-        self._efferent_offsets = None
-
-    def _ensure_efferent(self) -> None:
-        if self._efferent_op is not None:
-            return
-        self._efferent_op = []
-        self._efferent_offsets = []
-        for g in range(self.n_groups):
-            dests = self._dests[g]
-            if dests:
-                stack = [self.cross[(g, h)] for h in dests]
-                op = sp.vstack(stack, format="csr")
-                offsets = np.concatenate(
-                    [[0], np.cumsum([b.shape[0] for b in stack])]
-                ).astype(np.int64)
-            else:
-                op = sp.csr_matrix((0, self.group_size(g)))
-                offsets = np.zeros(1, dtype=np.int64)
-            self._efferent_op.append(op)
-            self._efferent_offsets.append(offsets)
+        k = len(self.pages)
+        sizes = np.array([p.size for p in self.pages], dtype=np.int64)
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        self.pair_first = np.searchsorted(self.pair_src, np.arange(k + 1))
+        self.diag = _DiagBlocks(self.diag_stack, self.offsets)
+        self.cross = _CrossBlocks(self)
+        self._block_diagonal: Optional[sp.csr_matrix] = None
+        self._efferent_rows = np.bincount(
+            self.pair_src, weights=sizes[self.pair_dst], minlength=k
+        ).astype(np.int64)
+        #: Per source, cut on first use: only the event engine's
+        #: per-node efferent calls need the re-expanded rows.
+        self._efferent: List[Optional[_StackedEfferent]] = [None] * k
 
     @property
     def n_groups(self) -> int:
@@ -150,31 +290,82 @@ class GroupBlocks:
         """Number of pages owned by group ``g``."""
         return int(self.pages[g].size)
 
-    def destinations_of(self, g: int) -> List[int]:
-        """Groups that receive rank from group ``g`` (sorted).
+    @cached_property
+    def pair_position(self) -> Dict[Tuple[int, int], int]:
+        """``(src, dst) -> position in the pair table``, in emission
+        order; built on first use (the array paths never need it)."""
+        pairs = zip(self.pair_src.tolist(), self.pair_dst.tolist())
+        return {pair: p for p, pair in enumerate(pairs)}
 
-        Precomputed at build time; no scan over the cross dict.
+    def block_diagonal(self) -> sp.csr_matrix:
+        """The whole-system in-group operator ``A`` (built on first use).
+
+        Shares ``diag_stack``'s values and row pointers; only the
+        column array (group-local ids shifted to group-major) is new,
+        so the per-group and whole-system sweeps cost one copy of the
+        intra-group entries between them.
         """
-        return list(self._dests[g])
+        if self._block_diagonal is None:
+            stack = self.diag_stack
+            per_group = np.diff(stack.indptr[self.offsets])
+            shift = np.repeat(self.offsets[:-1], per_group).astype(stack.indices.dtype)
+            n = int(self.offsets[-1])
+            self._block_diagonal = sp.csr_matrix(
+                (stack.data, stack.indices + shift, stack.indptr), shape=(n, n)
+            )
+        return self._block_diagonal
+
+    def destinations_of(self, g: int) -> List[int]:
+        """Groups that receive rank from group ``g`` (sorted)."""
+        return self.pair_dst[self.pair_first[g] : self.pair_first[g + 1]].tolist()
 
     def sources_of(self, h: int) -> List[int]:
-        """Groups that send rank to group ``h`` (sorted).
-
-        Precomputed at build time; no scan over the cross dict.
-        """
-        return list(self._srcs[h])
+        """Groups that send rank to group ``h`` (sorted)."""
+        return self.pair_src[self.pair_dst == h].tolist()
 
     def apply_local(self, g: int, r: np.ndarray) -> np.ndarray:
         """One in-group propagation: returns ``diag[g] @ r``."""
         return self.diag[g] @ r
 
-    def efferent_rows(self, g: int) -> int:
-        """Total output length of group ``g``'s stacked efferent operator.
+    def _expand_rows(
+        self, s: int, e: int, rows: np.ndarray, n_rows: int
+    ) -> Tuple[np.ndarray, int, int]:
+        """Row pointers that put ``cut`` rows ``s:e`` at ``rows`` of an
+        ``n_rows``-row matrix, and the entry span they cover."""
+        cp = self.cut.indptr
+        lo, hi = int(cp[s]), int(cp[e])
+        # Pointer i of the span serves every row after rows[i-1] up to
+        # and including rows[i] (ascending), the last one the tail.
+        gaps = np.diff(np.concatenate(([-1], rows, [n_rows])))
+        return np.repeat(cp[s : e + 1] - lo, gaps), lo, hi
 
-        Computed from the cross block shapes — does not force the
-        stacked operators to be built.
-        """
-        return int(sum(self.cross[(g, h)].shape[0] for h in self._dests[g]))
+    def _efferent_of(self, g: int) -> _StackedEfferent:
+        cached = self._efferent[g]
+        if cached is None:
+            p0, p1 = int(self.pair_first[g]), int(self.pair_first[g + 1])
+            dests = self.pair_dst[p0:p1]
+            bounds = np.concatenate(
+                [[0], np.cumsum(self.offsets[dests + 1] - self.offsets[dests])]
+            )
+            s, e = int(self.pair_start[p0]), int(self.pair_start[p1])
+            rows = (
+                np.repeat(bounds[:-1], np.diff(self.pair_start[p0 : p1 + 1]))
+                + self.row_map[s:e]
+            )
+            indptr, lo, hi = self._expand_rows(s, e, rows, int(bounds[-1]))
+            op = _csr_view(
+                self.cut.data[lo:hi],
+                self.cut.indices[lo:hi] - int(self.offsets[g]),
+                indptr,
+                (int(bounds[-1]), self.group_size(g)),
+            )
+            spans = list(zip(dests.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()))
+            cached = self._efferent[g] = (op, spans)
+        return cached
+
+    def efferent_rows(self, g: int) -> int:
+        """Total output length of group ``g``'s stacked efferent operator."""
+        return int(self._efferent_rows[g])
 
     def efferent_buffer(self, g: int) -> np.ndarray:
         """Allocate an output buffer suitable for :meth:`efferent_into`."""
@@ -184,11 +375,10 @@ class GroupBlocks:
         """Group ``g``'s stacked efferent operator (read-only).
 
         The vertical stack of ``cross[(g, h)]`` for ``h`` in
-        :meth:`destinations_of` order; row slices are the rows of the
-        original blocks.  Built lazily on first access.
+        :meth:`destinations_of` order, cut from the cut operator on
+        first access.
         """
-        self._ensure_efferent()
-        return self._efferent_op[g]
+        return self._efferent_of(g)[0]
 
     def efferent(self, g: int, r: np.ndarray) -> Dict[int, np.ndarray]:
         """Efferent contributions ``Y`` of group ``g`` given its rank ``r``.
@@ -203,9 +393,9 @@ class GroupBlocks:
         fresh output array (safe to hand to in-flight messages — the
         array is not reused by later calls).
         """
-        self._ensure_efferent()
-        y = self._efferent_op[g] @ np.asarray(r, dtype=np.float64)
-        return self._slice_efferent(g, y)
+        op, spans = self._efferent_of(g)
+        y = op @ np.asarray(r, dtype=np.float64)
+        return {h: y[a:b] for h, a, b in spans}
 
     def efferent_into(
         self, g: int, r: np.ndarray, out: np.ndarray
@@ -219,50 +409,19 @@ class GroupBlocks:
             raise ValueError(
                 f"out has shape {out.shape}, want ({self.efferent_rows(g)},)"
             )
-        self._ensure_efferent()
-        csr_matvec_into(self._efferent_op[g], r, out)
-        return self._slice_efferent(g, out)
+        op, spans = self._efferent_of(g)
+        csr_matvec_into(op, r, out)
+        return {h: out[a:b] for h, a, b in spans}
 
-    def _slice_efferent(self, g: int, y: np.ndarray) -> Dict[int, np.ndarray]:
-        self._ensure_efferent()
-        offsets = self._efferent_offsets[g]
-        return {
-            h: y[offsets[i] : offsets[i + 1]]
-            for i, h in enumerate(self._dests[g])
-        }
-
-    def efferent_reference(self, g: int, r: np.ndarray) -> Dict[int, np.ndarray]:
-        """Naive per-destination efferent (the pre-stacking implementation).
-
-        Scans every cross block and runs one SpMV per destination.
-        Kept as the ground truth for the kernel-equivalence tests and
-        the before/after benchmarks.
-        """
-        out: Dict[int, np.ndarray] = {}
-        for (src, h), block in self.cross.items():
-            if src == g:
-                out[h] = block @ r
-        return out
+    def cross_records(self, g: int, h: int) -> int:
+        """Link records group ``g`` ships to group ``h`` — the stored
+        entries of ``cross[(g, h)]``, 0 for a pair with no cut link."""
+        p = self.pair_position.get((g, h))
+        return 0 if p is None else int(self.pair_records[p])
 
     def total_cut_entries(self) -> int:
         """Total stored entries across all cross blocks (≈ cut links)."""
-        return sum(int(b.nnz) for b in self.cross.values())
-
-    def release_cross(self) -> None:
-        """Drop the cross-block matrices to reclaim their memory.
-
-        The flat engine copies every cross entry into its global cut
-        matrix at construction, after which the per-pair matrices are
-        dead weight — at K groups their row pointers alone hold K·n
-        entries, the dominant term of the builder's footprint on large
-        graphs.  After release only the diagonal operators, page maps,
-        and topology queries (:meth:`destinations_of` /
-        :meth:`sources_of`) remain usable; efferent products and
-        :meth:`total_cut_entries` must not be called.
-        """
-        self.cross.clear()
-        self._efferent_op = None
-        self._efferent_offsets = None
+        return int(self.cut.nnz)
 
 
 def group_blocks(
@@ -270,357 +429,202 @@ def group_blocks(
     partition: Partition,
     alpha: float = 0.85,
     *,
-    mode: str = "auto",
     chunk_edges: int = 1 << 18,
 ) -> GroupBlocks:
     """Split the propagation operator along a partition.
 
-    Two equivalent builders:
-
-    * ``"eager"`` — one vectorized pass over the full edge list:
-      materialize ``(src, dst)``, argsort by ordered group pair, and
-      convert each bucket to a CSR block.  Fastest for in-memory
-      graphs, but the intermediates are several multiples of the edge
-      list.
-    * ``"streamed"`` — two bounded passes over CSR page ranges
-      (``chunk_edges`` links at a time): pass 1 counts each block's
-      per-row entries, pass 2 scatters values into the preallocated
-      block arrays through per-row cursors.  Peak transient memory is
-      one chunk plus the finished blocks, which is what lets a
-      memory-mapped 1e7-page graph rank within the out-of-core
-      budget; touched mmap pages are released with ``madvise`` as the
-      stream advances.
-
-    ``"auto"`` picks ``"streamed"`` exactly when the graph's CSR
-    arrays are memory-mapped (see :func:`repro.graph.io.load_webgraph`),
-    so the whole engine stack switches builders by loading the graph
-    with ``mmap=True`` — no call-site changes.  Both builders produce
-    bit-identical blocks (same values, same canonical CSR layout;
-    asserted in ``tests/test_outofcore.py``).
+    One builder for in-memory and memory-mapped graphs (see
+    :func:`repro.graph.io.load_webgraph`): the edge list is read in
+    page ranges of about ``chunk_edges`` links and touched mmap pages
+    are released with ``madvise`` as the stream advances, so the peak
+    transient is one chunk plus the cut links on top of the finished
+    operators — which is what lets a memory-mapped 1e7-page graph rank
+    within the out-of-core budget.  ``chunk_edges`` never changes the
+    result (asserted in ``tests/test_linalg_operators.py``).
     """
-    check_fraction(alpha, "alpha")
     if partition.n_pages != graph.n_pages:
         raise ValueError("partition and graph disagree on n_pages")
-    if mode == "auto":
-        from repro.graph.io import backing_memmap
-
-        mode = "streamed" if backing_memmap(graph.indices) is not None else "eager"
-    if mode == "streamed":
-        return _group_blocks_streamed(graph, partition, alpha, chunk_edges)
-    if mode != "eager":
-        raise ValueError(f"unknown group_blocks mode {mode!r}")
-
-    src, dst = graph.edges()
-    d = graph.out_degrees().astype(np.float64)
-    with np.errstate(divide="ignore"):
-        inv_d = np.where(d > 0, 1.0 / np.maximum(d, 1e-300), 0.0)
-    data = alpha * inv_d[src]
-
-    group_of = partition.group_of
-    local = partition.local_index()
-    k = partition.n_groups
-    pages = [partition.pages_of_group(g) for g in range(k)]
-    sizes = [p.size for p in pages]
-
-    gs = group_of[src]
-    gd = group_of[dst]
-    pair_key = gs * np.int64(k) + gd
-    order = np.argsort(pair_key, kind="stable")
-    pk_sorted = pair_key[order]
-    boundaries = np.flatnonzero(np.diff(pk_sorted)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [pk_sorted.size]])
-
-    ls = local[src][order]
-    ld = local[dst][order]
-    dat = data[order]
-
-    diag: List[Optional[sp.csr_matrix]] = [None] * k
-    cross: Dict[Tuple[int, int], sp.csr_matrix] = {}
-    for s, e in zip(starts, ends):
-        if s == e:
-            continue
-        key = int(pk_sorted[s])
-        g, h = divmod(key, k)
-        block = sp.csr_matrix(
-            (dat[s:e], (ld[s:e], ls[s:e])), shape=(sizes[h], sizes[g])
-        )
-        if g == h:
-            diag[g] = block
-        else:
-            cross[(g, h)] = block
-    for g in range(k):
-        if diag[g] is None:
-            diag[g] = sp.csr_matrix((sizes[g], sizes[g]))
-    return GroupBlocks(alpha=alpha, pages=pages, diag=diag, cross=cross)  # type: ignore[arg-type]
+    pages = [partition.pages_of_group(g) for g in range(partition.n_groups)]
+    return _partitioned_operator(
+        alpha,
+        pages,
+        graph.indptr,
+        graph.indices,
+        None,
+        _link_weights(alpha, graph.out_degrees()),
+        partition.group_of,
+        partition.local_index(),
+        chunk_edges,
+    )
 
 
 def source_group_blocks(
     alpha: float,
     g: int,
-    src_local: np.ndarray,
-    dst_global: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
     out_degrees: np.ndarray,
+    pages: List[np.ndarray],
     group_of: np.ndarray,
     local_index: np.ndarray,
-    group_sizes: Sequence[int],
 ) -> Tuple[sp.csr_matrix, Dict[int, sp.csr_matrix]]:
     """Rebuild the operator *columns* owned by one source group.
 
     The propagation entry ``α/d(u)`` depends only on the source page
     ``u``, so mutating any page's out-links invalidates exactly the
     blocks whose *source* is that page's group: ``diag[g]`` and every
-    ``cross[(g, h)]``.  This kernel rebuilds that column stripe from
-    the group's current edge list in one vectorized pass — the unit of
-    incremental maintenance in :mod:`repro.serve.incremental`.
+    ``cross[(g, h)]``.  This is :func:`group_blocks`'s kernel applied
+    to that group's edge slice alone — the unit of incremental
+    maintenance in :mod:`repro.serve.incremental` — so a rebuilt
+    stripe is bit-identical to the same stripe of a from-scratch build.
 
-    Parameters
-    ----------
-    alpha:
-        Damping factor.
-    g:
-        The source group being rebuilt.
-    src_local:
-        Per-edge local index of the source page within group ``g``.
-    dst_global:
-        Per-edge global destination page id (parallel to
-        ``src_local``).
-    out_degrees:
-        **Total** out-degree (internal + external) per local page of
-        group ``g`` — the ``d(u)`` denominators.
-    group_of, local_index:
-        Global page id -> owning group / local index within it.
-    group_sizes:
-        Current page count of every group (block shapes).
-
-    Returns ``(diag, cross)`` where ``diag`` is group ``g``'s diagonal
-    block and ``cross`` maps each destination group ``h != g`` with at
-    least one edge to its ``cross[(g, h)]`` block.  Duplicate links
-    accumulate exactly as in :func:`group_blocks` (COO→CSR conversion
-    sums equal ``α/d(u)`` values), so a stripe rebuilt here is
-    bit-identical to the same stripe of a from-scratch
-    :func:`group_blocks` build.
+    ``indptr``/``indices`` are the CSR out-link lists of ``pages[g]``
+    (global destination ids) and ``out_degrees`` their **total**
+    out-degrees; ``pages``, ``group_of`` and ``local_index`` describe
+    the current partition.  Returns ``(diag, cross)``: group ``g``'s
+    diagonal block and its ``cross[(g, h)]`` block per destination
+    ``h != g`` with at least one link.
     """
-    check_fraction(alpha, "alpha")
-    size_g = int(group_sizes[g])
-    k = len(group_sizes)
-    src_local = np.asarray(src_local, dtype=np.int64)
-    dst_global = np.asarray(dst_global, dtype=np.int64)
-    if src_local.shape != dst_global.shape:
-        raise ValueError("src_local and dst_global must be parallel arrays")
-    d = np.asarray(out_degrees, dtype=np.float64)
-    if d.shape != (size_g,):
-        raise ValueError(f"out_degrees must have shape ({size_g},), got {d.shape}")
-    with np.errstate(divide="ignore"):
-        inv_d = np.where(d > 0, 1.0 / np.maximum(d, 1e-300), 0.0)
-    data = alpha * inv_d[src_local]
-
-    gd = group_of[dst_global]
-    ld = local_index[dst_global]
-    order = np.argsort(gd, kind="stable")
-    gd_sorted = gd[order]
-    boundaries = np.flatnonzero(np.diff(gd_sorted)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [gd_sorted.size]])
-
-    ls = src_local[order]
-    lds = ld[order]
-    dat = data[order]
-
-    diag: Optional[sp.csr_matrix] = None
-    cross: Dict[int, sp.csr_matrix] = {}
-    for s, e in zip(starts, ends):
-        if s == e:
-            continue
-        h = int(gd_sorted[s])
-        block = sp.csr_matrix(
-            (dat[s:e], (lds[s:e], ls[s:e])),
-            shape=(int(group_sizes[h]), size_g),
-        )
-        if h == g:
-            diag = block
-        else:
-            cross[h] = block
-    if diag is None:
-        diag = sp.csr_matrix((size_g, size_g))
-    if k and diag.shape[0] != size_g:  # pragma: no cover - defensive
-        raise AssertionError("diag block shape mismatch")
-    return diag, cross
+    blocks = _partitioned_operator(
+        alpha,
+        pages,
+        np.asarray(indptr, dtype=np.int64),
+        np.asarray(indices, dtype=np.int64),
+        pages[g],
+        _link_weights(alpha, out_degrees),
+        group_of,
+        local_index,
+        max(len(indices), 1),
+    )
+    return blocks.diag[g], {h: blocks.cross[(g, h)] for h in blocks.destinations_of(g)}
 
 
-def _edge_chunks(indptr: np.ndarray, n_pages: int, chunk_edges: int):
-    """Yield page ranges ``(p0, p1)`` covering ~``chunk_edges`` links each."""
+def _edge_chunks(indptr: np.ndarray, n_rows: int, chunk_edges: int):
+    """Yield row ranges ``(p0, p1)`` covering ~``chunk_edges`` links each."""
+    if chunk_edges < 1:
+        raise ValueError("chunk_edges must be >= 1")
     p0 = 0
-    while p0 < n_pages:
+    while p0 < n_rows:
         p1 = int(np.searchsorted(indptr, int(indptr[p0]) + chunk_edges, side="left"))
-        p1 = min(max(p1, p0 + 1), n_pages)
+        p1 = min(max(p1, p0 + 1), n_rows)
         yield p0, p1
         p0 = p1
 
 
-def _group_blocks_streamed(
-    graph: WebGraph, partition: Partition, alpha: float, chunk_edges: int
+def _partitioned_operator(
+    alpha: float,
+    pages: List[np.ndarray],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    sources: Optional[np.ndarray],
+    weights: np.ndarray,
+    group_of: np.ndarray,
+    local: np.ndarray,
+    chunk_edges: int,
 ) -> GroupBlocks:
-    """Two-pass bounded-memory builder (see :func:`group_blocks`).
+    """The one builder (module docstring).
 
-    Correctness relies on CSR order: streaming pages ascending means
-    each block row receives its entries in ascending local-column
-    order (local indices are monotone in page id within a group), with
-    duplicate links adjacent.  ``sum_duplicates`` then canonicalizes
-    each block exactly like the eager path's COO→CSR conversion —
-    summed duplicates are sums of *equal* values (``α/d(u)`` depends
-    only on the source page), so the summation order cannot change
-    the result bits.
+    ``indptr``/``indices`` are CSR out-link lists (global destination
+    ids) of the source pages ``sources`` — ascending page ids, ``None``
+    for "row ``i`` is page ``i``" — and ``weights`` their ``α/d``.
     """
-    from repro.graph.io import madvise_dontneed
-
-    if chunk_edges < 1:
-        raise ValueError("chunk_edges must be >= 1")
-    group_of = partition.group_of
-    local = partition.local_index()
-    k = partition.n_groups
-    pages = [partition.pages_of_group(g) for g in range(k)]
-    sizes = [p.size for p in pages]
-    n = graph.n_pages
-    indptr = graph.indptr
-    indices = graph.indices
-    # Row counts, row pointers, and cursors total O(K·n) entries; at
-    # 1e7 pages that term dominates the builder's footprint, so use
-    # int32 whenever every count/pointer/local-column value fits
-    # (values are bounded by the internal link count / page count).
+    k = len(pages)
+    sizes = np.array([p.size for p in pages], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(offsets[-1])
+    n_rows = indptr.size - 1
+    if weights.shape != (n_rows,):
+        raise ValueError(f"need one out-degree per source page, got {weights.shape}")
     i32max = np.iinfo(np.int32).max
-    cnt_dtype = np.int32 if graph.n_internal_links < i32max else np.int64
-    idx_dtype = (
-        np.int32 if graph.n_internal_links < i32max and n < i32max else np.int64
-    )
-    if local.dtype != idx_dtype and n < i32max:
-        local = local.astype(np.int32)
-    # 1/d(u) with dangling pages zeroed, computed in place: same
-    # divisions, same bits as the expression form, but only one
-    # n-sized float temporary is ever live.
-    counts64 = graph.out_degrees()
-    dangling = counts64 == 0
-    inv_d = counts64.astype(np.float64)
-    del counts64
-    np.maximum(inv_d, 1e-300, out=inv_d)
-    np.divide(1.0, inv_d, out=inv_d)
-    inv_d[dangling] = 0.0
-    del dangling
-
-    def sorted_chunk(p0: int, p1: int):
-        """Chunk edges sorted by (block, row); run = one (block, row).
-
-        Per-source quantities come from page-level slices expanded by
-        ``np.repeat`` — the CSR layout guarantees the expansion equals
-        indexing by an explicit per-edge source array, without ever
-        materializing one.
-        """
-        lo, hi = int(indptr[p0]), int(indptr[p1])
-        dst = np.asarray(indices[lo:hi], dtype=np.int64)
-        deg = np.diff(np.asarray(indptr[p0 : p1 + 1], dtype=np.int64))
-        key = np.repeat(group_of[p0:p1] * np.int64(k), deg) + group_of[dst]
-        ld = local[dst]
-        order = np.lexsort((ld, key))
-        ks, lds = key[order], ld[order]
-        if ks.size:
-            run_first = np.flatnonzero(
-                np.r_[True, (np.diff(ks) != 0) | (np.diff(lds) != 0)]
-            )
-            pair_first = np.flatnonzero(np.r_[True, np.diff(ks) != 0])
-        else:
-            run_first = pair_first = np.zeros(0, dtype=np.int64)
-        return lo, hi, deg, order, ks, lds, run_first, pair_first
-
-    # --- pass 1: per-(block, row) entry counts -------------------------
-    counts: Dict[int, np.ndarray] = {}
-    for p0, p1 in _edge_chunks(indptr, n, chunk_edges):
-        lo, hi, _, _, ks, lds, run_first, pair_first = sorted_chunk(p0, p1)
-        run_len = np.diff(np.r_[run_first, ks.size])
-        pair_end = np.r_[pair_first[1:], ks.size]
-        for s, e in zip(pair_first, pair_end):
-            pk = int(ks[s])
-            cnt = counts.get(pk)
-            if cnt is None:
-                cnt = counts[pk] = np.zeros(sizes[pk % k], dtype=cnt_dtype)
-            # Runs are unique rows within the chunk, so a plain fancy
-            # add is collision-free.
-            r0 = np.searchsorted(run_first, s, side="left")
-            r1 = np.searchsorted(run_first, e, side="left")
-            cnt[lds[run_first[r0:r1]]] += run_len[r0:r1]
-        madvise_dontneed(indices, lo, hi)
-
-    # --- allocate final blocks, turn counts into write cursors --------
-    blk_indptr: Dict[int, np.ndarray] = {}
-    blk_indices: Dict[int, np.ndarray] = {}
-    cursor: Dict[int, np.ndarray] = {}
-    for pk in sorted(counts):
-        cnt = counts.pop(pk)
-        nnz = int(cnt.sum())
-        # Row-start trick: bip[1:] starts as each row's write cursor
-        # (the exclusive prefix sum) and is advanced in place by pass
-        # 2, after which it holds exactly the final inclusive row
-        # pointer — the cursors never need their own O(rows) copy.
-        bip = np.zeros(cnt.size + 1, dtype=cnt_dtype)
-        if cnt.size > 1:
-            np.cumsum(cnt[:-1], out=bip[2:])
-        blk_indptr[pk] = bip
-        blk_indices[pk] = np.empty(nnz, dtype=idx_dtype)
-        cursor[pk] = bip[1:]
-
-    # --- pass 2: scatter column indices through the cursors ------------
-    # Only indices are scattered; values are recovered at assembly from
-    # the column index (every entry of block (g, h) column ``c`` is
-    # exactly ``α/d(pages[g][c])``), which keeps a float64 copy of the
-    # whole edge list out of the builder's peak.
-    for p0, p1 in _edge_chunks(indptr, n, chunk_edges):
-        lo, hi, deg, order, ks, lds, run_first, pair_first = sorted_chunk(p0, p1)
-        lss = np.repeat(local[p0:p1], deg)[order]
-        run_id = np.zeros(ks.size, dtype=np.int64)
-        run_id[run_first[1:]] = 1
-        np.cumsum(run_id, out=run_id)
-        ramp = np.arange(ks.size, dtype=np.int64) - run_first[run_id]
-        run_len = np.diff(np.r_[run_first, ks.size])
-        pair_end = np.r_[pair_first[1:], ks.size]
-        for s, e in zip(pair_first, pair_end):
-            pk = int(ks[s])
-            cur = cursor[pk]
-            pos = cur[lds[s:e]] + ramp[s:e]
-            blk_indices[pk][pos] = lss[s:e]
-            r0 = np.searchsorted(run_first, s, side="left")
-            r1 = np.searchsorted(run_first, e, side="left")
-            cur[lds[run_first[r0:r1]]] += run_len[r0:r1]
-        madvise_dontneed(indices, lo, hi)
-    del cursor, local
-
-    # --- assemble ------------------------------------------------------
-    # α/d(u) per page, computed once; gathering it through a block's
-    # column indices reproduces the per-edge products bit for bit
-    # (same two operands per entry, in whatever order).
-    np.multiply(inv_d, alpha, out=inv_d)
-    diag: List[Optional[sp.csr_matrix]] = [None] * k
-    cross: Dict[Tuple[int, int], sp.csr_matrix] = {}
-    w_g = -1
-    w: Optional[np.ndarray] = None
-    for pk in sorted(blk_indptr):
-        g, h = divmod(pk, k)
-        bip = blk_indptr.pop(pk)
-        bidx = blk_indices.pop(pk)
-        if bip.dtype != np.int32 and int(bip[-1]) < i32max and sizes[g] < i32max:
-            # Match scipy's own index-dtype choice (and halve the
-            # blocks' index memory) wherever int32 suffices.
-            bip = bip.astype(np.int32)
-            bidx = bidx.astype(np.int32)
-        if w_g != g:
-            w_g, w = g, inv_d[pages[g]]
-        block = sp.csr_matrix(
-            (w[bidx], bidx, bip), shape=(sizes[h], sizes[g])
+    idx_dtype = np.int32 if max(n, indices.size) <= i32max else np.int64
+    # Per page: its group and its group-major position; per source
+    # row: its group, its column within the group and its group-major
+    # column.  All in the operators' index dtype — every per-link
+    # temporary below is a gather or a repeat of one of these.
+    grp = group_of.astype(idx_dtype)
+    pos = (offsets[group_of] + local).astype(idx_dtype)
+    if sources is None:
+        src_group, src_local, src_pos = grp, local.astype(idx_dtype), pos
+    else:
+        src_group, src_local, src_pos = (
+            grp[sources], local[sources].astype(idx_dtype), pos[sources]
         )
-        block.sum_duplicates()
-        if g == h:
-            diag[g] = block
-        else:
-            cross[(g, h)] = block
-    for g in range(k):
-        if diag[g] is None:
-            diag[g] = sp.csr_matrix((sizes[g], sizes[g]))
-    return GroupBlocks(alpha=alpha, pages=pages, diag=diag, cross=cross)  # type: ignore[arg-type]
+
+    # -- one pass over the edge list --------------------------------------
+    # Intra-group links leave as a CSC matrix in source order
+    # (destination position per link, running count per source row);
+    # cut links as (sort key, source row), the key ordering them by
+    # (source group, destination position) = (source group, destination
+    # group, destination-local row).  ``a_rows`` is sized for the worst
+    # case but only its filled prefix is ever touched.
+    a_rows = np.empty(indices.size, dtype=idx_dtype)
+    a_colptr = np.zeros(n_rows + 1, dtype=idx_dtype)
+    n_intra = 0
+    cut_keys: List[np.ndarray] = []
+    cut_cols: List[np.ndarray] = []
+    for p0, p1 in _edge_chunks(indptr, n_rows, chunk_edges):
+        lo, hi = int(indptr[p0]), int(indptr[p1])
+        degrees = np.diff(indptr[p0 : p1 + 1])
+        dst_pos = pos[indices[lo:hi]]
+        g_src = np.repeat(src_group[p0:p1], degrees)
+        mask = g_src == grp[indices[lo:hi]]
+        madvise_dontneed(indices, lo, hi)
+        running = np.zeros(hi - lo + 1, dtype=idx_dtype)
+        np.cumsum(mask, dtype=idx_dtype, out=running[1:])
+        a_colptr[p0 + 1 : p1 + 1] = n_intra + running[indptr[p0 + 1 : p1 + 1] - lo]
+        a_rows[n_intra : n_intra + running[-1]] = dst_pos[mask]
+        n_intra += int(running[-1])
+        np.logical_not(mask, out=mask)
+        cut_cols.append(np.repeat(np.arange(p0, p1, dtype=idx_dtype), degrees)[mask])
+        cut_keys.append(g_src[mask].astype(np.int64) * max(n, 1) + dst_pos[mask])
+
+    # -- diagonal stack: counting transposition to destination rows -------
+    # The placeholder int8 values keep a float64 copy of the intra
+    # links out of the transposition; the real ones are a gather of
+    # ``weights`` through the transposed column (= source row) ids.
+    by_row = sp.csc_matrix(
+        (np.ones(n_intra, dtype=np.int8), a_rows[:n_intra], a_colptr),
+        shape=(n, n_rows),
+    ).tocsr()
+    del a_rows, a_colptr
+    stack = sp.csr_matrix(
+        (weights[by_row.indices], src_local[by_row.indices], by_row.indptr),
+        shape=(n, int(sizes.max(initial=0))),
+    )
+    del by_row
+    stack.sum_duplicates()
+
+    # -- cut operator: one stable sort on (src group, dst group, row) -----
+    key = np.concatenate(cut_keys) if cut_keys else np.zeros(0, dtype=np.int64)
+    col = np.concatenate(cut_cols) if cut_cols else np.zeros(0, dtype=idx_dtype)
+    del cut_keys, cut_cols
+    order = np.argsort(key, kind="stable")
+    key, col = key[order], col[order]
+    del order
+    first = _run_starts(key)
+    g_from, row_pos = np.divmod(key[first], max(n, 1))
+    g_to = np.searchsorted(offsets, row_pos, side="right") - 1
+    pair_code = g_from * k + g_to
+    cut_op = sp.csr_matrix(
+        (
+            weights[col],
+            src_pos[col],
+            np.concatenate([first, [key.size]]).astype(idx_dtype),
+        ),
+        shape=(first.size, n),
+    )
+    cut_op.sum_duplicates()
+    pair_first = _run_starts(pair_code)
+    pair_src, pair_dst = np.divmod(pair_code[pair_first], k)
+    pair_start = np.concatenate([pair_first, [pair_code.size]]).astype(np.int64)
+    return GroupBlocks(
+        alpha=alpha,
+        pages=pages,
+        diag_stack=stack,
+        cut=cut_op,
+        row_map=row_pos - offsets[g_to],
+        pair_src=pair_src,
+        pair_dst=pair_dst,
+        pair_start=pair_start,
+        pair_records=np.diff(cut_op.indptr[pair_start]).astype(np.int64),
+    )

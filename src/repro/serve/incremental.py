@@ -569,22 +569,20 @@ class IncrementalRanker:
             dtype=np.int64,
             count=total,
         )
-        src_local = np.repeat(np.arange(pages_g.size, dtype=np.int64), counts)
         degrees = np.asarray(counts, dtype=np.float64)
         if pages_g.size:
             degrees += np.asarray(
                 [self._ext[int(p)] for p in pages_g], dtype=np.float64
             )
-        sizes = [p.size for p in self._pages]
         diag, cross = source_group_blocks(
             self.alpha,
             g,
-            src_local,
+            np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
             dst,
             degrees,
+            self._pages,
             self._group_of,
             self._local,
-            sizes,
         )
         self._diag[g] = diag
         stale = self._dests[g] - set(cross)

@@ -97,3 +97,24 @@ class TestGroupSystemAlgebra:
             GroupSystem(contest_small, part, alpha=1.0)
         with pytest.raises(ValueError):
             GroupSystem(contest_small, part, e=np.ones(3))
+
+
+def test_cross_records_survive_engine_construction(contest_small):
+    """The flat engine used to release the cross blocks ``cross_records``
+    read, after which every pair silently reported 0 link records."""
+    from repro.core.coordinator import DistributedConfig
+    from repro.core.engine import SynchronousEngine
+
+    part = make_partition(contest_small, 5, "site")
+    before = GroupSystem(contest_small, part)
+    want = {key: block.nnz for key, block in before.blocks.cross.items()}
+    assert want and all(want.values())
+
+    config = DistributedConfig(
+        n_groups=5, engine="flat", schedule="sync", t1=6.0, t2=6.0, sample_interval=6.0
+    )
+    engine = SynchronousEngine(contest_small, config, partition=part)
+    for g in range(5):
+        for h in range(5):
+            assert before.cross_records(g, h) == want.get((g, h), 0)
+            assert engine.system.cross_records(g, h) == want.get((g, h), 0)

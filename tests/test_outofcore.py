@@ -170,49 +170,33 @@ class TestNpzHardening:
             load_webgraph(path)
 
 
+def _csr_bytes(m):
+    return (m.shape, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes())
+
+
 class TestStreamedOperators:
     @pytest.mark.parametrize("strategy", ["site", "url", "random", "ldg"])
-    def test_group_blocks_streamed_matches_eager(self, strategy, contest_small):
+    def test_group_blocks_streamed_matches_eager(self, strategy, contest_small, tmp_path):
+        """One builder: a memory-mapped graph read in small chunks gives
+        the operators of the in-memory graph read in one."""
         from repro.linalg.operators import group_blocks
 
         part = make_partition(contest_small, 6, strategy, seed=1)
-        eager = group_blocks(contest_small, part, mode="eager")
-        streamed = group_blocks(
-            contest_small, part, mode="streamed", chunk_edges=777
-        )
+        eager = group_blocks(contest_small, part)
+        save_webgraph(contest_small, tmp_path / "wg")
+        mapped = load_webgraph(tmp_path / "wg", mmap=True)
+        streamed = group_blocks(mapped, part, chunk_edges=777)
+
+        assert _csr_bytes(eager.diag_stack) == _csr_bytes(streamed.diag_stack)
+        assert _csr_bytes(eager.cut) == _csr_bytes(streamed.cut)
+        for name in ("row_map", "pair_src", "pair_dst", "pair_start", "pair_records"):
+            a, b = getattr(eager, name), getattr(streamed, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         for a, b in zip(eager.diag, streamed.diag):
-            assert a.indptr.tobytes() == b.indptr.tobytes()
-            assert a.indices.tobytes() == b.indices.tobytes()
-            assert a.data.tobytes() == b.data.tobytes()
-        assert set(eager.cross) == set(streamed.cross)
+            assert _csr_bytes(a) == _csr_bytes(b)
+        assert list(eager.cross) == list(streamed.cross)
         for key, a in eager.cross.items():
-            b = streamed.cross[key]
-            assert a.indptr.tobytes() == b.indptr.tobytes()
-            assert a.indices.tobytes() == b.indices.tobytes()
-            assert a.data.tobytes() == b.data.tobytes()
-
-    def test_auto_mode_streams_only_for_mmap(self, tmp_path, contest_small):
-        from repro.linalg import operators
-
-        calls = []
-        original = operators._group_blocks_streamed
-
-        def spy(*args, **kwargs):
-            calls.append(True)
-            return original(*args, **kwargs)
-
-        operators._group_blocks_streamed = spy
-        try:
-            part = make_partition(contest_small, 4, "site")
-            operators.group_blocks(contest_small, part)
-            assert calls == []
-            path = tmp_path / "wg"
-            save_webgraph(contest_small, path)
-            mapped = load_webgraph(path, mmap=True)
-            operators.group_blocks(mapped, make_partition(mapped, 4, "site"))
-            assert calls == [True]
-        finally:
-            operators._group_blocks_streamed = original
+            assert _csr_bytes(a) == _csr_bytes(streamed.cross[key])
 
 
 class TestMmapRankingIdentity:

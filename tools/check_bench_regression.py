@@ -50,6 +50,9 @@ MANIFEST = {
     "BENCH_engine.json": [
         ("scales.-1.speedup", "higher"),
     ],
+    "BENCH_kernels.json": [
+        ("group_blocks_k_scaling.k256_over_k16_x", "lower"),
+    ],
 }
 
 
