@@ -29,10 +29,14 @@ user can regenerate any paper artifact without touching pytest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from repro.analysis.reporting import format_table
+from repro.core.coordinator import GROUPS, DistributedConfig, config_flag
+from repro.utils.validation import BOOLEAN, POSITIVE, Domain, integer
 
 __all__ = ["main", "build_parser"]
 
@@ -41,98 +45,111 @@ def _int_list(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x]
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is not in [0, 1]")
-    return value
+def _name_list(text: str) -> List[str]:
+    return [x for x in text.split(",") if x]
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{value} is not > 0")
-    return value
+def _option(parser, flag: str, domain: Domain, default, help=None) -> None:
+    """Declare one option whose value ``domain`` parses and range-checks
+    (a switch when the domain is boolean), so an out-of-range string is
+    a usage error at parse time."""
 
+    def parse(text: str):
+        try:
+            return domain.parse(text, "value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 0")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 0")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
-    return value
-
-
-def _backoff_factor(text: str) -> float:
-    value = float(text)
-    if value < 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
-    return value
+    if domain is BOOLEAN:
+        parser.add_argument(flag, action="store_true", default=default, help=help)
+    else:
+        parser.add_argument(
+            flag, type=parse, choices=domain.choices, default=default, help=help
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI (see module docstring for usage)."""
+    from repro.experiments import (
+        BAKEOFF_STRATEGIES,
+        CHAOS_ENGINES,
+        COMPRESSION_CONTENDERS,
+        ENGINE_CONTENDERS,
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Distributed Page Ranking in Structured P2P Networks "
         "(ICPP 2003) — reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive_int = integer(1)
 
     def add_workload(p):
         p.add_argument("--pages", type=int, default=4000, help="crawl size")
         p.add_argument("--sites", type=int, default=100, help="site count")
         p.add_argument("--seed", type=int, default=2003)
 
-    def add_engine(p):
+    def add_config(p, *names):
+        """Declare the ``repro run`` options of the named config fields
+        (all of them, under their group headings, when none is named),
+        read off the validity table."""
+        sections = {}
+        if not names:
+            sections = {g: p.add_argument_group(g, text) for g, text in GROUPS.items()}
+        for f in fields(DistributedConfig):
+            flag, meta = config_flag(f), f.metadata
+            # --seed is add_workload's: one seed drives the crawl and the run.
+            if flag in (None, "--seed") or (names and f.name not in names):
+                continue
+            section = sections.get(meta["group"], p)
+            _option(section, flag, meta["domain"], f.default, meta["help"])
+
+    def add_cache_dir(p, what="cached tables reproduce byte-identically"):
         p.add_argument(
-            "--engine", choices=["event", "flat", "hybrid", "mc"],
-            default="event",
-            help="execution engine: per-message event simulation (event), "
-            "vectorized bulk-synchronous rounds (flat; much faster at "
-            "scale), the fault-tolerant fast path (hybrid; flat-speed "
-            "rounds over a persistent fault plane — flat requests with "
-            "fault knobs or --schedule async dispatch here "
-            "automatically), or the Monte-Carlo random-walk estimator "
-            "(mc; statistical accuracy, O(log n) rounds).  flat, hybrid "
-            "and mc sample once per round; flat and mc require "
-            "--schedule sync",
+            "--cache-dir", default=None,
+            help="artifact cache directory (default: $REPRO_CACHE_DIR if "
+            f"set, else no caching); {what}",
         )
+
+    def add_bakeoff(name, help, contenders, target_help, *, groups=16, max_time=3000.0,
+                    max_time_help="simulated-time budget per run"):
+        """A bake-off subcommand: one workload (generated or ``--graph``),
+        one contender list, one ε target and time budget, one cached table."""
+        p = sub.add_parser(name, help=help)
+        add_workload(p)
+        _option(p, "--groups", positive_int, groups, "ranker count K")
+        flag, names = contenders
         p.add_argument(
-            "--schedule", choices=["async", "sync"], default="async",
-            help="event-engine wake schedule: exponential waits (async, "
-            "the paper's model) or one common fixed period (sync, "
-            "bit-identical to --engine flat)",
+            flag, type=_name_list, default=list(names),
+            help=f"comma-separated names (default: all of {','.join(names)})",
         )
+        _option(p, "--target", POSITIVE, 1e-4, target_help)
+        _option(p, "--max-time", POSITIVE, max_time, max_time_help)
+        p.add_argument(
+            "--graph", default=None,
+            help="load this saved webgraph (directory → memory-mapped, "
+            "*.npz → in-memory) instead of generating one; --pages/--sites "
+            "are ignored",
+        )
+        add_cache_dir(p)
+        return p
 
     p_fig6 = sub.add_parser("fig6", help="relative error vs time (Fig 6)")
     add_workload(p_fig6)
-    add_engine(p_fig6)
+    add_config(p_fig6, "engine", "schedule")
     p_fig6.add_argument("--groups", type=int, default=64)
     p_fig6.add_argument("--max-time", type=float, default=90.0)
 
     p_fig7 = sub.add_parser("fig7", help="monotone average rank (Fig 7)")
     add_workload(p_fig7)
-    add_engine(p_fig7)
+    add_config(p_fig7, "engine", "schedule")
     p_fig7.add_argument("--groups", type=int, default=100)
     p_fig7.add_argument("--max-time", type=float, default=90.0)
 
     p_fig8 = sub.add_parser("fig8", help="iterations vs #rankers (Fig 8)")
     add_workload(p_fig8)
-    add_engine(p_fig8)
+    add_config(p_fig8, "engine", "schedule")
     p_fig8.add_argument("--ks", type=_int_list, default=[2, 10, 100, 256])
     p_fig8.add_argument("--max-time", type=float, default=4000.0)
 
@@ -142,123 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one distributed page-ranking run")
     add_workload(p_run)
-    add_engine(p_run)
-    p_run.add_argument("--groups", type=int, default=16)
-    p_run.add_argument("--algorithm", choices=["dpr1", "dpr2"], default="dpr1")
-    p_run.add_argument(
-        "--partition", choices=["site", "url", "random", "contiguous"], default="site"
-    )
-    p_run.add_argument("--overlay", choices=["pastry", "chord", "can"], default="pastry")
-    p_run.add_argument("--transport", choices=["indirect", "direct"], default="indirect")
-    p_run.add_argument("--t1", type=float, default=0.0)
-    p_run.add_argument("--t2", type=float, default=6.0)
-    p_run.add_argument("--delivery-prob", type=_probability, default=1.0)
-    p_run.add_argument("--target", type=float, default=1e-5,
-                       help="target relative error")
+    p_run.add_argument("--target", type=float, default=1e-5, help="target relative error")
     p_run.add_argument("--max-time", type=float, default=1000.0)
-
-    def add_mc(p):
-        g_mc = p.add_argument_group(
-            "monte-carlo", "random-walk engine knobs (--engine mc; "
-            "repro.linalg.montecarlo)"
-        )
-        g_mc.add_argument(
-            "--walks-per-page", type=_positive_int, default=16,
-            help="walk tokens launched per page; relative L1 error "
-            "scales as 1/sqrt(R)",
-        )
-        g_mc.add_argument(
-            "--walk-mode", choices=["terminate", "visit"],
-            default="terminate",
-            help="rank estimator: credit walk terminations, or every "
-            "visit scaled by 1-alpha",
-        )
-        g_mc.add_argument(
-            "--dangling-mode", choices=["absorb", "jump"],
-            default="absorb",
-            help="walks at zero-out-degree pages die (absorb, the "
-            "open-system reference behaviour) or restart at a random "
-            "page (jump; biased vs. the centralized reference)",
-        )
-        return g_mc
-
-    add_mc(p_run)
-
-    g_rel = p_run.add_argument_group(
-        "reliability", "ACK/retry transport layer (repro.net.reliable)"
-    )
-    g_rel.add_argument("--reliable", action="store_true",
-                       help="wrap the transport in ReliableTransport")
-    g_rel.add_argument("--retry-timeout", type=_positive_float, default=4.0,
-                       help="initial retransmission timeout")
-    g_rel.add_argument("--retry-backoff", type=_backoff_factor, default=2.0,
-                       help="timeout multiplier per retry (>= 1)")
-    g_rel.add_argument("--retry-jitter", type=_non_negative_float, default=0.0,
-                       help="uniform jitter added to each timeout")
-    g_rel.add_argument("--retry-max-timeout", type=_positive_float, default=60.0,
-                       help="timeout cap across retries")
-    g_rel.add_argument("--max-retries", type=_non_negative_int, default=8,
-                       help="retransmissions before giving up")
-
-    g_chaos = p_run.add_argument_group(
-        "chaos", "message-level adversaries (require --reliable)"
-    )
-    g_chaos.add_argument("--ack-loss-prob", type=_probability, default=0.0)
-    g_chaos.add_argument("--duplicate-prob", type=_probability, default=0.0)
-    g_chaos.add_argument("--reorder-prob", type=_probability, default=0.0)
-    g_chaos.add_argument("--reorder-max-delay", type=_non_negative_float,
-                         default=0.0)
-
-    g_churn = p_run.add_argument_group("churn", "node pause and crash injection")
-    g_churn.add_argument("--pause-faults", type=_non_negative_int, default=0,
-                         help="number of transient pause/resume faults")
-    g_churn.add_argument("--pause-horizon", type=_non_negative_float,
-                         default=20.0, help="window pauses start in")
-    g_churn.add_argument("--pause-mean-outage", type=_non_negative_float,
-                         default=5.0, help="mean pause duration")
-    g_churn.add_argument("--crash-prob", type=_probability, default=0.0,
-                         help="per-ranker permanent crash probability")
-    g_churn.add_argument("--crash-after", type=_non_negative_float, default=10.0,
-                         help="warmup before crashes may fire")
-    g_churn.add_argument("--crash-horizon", type=_non_negative_float,
-                         default=10.0, help="window crashes fire in")
-
-    g_comp = p_run.add_argument_group(
-        "compression", "wire codec and traffic suppression "
-        "(repro.net.codec / repro.net.adaptive)"
-    )
-    g_comp.add_argument(
-        "--codec", choices=["none", "delta", "delta-q16"], default="none",
-        help="wire codec for cross-group score updates: flat "
-        "100 B/record accounting (none), varint delta frames with "
-        "float32 deltas (delta; lossless at --comm-epsilon 0), or "
-        "float16 deltas (delta-q16; requires --comm-epsilon > 0)",
-    )
-    g_comp.add_argument(
-        "--comm-epsilon", type=_non_negative_float, default=0.0,
-        help="total certified error budget ε_comm in efferent L1 mass "
-        "(0 = lossless); the run's rank deviation is certified at or "
-        "below ε_comm / (1 - alpha)",
-    )
-    g_comp.add_argument(
-        "--send-threshold", type=_non_negative_float, default=0.0,
-        help="skip sending an efferent vector whose L1 change since "
-        "the last send is at or below this threshold (0 disables; "
-        "mutually exclusive with --codec)",
-    )
-
-    g_rec = p_run.add_argument_group(
-        "recovery", "failure detection and checkpoint-based takeover"
-    )
-    g_rec.add_argument("--heartbeat-interval", type=_non_negative_float,
-                       default=0.0, help="failure-detector sweep period "
-                       "(0 disables)")
-    g_rec.add_argument("--heartbeat-miss", type=_positive_int, default=3,
-                       help="missed beats before a group is declared dead")
-    g_rec.add_argument("--checkpoint-interval", type=_non_negative_float,
-                       default=0.0, help="state snapshot period (0 disables)")
-    g_rec.add_argument("--recovery", action="store_true",
-                       help="take over detected-dead groups from checkpoints")
+    add_config(p_run)
 
     p_sum = sub.add_parser("summary", help="describe a generated crawl")
     add_workload(p_sum)
@@ -273,89 +176,60 @@ def build_parser() -> argparse.ArgumentParser:
         help="destination path: a directory for the memory-mappable "
         "format (recommended), or *.npz for the compressed archive",
     )
-    p_gen.add_argument(
-        "--chunk-pages", type=_positive_int, default=None,
-        help="pages generated per chunk (bounds peak memory; default "
+    _option(
+        p_gen, "--chunk-pages", positive_int, None,
+        "pages generated per chunk (bounds peak memory; default "
         "2**16; the emitted graph is bit-identical for every value)",
     )
 
-    p_part = sub.add_parser(
+    p_part = add_bakeoff(
         "partitions",
-        help="partitioner bake-off: cut size, balance, traffic, and "
+        "partitioner bake-off: cut size, balance, traffic, and "
         "rounds-to-target for every placement strategy on one graph",
-    )
-    add_workload(p_part)
-    p_part.add_argument("--groups", type=_positive_int, default=16, help="ranker count K")
-    p_part.add_argument(
-        "--strategies",
-        type=lambda s: [x for x in s.split(",") if x],
-        default=None,
-        help="comma-separated strategy names (default: all of "
-        "site,url,rendezvous,random,contiguous,ldg)",
-    )
-    p_part.add_argument(
-        "--target", type=_positive_float, default=1e-4,
-        help="relative-error target for the rounds-to-ε column",
-    )
-    p_part.add_argument(
-        "--max-time", type=_positive_float, default=3000.0,
-        help="simulated-time budget per convergence run",
+        ("--strategies", BAKEOFF_STRATEGIES),
+        "relative-error target for the rounds-to-ε column",
+        max_time_help="simulated-time budget per convergence run",
     )
     p_part.add_argument(
         "--cut-only", action="store_true",
         help="skip the convergence runs (no centralized reference "
         "solve); keeps 1e7-page graphs feasible",
     )
-    p_part.add_argument(
-        "--graph", default=None,
-        help="load this saved webgraph (directory → memory-mapped, "
-        "*.npz → in-memory) instead of generating one; --pages/--sites "
-        "are ignored",
-    )
-    p_part.add_argument(
-        "--cache-dir", default=None,
-        help="artifact cache directory (default: $REPRO_CACHE_DIR if "
-        "set, else no caching); cached tables reproduce byte-identically",
-    )
 
-    p_eng = sub.add_parser(
+    p_eng = add_bakeoff(
         "engines",
-        help="engine bake-off: rounds-to-ε, L1 error, messages, and "
+        "engine bake-off: rounds-to-ε, L1 error, messages, and "
         "bytes for dpr1/dpr2-event/flat/mc on one identical workload",
-    )
-    add_workload(p_eng)
-    p_eng.add_argument("--groups", type=_positive_int, default=16,
-                       help="ranker count K")
-    p_eng.add_argument(
-        "--engines",
-        type=lambda s: [x for x in s.split(",") if x],
-        default=None,
-        help="comma-separated contender names (default: all of "
-        "dpr1,dpr2-event,flat,mc)",
-    )
-    p_eng.add_argument(
-        "--target", type=_positive_float, default=1e-4,
-        help="relative-error target ε (the Jacobi engines stop here; "
+        ("--engines", ENGINE_CONTENDERS),
+        "relative-error target ε (the Jacobi engines stop here; "
         "mc runs to walk exhaustion unless it reaches ε first)",
     )
-    p_eng.add_argument(
-        "--max-time", type=_positive_float, default=3000.0,
-        help="simulated-time budget per run",
+    add_config(p_eng, "walks_per_page")
+
+    add_bakeoff(
+        "chaos",
+        "chaos bake-off: the EXPERIMENTS.md churn scenario on the "
+        "event engine vs the hybrid fault-tolerant fast path — same ε "
+        "verdict, fault counters, and wall-clock speedup",
+        ("--engines", CHAOS_ENGINES),
+        "relative-error target ε for the verdict column",
+        groups=8,
+        max_time=405.0,
+        max_time_help="simulated-time budget per run (default: 40 rounds of "
+        "the scenario's T=10 period plus a drain margin)",
     )
-    p_eng.add_argument(
-        "--walks-per-page", type=_positive_int, default=16,
-        help="mc walk tokens per page (error scales as 1/sqrt(R))",
+
+    p_comp = add_bakeoff(
+        "compression",
+        "wire-compression bake-off: data bytes, paper-model bytes, "
+        "reduction factor, certified bound vs measured deviation for "
+        "each codec on one identical workload",
+        ("--codecs", COMPRESSION_CONTENDERS),
+        "relative-error target ε for the rounds-to-ε column",
     )
-    p_eng.add_argument(
-        "--graph", default=None,
-        help="load this saved webgraph (directory → memory-mapped, "
-        "*.npz → in-memory) instead of generating one; --pages/--sites "
-        "are ignored",
-    )
-    p_eng.add_argument(
-        "--cache-dir", default=None,
-        help="artifact cache directory (default: $REPRO_CACHE_DIR if "
-        "set, else no caching); cached tables reproduce byte-identically",
+    _option(
+        p_comp, "--comm-epsilon", POSITIVE, 1e-4,
+        "error budget ε_comm used by the lossy contenders (delta-eps and delta-q16)",
     )
 
     p_serve = sub.add_parser(
@@ -363,128 +237,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="serving-tier demo: incremental re-ranking + indexed top-k "
         "queries against a crawler mutating the graph under churn",
     )
-    p_serve.add_argument("--web-pages", type=_positive_int, default=3000,
-                         help="TrueWeb size (the hidden full web)")
-    p_serve.add_argument("--sites", type=_positive_int, default=60,
-                         help="site count")
-    p_serve.add_argument("--crawl", type=_positive_int, default=1200,
-                         help="pages crawled before the server boots")
-    p_serve.add_argument("--groups", type=_positive_int, default=8,
-                         help="ranker count K")
-    p_serve.add_argument("--epsilon", type=_positive_float, default=1e-3,
-                         help="staleness budget ε (relative L1)")
-    p_serve.add_argument("--phases", type=_positive_int, default=4,
-                         help="churn-crawl-sync-query phases")
-    p_serve.add_argument("--churn", type=_non_negative_int, default=80,
-                         help="TrueWeb link edits per phase")
-    p_serve.add_argument("--budget", type=_positive_int, default=200,
-                         help="crawler fetch budget per phase")
-    p_serve.add_argument("--queries", type=_positive_int, default=400,
-                         help="queries fired per phase")
+    for flag, domain, default, help in (
+        ("--web-pages", positive_int, 3000, "TrueWeb size (the hidden full web)"),
+        ("--sites", positive_int, 60, "site count"),
+        ("--crawl", positive_int, 1200, "pages crawled before the server boots"),
+        ("--groups", positive_int, 8, "ranker count K"),
+        ("--epsilon", POSITIVE, 1e-3, "staleness budget ε (relative L1)"),
+        ("--phases", positive_int, 4, "churn-crawl-sync-query phases"),
+        ("--churn", integer(0), 80, "TrueWeb link edits per phase"),
+        ("--budget", positive_int, 200, "crawler fetch budget per phase"),
+        ("--queries", positive_int, 400, "queries fired per phase"),
+    ):
+        _option(p_serve, flag, domain, default, help)
     p_serve.add_argument("--seed", type=int, default=2003)
-    p_serve.add_argument(
-        "--cache-dir", default=None,
-        help="artifact cache directory (default: $REPRO_CACHE_DIR if "
-        "set, else no caching); cached tables reproduce byte-identically",
-    )
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="chaos bake-off: the EXPERIMENTS.md churn scenario on the "
-        "event engine vs the hybrid fault-tolerant fast path — same ε "
-        "verdict, fault counters, and wall-clock speedup",
-    )
-    add_workload(p_chaos)
-    p_chaos.add_argument("--groups", type=_positive_int, default=8,
-                         help="ranker count K")
-    p_chaos.add_argument(
-        "--engines",
-        type=lambda s: [x for x in s.split(",") if x],
-        default=None,
-        help="comma-separated engine names (default: event,hybrid)",
-    )
-    p_chaos.add_argument(
-        "--target", type=_positive_float, default=1e-4,
-        help="relative-error target ε for the verdict column",
-    )
-    p_chaos.add_argument(
-        "--max-time", type=_positive_float, default=405.0,
-        help="simulated-time budget per run (default: 40 rounds of "
-        "the scenario's T=10 period plus a drain margin)",
-    )
-    p_chaos.add_argument(
-        "--graph", default=None,
-        help="load this saved webgraph (directory → memory-mapped, "
-        "*.npz → in-memory) instead of generating one; --pages/--sites "
-        "are ignored",
-    )
-    p_chaos.add_argument(
-        "--cache-dir", default=None,
-        help="artifact cache directory (default: $REPRO_CACHE_DIR if "
-        "set, else no caching); cached tables reproduce byte-identically",
-    )
-
-    p_comp = sub.add_parser(
-        "compression",
-        help="wire-compression bake-off: data bytes, paper-model bytes, "
-        "reduction factor, certified bound vs measured deviation for "
-        "each codec on one identical workload",
-    )
-    add_workload(p_comp)
-    p_comp.add_argument("--groups", type=_positive_int, default=16,
-                        help="ranker count K")
-    p_comp.add_argument(
-        "--codecs",
-        type=lambda s: [x for x in s.split(",") if x],
-        default=None,
-        help="comma-separated contender names (default: all of "
-        "none,delta,delta-eps,delta-q16)",
-    )
-    p_comp.add_argument(
-        "--target", type=_positive_float, default=1e-4,
-        help="relative-error target ε for the rounds-to-ε column",
-    )
-    p_comp.add_argument(
-        "--comm-epsilon", type=_positive_float, default=1e-4,
-        help="error budget ε_comm used by the lossy contenders "
-        "(delta-eps and delta-q16)",
-    )
-    p_comp.add_argument(
-        "--max-time", type=_positive_float, default=3000.0,
-        help="simulated-time budget per run",
-    )
-    p_comp.add_argument(
-        "--graph", default=None,
-        help="load this saved webgraph (directory → memory-mapped, "
-        "*.npz → in-memory) instead of generating one; --pages/--sites "
-        "are ignored",
-    )
-    p_comp.add_argument(
-        "--cache-dir", default=None,
-        help="artifact cache directory (default: $REPRO_CACHE_DIR if "
-        "set, else no caching); cached tables reproduce byte-identically",
-    )
+    add_cache_dir(p_serve)
 
     p_all = sub.add_parser("all", help="run the full reproduction suite")
     add_workload(p_all)
     p_all.add_argument(
-        "--only",
-        type=lambda s: [x for x in s.split(",") if x],
-        default=None,
+        "--only", type=_name_list, default=None,
         help="comma-separated experiment names (default: all)",
     )
     p_all.add_argument("--out", default=None, help="directory for result tables")
-    p_all.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes for the sweep (1 = serial; results are "
+    _option(
+        p_all, "--jobs", positive_int, 1,
+        "worker processes for the sweep (1 = serial; results are "
         "bit-identical for every value)",
     )
-    p_all.add_argument(
-        "--cache-dir", default=None,
-        help="artifact cache directory for graphs, reference vectors and "
-        "sweep-point results (default: $REPRO_CACHE_DIR if set, else no "
-        "caching)",
-    )
+    add_cache_dir(p_all, "holds graphs, reference vectors and sweep-point results")
 
     return parser
 
@@ -539,55 +319,18 @@ def cmd_table1(args) -> int:
 def cmd_run(args) -> int:
     from repro.core import run_distributed_pagerank
 
-    graph = _make_graph(args)
+    flags = ((f.name, config_flag(f)) for f in fields(DistributedConfig))
+    keywords = {name: getattr(args, flag[2:].replace("-", "_")) for name, flag in flags if flag}
     try:
-        result = run_distributed_pagerank(
-            graph,
-            n_groups=args.groups,
-            engine=args.engine,
-            schedule=args.schedule,
-            algorithm=args.algorithm,
-            partition_strategy=args.partition,
-            overlay=args.overlay,
-            transport=args.transport,
-            t1=args.t1,
-            t2=args.t2,
-            delivery_prob=args.delivery_prob,
-            seed=args.seed,
-            walks_per_page=args.walks_per_page,
-            walk_mode=args.walk_mode,
-            dangling_mode=args.dangling_mode,
-            reliable=args.reliable,
-            retry_timeout=args.retry_timeout,
-            retry_backoff=args.retry_backoff,
-            retry_jitter=args.retry_jitter,
-            retry_max_timeout=args.retry_max_timeout,
-            max_retries=args.max_retries,
-            ack_loss_prob=args.ack_loss_prob,
-            duplicate_prob=args.duplicate_prob,
-            reorder_prob=args.reorder_prob,
-            reorder_max_delay=args.reorder_max_delay,
-            pause_faults=args.pause_faults,
-            pause_horizon=args.pause_horizon,
-            pause_mean_outage=args.pause_mean_outage,
-            crash_prob=args.crash_prob,
-            crash_after=args.crash_after,
-            crash_horizon=args.crash_horizon,
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_miss_threshold=args.heartbeat_miss,
-            checkpoint_interval=args.checkpoint_interval,
-            recovery=args.recovery,
-            codec=args.codec,
-            comm_epsilon=args.comm_epsilon,
-            send_threshold=args.send_threshold,
-            target_relative_error=args.target,
-            max_time=args.max_time,
-        )
+        config = DistributedConfig(**keywords)
     except ValueError as exc:
         # Cross-field config constraints (e.g. chaos without --reliable)
         # surface as a usage error, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    result = run_distributed_pagerank(
+        _make_graph(args), config, target_relative_error=args.target, max_time=args.max_time
+    )
     rows = [
         ("converged", str(result.converged)),
         ("time to target", str(result.time_to_target)),
@@ -604,7 +347,7 @@ def cmd_run(args) -> int:
             ("fast rounds", result.fast_rounds),
             ("replayed rounds", result.replayed_rounds),
         ]
-    if args.reliable:
+    if config.reliable:
         rows += [
             ("ack messages", result.traffic.ack_messages),
             ("ack bytes", result.traffic.ack_bytes),
@@ -623,7 +366,7 @@ def cmd_run(args) -> int:
              f"{cs['exact_flushes']}"),
             ("certified rank-error bound", f"{cs['certified_bound']:.3e}"),
         ]
-    if args.crash_prob > 0 or args.heartbeat_interval > 0 or args.recovery:
+    if config.crash_prob > 0 or config.heartbeat_interval > 0 or config.recovery:
         rows += [
             ("groups crashed", result.crashed_groups),
             ("deaths detected", result.deaths_detected),
@@ -671,160 +414,118 @@ def cmd_graphgen(args) -> int:
     return 0
 
 
-def cmd_partitions(args) -> int:
-    """Run the partitioner bake-off and print its table."""
-    import contextlib
+def _cache(args):
+    from repro.parallel.cache import ArtifactCache, cache_from_env
 
-    from repro.experiments import BAKEOFF_STRATEGIES, run_partition_bakeoff
-    from repro.parallel.cache import ArtifactCache, activate, cache_from_env
+    return ArtifactCache(args.cache_dir) if args.cache_dir else cache_from_env()
 
+
+def _workload(args) -> dict:
+    """The keywords every graph bake-off shares: the graph (loaded from
+    ``--graph`` or generated), the ε target and the time budget."""
     if args.graph is not None:
         from repro.graph.io import load_webgraph
 
         graph = load_webgraph(args.graph, mmap=not str(args.graph).endswith(".npz"))
     else:
         graph = _make_graph(args)
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else cache_from_env()
-    ctx = activate(cache) if cache is not None else contextlib.nullcontext()
-    with ctx:
-        result = run_partition_bakeoff(
-            graph,
-            n_groups=args.groups,
-            strategies=args.strategies or BAKEOFF_STRATEGIES,
-            seed=args.seed,
-            target_relative_error=args.target,
-            max_time=args.max_time,
-            measure_rank=not args.cut_only,
-        )
+    return dict(graph=graph, target_relative_error=args.target, max_time=args.max_time)
+
+
+def _bakeoff(args, run, passed=None, **kwargs) -> int:
+    """The body every bake-off subcommand shares: run under the
+    artifact cache, print the table, and map the result's ``passed``
+    verdict (None: always) to the exit code."""
+    from repro.parallel.cache import activate
+
+    cache = _cache(args)
+    with activate(cache) if cache is not None else contextlib.nullcontext():
+        result = run(n_groups=args.groups, seed=args.seed, **kwargs)
     print(result.format())
-    return 0
+    return 0 if passed is None or passed(result) else 1
+
+
+def cmd_partitions(args) -> int:
+    """Run the partitioner bake-off and print its table."""
+    from repro.experiments import run_partition_bakeoff
+
+    return _bakeoff(
+        args,
+        run_partition_bakeoff,
+        strategies=args.strategies,
+        measure_rank=not args.cut_only,
+        **_workload(args),
+    )
 
 
 def cmd_engines(args) -> int:
     """Run the engine bake-off and print its table."""
-    import contextlib
+    from repro.experiments import run_engine_bakeoff
 
-    from repro.experiments import ENGINE_CONTENDERS, run_engine_bakeoff
-    from repro.parallel.cache import ArtifactCache, activate, cache_from_env
-
-    if args.graph is not None:
-        from repro.graph.io import load_webgraph
-
-        graph = load_webgraph(args.graph, mmap=not str(args.graph).endswith(".npz"))
-    else:
-        graph = _make_graph(args)
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else cache_from_env()
-    ctx = activate(cache) if cache is not None else contextlib.nullcontext()
-    with ctx:
-        result = run_engine_bakeoff(
-            graph,
-            n_groups=args.groups,
-            engines=args.engines or ENGINE_CONTENDERS,
-            seed=args.seed,
-            target_relative_error=args.target,
-            max_time=args.max_time,
-            walks_per_page=args.walks_per_page,
-        )
-    print(result.format())
-    return 0
+    return _bakeoff(
+        args,
+        run_engine_bakeoff,
+        engines=args.engines,
+        walks_per_page=args.walks_per_page,
+        **_workload(args),
+    )
 
 
 def cmd_serve(args) -> int:
     """Run the serving-tier demo and print its table."""
-    import contextlib
-
     from repro.experiments import run_serve_demo
-    from repro.parallel.cache import ArtifactCache, activate, cache_from_env
 
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else cache_from_env()
-    ctx = activate(cache) if cache is not None else contextlib.nullcontext()
-    with ctx:
-        result = run_serve_demo(
-            web_pages=args.web_pages,
-            web_sites=min(args.sites, args.web_pages),
-            crawl_pages=min(args.crawl, args.web_pages),
-            n_groups=args.groups,
-            epsilon=args.epsilon,
-            phases=args.phases,
-            churn_per_phase=args.churn,
-            crawl_budget=args.budget,
-            queries_per_phase=args.queries,
-            seed=args.seed,
-        )
-    print(result.format())
-    return 0 if result.within_budget() else 1
+    return _bakeoff(
+        args,
+        run_serve_demo,
+        lambda result: result.within_budget(),
+        web_pages=args.web_pages,
+        web_sites=min(args.sites, args.web_pages),
+        crawl_pages=min(args.crawl, args.web_pages),
+        epsilon=args.epsilon,
+        phases=args.phases,
+        churn_per_phase=args.churn,
+        crawl_budget=args.budget,
+        queries_per_phase=args.queries,
+    )
 
 
 def cmd_chaos(args) -> int:
     """Run the chaos bake-off and print its table."""
-    import contextlib
+    from repro.experiments import run_chaos_bakeoff
 
-    from repro.experiments import CHAOS_ENGINES, run_chaos_bakeoff
-    from repro.parallel.cache import ArtifactCache, activate, cache_from_env
-
-    if args.graph is not None:
-        from repro.graph.io import load_webgraph
-
-        graph = load_webgraph(args.graph, mmap=not str(args.graph).endswith(".npz"))
-    else:
-        graph = _make_graph(args)
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else cache_from_env()
-    ctx = activate(cache) if cache is not None else contextlib.nullcontext()
-    with ctx:
-        result = run_chaos_bakeoff(
-            graph,
-            n_groups=args.groups,
-            engines=args.engines or CHAOS_ENGINES,
-            seed=args.seed,
-            target_relative_error=args.target,
-            max_time=args.max_time,
-        )
-    print(result.format())
-    return 0 if result.verdicts_agree() else 1
+    return _bakeoff(
+        args,
+        run_chaos_bakeoff,
+        lambda result: result.verdicts_agree(),
+        engines=args.engines,
+        **_workload(args),
+    )
 
 
 def cmd_compression(args) -> int:
     """Run the wire-compression bake-off and print its table."""
-    import contextlib
+    from repro.experiments import run_compression_bakeoff
 
-    from repro.experiments import COMPRESSION_CONTENDERS, run_compression_bakeoff
-    from repro.parallel.cache import ArtifactCache, activate, cache_from_env
-
-    if args.graph is not None:
-        from repro.graph.io import load_webgraph
-
-        graph = load_webgraph(args.graph, mmap=not str(args.graph).endswith(".npz"))
-    else:
-        graph = _make_graph(args)
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else cache_from_env()
-    ctx = activate(cache) if cache is not None else contextlib.nullcontext()
-    with ctx:
-        result = run_compression_bakeoff(
-            graph,
-            n_groups=args.groups,
-            codecs=args.codecs or COMPRESSION_CONTENDERS,
-            seed=args.seed,
-            target_relative_error=args.target,
-            comm_epsilon=args.comm_epsilon,
-            max_time=args.max_time,
-        )
-    print(result.format())
-    return 0 if result.certified() else 1
+    return _bakeoff(
+        args,
+        run_compression_bakeoff,
+        lambda result: result.certified(),
+        codecs=args.codecs,
+        comm_epsilon=args.comm_epsilon,
+        **_workload(args),
+    )
 
 
 def cmd_all(args) -> int:
     """Run every experiment and print/write the combined report."""
     from repro.experiments import ExperimentScale, run_all
-    from repro.parallel.cache import ArtifactCache, cache_from_env
 
     scale = ExperimentScale(
         n_pages=args.pages, n_sites=min(args.sites, args.pages), seed=args.seed
     )
-    cache = (
-        ArtifactCache(args.cache_dir) if args.cache_dir else cache_from_env()
-    )
     report = run_all(
-        scale=scale, only=args.only, out_dir=args.out, jobs=args.jobs, cache=cache
+        scale=scale, only=args.only, out_dir=args.out, jobs=args.jobs, cache=_cache(args)
     )
     print(report.format())
     return 0

@@ -1,38 +1,38 @@
-"""Engine capability registry.
+"""Engine capability registry and config validator.
 
 Four execution engines share one :class:`~repro.core.coordinator.
 DistributedConfig`, and each supports a different slice of it: the
 event engine simulates everything, the flat engine trades generality
 for whole-system kernels, the hybrid engine recovers the fault and
 async features on top of the flat kernels, and the Monte-Carlo engine
-replaces the iteration entirely.  Scattering those constraints as ad
-hoc ``raise ValueError`` sites (the pre-registry state of
-``DistributedConfig.__post_init__``) meant every new engine re-derived
-the feature list and no rejection message could say *which* engine the
-user should switch to.
+replaces the iteration entirely.  What a valid config is lives in
+tables, read by one validator:
 
-This module is the single source of truth instead:
-
-* :data:`FEATURES` — every config feature an engine may lack, each
-  with a predicate that decides whether a given config requests it;
-* :data:`ENGINES` — one :class:`EngineProfile` per engine declaring
-  its supported schedules, features, and sampling discipline;
-* :func:`validate_config` — the table-driven check
-  ``DistributedConfig.__post_init__`` delegates to, whose error
-  messages name the engines that *do* support the offending feature;
+* the *domain* of every field, declared on the field itself
+  (``DistributedConfig``'s ``metadata["domain"]``);
+* :data:`FEATURES` — every optional capability a config can request
+  (the async schedule among them), each with the one predicate that
+  decides whether it does (rules, engine dispatch and the hybrid
+  engine's fault-plane switch all read it by key);
+* :data:`RULES` — the cross-field constraints, phrased over those
+  feature keys;
+* :data:`ENGINES` / :data:`CODEC_ENGINES` — what each engine supports;
+* :func:`validate_config` — domains, then rules, then engine × codec
+  × feature, with rejection messages that name the engines that *do*
+  support the offending feature;
 * :func:`resolve_engine` — the default-on dispatch rule: a ``flat``
   request whose config needs features only the hybrid engine has
   (faults, async schedule) silently resolves to ``hybrid``, so the
   fast path stays the default instead of a separate opt-in.
 
-Adding an engine or a feature means editing the two tables here; the
-validation and dispatch logic never changes.
+Adding an engine, a feature or a constraint means editing a table
+here; the validation and dispatch logic never changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +43,14 @@ __all__ = [
     "CODEC_ENGINES",
     "ENGINES",
     "FEATURES",
+    "RULES",
+    "SCHEDULES",
     "EngineProfile",
+    "Feature",
+    "Rule",
     "codecs_supported",
     "engines_supporting",
+    "needs_fault_plane",
     "requested_features",
     "resolve_engine",
     "unsupported_features",
@@ -55,52 +60,184 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Feature:
-    """One optional config capability an engine may or may not have."""
+    """One optional capability a config can request."""
 
-    #: Stable identifier used in :class:`EngineProfile.features` sets.
+    #: Stable identifier used in :class:`EngineProfile.features` sets
+    #: and :class:`Rule` key lists.
     key: str
-    #: Human-readable name used in rejection messages (matches the
-    #: config field the user set).
-    label: str
+    #: The config fields whose values request it.
+    fields: Tuple[str, ...]
     #: True when a config requests this feature.
     requested: Callable[["DistributedConfig"], bool]
+    #: Name used in rejection messages where the field names alone
+    #: would not say which of the field's values is meant.
+    label: str = ""
+    #: True when the feature runs as a process on the hybrid engine's
+    #: persistent fault plane (injectors, heartbeat, checkpoints,
+    #: takeover) rather than inside a round.
+    plane: bool = False
+
+    def __str__(self) -> str:
+        return self.label or "/".join(self.fields)
 
 
-#: Every feature the engines differ on, in the order rejection
-#: messages list them.  Chaos knobs are not listed separately: config
-#: validation already forces them to ride on ``reliable``.
+#: Every feature, in the order rejection messages list them.  The
+#: predicates read the config as the caller gave it, so they hold
+#: before and after ``DistributedConfig`` normalises itself (hence
+#: both names of the suppression threshold).
 FEATURES: Tuple[Feature, ...] = (
+    Feature("async", ("schedule",), lambda c: c.schedule == "async", "schedule='async'"),
+    Feature("loss", ("delivery_prob",), lambda c: c.delivery_prob < 1.0, "delivery_prob < 1"),
+    Feature("reliable", ("reliable",), lambda c: c.reliable),
     Feature(
-        "loss", "delivery_prob < 1", lambda c: c.delivery_prob < 1.0
-    ),
-    Feature("reliable", "reliable", lambda c: c.reliable),
-    Feature(
-        "suppress", "suppress_tol", lambda c: c.suppress_tol > 0.0
-    ),
-    Feature("pause", "pause_faults", lambda c: c.pause_faults > 0),
-    Feature("crash", "crash_prob", lambda c: c.crash_prob > 0.0),
-    Feature(
-        "heartbeat",
-        "heartbeat_interval",
-        lambda c: c.heartbeat_interval > 0.0,
+        "chaos",
+        ("ack_loss_prob", "duplicate_prob", "reorder_prob"),
+        lambda c: c.ack_loss_prob > 0 or c.duplicate_prob > 0 or c.reorder_prob > 0,
     ),
     Feature(
-        "checkpoint",
-        "checkpoint_interval",
-        lambda c: c.checkpoint_interval > 0.0,
+        "suppress",
+        ("send_threshold", "suppress_tol"),
+        lambda c: c.send_threshold > 0.0 or c.suppress_tol > 0.0,
     ),
-    Feature("recovery", "recovery", lambda c: c.recovery),
+    Feature("codec", ("codec",), lambda c: c.codec != "none", "codec != 'none'"),
+    Feature("comm_epsilon", ("comm_epsilon",), lambda c: c.comm_epsilon > 0.0, "comm_epsilon > 0"),
+    Feature("pause", ("pause_faults",), lambda c: c.pause_faults > 0, plane=True),
+    Feature("crash", ("crash_prob",), lambda c: c.crash_prob > 0.0, plane=True),
+    Feature("heartbeat", ("heartbeat_interval",), lambda c: c.heartbeat_interval > 0.0, plane=True),
     Feature(
-        "x_delta", "x_mode='delta'", lambda c: c.x_mode == "delta"
+        "checkpoint", ("checkpoint_interval",), lambda c: c.checkpoint_interval > 0.0, plane=True
     ),
-    Feature(
-        "vector_e",
-        "vector-valued e",
-        lambda c: isinstance(c.e, np.ndarray),
-    ),
+    Feature("recovery", ("recovery",), lambda c: c.recovery, plane=True),
+    Feature("x_delta", ("x_mode",), lambda c: c.x_mode == "delta", "x_mode='delta'"),
+    Feature("vector_e", ("e",), lambda c: isinstance(c.e, np.ndarray), "vector-valued e"),
 )
 
 _FEATURE_BY_KEY: Dict[str, Feature] = {f.key: f for f in FEATURES}
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One cross-field constraint on a config.
+
+    The rule binds a config that requests every feature in ``when``;
+    such a config must also request every ``requires`` key, none of
+    the ``excludes`` keys, and satisfy ``holds`` — a comparison of the
+    named ``fields`` for what no feature expresses.  ``message`` is
+    formatted with the offending config as ``c``.
+    """
+
+    key: str
+    message: str
+    when: Tuple[str, ...] = ()
+    requires: Tuple[str, ...] = ()
+    excludes: Tuple[str, ...] = ()
+    fields: Tuple[str, ...] = ()
+    holds: Optional[Callable[["DistributedConfig"], bool]] = None
+
+    def violated(self, config: "DistributedConfig", on: frozenset) -> bool:
+        """True when ``config``, requesting the feature keys ``on``,
+        breaks this rule."""
+        if not on.issuperset(self.when):
+            return False
+        return (
+            not on.issuperset(self.requires)
+            or not on.isdisjoint(self.excludes)
+            or (self.holds is not None and not self.holds(config))
+        )
+
+    def mentions(self) -> Tuple[str, ...]:
+        """Every config field the rule reads, features' fields first."""
+        keys = self.when + self.requires + self.excludes
+        return sum((_FEATURE_BY_KEY[k].fields for k in keys), ()) + self.fields
+
+
+#: The cross-field constraints, in the order they are checked.  They
+#: restrict *configs*, whatever the engine; what an engine lacks is the
+#: :data:`ENGINES` matrix below.
+RULES: Tuple[Rule, ...] = (
+    Rule("wait-bounds", "t2 must be >= t1", fields=("t1", "t2"), holds=lambda c: c.t2 >= c.t1),
+    Rule(
+        "mean-waits-length",
+        "mean_waits needs one entry per group (n_groups={c.n_groups})",
+        fields=("mean_waits", "n_groups"),
+        holds=lambda c: c.mean_waits is None or len(c.mean_waits) == c.n_groups,
+    ),
+    Rule(
+        "mean-waits-async",
+        "the sync schedule derives one common wait from (t1+t2)/2; explicit mean_waits "
+        "are only meaningful under schedule='async'",
+        fields=("mean_waits", "schedule"),
+        holds=lambda c: c.mean_waits is None or c.schedule != "sync",
+    ),
+    Rule(
+        "gauss-seidel-dpr1",
+        "inner_solver='gauss_seidel' needs algorithm='dpr1': dpr2 runs one Jacobi sweep "
+        "per outer step and has no inner solve",
+        fields=("inner_solver", "algorithm"),
+        holds=lambda c: c.inner_solver != "gauss_seidel" or c.algorithm == "dpr1",
+    ),
+    Rule(
+        "threshold-alias",
+        "send_threshold and suppress_tol name the same knob; got conflicting values "
+        "{c.send_threshold!r} and {c.suppress_tol!r}",
+        fields=("send_threshold", "suppress_tol"),
+        holds=lambda c: c.send_threshold == c.suppress_tol
+        or 0.0 in (c.send_threshold, c.suppress_tol),
+    ),
+    Rule(
+        "epsilon-needs-codec",
+        "comm_epsilon is the wire codec's error budget; set codec='delta' or "
+        "codec='delta-q16' to use it",
+        when=("comm_epsilon",), requires=("codec",),
+    ),
+    Rule(
+        "codec-needs-delivery",
+        "a delta codec needs guaranteed delivery (delivery_prob == 1): a lost frame "
+        "breaks the pair's delta chain; run reliable=True with chaos knobs to model bad "
+        "networks under a codec",
+        when=("codec",), excludes=("loss",),
+    ),
+    Rule(
+        "codec-excludes-threshold",
+        "send_threshold/suppress_tol and a wire codec are mutually exclusive: the "
+        "codec's ε_comm budget subsumes ad-hoc threshold suppression",
+        when=("codec",), excludes=("suppress",),
+    ),
+    Rule(
+        "codec-excludes-crash",
+        "codec != 'none' does not support crash/recovery faults: a takeover discards "
+        "receiver codec state mid-chain (resync handshakes are future work); pause "
+        "faults are fine",
+        when=("codec",), excludes=("crash", "recovery"),
+    ),
+    Rule(
+        "mc-exact-frames",
+        "the mc engine's token frames are exact by construction; comm_epsilon must stay 0",
+        when=("comm_epsilon",), fields=("engine",), holds=lambda c: c.engine != "mc",
+    ),
+    Rule(
+        "retry-cap",
+        "retry_max_timeout must be >= retry_timeout",
+        fields=("retry_timeout", "retry_max_timeout"),
+        holds=lambda c: c.retry_max_timeout >= c.retry_timeout,
+    ),
+    Rule(
+        "chaos-needs-reliable",
+        "ack_loss_prob/duplicate_prob/reorder_prob model the reliability layer's "
+        "adversaries and require reliable=True",
+        when=("chaos",), requires=("reliable",),
+    ),
+    Rule(
+        "recovery-needs-heartbeat",
+        "recovery requires failure detection: set heartbeat_interval > 0",
+        when=("recovery",), requires=("heartbeat",),
+    ),
+)
+
+
+#: ``DistributedConfig.schedule`` values: exponential waits (the
+#: paper's timing model) or one common fixed period.
+SCHEDULES: Tuple[str, ...] = ("async", "sync")
 
 
 @dataclass(frozen=True)
@@ -114,8 +251,6 @@ class EngineProfile:
     summary:
         One clause describing the engine's execution model, used as
         the lead-in of rejection messages.
-    schedules:
-        Supported ``DistributedConfig.schedule`` values.
     features:
         Keys into :data:`FEATURES` this engine supports.
     round_boundary_sampling:
@@ -132,7 +267,6 @@ class EngineProfile:
 
     name: str
     summary: str
-    schedules: Tuple[str, ...]
     features: frozenset
     round_boundary_sampling: bool
     fidelity: str
@@ -144,7 +278,6 @@ ENGINES: Dict[str, EngineProfile] = {
         EngineProfile(
             name="event",
             summary="simulates every message as a discrete event",
-            schedules=("async", "sync"),
             features=frozenset(f.key for f in FEATURES),
             round_boundary_sampling=False,
             fidelity="exact",
@@ -152,8 +285,7 @@ ENGINES: Dict[str, EngineProfile] = {
         EngineProfile(
             name="flat",
             summary="runs failure-free bulk-synchronous rounds",
-            schedules=("sync",),
-            features=frozenset({"loss", "vector_e"}),
+            features=frozenset({"loss", "codec", "comm_epsilon", "vector_e"}),
             round_boundary_sampling=True,
             fidelity="exact",
         ),
@@ -163,7 +295,6 @@ ENGINES: Dict[str, EngineProfile] = {
                 "runs flat bulk-synchronous rounds over a persistent "
                 "fault plane"
             ),
-            schedules=("async", "sync"),
             # Everything except the node-internal delta-X maintenance,
             # which only exists inside DPRNode's running sum (the
             # hybrid re-sums afferent segments exactly; emulating the
@@ -177,8 +308,7 @@ ENGINES: Dict[str, EngineProfile] = {
         EngineProfile(
             name="mc",
             summary="runs failure-free bulk-synchronous rounds",
-            schedules=("sync",),
-            features=frozenset(),
+            features=frozenset({"codec"}),
             round_boundary_sampling=True,
             fidelity="approximate",
         ),
@@ -194,8 +324,8 @@ ENGINES: Dict[str, EngineProfile] = {
 #: (:func:`repro.net.codec.token_frame_bytes`), so the quantized
 #: ``delta-q16`` codec has nothing to quantize and is rejected.
 #: Cross-engine requirements (guaranteed delivery, no crash faults, no
-#: ad-hoc ``suppress_tol``) are enforced by ``DistributedConfig``
-#: itself — they restrict *configs*, not engines.
+#: ad-hoc ``suppress_tol``) are :data:`RULES` — they restrict
+#: *configs*, not engines.
 CODEC_ENGINES: Dict[str, Tuple[str, ...]] = {
     "none": ("event", "flat", "hybrid", "mc"),
     "delta": ("event", "flat", "hybrid", "mc"),
@@ -222,6 +352,12 @@ def requested_features(config: "DistributedConfig") -> List[str]:
     return [f.key for f in FEATURES if f.requested(config)]
 
 
+def needs_fault_plane(config: "DistributedConfig") -> bool:
+    """True when ``config`` requests a feature that runs as a process
+    on the hybrid engine's persistent fault plane."""
+    return any(f.plane and f.requested(config) for f in FEATURES)
+
+
 def unsupported_features(
     config: "DistributedConfig", engine: str
 ) -> List[str]:
@@ -246,62 +382,47 @@ def resolve_engine(config: "DistributedConfig") -> str:
     ``mc`` with faults is a contradiction to report, not to paper
     over).
     """
-    if config.engine != "flat":
-        return config.engine
-    needs_hybrid = config.schedule != "sync" or unsupported_features(
-        config, "flat"
-    )
-    if not needs_hybrid:
-        return "flat"
-    if config.schedule in ENGINES["hybrid"].schedules and not (
-        unsupported_features(config, "hybrid")
+    if (
+        config.engine == "flat"
+        and unsupported_features(config, "flat")
+        and not unsupported_features(config, "hybrid")
     ):
         return "hybrid"
-    return "flat"
+    return config.engine
 
 
 def validate_config(config: "DistributedConfig") -> None:
-    """Registry-driven engine/schedule/feature validation.
+    """The single validator, reading the tables in three steps.
 
-    Raises ``ValueError`` with a message naming both the offending
-    features and the engines that support them.  The engine name itself
-    is checked by ``DistributedConfig.__post_init__`` before it calls
-    here.
+    Every field against its own domain; then :data:`RULES`; then the
+    engine the config resolves to (:func:`resolve_engine`) against its
+    codec and feature support.  Raises ``ValueError`` naming the
+    offending field, the broken rule, or the unsupported features
+    together with the engines that do support them.  It reads the
+    config as the caller gave it — ``DistributedConfig`` calls it
+    before normalising — and accepts an already-normalised one too.
     """
-    profile = ENGINES[config.engine]
-    if config.schedule not in profile.schedules:
-        supporters = [
-            name
-            for name, p in ENGINES.items()
-            if config.schedule in p.schedules
-        ]
-        raise ValueError(
-            f"engine={config.engine!r} implements only "
-            f"schedule={profile.schedules[0]!r}; "
-            f"schedule={config.schedule!r} is supported by "
-            f"engines: {', '.join(supporters)}"
-        )
+    for f in fields(config):
+        f.metadata["domain"].check(getattr(config, f.name), f.name)
+    on = frozenset(requested_features(config))
+    for rule in RULES:
+        if rule.violated(config, on):
+            raise ValueError(rule.message.format(c=config))
+    engine = resolve_engine(config)
+    profile = ENGINES[engine]
     codec = config.codec
-    if codec not in CODEC_ENGINES:
+    if engine not in CODEC_ENGINES[codec]:
         raise ValueError(
-            f"codec must be one of {tuple(CODEC_ENGINES)}, got {codec!r}"
-        )
-    if config.engine not in CODEC_ENGINES[codec]:
-        raise ValueError(
-            f"engine={config.engine!r} does not support codec={codec!r} "
+            f"engine={engine!r} does not support codec={codec!r} "
             f"(supported by: {', '.join(CODEC_ENGINES[codec])})"
         )
-    unsupported = unsupported_features(config, config.engine)
-    if unsupported:
-        parts = []
-        for key in unsupported:
-            feature = _FEATURE_BY_KEY[key]
-            supporters = engines_supporting(key)
-            parts.append(
-                f"{feature.label} (supported by: "
-                f"{', '.join(supporters)})"
-            )
+    lacking = [f for f in FEATURES if f.key in on - profile.features]
+    if lacking:
+        parts = [
+            f"{f} (supported by: {', '.join(engines_supporting(f.key))})"
+            for f in lacking
+        ]
         raise ValueError(
-            f"engine={config.engine!r} {profile.summary} "
+            f"engine={engine!r} {profile.summary} "
             f"and does not support: {'; '.join(parts)}"
         )

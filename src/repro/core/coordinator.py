@@ -14,44 +14,118 @@ probability ``p``, and the 0.01% relative-error threshold of Fig 8.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.capabilities import ENGINES, resolve_engine, validate_config
+from repro.core.capabilities import (
+    CODEC_ENGINES,
+    ENGINES,
+    FEATURES,
+    RULES,
+    SCHEDULES,
+    engines_supporting,
+    resolve_engine,
+    validate_config,
+)
 from repro.core.convergence import ConvergenceTrace, Monitor
-from repro.core.dpr import DPRNode
+from repro.core.dpr import ALGORITHMS, INNER_SOLVERS, X_MODES, DPRNode
 from repro.core.faultplane import FaultPlane
 from repro.core.open_system import GroupSystem
 from repro.core.ranker import MIN_MEAN_WAIT, PageRanker
 from repro.core.recovery import RecoveryManager
-from repro.graph.partition import Partition, make_partition
+from repro.graph.partition import STRATEGIES, Partition, make_partition
 from repro.graph.webgraph import WebGraph
+from repro.linalg.montecarlo import DANGLING_MODES, WALK_MODES
 from repro.net.bandwidth import TrafficAccountant, TrafficSnapshot
 from repro.net.failures import BernoulliLoss, NodePauseInjector, NoLoss
 from repro.net.latency import FixedLatency
 from repro.net.simulator import Simulator
-from repro.net.transport import Transport, build_transport
-from repro.overlay import build_overlay
+from repro.net.transport import TRANSPORTS, Transport, build_transport
+from repro.overlay import OVERLAYS, build_overlay
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import (
-    check_fraction,
-    check_non_negative,
-    check_probability,
+    BOOLEAN,
+    FRACTION,
+    NON_NEGATIVE,
+    POSITIVE,
+    PROBABILITY,
+    Domain,
+    at_least,
+    integer,
+    one_of,
+    optional,
 )
 
 __all__ = [
+    "GROUPS",
     "DistributedConfig",
     "DistributedRun",
     "RunResult",
     "RunSetup",
     "assemble_run_result",
+    "config_flag",
+    "config_reference",
     "config_transport",
     "run_distributed_pagerank",
 ]
+
+
+#: Field groups of :class:`DistributedConfig`, in table order: heading →
+#: one-line description.  ``repro run --help`` prints them as sections
+#: and the configuration reference in docs/ALGORITHMS.md as a column.
+GROUPS: Dict[str, str] = {
+    "experiment": "the paper's §5 parameters: graph placement, overlay, timing, loss",
+    "engine": "execution engine, wake schedule, local solver and sampling",
+    "monte-carlo": "random-walk engine knobs (--engine mc; repro.linalg.montecarlo)",
+    "reliability": "ACK/retry transport layer (repro.net.reliable)",
+    "chaos": "message-level adversaries (require --reliable)",
+    "churn": "node pause and crash injection",
+    "compression": "wire codec and traffic suppression (repro.net.codec / repro.net.adaptive)",
+    "recovery": "failure detection and checkpoint-based takeover",
+}
+
+
+def _check_e(value, name: str) -> None:
+    """``e``: None (uniform 1), one finite number, or a per-page array
+    (its length is checked against the graph when the run is built).
+    Other sequences are refused: the engines tell a personalised run
+    by ``isinstance(e, np.ndarray)``."""
+    if value is None or (isinstance(value, np.ndarray) and value.ndim == 1):
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be None, a number or a 1-D numpy array")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_mean_waits(value, name: str) -> None:
+    """``mean_waits``: None, or a sequence of non-negative waits."""
+    if value is not None and any(w < 0 for w in value):
+        raise ValueError(f"{name} must be non-negative")
+
+
+def _spec(default, domain: Domain, group: str, help: str = "", flag: Optional[str] = None):
+    """One row of the validity table: a dataclass field stating its
+    domain, its :data:`GROUPS` heading and — for a ``repro run`` option
+    — its help text, once.  A field with help text is an option,
+    spelled after the field unless ``flag`` renames it
+    (:func:`config_flag`); one without is library-only."""
+    meta = {"domain": domain, "group": group, "help": help, "flag": flag}
+    return field(default=default, metadata=meta)
+
+
+def config_flag(f) -> Optional[str]:
+    """The ``repro run`` option that sets config field ``f`` (one of
+    ``dataclasses.fields(DistributedConfig)``); None for a library-only
+    field."""
+    if not f.metadata["help"]:
+        return None
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
 
 
 @dataclass
@@ -60,320 +134,263 @@ class DistributedConfig:
 
     Field names follow the paper: ``n_groups`` is K, ``t1``/``t2``
     bound the per-group mean waits, ``delivery_prob`` is p.
+
+    The field declarations are the validity table: each states its
+    domain, group, CLI flag and help once, and
+    :func:`repro.core.capabilities.validate_config`, the ``repro run``
+    parser and the configuration reference in docs/ALGORITHMS.md
+    (:func:`config_reference`) all read them from here.
     """
 
-    n_groups: int = 16
-    algorithm: str = "dpr1"  # "dpr1" | "dpr2"
-    #: Execution engine: "event" replays every message on the
-    #: discrete-event simulator; "flat" runs the same outer loops as
-    #: whole-system block SpMVs with analytically accounted traffic
-    #: (see :mod:`repro.core.engine`).  Under the synchronous schedule
-    #: the two produce bit-identical ranks and identical traffic.
+    n_groups: int = _spec(16, integer(1), "experiment", "ranker count K", "--groups")
+    algorithm: str = _spec(
+        "dpr1", one_of(ALGORITHMS), "experiment",
+        "solve each group to convergence per outer step (dpr1) or run one sweep (dpr2)",
+    )
     #: "hybrid" keeps the flat kernels but runs the fault-tolerance
-    #: stack (ARQ, churn, heartbeat, checkpoint/recovery) and the
-    #: async schedule on a persistent event-simulated fault plane
-    #: (see :mod:`repro.core.hybrid`); a "flat" request that needs
-    #: those features resolves to "hybrid" automatically
-    #: (:func:`repro.core.capabilities.resolve_engine`).
-    #: "mc" replaces the Jacobi iteration entirely with the seeded
-    #: Monte-Carlo random-walk estimator (Das Sarma et al.; see
-    #: :mod:`repro.linalg.montecarlo`): statistically-toleranced
-    #: ranks in O(log n) rounds, with cut-crossing walk tokens as the
-    #: per-round messages.  Per-engine capabilities live in the
-    #: :mod:`repro.core.capabilities` registry.
-    engine: str = "event"
-    #: Wake scheduling of the *event* engine: "async" draws
-    #: exponential waits (the paper's timing model); "sync" makes
-    #: every ranker tick at the common fixed period
-    #: ``max((t1+t2)/2, MIN_MEAN_WAIT)`` — the bulk-synchronous
-    #: schedule the flat engine reproduces exactly.
-    schedule: str = "async"
-    alpha: float = 0.85
-    partition_strategy: str = "site"  # "site" | "url" | "random" | "contiguous"
-    overlay: str = "pastry"  # "pastry" | "chord" | "can"
-    transport: str = "indirect"  # "indirect" | "direct"
-    t1: float = 0.0
-    t2: float = 6.0
-    delivery_prob: float = 1.0
-    local_tol: float = 1e-10
-    max_inner: int = 1000
-    inner_solver: str = "jacobi"  # "jacobi" | "gauss_seidel" (DPR1 only)
+    #: stack and the async schedule on a persistent event-simulated
+    #: fault plane (:mod:`repro.core.hybrid`); "mc" replaces the Jacobi
+    #: iteration with the seeded Monte-Carlo random-walk estimator
+    #: (:mod:`repro.linalg.montecarlo`).  Per-engine capabilities live
+    #: in :mod:`repro.core.capabilities`.
+    engine: str = _spec(
+        "event", one_of(ENGINES), "engine",
+        "execution engine: per-message event simulation (event), vectorized "
+        "bulk-synchronous rounds (flat; much faster at scale), the fault-tolerant fast "
+        "path (hybrid; flat-speed rounds over a persistent fault plane — flat requests "
+        "with fault knobs or --schedule async dispatch here automatically), or the "
+        "Monte-Carlo random-walk estimator (mc; statistical accuracy, O(log n) rounds).  "
+        "flat, hybrid and mc sample once per round; flat and mc require --schedule sync",
+    )
+    #: The sync period is ``max((t1+t2)/2, MIN_MEAN_WAIT)`` — the
+    #: bulk-synchronous schedule the flat engine reproduces exactly.
+    schedule: str = _spec(
+        "async", one_of(SCHEDULES), "engine",
+        "wake schedule: exponential waits (async, the paper's model) or one common "
+        "fixed period (sync; the event engine is then bit-identical to --engine flat)",
+    )
+    alpha: float = _spec(0.85, FRACTION, "experiment")
+    partition_strategy: str = _spec(
+        "site", one_of(STRATEGIES), "experiment", "page placement strategy", "--partition"
+    )
+    overlay: str = _spec("pastry", one_of(OVERLAYS), "experiment", "structured overlay kind")
+    transport: str = _spec(
+        "indirect", one_of(TRANSPORTS), "experiment",
+        "overlay-routed and recombined per hop (indirect), or lookup then point-to-point",
+    )
+    t1: float = _spec(0.0, NON_NEGATIVE, "experiment", "lower bound of the mean waits")
+    t2: float = _spec(6.0, NON_NEGATIVE, "experiment", "upper bound of the mean waits")
+    delivery_prob: float = _spec(
+        1.0, PROBABILITY, "experiment", "probability p that a score update is delivered"
+    )
+    local_tol: float = _spec(1e-10, NON_NEGATIVE, "engine")
+    max_inner: int = _spec(1000, integer(1), "engine")
+    #: DPR1 only: dpr2 has no inner solve (a rule rejects the pair).
+    inner_solver: str = _spec("jacobi", one_of(INNER_SOLVERS), "engine")
     #: Running afferent-sum maintenance policy per node: "exact"
     #: (bit-reproducible, the default) or "delta" (O(changed) updates;
     #: see repro.core.dpr module docs for the tradeoff).
-    x_mode: str = "exact"
-    hop_delay: float = 0.5
-    aggregation_delay: float = 0.25
-    suppress_tol: float = 0.0
-    #: Canonical name for the delta-suppression threshold (promoted
-    #: from the compression ablation): skip sending a pair's efferent
-    #: vector when it moved less than this in L1 since the last send.
-    #: Writes through to ``suppress_tol`` (the historical field, kept
-    #: for compatibility); setting both to different values is an
-    #: error.  Mutually exclusive with a wire codec, whose budgeted
-    #: suppression subsumes this ad-hoc rule.
-    send_threshold: float = 0.0
-    #: Wire codec for cross-group score updates: "none" (paper byte
-    #: model, the default), "delta" (varint index gaps + float32
-    #: deltas), or "delta-q16" (float16 deltas).  See
-    #: :mod:`repro.net.codec` / :mod:`repro.net.adaptive`; validity
-    #: per engine lives in ``capabilities.CODEC_ENGINES``.  Requires
+    x_mode: str = _spec("exact", one_of(X_MODES), "engine")
+    hop_delay: float = _spec(0.5, NON_NEGATIVE, "experiment")
+    aggregation_delay: float = _spec(0.25, NON_NEGATIVE, "experiment")
+    #: Historical name of ``send_threshold``, kept for compatibility:
+    #: each mirrors the other, and setting both to different values is
+    #: an error.
+    suppress_tol: float = _spec(0.0, NON_NEGATIVE, "compression")
+    #: Promoted from the compression ablation.  Mutually exclusive
+    #: with a wire codec, whose budgeted suppression subsumes it.
+    send_threshold: float = _spec(
+        0.0, NON_NEGATIVE, "compression",
+        "skip sending an efferent vector whose L1 change since the last send is at or "
+        "below this threshold (0 disables; mutually exclusive with --codec)",
+    )
+    #: See :mod:`repro.net.codec` / :mod:`repro.net.adaptive`.  Needs
     #: guaranteed delivery (``delivery_prob == 1``; the reliable layer
     #: and chaos are fine) and no crash/recovery faults — delta
     #: sessions assume the receiver replays every frame in order.
-    codec: str = "none"
-    #: Total error budget ε_comm (L1 efferent mass) the codec may
-    #: suppress across the whole run; 0 means lossless (every shipped
-    #: frame is an exact flush, delivered values bit-identical to an
-    #: uncompressed run).  Requires ``codec != "none"``.
-    comm_epsilon: float = 0.0
-    e: Union[float, np.ndarray, None] = None
+    codec: str = _spec(
+        "none", one_of(CODEC_ENGINES), "compression",
+        "wire codec for cross-group score updates: flat 100 B/record accounting (none), "
+        "varint delta frames with float32 deltas (delta), or float16 deltas (delta-q16); "
+        "at --comm-epsilon 0 every frame is an exact flush and delivered values are "
+        "bit-identical to an uncompressed run",
+    )
+    comm_epsilon: float = _spec(
+        0.0, NON_NEGATIVE, "compression",
+        "total certified error budget ε_comm in efferent L1 mass the codec may suppress "
+        "(0 = lossless); rank deviation is certified at or below ε_comm / (1 - alpha)",
+    )
+    e: Union[float, np.ndarray, None] = _spec(
+        None, Domain("None, a number or a 1-D array", _check_e), "experiment"
+    )
     #: Monitor sampling cadence.  ``None`` resolves in
     #: ``__post_init__``: 1.0 for the event engine, the synchronous
-    #: period for the flat engine.  The flat engine only accepts
-    #: intervals that are whole multiples of the period — its samples
-    #: land exactly on round boundaries, so any finer cadence would
-    #: silently change trip ordering and final-round traffic relative
-    #: to the event engine instead of staying bit-identical.
-    sample_interval: Optional[float] = None
-    seed: int = 0
+    #: period for the round engines.  Those only accept whole
+    #: multiples of the period — their samples land exactly on round
+    #: boundaries, so any finer cadence would silently change trip
+    #: ordering and final-round traffic relative to the event engine
+    #: instead of staying bit-identical.
+    sample_interval: Optional[float] = _spec(None, optional(POSITIVE), "engine")
+    seed: int = _spec(
+        0, integer(), "experiment",
+        "seed of every named random stream (on the command line, of the crawl too)",
+    )
     #: Explicit per-ranker mean waits (length ``n_groups``); overrides
     #: the uniform [t1, t2] draw.  Lets experiments model deliberate
     #: stragglers / heterogeneous hardware.
-    mean_waits: Optional[Sequence[float]] = None
+    mean_waits: Optional[Sequence[float]] = _spec(
+        None, Domain("None or non-negative numbers", _check_mean_waits), "experiment"
+    )
 
-    # -- Monte-Carlo engine (engine="mc"; repro.linalg.montecarlo) -----
-    #: Walk tokens launched per page — the estimator's R.  Relative L1
-    #: error shrinks as 1/sqrt(walks_per_page); the documented bound is
+    #: The estimator's R; the documented error bound is
     #: :func:`repro.linalg.montecarlo.mc_error_tolerance`.
-    walks_per_page: int = 16
-    #: Rank estimator: "terminate" credits a page per walk termination
-    #: (one count per walk, lowest variance per count); "visit" credits
-    #: every round a token spends on the page, scaled by 1−α.
-    walk_mode: str = "terminate"
-    #: Walk behaviour at zero-out-degree pages: "absorb" (open-system,
-    #: matches the centralized reference) or "jump" (classic random
-    #: jump; biased vs. the open-system fixed point — opt-in).
-    dangling_mode: str = "absorb"
+    walks_per_page: int = _spec(
+        16, integer(1), "monte-carlo",
+        "walk tokens launched per page; relative L1 error scales as 1/sqrt(R)",
+    )
+    walk_mode: str = _spec(
+        "terminate", one_of(WALK_MODES), "monte-carlo",
+        "rank estimator: credit walk terminations, or every visit scaled by 1-alpha",
+    )
+    dangling_mode: str = _spec(
+        "absorb", one_of(DANGLING_MODES), "monte-carlo",
+        "walks at zero-out-degree pages die (absorb, the open-system reference behaviour) "
+        "or restart at a random page (jump; biased vs. the centralized reference)",
+    )
 
-    # -- reliability layer (ACK/retry; see repro.net.reliable) ---------
-    #: Wrap the transport in ReliableTransport (seq numbers, ACKs,
-    #: timeout-driven retransmission, idempotent receive-side dedup).
-    reliable: bool = False
-    retry_timeout: float = 4.0
-    retry_backoff: float = 2.0
-    retry_jitter: float = 0.0
-    retry_max_timeout: float = 60.0
-    max_retries: int = 8
+    reliable: bool = _spec(
+        False, BOOLEAN, "reliability",
+        "wrap the transport in ReliableTransport (seq numbers, ACKs, timeout-driven "
+        "retransmission, receive-side dedup)",
+    )
+    retry_timeout: float = _spec(4.0, POSITIVE, "reliability", "initial retransmission timeout")
+    retry_backoff: float = _spec(2.0, at_least(1), "reliability", "timeout multiplier per retry")
+    retry_jitter: float = _spec(
+        0.0, NON_NEGATIVE, "reliability", "uniform jitter added to each timeout"
+    )
+    retry_max_timeout: float = _spec(60.0, POSITIVE, "reliability", "timeout cap across retries")
+    max_retries: int = _spec(8, integer(0), "reliability", "retransmissions before giving up")
 
-    # -- message chaos (requires ``reliable``; repro.net.failures) -----
-    ack_loss_prob: float = 0.0
-    duplicate_prob: float = 0.0
-    reorder_prob: float = 0.0
-    reorder_max_delay: float = 0.0
+    ack_loss_prob: float = _spec(0.0, PROBABILITY, "chaos", "probability an ACK is destroyed")
+    duplicate_prob: float = _spec(
+        0.0, PROBABILITY, "chaos", "probability a delivery is duplicated"
+    )
+    reorder_prob: float = _spec(0.0, PROBABILITY, "chaos", "probability a delivery is held back")
+    reorder_max_delay: float = _spec(
+        0.0, NON_NEGATIVE, "chaos", "largest extra delay of a held-back delivery"
+    )
 
-    # -- node churn ----------------------------------------------------
-    #: Transient pause/resume churn (§4.2 "sleep/suspend"): number of
-    #: injected faults, the window they start in, and the mean outage.
-    pause_faults: int = 0
-    pause_horizon: float = 20.0
-    pause_mean_outage: float = 5.0
-    #: Permanent crashes (§4.2 "even shutdown"): per-ranker crash
-    #: probability, applied in the window [crash_after, crash_after +
+    #: Transient pause/resume churn is §4.2's "sleep/suspend"; permanent
+    #: crashes ("even shutdown") fire in [crash_after, crash_after +
     #: crash_horizon].
-    crash_prob: float = 0.0
-    crash_after: float = 10.0
-    crash_horizon: float = 10.0
+    pause_faults: int = _spec(0, integer(0), "churn", "number of transient pause/resume faults")
+    pause_horizon: float = _spec(20.0, NON_NEGATIVE, "churn", "window pauses start in")
+    pause_mean_outage: float = _spec(5.0, NON_NEGATIVE, "churn", "mean pause duration")
+    crash_prob: float = _spec(0.0, PROBABILITY, "churn", "per-ranker permanent crash probability")
+    crash_after: float = _spec(10.0, NON_NEGATIVE, "churn", "warmup before crashes may fire")
+    crash_horizon: float = _spec(10.0, NON_NEGATIVE, "churn", "window crashes fire in")
 
-    # -- failure detection & recovery ----------------------------------
-    #: Heartbeat sweep period (0 disables detection).
-    heartbeat_interval: float = 0.0
-    heartbeat_miss_threshold: int = 3
-    #: Periodic DPRNode.state_dict snapshot period (0 disables).
-    checkpoint_interval: float = 0.0
-    #: Checkpoint-based takeover of detected-dead groups (requires
-    #: ``heartbeat_interval > 0``).
-    recovery: bool = False
+    heartbeat_interval: float = _spec(
+        0.0, NON_NEGATIVE, "recovery", "failure-detector sweep period (0 disables)"
+    )
+    heartbeat_miss_threshold: int = _spec(
+        3, integer(1), "recovery", "missed beats before a group is declared dead",
+        "--heartbeat-miss",
+    )
+    checkpoint_interval: float = _spec(
+        0.0, NON_NEGATIVE, "recovery", "DPRNode state snapshot period (0 disables)"
+    )
+    recovery: bool = _spec(
+        False, BOOLEAN, "recovery",
+        "take over detected-dead groups from checkpoints (needs --heartbeat-interval > 0)",
+    )
 
     def __post_init__(self) -> None:
-        if self.n_groups < 1:
-            raise ValueError("n_groups must be >= 1")
-        if self.algorithm not in ("dpr1", "dpr2"):
-            raise ValueError("algorithm must be 'dpr1' or 'dpr2'")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {tuple(sorted(ENGINES))}, "
-                f"got {self.engine!r}"
-            )
-        if self.schedule not in ("async", "sync"):
-            raise ValueError("schedule must be 'async' or 'sync'")
-        if self.x_mode not in ("exact", "delta"):
-            raise ValueError("x_mode must be 'exact' or 'delta'")
-        if self.walks_per_page < 1:
-            raise ValueError("walks_per_page must be >= 1")
-        if self.walk_mode not in ("terminate", "visit"):
-            raise ValueError("walk_mode must be 'terminate' or 'visit'")
-        if self.dangling_mode not in ("absorb", "jump"):
-            raise ValueError("dangling_mode must be 'absorb' or 'jump'")
-        check_fraction(self.alpha, "alpha")
-        check_non_negative(self.t1, "t1")
-        check_non_negative(self.t2, "t2")
-        if self.t2 < self.t1:
-            raise ValueError("t2 must be >= t1")
-        check_probability(self.delivery_prob, "delivery_prob")
-        check_non_negative(self.hop_delay, "hop_delay")
-        check_non_negative(self.aggregation_delay, "aggregation_delay")
-        if self.mean_waits is not None:
-            if len(self.mean_waits) != self.n_groups:
-                raise ValueError(
-                    f"mean_waits has {len(self.mean_waits)} entries for "
-                    f"{self.n_groups} groups"
-                )
-            if any(w < 0 for w in self.mean_waits):
-                raise ValueError("mean_waits must be non-negative")
-        if self.schedule == "sync" and self.mean_waits is not None:
-            raise ValueError(
-                "the sync schedule derives one common wait from (t1+t2)/2; "
-                "explicit mean_waits are only meaningful under schedule='async'"
-            )
-        # Promote the canonical send_threshold name into the historical
-        # suppress_tol field (and mirror back) before any feature
-        # predicate reads it.
-        check_non_negative(self.send_threshold, "send_threshold")
-        check_non_negative(self.suppress_tol, "suppress_tol")
-        if self.send_threshold > 0.0:
-            if (
-                self.suppress_tol > 0.0
-                and self.suppress_tol != self.send_threshold
-            ):
-                raise ValueError(
-                    "send_threshold and suppress_tol name the same knob; "
-                    f"got conflicting values {self.send_threshold!r} and "
-                    f"{self.suppress_tol!r}"
-                )
-            self.suppress_tol = self.send_threshold
-        else:
-            self.send_threshold = self.suppress_tol
-        # Default-on fast-path dispatch: a "flat" request whose config
-        # needs faults or the async schedule resolves to the hybrid
-        # engine (which runs those features on a persistent fault
-        # plane) before any capability validation happens.
+        # What the caller gave for the two fields normalisation
+        # rewrites; :meth:`with_overrides` re-derives them.
+        self._given = {
+            "engine": self.engine, "sample_interval": self.sample_interval
+        }
+        validate_config(self)
+        # Normalise.  The two names of the suppression threshold mirror
+        # each other (the rules have rejected a conflict).
+        self.send_threshold = self.suppress_tol = max(
+            self.send_threshold, self.suppress_tol
+        )
+        # Default-on fast-path dispatch: a "flat" request that needs
+        # faults or the async schedule runs on the hybrid engine.
         self.engine = resolve_engine(self)
         period = max(0.5 * (self.t1 + self.t2), MIN_MEAN_WAIT)
-        profile = ENGINES[self.engine]
+        by_round = ENGINES[self.engine].round_boundary_sampling
         if self.sample_interval is None:
-            self.sample_interval = (
-                period if profile.round_boundary_sampling else 1.0
-            )
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be > 0")
-        if profile.round_boundary_sampling:
-            ratio = self.sample_interval / period
-            if ratio < 1.0 or not float(ratio).is_integer():
-                if os.environ.get("REPRO_STRICT_SAMPLING", "1") == "0":
-                    # Permissive mode: round the cadence up to the
-                    # next round boundary instead of refusing to run.
-                    rounded = max(1, math.ceil(ratio - 1e-12)) * period
-                    warnings.warn(
-                        f"engine={self.engine!r} samples at round "
-                        f"boundaries: rounding sample_interval "
-                        f"{self.sample_interval!r} up to {rounded!r} "
-                        f"(the next multiple of the synchronous "
-                        f"period {period!r}); set "
-                        "REPRO_STRICT_SAMPLING=1 to make this an "
-                        "error",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    self.sample_interval = float(rounded)
-                else:
-                    raise ValueError(
-                        f"engine={self.engine!r} samples at round "
-                        "boundaries: sample_interval must be a whole "
-                        "multiple of the synchronous period "
-                        f"{period!r} (got {self.sample_interval!r}); "
-                        "pass sample_interval=None to use the period "
-                        "itself, or set REPRO_STRICT_SAMPLING=0 to "
-                        "round up with a warning"
-                    )
-        # Engine capability validation is table-driven; rejection
-        # messages name the engines that do support each feature
-        # (see repro.core.capabilities), including the codec × engine
-        # validity table.
-        validate_config(self)
-        # Cross-engine codec requirements: delta sessions assume every
-        # frame is replayed in order at the receiver.
-        check_non_negative(self.comm_epsilon, "comm_epsilon")
-        if self.codec == "none" and self.comm_epsilon > 0.0:
+            self.sample_interval = period if by_round else 1.0
+        ratio = self.sample_interval / period
+        if not by_round or (ratio >= 1.0 and float(ratio).is_integer()):
+            return
+        if os.environ.get("REPRO_STRICT_SAMPLING", "1") != "0":
             raise ValueError(
-                "comm_epsilon is the wire codec's error budget; "
-                "set codec='delta' or codec='delta-q16' to use it"
+                f"engine={self.engine!r} samples at round boundaries: "
+                "sample_interval must be a whole multiple of the "
+                f"synchronous period {period!r} (got "
+                f"{self.sample_interval!r}); pass sample_interval=None "
+                "to use the period itself, or set "
+                "REPRO_STRICT_SAMPLING=0 to round up with a warning"
             )
-        if self.codec != "none":
-            if self.delivery_prob < 1.0:
-                raise ValueError(
-                    "a delta codec needs guaranteed delivery "
-                    "(delivery_prob == 1): a lost frame breaks the "
-                    "pair's delta chain; run reliable=True with chaos "
-                    "knobs to model bad networks under a codec"
-                )
-            if self.suppress_tol > 0.0:
-                raise ValueError(
-                    "send_threshold/suppress_tol and a wire codec are "
-                    "mutually exclusive: the codec's ε_comm budget "
-                    "subsumes ad-hoc threshold suppression"
-                )
-            if self.crash_prob > 0.0 or self.recovery:
-                raise ValueError(
-                    "codec != 'none' does not support crash/recovery "
-                    "faults: a takeover discards receiver codec state "
-                    "mid-chain (resync handshakes are future work); "
-                    "pause faults are fine"
-                )
-            if self.engine == "mc" and self.comm_epsilon > 0.0:
-                raise ValueError(
-                    "the mc engine's token frames are exact by "
-                    "construction; comm_epsilon must stay 0"
-                )
-        # Reliability / fault-tolerance knobs.
-        check_non_negative(self.retry_timeout, "retry_timeout")
-        if self.retry_timeout <= 0:
-            raise ValueError("retry_timeout must be > 0")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
-        check_non_negative(self.retry_jitter, "retry_jitter")
-        if self.retry_max_timeout < self.retry_timeout:
-            raise ValueError("retry_max_timeout must be >= retry_timeout")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        check_probability(self.ack_loss_prob, "ack_loss_prob")
-        check_probability(self.duplicate_prob, "duplicate_prob")
-        check_probability(self.reorder_prob, "reorder_prob")
-        check_non_negative(self.reorder_max_delay, "reorder_max_delay")
-        if not self.reliable and (
-            self.ack_loss_prob > 0
-            or self.duplicate_prob > 0
-            or self.reorder_prob > 0
-        ):
-            raise ValueError(
-                "ack_loss_prob/duplicate_prob/reorder_prob model the "
-                "reliability layer's adversaries and require reliable=True"
-            )
-        if self.pause_faults < 0:
-            raise ValueError("pause_faults must be >= 0")
-        check_non_negative(self.pause_horizon, "pause_horizon")
-        check_non_negative(self.pause_mean_outage, "pause_mean_outage")
-        check_probability(self.crash_prob, "crash_prob")
-        check_non_negative(self.crash_after, "crash_after")
-        check_non_negative(self.crash_horizon, "crash_horizon")
-        check_non_negative(self.heartbeat_interval, "heartbeat_interval")
-        if self.heartbeat_miss_threshold < 1:
-            raise ValueError("heartbeat_miss_threshold must be >= 1")
-        check_non_negative(self.checkpoint_interval, "checkpoint_interval")
-        if self.recovery and self.heartbeat_interval <= 0:
-            raise ValueError(
-                "recovery requires failure detection: set heartbeat_interval > 0"
-            )
+        # Permissive mode: round the cadence up to the next round
+        # boundary instead of refusing to run.
+        rounded = float(max(1, math.ceil(ratio - 1e-12)) * period)
+        warnings.warn(
+            f"engine={self.engine!r} samples at round boundaries: "
+            f"rounding sample_interval {self.sample_interval!r} up to "
+            f"{rounded!r} (the next multiple of the synchronous period "
+            f"{period!r}); set REPRO_STRICT_SAMPLING=1 to make this an "
+            "error",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        self.sample_interval = rounded
+
+    def with_overrides(self, **overrides) -> "DistributedConfig":
+        """A copy with ``overrides`` applied on top of what the caller
+        *gave*, not of what normalisation derived from it.
+
+        ``dataclasses.replace`` copies the normalised fields, which
+        pins a defaulted ``sample_interval`` to the old period and a
+        dispatched ``engine`` to the old feature set; here both are
+        re-derived unless overridden.
+        """
+        return replace(self, **{**self._given, **overrides})
+
+
+def config_reference() -> str:
+    """The configuration reference as a markdown table, one row per
+    :class:`DistributedConfig` field, generated from the validity
+    table: flag, default, domain and group off the field, the engines
+    that support the features the field requests (``all`` when no
+    engine lacks any) off the capability matrix, and the keys of the
+    :data:`~repro.core.capabilities.RULES` that read it.  docs/ALGORITHMS.md carries the output between two
+    marker comments; ``tests/test_config_table.py`` keeps it current.
+    """
+    lines = [
+        "| field | flag | default | domain | group | engines accepting it when set | rules |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for f in fields(DistributedConfig):
+        limits = {str(ft): engines_supporting(ft.key) for ft in FEATURES if f.name in ft.fields}
+        if f.name == "codec":
+            limits.update((f"codec={c!r}", names) for c, names in CODEC_ENGINES.items())
+        engines = "; ".join(
+            f"{what}: {', '.join(names)}"
+            for what, names in limits.items()
+            if len(names) < len(ENGINES)
+        )
+        flag = config_flag(f)
+        rules = ", ".join(rule.key for rule in RULES if f.name in rule.mentions())
+        lines.append(
+            f"| `{f.name}` | {f'`{flag}`' if flag else '—'} | `{f.default!r}` "
+            f"| {f.metadata['domain'].text} | {f.metadata['group']} | {engines or 'all'} | {rules or '—'} |"
+        )
+    return "\n".join(lines)
 
 
 @dataclass
@@ -868,9 +885,7 @@ def run_distributed_pagerank(
     if config is None:
         config = DistributedConfig(**config_overrides)
     elif config_overrides:
-        from dataclasses import replace
-
-        config = replace(config, **config_overrides)
+        config = config.with_overrides(**config_overrides)
     # Imported lazily: the engine modules import coordinator types.
     from repro.core.engine import MonteCarloEngine, SynchronousEngine
     from repro.core.hybrid import HybridEngine

@@ -63,6 +63,11 @@ from repro.net.message import ScoreUpdate
 
 __all__ = ["DPRNode"]
 
+#: The paper's two algorithms: solve each group to convergence per
+#: outer step (DPR1) or run one sweep per outer step (DPR2).
+ALGORITHMS = ("dpr1", "dpr2")
+#: Inner solvers DPR1 can run to convergence.
+INNER_SOLVERS = ("jacobi", "gauss_seidel")
 #: Valid maintenance policies for the running afferent sum.
 X_MODES = ("exact", "delta")
 
@@ -108,11 +113,11 @@ class DPRNode:
         r0: Optional[np.ndarray] = None,
         x_mode: str = "exact",
     ):
-        if mode not in ("dpr1", "dpr2"):
-            raise ValueError(f"mode must be 'dpr1' or 'dpr2', got {mode!r}")
-        if inner_solver not in ("jacobi", "gauss_seidel"):
+        if mode not in ALGORITHMS:
+            raise ValueError(f"mode must be one of {ALGORITHMS}, got {mode!r}")
+        if inner_solver not in INNER_SOLVERS:
             raise ValueError(
-                f"inner_solver must be 'jacobi' or 'gauss_seidel', got {inner_solver!r}"
+                f"inner_solver must be one of {INNER_SOLVERS}, got {inner_solver!r}"
             )
         if x_mode not in X_MODES:
             raise ValueError(f"x_mode must be one of {X_MODES}, got {x_mode!r}")

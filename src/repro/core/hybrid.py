@@ -79,7 +79,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.capabilities import requested_features
+from repro.core.capabilities import needs_fault_plane
 from repro.core.coordinator import DistributedConfig, config_transport
 from repro.core.engine import SynchronousEngine
 from repro.core.faultplane import FaultPlane
@@ -94,11 +94,6 @@ from repro.net.simulator import Simulator
 from repro.net.transport import charge_direct_round
 
 __all__ = ["HybridEngine"]
-
-#: Capability-table features that run as fault-plane processes.
-_PLANE_FEATURES = frozenset(
-    {"pause", "crash", "heartbeat", "checkpoint", "recovery"}
-)
 
 
 class _ShadowNode:
@@ -318,7 +313,7 @@ class HybridEngine(SynchronousEngine):
 
         # Fault-plane processes (injectors/heartbeat/checkpoint/recovery)
         # need the persistent simulator regardless of data path.
-        plane = not _PLANE_FEATURES.isdisjoint(requested_features(cfg))
+        plane = needs_fault_plane(cfg)
         fault_world = bool(cfg.reliable or plane)
         # Reliable+direct data traffic runs the round-granular ARQ
         # replay (the fast path the chaos bench gates); reliable over

@@ -112,9 +112,7 @@ def online_distributed_pagerank(
             )
         partition = make_partition(graph, n_groups, "site")
 
-        from dataclasses import replace
-
-        cfg = replace(base, n_groups=n_groups, seed=seed + phase)
+        cfg = base.with_overrides(n_groups=n_groups, seed=seed + phase)
         reference = pagerank_open(graph, alpha=cfg.alpha, e=cfg.e, tol=1e-12).ranks
         run = DistributedRun(graph, cfg, partition=partition, reference=reference)
 

@@ -10,7 +10,7 @@ produced by :meth:`repro.crawl.crawler.Crawler.snapshot`.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

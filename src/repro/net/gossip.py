@@ -22,7 +22,7 @@ rankers, with the same asynchronous wake-up model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 

@@ -46,6 +46,7 @@ __all__ = [
     "Transport",
     "DirectTransport",
     "IndirectTransport",
+    "TRANSPORTS",
     "build_transport",
     "charge_direct_round",
 ]
@@ -281,6 +282,12 @@ class IndirectTransport(Transport):
             self._enqueue(package.to_node, alive)
 
 
+#: Transport kinds by name — the registry :func:`build_transport`
+#: dispatches on and ``DistributedConfig.transport`` / ``--transport``
+#: take their choices from (the paper's default first).
+TRANSPORTS = {"indirect": IndirectTransport, "direct": DirectTransport}
+
+
 def build_transport(
     kind: str,
     sim: Simulator,
@@ -291,8 +298,11 @@ def build_transport(
     latency: Optional[LatencyModel] = None,
     **kwargs,
 ) -> Transport:
-    """Construct a transport by name: ``direct`` or ``indirect``."""
-    kinds = {"direct": DirectTransport, "indirect": IndirectTransport}
-    if kind not in kinds:
-        raise ValueError(f"unknown transport {kind!r}; expected one of {sorted(kinds)}")
-    return kinds[kind](sim, overlay, accountant, loss=loss, latency=latency, **kwargs)
+    """Construct a transport by name (a key of :data:`TRANSPORTS`)."""
+    if kind not in TRANSPORTS:
+        raise ValueError(
+            f"unknown transport {kind!r}; expected one of {sorted(TRANSPORTS)}"
+        )
+    return TRANSPORTS[kind](
+        sim, overlay, accountant, loss=loss, latency=latency, **kwargs
+    )

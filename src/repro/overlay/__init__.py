@@ -58,18 +58,26 @@ __all__ = [
     "hop_statistics",
     "neighbor_statistics",
     "HopStatistics",
+    "OVERLAYS",
     "build_overlay",
 ]
 
 
+#: Overlay kinds by name — the registry :func:`build_overlay` dispatches
+#: on and ``DistributedConfig.overlay`` / ``--overlay`` take their
+#: choices from.
+OVERLAYS = {
+    "pastry": PastryOverlay,
+    "chord": ChordOverlay,
+    "can": CANOverlay,
+    "tapestry": TapestryOverlay,
+}
+
+
 def build_overlay(kind: str, n_nodes: int, *, seed: int = 0, **kwargs):
-    """Construct an overlay by name: ``pastry``, ``chord`` or ``can``."""
-    kinds = {
-        "pastry": PastryOverlay,
-        "chord": ChordOverlay,
-        "can": CANOverlay,
-        "tapestry": TapestryOverlay,
-    }
-    if kind not in kinds:
-        raise ValueError(f"unknown overlay kind {kind!r}; expected one of {sorted(kinds)}")
-    return kinds[kind](n_nodes, seed=seed, **kwargs)
+    """Construct an overlay by name (a key of :data:`OVERLAYS`)."""
+    if kind not in OVERLAYS:
+        raise ValueError(
+            f"unknown overlay kind {kind!r}; expected one of {sorted(OVERLAYS)}"
+        )
+    return OVERLAYS[kind](n_nodes, seed=seed, **kwargs)

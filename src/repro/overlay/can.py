@@ -21,7 +21,7 @@ CAN on this zone layout.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

@@ -1,7 +1,5 @@
 """Unit tests for the CAN overlay."""
 
-import math
-
 import pytest
 
 from repro.overlay.can import CANOverlay

@@ -8,7 +8,7 @@ from repro.core.pagerank import (
     pagerank_algorithm1,
     pagerank_open,
 )
-from repro.graph import WebGraph, complete_web, ring_web, star_web
+from repro.graph import WebGraph, star_web
 
 
 class TestPagerankOpen:

@@ -1,6 +1,5 @@
 """Unit tests for repro.core.ranker (the asynchronous process wrapper)."""
 
-import numpy as np
 import pytest
 
 from repro.core.dpr import DPRNode

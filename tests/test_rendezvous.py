@@ -1,6 +1,5 @@
 """Tests for rendezvous (HRW) partitioning and membership changes."""
 
-import numpy as np
 import pytest
 
 from repro.graph import google_contest_like, make_partition

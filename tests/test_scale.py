@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import pagerank_open, run_distributed_pagerank
 from repro.graph import google_contest_like, make_partition
-from repro.linalg import group_blocks, propagation_matrix
+from repro.linalg import group_blocks
 
 
 @pytest.fixture(scope="module")
