@@ -108,7 +108,6 @@ FEATURES: Tuple[Feature, ...] = (
         "checkpoint", ("checkpoint_interval",), lambda c: c.checkpoint_interval > 0.0, plane=True
     ),
     Feature("recovery", ("recovery",), lambda c: c.recovery, plane=True),
-    Feature("x_delta", ("x_mode",), lambda c: c.x_mode == "delta", "x_mode='delta'"),
     Feature("vector_e", ("e",), lambda c: isinstance(c.e, np.ndarray), "vector-valued e"),
 )
 
@@ -295,13 +294,7 @@ ENGINES: Dict[str, EngineProfile] = {
                 "runs flat bulk-synchronous rounds over a persistent "
                 "fault plane"
             ),
-            # Everything except the node-internal delta-X maintenance,
-            # which only exists inside DPRNode's running sum (the
-            # hybrid re-sums afferent segments exactly; emulating the
-            # delta drift would be approximating an approximation).
-            features=frozenset(
-                f.key for f in FEATURES if f.key != "x_delta"
-            ),
+            features=frozenset(f.key for f in FEATURES),
             round_boundary_sampling=True,
             fidelity="approximate",
         ),
@@ -374,19 +367,13 @@ def resolve_engine(config: "DistributedConfig") -> str:
     """Default-on dispatch: upgrade ``flat`` to ``hybrid`` when needed.
 
     A config that names the flat engine but requests fault features or
-    the async schedule resolves to the hybrid engine, *provided* the
-    hybrid supports everything requested — otherwise the flat name is
-    kept so validation points at the event engine instead of failing
-    twice.  Every other engine name resolves to itself: the dispatch
-    is a fast-path default, not a general fallback chain (asking for
-    ``mc`` with faults is a contradiction to report, not to paper
-    over).
+    the async schedule resolves to the hybrid engine, which supports
+    every feature the event engine does.  Every other engine name
+    resolves to itself: the dispatch is a fast-path default, not a
+    general fallback chain (asking for ``mc`` with faults is a
+    contradiction to report, not to paper over).
     """
-    if (
-        config.engine == "flat"
-        and unsupported_features(config, "flat")
-        and not unsupported_features(config, "hybrid")
-    ):
+    if config.engine == "flat" and unsupported_features(config, "flat"):
         return "hybrid"
     return config.engine
 

@@ -33,7 +33,7 @@ from repro.core.capabilities import (
     validate_config,
 )
 from repro.core.convergence import ConvergenceTrace, Monitor
-from repro.core.dpr import ALGORITHMS, INNER_SOLVERS, X_MODES, DPRNode
+from repro.core.dpr import ALGORITHMS, INNER_SOLVERS, DPRNode
 from repro.core.faultplane import FaultPlane
 from repro.core.open_system import GroupSystem
 from repro.core.ranker import MIN_MEAN_WAIT, PageRanker
@@ -187,10 +187,6 @@ class DistributedConfig:
     max_inner: int = _spec(1000, integer(1), "engine")
     #: DPR1 only: dpr2 has no inner solve (a rule rejects the pair).
     inner_solver: str = _spec("jacobi", one_of(INNER_SOLVERS), "engine")
-    #: Running afferent-sum maintenance policy per node: "exact"
-    #: (bit-reproducible, the default) or "delta" (O(changed) updates;
-    #: see repro.core.dpr module docs for the tradeoff).
-    x_mode: str = _spec("exact", one_of(X_MODES), "engine")
     hop_delay: float = _spec(0.5, NON_NEGATIVE, "experiment")
     aggregation_delay: float = _spec(0.25, NON_NEGATIVE, "experiment")
     #: Historical name of ``send_threshold``, kept for compatibility:
@@ -742,7 +738,6 @@ class DistributedRun(RunSetup):
             local_tol=cfg.local_tol,
             max_inner=cfg.max_inner,
             inner_solver=cfg.inner_solver,
-            x_mode=cfg.x_mode,
         )
         return PageRanker(
             self.sim,

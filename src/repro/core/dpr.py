@@ -31,20 +31,17 @@ that is maintained incrementally as updates arrive, and caches
 ``f = βE + X`` so a :meth:`step` with no new mail since the previous
 one skips the refresh entirely (``refresh_skips`` counts these).
 
-Two maintenance policies for the running ``X`` (``x_mode``):
+The running ``X`` is exact: a first message from a new source is added
+to the sum in arrival order (the same arithmetic as a full re-sum); a
+replacement marks ``X`` dirty and the next refresh rebuilds it by an
+in-order, in-place re-sum.  Results are **bit-identical** to the naive
+re-sum-every-step implementation, which the property-based tests assert
+on end-to-end runs.
 
-* ``"exact"`` (default) — a first message from a new source is added
-  to the running sum in arrival order (bit-identical to a full
-  re-sum); a replacement marks ``X`` dirty and the next refresh
-  rebuilds it by an in-order, in-place re-sum.  Results are
-  **bit-identical** to the naive re-sum-every-step implementation,
-  which the property-based tests assert on end-to-end runs.
-* ``"delta"`` — the paper-suggested O(changed) update: subtract the
-  superseded vector, add the new one.  Cheapest when a node has many
-  sources and few change per step, at the cost of ulp-level
-  floating-point drift relative to a fresh re-sum (bounded by the
-  kernel-equivalence tests; use ``"exact"`` when bit-reproducibility
-  matters more than the constant factor).
+The update of ``R`` itself is :func:`group_step`, shared with the round
+engines' per-group step (:mod:`repro.core.engine`): one definition of
+"DPR1 solves, DPR2 sweeps", so node and engine agree bit for bit by
+construction.
 
 Received values are **defensively copied**, so a transport or test
 that mutates (or reuses the buffer of) an array after send cannot
@@ -53,7 +50,7 @@ silently corrupt node state.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,15 +58,52 @@ import scipy.sparse as sp
 from repro.linalg.jacobi import JacobiWorkspace, jacobi_solve
 from repro.net.message import ScoreUpdate
 
-__all__ = ["DPRNode"]
+__all__ = ["DPRNode", "group_step"]
 
 #: The paper's two algorithms: solve each group to convergence per
 #: outer step (DPR1) or run one sweep per outer step (DPR2).
 ALGORITHMS = ("dpr1", "dpr2")
 #: Inner solvers DPR1 can run to convergence.
 INNER_SOLVERS = ("jacobi", "gauss_seidel")
-#: Valid maintenance policies for the running afferent sum.
-X_MODES = ("exact", "delta")
+
+
+def group_step(
+    a_group: sp.spmatrix,
+    r: np.ndarray,
+    f: np.ndarray,
+    ws: JacobiWorkspace,
+    *,
+    mode: str,
+    inner_solver: str,
+    local_tol: float,
+    max_inner: int,
+) -> Tuple[float, int]:
+    """One outer-loop update of a group's ranks ``r``, in place.
+
+    DPR1 runs ``GroupPageRank(R_i, X_{i+1})`` — a full solve of
+    ``R = A_G R + f`` warm-started from ``r``, by ``inner_solver``;
+    DPR2 performs the single sweep ``R ← A_G R + f``.  ``f = βE + X``
+    is the caller's; ``ws`` supplies the sweep buffers.  Returns
+    ``(‖R_new − R_old‖₁, sweeps performed)``.
+    """
+    if mode == "dpr2":
+        delta = ws.sweep_delta(a_group, r, f, out=ws._ping)
+        np.copyto(r, ws._ping)
+        return delta, 1
+    if inner_solver == "gauss_seidel":
+        from repro.linalg.acceleration import gauss_seidel_solve
+
+        res = gauss_seidel_solve(a_group, f, x0=r, tol=local_tol, max_iter=max_inner)
+    else:
+        res = jacobi_solve(
+            a_group, f, x0=r, tol=local_tol, max_iter=max_inner, workspace=ws
+        )
+    sc = ws._scratch
+    np.subtract(res.x, r, out=sc)
+    np.abs(sc, out=sc)
+    delta = float(sc.sum())
+    np.copyto(r, res.x)
+    return delta, res.iterations
 
 
 class DPRNode:
@@ -95,9 +129,6 @@ class DPRNode:
     r0:
         Initial local rank vector ``S``; zeros by default (the paper's
         choice for which the monotonicity theorems are stated).
-    x_mode:
-        Running-``X`` maintenance policy, ``"exact"`` or ``"delta"``
-        (see module docs).
     """
 
     def __init__(
@@ -111,7 +142,6 @@ class DPRNode:
         max_inner: int = 1000,
         inner_solver: str = "jacobi",
         r0: Optional[np.ndarray] = None,
-        x_mode: str = "exact",
     ):
         if mode not in ALGORITHMS:
             raise ValueError(f"mode must be one of {ALGORITHMS}, got {mode!r}")
@@ -119,8 +149,6 @@ class DPRNode:
             raise ValueError(
                 f"inner_solver must be one of {INNER_SOLVERS}, got {inner_solver!r}"
             )
-        if x_mode not in X_MODES:
-            raise ValueError(f"x_mode must be one of {X_MODES}, got {x_mode!r}")
         self.group = int(group)
         self.a_group = a_group
         self.beta_e = np.asarray(beta_e, dtype=np.float64)
@@ -133,7 +161,6 @@ class DPRNode:
         self.local_tol = float(local_tol)
         self.max_inner = int(max_inner)
         self.inner_solver = inner_solver
-        self.x_mode = x_mode
 
         #: Stable local rank buffer, updated in place by :meth:`step`
         #: (copy it to retain a snapshot across steps).
@@ -151,7 +178,7 @@ class DPRNode:
         #: Running afferent sum, incrementally maintained on receive.
         self._x = np.zeros(n_local, dtype=np.float64)
         #: True when ``_x`` no longer matches ``_latest_values`` and
-        #: the next refresh must re-sum (exact mode after a replace).
+        #: the next refresh must re-sum (after a replacement).
         self._x_dirty = False
         #: True when mail accepted since ``_f`` was last computed.
         self._mail = False
@@ -188,7 +215,7 @@ class DPRNode:
         The update's values are copied before being stored, so senders
         reusing (or mutating) their buffers after the call cannot
         corrupt this node's state.  The running ``X`` is maintained
-        incrementally per the node's ``x_mode`` (see module docs).
+        incrementally (see module docs).
         """
         if update.dst_group != self.group:
             raise ValueError(
@@ -209,12 +236,9 @@ class DPRNode:
         if old is None:
             # Appending a new source to the running sum in arrival
             # order is the same arithmetic as re-summing, so the cache
-            # stays exact in both modes.
+            # stays exact.
             if not self._x_dirty:
                 np.add(self._x, values, out=self._x)
-        elif self.x_mode == "delta":
-            np.subtract(self._x, old, out=self._x)
-            np.add(self._x, values, out=self._x)
         else:
             self._x_dirty = True
         self._mail = True
@@ -280,33 +304,12 @@ class DPRNode:
             self._mail = False
         else:
             self.refresh_skips += 1
-        f = self._f
-        ws = self._workspace
-        if self.mode == "dpr1":
-            if self.inner_solver == "gauss_seidel":
-                from repro.linalg.acceleration import gauss_seidel_solve
-
-                res = gauss_seidel_solve(
-                    self.a_group, f, x0=self.r,
-                    tol=self.local_tol, max_iter=self.max_inner,
-                )
-            else:
-                res = jacobi_solve(
-                    self.a_group, f, x0=self.r,
-                    tol=self.local_tol, max_iter=self.max_inner,
-                    workspace=ws,
-                )
-            self.inner_sweeps += res.iterations
-            sc = ws._scratch
-            np.subtract(res.x, self.r, out=sc)
-            np.abs(sc, out=sc)
-            self.last_step_delta = float(sc.sum())
-            np.copyto(self.r, res.x)
-        else:
-            delta = ws.sweep_delta(self.a_group, self.r, f, out=ws._ping)
-            np.copyto(self.r, ws._ping)
-            self.inner_sweeps += 1
-            self.last_step_delta = delta
+        self.last_step_delta, sweeps = group_step(
+            self.a_group, self.r, self._f, self._workspace,
+            mode=self.mode, inner_solver=self.inner_solver,
+            local_tol=self.local_tol, max_inner=self.max_inner,
+        )
+        self.inner_sweeps += sweeps
         self.outer_iterations += 1
         return self.r
 

@@ -19,13 +19,13 @@ tick, and the whole round collapses into dense linear algebra:
 * **communicate** — the K stacked efferent operators are one
   whole-system *cut matrix* (same builder), compressed to its
   structurally nonzero rows, so every efferent vector ``Y`` of the
-  round is one more SpMV over exactly the cross-link elements;
-  when no send can be lost or withheld (``delivery_prob = 1``, no
-  threshold suppression — with or without a wire codec) delivery +
-  afferent refresh collapse into a third SpMV ``X = F·held`` against
-  a 0/1 *afferent matrix* whose per-row storage order replays the
-  observed first-arrival order; ``held`` is what the receivers hold:
-  ``Y`` uncoded, the senders' reconstruction mirrors under a codec;
+  round is one more SpMV over exactly the cross-link elements; what
+  survives the round lands in one *flat receiver memory* — a vector
+  ``recv`` laid out like ``Y``, with a generation and a first-arrival
+  stamp per pair — by one masked copy, and every afferent sum of the
+  next round is a third SpMV ``X = F·recv`` against a 0/1 *afferent
+  matrix* whose per-row storage order replays the observed
+  first-arrival order — lossless or lossy, coded or not;
 * **account** — instead of materializing ScoreUpdate objects, the
   engine names a round's sends by position in its pair table and
   charges them as arrays.  Direct transmission is closed form
@@ -40,30 +40,44 @@ tick, and the whole round collapses into dense linear algebra:
   per run for the uncoded full pair set.  Either way the charges and
   the delivery order are exactly the real transport's.
 
-One loop, one emit step
------------------------
+One loop, one round, one receiver memory
+----------------------------------------
 Every round engine — this one, the Monte-Carlo engine below, and the
 hybrid engine of :mod:`repro.core.hybrid` — is a :class:`RoundEngine`:
 it supplies ``_round`` and its current ranks, and inherits the one
 tick/sample/stop loop (:meth:`RoundEngine.run`) over the one sample
 body (:class:`~repro.core.convergence.Sampler`) the event engine's
-monitor also uses.  A score-exchanging round ends in one *emit step*:
-:meth:`SynchronousEngine._build_sends` lists the round's sends in
-emission order — under a wire codec with **one codec call per
-source**: a source's efferent segments sit contiguously in ``Y``, so
-its whole emission (every destination's suppress / quantize /
-exact-flush verdict and frame size) is one vectorized pass of
-:meth:`~repro.net.adaptive.AdaptiveCodec.encode` over that span, K
-calls a round rather than one per communicating pair; without a codec,
-per-pair threshold suppression — an
-*accounting backend* charges and routes them — here the round
-ledger above; the hybrid engine adds an ARQ protocol replay and its
-fault plane's real transport — and the arrivals land
-(:meth:`SynchronousEngine._land`) one by one through
-:meth:`SynchronousEngine._apply`, or all of them at once through
-``X = F·held``; the hybrid engine's approximate mode lands them in a
-flat receiver memory of its own.  The flat engine is the case "every
-group steps, round ledger".
+monitor also uses.  A score-exchanging round is the paper's outer loop
+(§4.2, Algorithms 3–4) applied to the groups that step
+(:meth:`SynchronousEngine._round`):
+
+1. **refresh** — ``X = F·recv`` over whatever has landed
+   (:meth:`SynchronousEngine._refresh`);
+2. **compute** — the stepping groups' update of ``R``
+   (:meth:`SynchronousEngine._compute`): the whole-system dpr2 sweep
+   when every group steps, else group by group through
+   :func:`repro.core.dpr.group_step`, the very function
+   ``DPRNode.step`` calls;
+3. **emit** — ``Y`` by the cut SpMV, then one *emit step*:
+   :meth:`SynchronousEngine._build_sends` lists the round's sends in
+   emission order — under a wire codec with **one codec call per
+   source**: a source's efferent segments sit contiguously in ``Y``, so
+   its whole emission (every destination's suppress / quantize /
+   exact-flush verdict and frame size) is one vectorized pass of
+   :meth:`~repro.net.adaptive.AdaptiveCodec.encode` over that span, K
+   calls a round rather than one per communicating pair; without a
+   codec, per-pair threshold suppression — and an *accounting backend*
+   charges and routes them: here the round ledger above; the hybrid
+   engine adds an ARQ protocol replay and its fault plane's real
+   transport;
+4. **land** — the arrivals, in delivery order, enter the receiver
+   memory (:meth:`SynchronousEngine._land`): ``DPRNode.receive`` for
+   all of them at once — stale generations counted, first arrivals
+   stamped, the fresh pairs' segments copied.
+
+The flat engine is the case "every group steps, round ledger"; the
+hybrid engine changes who steps and how sends are charged, nothing
+else.
 
 Bit-identity
 ------------
@@ -82,22 +96,19 @@ equivalence tests assert.  The reasoning:
   bit of any afferent sum;
 * afferent sums: a :class:`~repro.core.dpr.DPRNode` re-sums its
   newest per-source vectors in *first-arrival order* (dict insertion
-  order).  The engine keeps the same insertion-ordered dict per
-  destination, appending sources in the delivery order the accounting
+  order).  Here that order lives in per-pair stamps: a pair is stamped
+  when its first frame lands, in the delivery order the accounting
   step reports — the event simulator's own: every send of a round is
   scheduled at the tick, so ``(time, sequence)`` order is a stable
-  sort of the arrival times in emission order.  When no send can be
-  lost or withheld each receiver holds exactly the sender-side vector
-  of its pair (a frame that ships lands in its own round; a pair the
-  codec suppresses was not moved by its sender either), so the whole
-  refresh is one SpMV ``X = F·held``: scipy's CSR kernel accumulates
-  each output row over its stored entries *in storage order*, and
-  ``F``'s rows are laid out in exactly the first-arrival order.  ``F``
-  is frozen once every pair has arrived, from the order the arrivals
-  were *observed* in — a pair whose first frame ships rounds after its
-  neighbours' keeps that later place, as in the node's dict.  A pair
-  that has not arrived holds only ``+0.0``, which a nonnegative sum
-  cannot see, so nothing depends on when the switch happens;
+  sort of the arrival times in emission order.  ``F``'s rows are laid
+  out in stamp order, and scipy's CSR kernel accumulates each output
+  row over its stored entries *in storage order*, so ``X = F·recv``
+  performs the node's vector adds scalar for scalar.  A pair whose
+  first frame ships — or survives the loss model — rounds after its
+  neighbours' keeps that later place, as in the node's dict; ``F`` is
+  rebuilt only after a round that saw a first arrival.  A pair that
+  has not arrived holds only ``+0.0``, which a nonnegative sum cannot
+  see;
 * loss draws: the Bernoulli stream is consumed in (source group
   ascending, destination ascending) order, exactly the order rankers
   tick and emit in a synchronous event round.
@@ -126,9 +137,10 @@ from repro.core.coordinator import (
     assemble_run_result,
     config_transport,
 )
+from repro.core.dpr import group_step
 from repro.graph.partition import Partition
 from repro.graph.webgraph import WebGraph
-from repro.linalg.jacobi import JacobiWorkspace, csr_matvec_into, jacobi_solve
+from repro.linalg.jacobi import JacobiWorkspace, csr_matvec_into
 from repro.net.bandwidth import TrafficAccountant
 from repro.net.failures import NoLoss
 from repro.net.codec import token_frame_bytes
@@ -493,14 +505,6 @@ class SynchronousEngine(RoundEngine):
             else None
             for lo, hi in zip(first[:-1], first[1:])
         ]
-        #: Every send that ships is delivered in its own round and
-        #: nothing is withheld by a threshold: each receiver then holds
-        #: exactly the sender-side vector of the pair (``_held``), which
-        #: is what lets delivery + refresh collapse into ``X = F·held``.
-        self._mirrored = (
-            isinstance(self._loss, NoLoss) and config.suppress_tol == 0.0
-        )
-
         # Mutable round state.
         self._r = np.zeros(n_total, dtype=np.float64)
         # dpr2's sweep ping-pong buffers — allocated on first dpr2
@@ -525,28 +529,25 @@ class SynchronousEngine(RoundEngine):
                 self.system.e_full[blocks.pages[g]],
                 out=self._beta_e[self._slices[g]],
             )
-        #: Newest afferent vector (compressed to its nonzero elements)
-        #: per afferent pair (keyed by pair position), per destination
-        #: group — insertion-ordered exactly like
-        #: ``DPRNode._latest_values`` — with the generation it carried
-        #: and the count of stale arrivals rejected
-        #: (``DPRNode.receive``'s bookkeeping).  Dropped once
-        #: :attr:`_afferent` is frozen.
-        self._latest: List[Dict[int, np.ndarray]] = [{} for _ in range(k)]
-        self._gen_latest: List[Dict[int, int]] = [{} for _ in range(k)]
-        self._stale = np.zeros(k, dtype=np.int64)
-        #: What each receiver holds of each pair once its newest frame
-        #: has landed, laid out like ``_y``: Y itself uncoded, the
-        #: sources' reconstruction mirrors under a wire codec.
+        #: What a frame shipped this round delivers of each pair, laid
+        #: out like ``_y``: Y itself uncoded, the sources'
+        #: reconstruction mirrors under a wire codec.
         self._held = (
             self._y if self._codec is None else np.zeros(n_nz, dtype=np.float64)
         )
-        #: 0/1 afferent matrix of the mirrored fast path (X = F·held),
-        #: frozen from the first-arrival order once every pair has
-        #: arrived (see :meth:`_emit`).
-        self._afferent: Optional[sp.csr_matrix] = None
-        #: Destinations that received mail since their last refresh.
-        self._mail: set = set()
+        #: The flat receiver memory (module docstring): what each
+        #: receiver holds of each pair, laid out like ``_y``, with the
+        #: generation it carried (-1: nothing yet, elements +0.0), the
+        #: pair's first-arrival stamp, and the stale arrivals rejected
+        #: per destination — ``DPRNode.receive``'s bookkeeping as
+        #: arrays.  F (``X = F·recv``) is built on first use.
+        self._recv = np.zeros(n_nz, dtype=np.float64)
+        self._recv_gen = np.full(self._pair_src.size, -1, dtype=np.int64)
+        self._recv_rank = np.zeros_like(self._recv_gen)
+        self._arrivals = 0
+        self._recv_matrix: Optional[sp.csr_matrix] = None
+        self._pair_len = np.diff(start)
+        self._stale = np.zeros(k, dtype=np.int64)
         #: Last segment sent per pair position (threshold suppression only).
         self._last_sent: Dict[int, np.ndarray] = {}
         # Per-group solves run sequentially and copy their result out
@@ -569,9 +570,9 @@ class SynchronousEngine(RoundEngine):
     def _pairs(self) -> List[Tuple[int, int, slice, np.ndarray, int]]:
         """The pair table row by row — ``(src, dst, slice of the
         compressed Y vector, destination-local rows, link records)`` —
-        for the paths that are per-pair Python anyway: per-delivery
-        landing, threshold suppression, the fault plane's real
-        transport.  Rounds on the array paths never build it."""
+        for the paths that are per-pair Python anyway: threshold
+        suppression and the fault plane's real transport.  Rounds on
+        the array paths never build it."""
         start = self._pair_start.tolist()
         return [
             (g, h, slice(a, b), self._row_map[a:b], records)
@@ -662,7 +663,7 @@ class SynchronousEngine(RoundEngine):
         return order
 
     def _build_afferent(self, order: np.ndarray) -> sp.csr_matrix:
-        """Assemble the 0/1 afferent matrix F with X = F·held.
+        """Assemble the 0/1 afferent matrix F with X = F·recv.
 
         Row ``offsets[dst] + i`` holds one unit entry per source whose
         efferent segment touches destination-local element ``i``, with
@@ -680,7 +681,7 @@ class SynchronousEngine(RoundEngine):
         n_rows, n_nz = self._x.size, self._y.size
         idx_dtype = np.int32 if n_nz < 2**31 else np.int64
         start = self._pair_start
-        lens = np.diff(start)[order]
+        lens = self._pair_len[order]
         total = int(lens.sum())
         elems = np.arange(total, dtype=idx_dtype) + np.repeat(
             start[order] - (np.cumsum(lens) - lens), lens
@@ -782,75 +783,49 @@ class SynchronousEngine(RoundEngine):
         self._land(idx[self._charge(idx, wire_bytes)])
 
     def _land(self, arrived: np.ndarray) -> None:
-        """Deliver the pairs ``arrived`` (pair positions, in delivery
-        order): one by one through :meth:`_apply`, or, once a
-        *mirrored* run has heard from every pair, all at once as
-        ``X = F·held`` (module docstring, "afferent sums")."""
-        if self._afferent is None:
-            if not (self._mirrored and self._freeze_afferent(arrived)):
-                for p in arrived.tolist():
-                    self._apply(p, int(self._outer[self._pair_src[p]]))
-                return
-        csr_matvec_into(self._afferent, self._held, self._x)
+        """Deliver the pairs ``arrived`` (delivery order) into the flat
+        receiver memory: ``DPRNode.receive``'s bookkeeping for all of
+        them at once — stale generations counted against their
+        destinations, first arrivals stamped — then one masked copy of
+        the fresh pairs' segments of ``_held``.  A source's generation
+        is its outer count at emission, so only a sender rolled back by
+        a takeover presents a stale one."""
+        gens = self._outer[self._pair_src[arrived]]
+        fresh = gens > self._recv_gen[arrived]
+        np.add.at(self._stale, self._pair_dst[arrived[~fresh]], 1)
+        arrived = arrived[fresh]
+        first = arrived[self._recv_gen[arrived] < 0]
+        if first.size:
+            # A first arrival takes the last place in its destination's
+            # summation order for good; F is rebuilt before its next use.
+            self._recv_rank[first] = self._arrivals + np.arange(first.size)
+            self._arrivals += first.size
+            self._recv_matrix = None
+        self._recv_gen[arrived] = gens[fresh]
+        mask = np.zeros(self._pair_src.size, dtype=bool)
+        mask[arrived] = True
+        np.copyto(self._recv, self._held, where=np.repeat(mask, self._pair_len))
 
-    def _freeze_afferent(self, arrived: np.ndarray) -> bool:
-        """Build F if this round's ``arrived`` pairs complete the set.
+    def _refresh(self) -> None:
+        """``X = F·recv`` for every destination in one SpMV.
 
-        The first-arrival order is the insertion order of the
-        per-destination memory (earlier rounds, landed through
-        :meth:`_apply`) followed by this round's newcomers in delivery
-        order; only the order *within* a destination matters.
+        F's rows store their entries in first-arrival (stamp) order, so
+        the sums are the event engine's re-summation scalar for scalar
+        (module docstring, "afferent sums"); a pair that has not
+        arrived holds only +0.0, which a nonnegative sum cannot see.
         """
-        first = [p for memory in self._latest for p in memory]
-        first += [
-            p for p in arrived.tolist() if p not in self._latest[self._pair_dst[p]]
-        ]
-        if len(first) < self._pair_src.size:
-            return False
-        self._afferent = self._build_afferent(np.array(first, dtype=np.int64))
-        # The per-destination memory is dead from here on (and a
-        # pending mail flag would re-sum it over the SpMV's X).
-        for memory in self._latest + self._gen_latest:
-            memory.clear()
-        self._mail.clear()
-        return True
-
-    def _apply(self, p: int, generation: int) -> None:
-        """Land pair ``p``'s slice of ``_held``: ``DPRNode.receive``
-        semantics over flat state (generation check, first-arrival
-        summation order, mail flag).  A source's generation is its
-        outer count at emission, so the round ledger never presents a
-        stale one; the backends that can (late or rolled-back senders)
-        land through the hybrid engine's own memory."""
-        _, dst, csl, _, _ = self._pairs[p]
-        gens = self._gen_latest[dst]
-        prev_gen = gens.get(p)
-        if prev_gen is not None and generation <= prev_gen:
-            self._stale[dst] += 1
-            return
-        gens[p] = generation
-        held = self._latest[dst].get(p)
-        if held is None:
-            # First arrival: append (fixes this pair's position in the
-            # destination's re-summation order for good).
-            self._latest[dst][p] = self._held[csl].copy()
-        else:
-            np.copyto(held, self._held[csl])
-        self._mail.add(dst)
-
-    def _refresh_x(self, h: int) -> None:
-        """Re-sum mailed destination ``h``'s newest compressed vectors
-        in first-arrival order.  Scattering each source's nonzero
-        elements through its index array performs the same elementwise
-        additions as ``DPRNode._refresh``'s dense vector adds — the
-        skipped elements only ever add +0.0."""
-        xh = self._x[self._slices[h]]
-        xh[:] = 0.0
-        for p, vec in self._latest[h].items():
-            xh[self._pairs[p][3]] += vec
+        if self._recv_matrix is None:
+            if not self._arrivals:
+                return
+            self._recv_matrix = self._build_afferent(
+                np.argsort(self._recv_rank, kind="stable")
+            )
+        csr_matvec_into(self._recv_matrix, self._recv, self._x)
 
     def _step_groups(self, groups: Sequence[int]) -> None:
-        """Step each of ``groups`` exactly as ``DPRNode.step`` would."""
+        """Step each of ``groups`` exactly as ``DPRNode.step`` does:
+        the same :func:`~repro.core.dpr.group_step` over the group's
+        slice of the flat state."""
         cfg = self.config
         for g in groups:
             self._outer[g] += 1
@@ -858,64 +833,37 @@ class SynchronousEngine(RoundEngine):
             if sl.stop == sl.start:
                 self._last_delta[g] = 0.0
                 continue
-            if g in self._mail:
-                self._refresh_x(g)
-                self._mail.discard(g)
-            r_g = self._r[sl]
             # Group g's f = βE + X assembled into the shared buffer:
             # the identical per-slice add a whole-system f performs,
             # one group at a time.
             f_g = self._fbuf[: sl.stop - sl.start]
             np.add(self._beta_e[sl], self._x[sl], out=f_g)
-            ws = self._workspaces[g]
-            if cfg.algorithm == "dpr2":
-                delta = ws.sweep_delta(
-                    self.system.diag(g), r_g, f_g, out=ws._ping
-                )
-                np.copyto(r_g, ws._ping)
-                self._last_delta[g] = float(delta)
-                self._inner_sweeps[g] += 1
-                continue
-            if cfg.inner_solver == "gauss_seidel":
-                from repro.linalg.acceleration import gauss_seidel_solve
+            self._last_delta[g], sweeps = group_step(
+                self.system.diag(g), self._r[sl], f_g, self._workspaces[g],
+                mode=cfg.algorithm, inner_solver=cfg.inner_solver,
+                local_tol=cfg.local_tol, max_inner=cfg.max_inner,
+            )
+            self._inner_sweeps[g] += sweeps
 
-                res = gauss_seidel_solve(
-                    self.system.diag(g), f_g, x0=r_g,
-                    tol=cfg.local_tol, max_iter=cfg.max_inner,
-                )
-            else:
-                res = jacobi_solve(
-                    self.system.diag(g), f_g, x0=r_g,
-                    tol=cfg.local_tol, max_iter=cfg.max_inner,
-                    workspace=ws,
-                )
-            self._inner_sweeps[g] += res.iterations
-            sc = ws._scratch
-            np.subtract(res.x, r_g, out=sc)
-            np.abs(sc, out=sc)
-            self._last_delta[g] = float(sc.sum())
-            np.copyto(r_g, res.x)
+    def _stepping_groups(self) -> Sequence[int]:
+        """The groups that step this round, ascending: all of them."""
+        return range(self.config.n_groups)
 
-    def _compute(self) -> None:
-        """One outer loop for every group."""
+    def _compute(self, groups: Sequence[int]) -> None:
+        """One outer loop for each of ``groups``."""
         cfg = self.config
-        if cfg.algorithm == "dpr1":
-            self._step_groups(range(cfg.n_groups))
+        if cfg.algorithm == "dpr1" or len(groups) < cfg.n_groups:
+            self._step_groups(groups)
             return
         # dpr2 with every group stepping is one whole-system sweep.
-        # Refresh X first (loss/codec rounds only; lossless X was
-        # computed by the afferent SpMV).
-        for h in self._mail:
-            self._refresh_x(h)
-        self._mail.clear()
         # f = βE + X over the whole system (same elementwise add
         # the nodes perform per group; a cached unchanged f re-adds
         # to the same bits, so recomputing globally is safe).
         if self._f is None:
             self._f = np.empty_like(self._r)
         np.add(self._beta_e, self._x, out=self._f)
-        # One whole-system sweep: R ← A·R + f, fused with the
-        # per-group ‖ΔR‖₁ reductions over contiguous slices.
+        # R ← A·R + f, fused with the per-group ‖ΔR‖₁ reductions over
+        # contiguous slices.
         if self._ping is None:
             self._ping = np.zeros_like(self._r)
             self._scratch = np.zeros_like(self._r)
@@ -934,10 +882,15 @@ class SynchronousEngine(RoundEngine):
         self._outer += 1
 
     def _round(self, t: float) -> None:
-        """One bulk-synchronous round: compute, emit Y, communicate."""
-        self._compute()
+        """One bulk-synchronous round — the paper's outer loop for the
+        groups that step: refresh X from what has landed by ``t``,
+        compute, emit Y, communicate."""
+        self._sync_to(t)
+        self._refresh()
+        stepping = self._stepping_groups()
+        self._compute(stepping)
         csr_matvec_into(self._cut, self._r, self._y)
-        self._emit(self._build_sends(range(self.config.n_groups)), t)
+        self._emit(self._build_sends(stepping), t)
 
 
 class MonteCarloEngine(RoundEngine):

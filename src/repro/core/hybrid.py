@@ -14,46 +14,47 @@ the crash/pause injectors, the heartbeat detector, and the
 checkpoint/recovery layer, all driven over lightweight *shadow
 rankers* that bridge the flat engine's state slices.
 
-Execution model (one round at tick ``t``):
+A round is the flat engine's own (:meth:`SynchronousEngine._round
+<repro.core.engine.SynchronousEngine._round>`: refresh ``X = F·recv``,
+compute, emit ``Y``, land — one body, one receiver memory, for both
+engines).  This class changes two things about it, and adds the
+machinery they need:
 
-1. advance the fault plane to ``t`` — crashes, pauses, heartbeat
-   sweeps, checkpoints, takeovers, retransmissions, and in-flight
-   deliveries up to the tick all land exactly as the event engine
-   would interleave them (they share one timeline, so a crash firing
-   mid-delivery-window swallows exactly the deliveries the event
-   engine drops);
-2. refresh every afferent sum at once, ``X = F·recv``, and step every
-   *eligible* group (alive, unpaused, and — under the async schedule —
-   due per its rate credit) with the flat per-group kernels, mirroring
-   :meth:`repro.core.dpr.DPRNode.step` bit for bit;
-3. emit the stepping groups' cut segments through one of three
-   accounting backends: the inherited round ledger; the fault plane's
-   real transport (real :class:`~repro.net.message.ScoreUpdate`
-   payloads, so loss, chaos, ARQ and sequence numbering behave
-   identically to the event engine); or — reliable + direct configs —
-   the round-granular :class:`_ReplayARQ`, which resolves the round's
-   ARQ conversations as array waves and charges them in closed form.
+* **who steps** — :meth:`HybridEngine._stepping_groups`: the groups
+  that are alive, unpaused and — under the async schedule — due per
+  their rate credit.  When that is every group the round takes the
+  whole-system dpr2 sweep, exactly as a flat round does; otherwise
+  each stepping group runs :func:`repro.core.dpr.group_step`, the
+  function ``DPRNode.step`` calls;
+* **how sends are charged** — :meth:`HybridEngine._emit` routes the
+  stepping groups' sends through one of three accounting backends:
+  the inherited round ledger; the fault plane's real transport (real
+  :class:`~repro.net.message.ScoreUpdate` payloads, so loss, chaos, ARQ
+  and sequence numbering behave identically to the event engine, each
+  delivery landing through :meth:`HybridEngine._on_deliver` when the
+  simulator reaches it); or — reliable + direct configs — the
+  round-granular :class:`_ReplayARQ`, which resolves the round's ARQ
+  conversations as array waves and charges them in closed form.
 
-Steps 2 and 3 are the flat engine's own ``_step_groups`` and
-``_build_sends``, called with the stepping subset.  Whatever the
-backend, deliveries land in **one flat receiver memory**: what each
-receiver holds of each pair, laid out like ``Y``, with the generation
-it carried and the pair's first-arrival stamp.  A round's deliveries
-are one masked copy behind a vectorised generation check, the refresh
-is one SpMV whose rows sum in first-arrival order (so the fault-plane
-and suppression paths keep the event engine's bits), and a shadow's
-checkpoint, restore or blank replacement is two gathers or scatters.
-The fault stack itself is built by the same
-:class:`~repro.core.faultplane.FaultPlane` the event engine uses, over
-the shadows.
+Before a round (and before every sample) the fault plane advances to
+the tick (:meth:`HybridEngine._sync_to`) — crashes, pauses, heartbeat
+sweeps, checkpoints, takeovers, retransmissions, and in-flight
+deliveries up to ``t`` all land exactly as the event engine would
+interleave them (they share one timeline, so a crash firing
+mid-delivery-window swallows exactly the deliveries the event engine
+drops).  A shadow's checkpoint, restore or blank replacement is two
+gathers or scatters over the receiver memory.  The fault stack itself
+is built by the same :class:`~repro.core.faultplane.FaultPlane` the
+event engine uses, over the shadows.
 
 Equivalence contracts (verified by ``tests/test_hybrid.py``; see
 DESIGN.md §13 for the full argument):
 
 * **exact** — a config that needs no fault plane and no approximation
-  (sync schedule, no faults, no suppression) runs the inherited
-  three-kernel round untouched: bit-identical ranks, traffic, and trace
-  versus both the flat and event engines (``fast_rounds``);
+  (sync schedule, no faults, no suppression) steps every group and
+  charges through the round ledger, i.e. runs the flat round:
+  bit-identical ranks, traffic, and trace versus both the flat and
+  event engines (``fast_rounds``);
 * **approximate** — faulted or async configs (``replayed_rounds``): the
   run reports ``fidelity="approximate"`` and reconverges to the same ε
   verdict as the event engine.  The known divergence sources are all
@@ -86,7 +87,6 @@ from repro.core.faultplane import FaultPlane
 from repro.core.ranker import MIN_MEAN_WAIT
 from repro.graph.partition import Partition
 from repro.graph.webgraph import WebGraph
-from repro.linalg.jacobi import csr_matvec_into
 from repro.net.failures import ChaosModel
 from repro.net.message import ScoreUpdate
 from repro.net.reliable import RetryPolicy
@@ -321,11 +321,10 @@ class HybridEngine(SynchronousEngine):
         arq_mode = bool(cfg.reliable and cfg.transport == "direct")
         self._async = cfg.schedule == "async"
         self._approx = self._async or fault_world or cfg.suppress_tol > 0.0
-        #: Rounds run on the pure inherited flat path.
-        self._fast_rounds = 0
-        #: Rounds whose messaging went through the fault plane or the
-        #: transport replay (the approximate paths).
-        self._replayed_rounds = 0
+        #: Rounds run — reported as ``fast_rounds`` by an exact run
+        #: (every group steps, round ledger) and as ``replayed_rounds``
+        #: by an approximate one.
+        self._rounds = 0
 
         self._fsim: Optional[Simulator] = None
         self._transport = None
@@ -348,17 +347,8 @@ class HybridEngine(SynchronousEngine):
             _ShadowRanker(self, g) for g in range(k)
         ]
 
-        if not self._approx:
+        if not fault_world:
             return
-        # The flat receiver memory (module docstring): values laid out
-        # like ``_y``, per-pair generation (-1: nothing yet, elements
-        # +0.0) and first-arrival stamp, F built on first use.
-        self._recv = np.zeros_like(self._y)
-        self._recv_gen = np.full(self._pair_src.size, -1, dtype=np.int64)
-        self._recv_rank = np.zeros_like(self._recv_gen)
-        self._arrivals = 0
-        self._recv_matrix = None
-        self._pair_len = np.diff(self._pair_start)
         self._pair_pos = self.system.blocks.pair_position
         #: Per destination, the positions of its afferent pairs and of
         #: their elements in ``_recv`` — what a checkpoint gathers.
@@ -368,9 +358,6 @@ class HybridEngine(SynchronousEngine):
             np.argsort(elem_dst, kind="stable"),
             np.cumsum(np.bincount(elem_dst, minlength=k))[:-1],
         )
-
-        if not fault_world:
-            return
 
         # Reliable+direct data traffic needs no simulator of its own;
         # only the fault-plane *processes* (if any) do.
@@ -453,49 +440,6 @@ class HybridEngine(SynchronousEngine):
         self._recv_gen[p] = update.generation
         self._recv[self._pairs[p][2]] = update.values
 
-    def _land(self, arrived: np.ndarray) -> None:
-        """Deliver the pairs ``arrived`` (delivery order) into the flat
-        receiver memory: ``DPRNode.receive``'s bookkeeping for all of
-        them at once — stale generations counted against their
-        destinations, first arrivals stamped — then one masked copy of
-        the fresh pairs' segments of ``_held``.  A source's generation
-        is its outer count at emission, so only a sender rolled back by
-        a takeover presents a stale one."""
-        if not self._approx:
-            super()._land(arrived)
-            return
-        gens = self._outer[self._pair_src[arrived]]
-        fresh = gens > self._recv_gen[arrived]
-        np.add.at(self._stale, self._pair_dst[arrived[~fresh]], 1)
-        arrived = arrived[fresh]
-        first = arrived[self._recv_gen[arrived] < 0]
-        if first.size:
-            # A first arrival takes the last place in its destination's
-            # summation order for good; F is rebuilt before its next use.
-            self._recv_rank[first] = self._arrivals + np.arange(first.size)
-            self._arrivals += first.size
-            self._recv_matrix = None
-        self._recv_gen[arrived] = gens[fresh]
-        mask = np.zeros(self._pair_src.size, dtype=bool)
-        mask[arrived] = True
-        np.copyto(self._recv, self._held, where=np.repeat(mask, self._pair_len))
-
-    def _refresh(self) -> None:
-        """``X = F·recv`` for every destination in one SpMV.
-
-        F's rows store their entries in first-arrival (stamp) order, so
-        the sums are the event engine's re-summation scalar for scalar,
-        as in the flat engine's ``X = F·held``; a pair that has not
-        arrived holds only +0.0, which a nonnegative sum cannot see.
-        """
-        if self._recv_matrix is None:
-            if not self._arrivals:
-                return
-            self._recv_matrix = self._build_afferent(
-                np.argsort(self._recv_rank, kind="stable")
-            )
-        csr_matvec_into(self._recv_matrix, self._recv, self._x)
-
     # ------------------------------------------------------------------
     # Round execution
     # ------------------------------------------------------------------
@@ -521,12 +465,13 @@ class HybridEngine(SynchronousEngine):
 
     def _emit(self, sends: Tuple[np.ndarray, np.ndarray], t: float) -> None:
         """Account and deliver ``sends`` through the config's backend
-        (module docstring, step 3).  The fault plane's payloads are
-        copied: the Y buffer and the codec mirror are rewritten next
-        round, and its ARQ layer must retransmit the *original* payload
-        (every resend ships the same object); they land through
-        :meth:`_on_deliver` when the simulator reaches their delivery
-        time.  The ARQ replay's land in the sending round."""
+        (module docstring, "how sends are charged").  The fault plane's
+        payloads are copied: the Y buffer and the codec mirror are
+        rewritten next round, and its ARQ layer must retransmit the
+        *original* payload (every resend ships the same object); they
+        land through :meth:`_on_deliver` when the simulator reaches
+        their delivery time.  The ARQ replay's land in the sending
+        round."""
         idx, wire_bytes = sends
         if self._arq is not None:
             alive = np.array([not shadow.crashed for shadow in self._shadows])
@@ -561,33 +506,22 @@ class HybridEngine(SynchronousEngine):
             )
 
     def _round(self, t: float) -> None:
-        if not self._approx:
-            super()._round(t)
-            self._fast_rounds += 1
-            return
-        # Everything scheduled before this tick lands first:
-        # deliveries, crashes, pauses, heartbeats, checkpoints,
-        # takeovers, ACK timeouts — in event order.  ``t`` is the run
-        # loop's own tick clock, so the fault plane's "now" is bitwise
-        # the loop's at every round.
-        self._sync_to(t)
-        self._refresh()
-        stepping = self._stepping_groups()
-        self._step_groups(stepping)
-        csr_matvec_into(self._cut, self._r, self._y)
-        self._emit(self._build_sends(stepping), t)
+        super()._round(t)
         if self._transport is not None:
             # Zero-delay deliveries (hop_delay=0) land at t, exactly as
             # the event simulator keeps draining same-time events.
             self._fsim.run(until=t)
-        self._replayed_rounds += 1
+        self._rounds += 1
 
     # ------------------------------------------------------------------
     # Run-loop hooks (see RoundEngine)
     # ------------------------------------------------------------------
     def _sync_to(self, t: float) -> None:
-        # Idempotent with the round's own advance
-        # (Simulator.run(until=now) is a no-op).
+        # Everything scheduled before ``t`` lands: deliveries, crashes,
+        # pauses, heartbeats, checkpoints, takeovers, ACK timeouts — in
+        # event order.  A round's ``t`` is the run loop's own tick
+        # clock, so the fault plane's "now" is bitwise the loop's.
+        # Idempotent (Simulator.run(until=now) is a no-op).
         if self._fsim is not None:
             self._fsim.run(until=t)
 
@@ -603,8 +537,8 @@ class HybridEngine(SynchronousEngine):
     def _extra_result_fields(self, now: float) -> Dict:
         fields: Dict = {
             "fidelity": "approximate" if self._approx else "exact",
-            "fast_rounds": self._fast_rounds,
-            "replayed_rounds": self._replayed_rounds,
+            "fast_rounds": 0 if self._approx else self._rounds,
+            "replayed_rounds": self._rounds if self._approx else 0,
         }
         if self._faults is not None:
             fields.update(self._faults.counters(now))

@@ -196,12 +196,15 @@ def test_flat_fault_features_dispatch_to_hybrid():
         assert cfg.engine == "hybrid", knobs
 
 
-def test_flat_engine_rejects_unbridgeable_features():
-    """x_mode='delta' is event-only, so no dispatch can save it; the
-    rejection names the engine that does support it."""
-    with pytest.raises(ValueError, match="does not support.*event"):
+def test_rejection_names_the_engines_that_support_the_feature():
+    """Nothing a flat request asks for is beyond the hybrid engine, so
+    the pointed rejection is the other engines': mc + loss."""
+    with pytest.raises(
+        ValueError,
+        match=r"does not support: delivery_prob < 1 \(supported by: event, flat, hybrid\)",
+    ):
         DistributedConfig(
-            n_groups=4, engine="flat", schedule="sync", x_mode="delta"
+            n_groups=4, engine="mc", schedule="sync", delivery_prob=0.9
         )
 
 

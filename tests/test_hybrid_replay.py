@@ -8,17 +8,20 @@ Two contracts behind ``tests/test_hybrid.py``'s end-to-end ones:
   accountant, one ACK per copy that reached a live group, at-least-once
   delivery within the retry budget, and a retransmit rate that sits at
   the closed-form per-attempt no-ACK probability;
-* the approximate-mode receiver memory is one vector with per-pair
-  generations: snapshots do not alias it, restores round-trip it, a
-  blank replacement clears exactly one destination's share, and the
-  vectorised generation check counts stale arrivals per destination as
-  the per-delivery ``_apply`` does.
+* the receiver memory is one vector with per-pair generations:
+  snapshots do not alias it, restores round-trip it, a blank
+  replacement clears exactly one destination's share, and ``_land`` +
+  ``_refresh`` — generation check, stale counts, first-arrival
+  summation order — equal the per-delivery dict receiver
+  (``DPRNode.receive`` semantics) on the flat engine and the hybrid.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.coordinator import DistributedConfig
+from repro.core.engine import SynchronousEngine
 from repro.core.hybrid import HybridEngine, _ReplayARQ
 from repro.graph import google_contest_like
 from repro.net.bandwidth import TrafficAccountant
@@ -32,6 +35,7 @@ from repro.net.message import (
 from repro.net.reliable import RetryPolicy
 from repro.net.transport import charge_direct_round
 from repro.overlay import build_overlay
+from tests.test_round_ledger import DictReceiver
 
 K = 12
 T = 10.0
@@ -201,6 +205,14 @@ def make_engine(graph, **overrides):
     return engine
 
 
+def make_flat(graph, n_groups):
+    knobs = dict(
+        n_groups=n_groups, engine="flat", algorithm="dpr2", transport="direct",
+        partition_strategy="url", t1=T, t2=T, sample_interval=T, seed=5, schedule="sync",
+    )
+    return SynchronousEngine(graph, DistributedConfig(**knobs))
+
+
 def run_rounds(engine, first, last):
     for m in range(first, last + 1):
         engine._round(m * T)
@@ -285,7 +297,7 @@ class TestFlatReceiverMemory:
         engine._outer += 1
         engine._outer[[1, 4]] -= 3
         arrived = np.arange(len(engine._pairs))
-        # The per-delivery rule (SynchronousEngine._apply), pair by pair.
+        # The per-delivery rule (DPRNode.receive), pair by pair.
         expect = np.zeros(engine.n_groups, dtype=np.int64)
         for p in arrived.tolist():
             src, dst = engine._pairs[p][:2]
@@ -319,3 +331,44 @@ class TestFlatReceiverMemory:
         dead = [g for g, shadow in enumerate(engine._shadows) if shadow.crashed]
         live_pairs = ~np.isin(engine._pair_src, dead) & ~np.isin(engine._pair_dst, dead)
         assert (engine._recv_gen[live_pairs] == 6).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["hybrid", 8, 2, 1]),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 55), unique=True, max_size=56),
+                st.lists(st.integers(0, 7), unique=True, max_size=3),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_land_and_refresh_equal_the_per_delivery_receiver(self, graph, shape, rounds):
+        """Any subset of pairs in any delivery order, round after round,
+        with rolled-back senders presenting stale generations: X, the
+        stale counts and the rounds that rebuild F are those of the
+        dict-of-arrays receiver.  Shapes: the approximate hybrid, the
+        plain flat engine, one source per destination (K=2), and no
+        pairs at all (K=1)."""
+        engine = make_engine(graph) if shape == "hybrid" else make_flat(graph, shape)
+        reference = DictReceiver(engine)
+        n_pairs, k = engine._pair_src.size, engine.n_groups
+        assert n_pairs == {8: 56, 2: 2, 1: 0}[k]
+        rebuilt = []
+        build = engine._build_afferent
+        engine._build_afferent = lambda order: rebuilt.append(order) or build(order)
+        for subset, rolled_back, seed in rounds:
+            engine._outer += 1
+            lagging = [g for g in rolled_back if g < k]
+            engine._outer[lagging] = np.maximum(engine._outer[lagging] - 2, 1)
+            engine._held[:] = np.random.default_rng(seed).random(engine._held.size)
+            arrived = np.array([p for p in subset if p < n_pairs], dtype=np.int64)
+            known, builds = len(reference.gens), len(rebuilt)
+            reference.land(arrived, engine._held)
+            engine._land(arrived)
+            engine._refresh()
+            assert engine._x.tobytes() == reference.x().tobytes()
+            assert np.array_equal(engine._stale, reference.stale)
+            assert len(rebuilt) - builds == (len(reference.gens) > known)
+        assert engine._arrivals == len(reference.gens)

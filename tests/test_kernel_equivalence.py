@@ -205,18 +205,17 @@ class TestEfferentEquivalence:
 
 
 class TestRefreshXEquivalence:
-    def _node_and_sources(self, contest_small, x_mode):
+    def _node_and_sources(self, contest_small):
         part = make_partition(contest_small, 6, "site")
         system = GroupSystem(contest_small, part)
         dst = max(range(6), key=lambda h: len(system.sources_of(h)))
-        node = DPRNode(
-            dst, system.diag(dst), system.beta_e[dst], mode="dpr2", x_mode=x_mode
-        )
+        node = DPRNode(dst, system.diag(dst), system.beta_e[dst], mode="dpr2")
         return system, node, dst
 
-    @pytest.mark.parametrize("x_mode", ["exact", "delta"])
-    def test_incremental_matches_naive_resum(self, contest_small, x_mode):
-        system, node, dst = self._node_and_sources(contest_small, x_mode)
+    # One policy is left (the id is kept from when "delta" sat beside it).
+    @pytest.mark.parametrize("policy", ["exact"])
+    def test_incremental_matches_naive_resum(self, contest_small, policy):
+        system, node, dst = self._node_and_sources(contest_small)
         rng = np.random.default_rng(4)
         sources = system.sources_of(dst) or [dst + 1 % 6]
         latest = {}
@@ -225,18 +224,12 @@ class TestRefreshXEquivalence:
                 v = rng.random(node.n_local)
                 node.receive(ScoreUpdate(src, dst, v, 1, generation=gen))
                 latest[src] = v
-            got = node.refresh_x()
-            want = naive_refresh_x(latest, node.n_local)
-            if x_mode == "exact":
-                np.testing.assert_array_equal(got, want)
-            else:
-                # delta mode may drift by a few ulp of the summed
-                # magnitude; bound it relative to the sum's scale.
-                scale = max(1.0, float(np.abs(want).max(initial=0.0)))
-                assert np.abs(got - want).max(initial=0.0) <= TOL * scale
+            np.testing.assert_array_equal(
+                node.refresh_x(), naive_refresh_x(latest, node.n_local)
+            )
 
     def test_exact_mode_bit_identical_under_interleaving(self, contest_small):
-        system, node, dst = self._node_and_sources(contest_small, "exact")
+        system, node, dst = self._node_and_sources(contest_small)
         rng = np.random.default_rng(5)
         sources = system.sources_of(dst)
         latest = {}
@@ -251,7 +244,7 @@ class TestRefreshXEquivalence:
             )
 
     def test_no_mail_step_skips_refresh(self, contest_small):
-        system, node, dst = self._node_and_sources(contest_small, "exact")
+        system, node, dst = self._node_and_sources(contest_small)
         # No mail has ever arrived: the cached f = βE + 0 is valid.
         node.step()
         node.step()
@@ -384,33 +377,3 @@ class TestEndToEndBitIdentity:
         final_fast = system.assemble([n.r for n in fast])
         final_seed = system.assemble([n.r for n in seed])
         np.testing.assert_array_equal(final_fast, final_seed)
-
-    @settings(max_examples=15, deadline=None)
-    @given(graph=web_graphs(max_pages=16), k=st.integers(min_value=1, max_value=4))
-    def test_delta_mode_stays_within_float_drift(self, graph, k):
-        """The O(changed) subtract/add policy tracks the exact sum to
-        ulp-level accuracy over multi-round runs."""
-        part = make_partition(graph, k, "site", seed=3)
-        system = GroupSystem(graph, part)
-        exact = [
-            DPRNode(g, system.diag(g), system.beta_e[g], mode="dpr2", x_mode="exact")
-            for g in range(k)
-        ]
-        delta = [
-            DPRNode(g, system.diag(g), system.beta_e[g], mode="dpr2", x_mode="delta")
-            for g in range(k)
-        ]
-        for nodes in (exact, delta):
-            for _ in range(5):
-                mail = []
-                for node in nodes:
-                    r = node.step()
-                    for dst, values in system.efferent(node.group, r).items():
-                        mail.append(
-                            ScoreUpdate(node.group, dst, values, 1, node.outer_iterations)
-                        )
-                for u in mail:
-                    nodes[u.dst_group].receive(u)
-        a = system.assemble([n.r for n in exact])
-        b = system.assemble([n.r for n in delta])
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)

@@ -1,4 +1,4 @@
-"""The closed-form round ledger and the mirrored delivery it feeds.
+"""The closed-form round ledger and the receiver memory it feeds.
 
 Two contracts:
 
@@ -6,10 +6,11 @@ Two contracts:
   sends exactly as :class:`~repro.net.transport.DirectTransport` does
   one by one on a real simulator — every counter, both per-node arrays
   and the delivery order — over generated send lists;
-* the flat engine's ``X = F·held`` delivery freezes F from the
-  *observed first-arrival order*, so a pair whose first frame ships
-  rounds after its neighbours' still sums in the event engine's order,
-  and rounds that can lose a send never take that path.
+* the flat engine's ``X = F·recv`` refresh lays F out in the *observed
+  first-arrival order*, so a pair whose first frame ships (or survives
+  the loss model) rounds after its neighbours' still sums in the event
+  engine's order, and F is rebuilt only after a round that saw a first
+  arrival.
 """
 
 import numpy as np
@@ -104,19 +105,74 @@ def graph():
     return google_contest_like(800, 20, seed=42)
 
 
-def run_flat(graph, cfg, *, mirrored=True, **kwargs):
-    """A flat run that reports when (and from what order) F was frozen."""
-    engine = SynchronousEngine(graph, DistributedConfig(engine="flat", **cfg), **kwargs)
-    engine._mirrored = engine._mirrored and mirrored
-    frozen = []
-    build = engine._build_afferent
+class DictReceiver:
+    """The per-delivery receiver the engines' flat memory replaced —
+    ``DPRNode.receive`` and ``DPRNode._refresh`` over compressed
+    segments: per destination an insertion-ordered dict of the newest
+    vector per pair, re-summed in first-arrival order."""
 
-    def spy(order):
-        frozen.append((int(engine._outer.max()), order))
+    def __init__(self, engine):
+        self.engine = engine
+        self.latest = [{} for _ in range(engine.n_groups)]
+        self.gens = {}
+        self.stale = np.zeros(engine.n_groups, dtype=np.int64)
+
+    def span(self, p):
+        return slice(*self.engine._pair_start[p : p + 2])
+
+    def land(self, arrived, held):
+        eng = self.engine
+        for p in arrived.tolist():
+            dst, generation = eng._pair_dst[p], eng._outer[eng._pair_src[p]]
+            if generation <= self.gens.get(p, -1):
+                self.stale[dst] += 1
+                continue
+            self.gens[p] = generation
+            # A replacement keeps the key's place: first-arrival order.
+            self.latest[dst][p] = held[self.span(p)].copy()
+
+    def x(self):
+        eng = self.engine
+        x = np.zeros_like(eng._x)
+        for h, memory in enumerate(self.latest):
+            xh = x[eng._slices[h]]
+            for p, vec in memory.items():
+                xh[eng._row_map[self.span(p)]] += vec
+        return x
+
+
+def run_flat(graph, cfg, **kwargs):
+    """A flat run checked, refresh by refresh, against the per-delivery
+    :class:`DictReceiver` fed the same deliveries; reports when (and
+    from what order) F was rebuilt."""
+    engine = SynchronousEngine(graph, DistributedConfig(engine="flat", **cfg), **kwargs)
+    reference = DictReceiver(engine)
+    first_arrivals, rebuilt = [], []
+    land, refresh, build = engine._land, engine._refresh, engine._build_afferent
+
+    def land_spy(arrived):
+        known = len(reference.gens)
+        reference.land(arrived, engine._held)
+        if len(reference.gens) > known:
+            first_arrivals.append(int(engine._outer.max()))
+        land(arrived)
+
+    def refresh_spy():
+        refresh()
+        assert engine._x.tobytes() == reference.x().tobytes()
+
+    def build_spy(order):
+        rebuilt.append((int(engine._outer.max()), order))
         return build(order)
 
-    engine._build_afferent = spy
-    return engine, engine.run(max_time=MAX_TIME), frozen
+    engine._land, engine._refresh, engine._build_afferent = land_spy, refresh_spy, build_spy
+    res = engine.run(max_time=MAX_TIME)
+    # F is rebuilt by the refresh that opens the next round, and only
+    # after a round that saw a first arrival (the last round's
+    # deliveries are never refreshed).
+    assert [at for at, _ in rebuilt] == [m for m in first_arrivals if m < ROUNDS]
+    assert np.array_equal(engine._stale, reference.stale)
+    return engine, res, rebuilt
 
 
 def assert_identical(a, b):
@@ -141,7 +197,7 @@ def assert_not_the_full_round_order(engine):
         engine.config.hop_delay,
     )
     calibration = SynchronousEngine._build_afferent(engine, full_round)
-    assert (calibration.indices != engine._afferent.indices).any()
+    assert (calibration.indices != engine._recv_matrix.indices).any()
 
 
 def test_late_first_frame_keeps_its_place_in_the_sum(graph):
@@ -157,10 +213,10 @@ def test_late_first_frame_keeps_its_place_in_the_sum(graph):
     event = run_distributed_pagerank(
         graph, engine="event", partition=partition, max_time=MAX_TIME, **cfg
     )
-    engine, flat, frozen = run_flat(graph, cfg, partition=partition)
+    engine, flat, rebuilt = run_flat(graph, cfg, partition=partition)
 
-    (frozen_at, order), = frozen
-    assert frozen_at == 2
+    assert [at for at, _ in rebuilt] == [1, 2]
+    order = rebuilt[-1][1]
     assert np.bincount(engine._pair_dst[order]).min() >= 3
     assert flat.codec_stats["suppressed_frames"] >= 5
     assert_identical(flat, event)
@@ -172,16 +228,14 @@ def test_budgeted_codec_freezes_on_first_arrival_order(graph):
     their first rounds (1→0 first ships in round 2, 2→1 in round 4).
     With a budget the event engine picks different candidates (θ
     depends on the vector length, dense there and compressed here), so
-    the reference is this engine's own per-delivery path."""
+    the reference is :func:`run_flat`'s per-delivery receiver alone."""
     cfg = dict(BASE, codec="delta-q16", comm_epsilon=1.0)
-    engine, fast, frozen = run_flat(graph, cfg)
-    reference, slow, never = run_flat(graph, cfg, mirrored=False)
+    engine, res, rebuilt = run_flat(graph, cfg)
 
-    (frozen_at, order), = frozen
-    assert 2 < frozen_at < ROUNDS
-    assert np.bincount(engine._pair_dst[order]).min() >= 3
-    assert not never and reference._afferent is None
-    assert_identical(fast, slow)
+    assert rebuilt[0][0] == 1 and 2 < rebuilt[-1][0] < ROUNDS
+    assert np.bincount(engine._pair_dst[rebuilt[-1][1]]).min() >= 3
+    assert (engine._recv_gen >= 0).all()
+    assert res.codec_stats["suppressed_frames"] > 0
     assert_not_the_full_round_order(engine)
 
 
@@ -189,12 +243,16 @@ def test_rounds_that_can_lose_a_send_stay_on_the_per_delivery_path(graph):
     # Config validation rejects codec × delivery_prob < 1 outright
     # (tests/test_codec.py), so loss meets the flat emit step uncoded,
     # and meets a codec only behind the hybrid engine's ARQ backend.
+    # Either way what lands is what was delivered, pair by pair in
+    # effect, with no per-pair Python: one receiver memory.
     lossy = dict(BASE, delivery_prob=0.7)
     event = run_distributed_pagerank(graph, engine="event", max_time=MAX_TIME, **lossy)
-    engine, flat, frozen = run_flat(graph, lossy)
-    assert not frozen and not engine._mirrored and any(engine._latest)
+    engine, flat, rebuilt = run_flat(graph, lossy)
+    # Loss spreads the first arrivals over several rounds.
+    assert len(rebuilt) > 1 and "_pairs" not in vars(engine)
     assert flat.dropped_updates == event.dropped_updates > 0
     assert_identical(flat, event)
+    assert_not_the_full_round_order(engine)
 
     arq = HybridEngine(
         graph,
@@ -203,6 +261,5 @@ def test_rounds_that_can_lose_a_send_stay_on_the_per_delivery_path(graph):
         ),
     )
     res = arq.run(max_time=MAX_TIME)
-    # Never `X = F·held`: what lands is what the ARQ replay delivered.
-    assert arq._afferent is None and (arq._recv_gen >= 0).any()
+    assert arq._recv_matrix is not None and (arq._recv_gen >= 0).any()
     assert res.codec_stats["frames"] > 0 and res.retransmits > 0
