@@ -18,7 +18,7 @@ def graph(scale):
 def test_fig6(benchmark, graph, save_result):
     result = benchmark.pedantic(
         run_fig6,
-        kwargs=dict(graph=graph, n_groups=64, max_time=90.0),
+        kwargs=dict(graph=graph),
         rounds=1,
         iterations=1,
     )

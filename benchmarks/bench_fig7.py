@@ -19,7 +19,7 @@ def graph(scale):
 def test_fig7(benchmark, graph, save_result):
     result = benchmark.pedantic(
         run_fig7,
-        kwargs=dict(graph=graph, n_groups=100, max_time=90.0),
+        kwargs=dict(graph=graph),
         rounds=1,
         iterations=1,
     )

@@ -19,7 +19,7 @@ def graph(scale):
 def test_fig8(benchmark, graph, save_result):
     result = benchmark.pedantic(
         run_fig8,
-        kwargs=dict(graph=graph, ks=(2, 10, 100, 256), max_time=4000.0),
+        kwargs=dict(graph=graph),
         rounds=1,
         iterations=1,
     )

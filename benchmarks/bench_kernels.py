@@ -8,10 +8,11 @@ multi-round timing since each call is fast.
 Before/after cases
 ------------------
 Each allocation-free kernel introduced by the hot-path work is
-benchmarked against the naive implementation it replaced:
+benchmarked against the naive implementation it replaced
+(``jacobi_solve`` has one implementation, the ping-pong workspace
+loop, and one case):
 
 * ``jacobi_sweep``  — fresh-array sweep vs. workspace out-buffer sweep
-* ``jacobi_solve``  — allocate-per-sweep solve vs. ping-pong workspace
 * ``efferent``      — per-destination dict scan vs. stacked single SpMV
 * ``refresh_x``     — re-sum-every-call vs. incrementally maintained X
 * ``dpr2_outer_step`` — one full synchronous DPR2 round over all
@@ -139,14 +140,7 @@ def test_jacobi_sweep_workspace(benchmark, graph, operator):
     _record("jacobi_sweep", "fast", benchmark)
 
 
-def test_jacobi_solve_naive(benchmark, graph, operator):
-    f = np.full(graph.n_pages, 0.15)
-    res = benchmark(jacobi_solve, operator, f, tol=1e-10)
-    assert res.converged
-    _record("jacobi_solve", "naive", benchmark)
-
-
-def test_jacobi_solve_workspace(benchmark, graph, operator):
+def test_jacobi_solve(benchmark, graph, operator):
     f = np.full(graph.n_pages, 0.15)
     ws = JacobiWorkspace(graph.n_pages)
     res = benchmark(jacobi_solve, operator, f, tol=1e-10, workspace=ws)

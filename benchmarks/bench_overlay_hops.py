@@ -14,11 +14,6 @@ from repro.overlay import PastryOverlay, hop_statistics
 def test_overlay_scaling(benchmark, save_result):
     result = benchmark.pedantic(
         run_overlay_hops,
-        kwargs=dict(
-            kinds=("pastry", "tapestry", "chord", "can"),
-            ns=(100, 1_000, 10_000),
-            samples=300,
-        ),
         rounds=1,
         iterations=1,
     )

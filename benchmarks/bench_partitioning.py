@@ -19,7 +19,7 @@ def graph(scale):
 def test_partitioning(benchmark, graph, save_result):
     result = benchmark.pedantic(
         run_partitioning_ablation,
-        kwargs=dict(graph=graph, n_groups=16, measure_traffic=True, max_time=400.0),
+        kwargs=dict(graph=graph),
         rounds=1,
         iterations=1,
     )

@@ -20,7 +20,7 @@ def graph(scale):
 def test_time_vs_bandwidth(benchmark, graph, save_result):
     result = benchmark.pedantic(
         run_time_vs_bandwidth,
-        kwargs=dict(graph=graph, n_groups=16, wait_means=(1.0, 3.0, 9.0)),
+        kwargs=dict(graph=graph),
         rounds=1,
         iterations=1,
     )

@@ -20,7 +20,7 @@ def graph(scale):
 def test_transport(benchmark, graph, save_result):
     result = benchmark.pedantic(
         run_transport_comparison,
-        kwargs=dict(graph=graph, n_groups=48, max_time=400.0),
+        kwargs=dict(graph=graph),
         rounds=1,
         iterations=1,
     )

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -321,30 +319,14 @@ class DistributedConfig:
         if self.sample_interval is None:
             self.sample_interval = period if by_round else 1.0
         ratio = self.sample_interval / period
-        if not by_round or (ratio >= 1.0 and float(ratio).is_integer()):
-            return
-        if os.environ.get("REPRO_STRICT_SAMPLING", "1") != "0":
+        if by_round and not (ratio >= 1.0 and float(ratio).is_integer()):
             raise ValueError(
                 f"engine={self.engine!r} samples at round boundaries: "
                 "sample_interval must be a whole multiple of the "
                 f"synchronous period {period!r} (got "
                 f"{self.sample_interval!r}); pass sample_interval=None "
-                "to use the period itself, or set "
-                "REPRO_STRICT_SAMPLING=0 to round up with a warning"
+                "to use the period itself"
             )
-        # Permissive mode: round the cadence up to the next round
-        # boundary instead of refusing to run.
-        rounded = float(max(1, math.ceil(ratio - 1e-12)) * period)
-        warnings.warn(
-            f"engine={self.engine!r} samples at round boundaries: "
-            f"rounding sample_interval {self.sample_interval!r} up to "
-            f"{rounded!r} (the next multiple of the synchronous period "
-            f"{period!r}); set REPRO_STRICT_SAMPLING=1 to make this an "
-            "error",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        self.sample_interval = rounded
 
     def with_overrides(self, **overrides) -> "DistributedConfig":
         """A copy with ``overrides`` applied on top of what the caller

@@ -13,12 +13,16 @@
   overlay families (the ``h`` and ``g`` inputs of the cost model).
 * :func:`run_time_vs_bandwidth` — §4.5's convergence-time-vs-bandwidth
   trade-off, measured in simulation rather than derived analytically.
+
+Each section below is one experiment's whole declaration — result
+class, point function(s), plan, assembly, and the ``run_*`` whose
+keyword signature is its options (:mod:`repro.parallel.tasks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.cost_model import (
     direct_messages,
@@ -26,13 +30,13 @@ from repro.analysis.cost_model import (
 )
 from repro.analysis.reporting import format_table
 from repro.core.coordinator import RunResult, run_distributed_pagerank
-from repro.experiments.workloads import ExperimentScale, default_graph, reference_ranks
+from repro.experiments.workloads import ExperimentScale
 from repro.graph.partition import make_partition
 from repro.graph.stats import partition_cut_statistics
 from repro.graph.webgraph import WebGraph
 from repro.overlay import build_overlay
 from repro.overlay.metrics import hop_statistics, neighbor_statistics
-from repro.parallel.cache import array_fingerprint, cached_point
+from repro.parallel.tasks import REF_DEFAULT, REF_TRADEOFF, experiment, point
 
 __all__ = [
     "PartitioningResult",
@@ -52,6 +56,18 @@ __all__ = [
     "run_time_vs_bandwidth",
     "tradeoff_point",
 ]
+
+
+def _sweep(kind: str, axis: str, name: str):
+    """``plan`` of a one-axis sweep: one ``kind`` point per value of
+    option ``axis`` (passed as keyword ``name``), every other option
+    handed to each point unchanged."""
+
+    def plan(options: Mapping[str, Any]):
+        shared = {k: v for k, v in options.items() if k != axis}
+        return [(kind, dict(shared, **{name: value})) for value in options[axis]]
+
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +102,7 @@ class PartitioningResult:
         )
 
 
+@point("partitioning", reference=REF_DEFAULT)
 def partitioning_point(
     graph: WebGraph,
     reference,
@@ -97,43 +114,39 @@ def partitioning_point(
     max_time: float,
 ):
     """One strategy's cut statistics and (optionally) run traffic."""
-
-    def compute():
-        part = make_partition(graph, n_groups, strategy, seed=seed)
-        cut_stats = partition_cut_statistics(graph, part).as_dict()
-        run_bytes = None
-        if measure_traffic:
-            res = run_distributed_pagerank(
-                graph,
-                n_groups=n_groups,
-                partition=part,
-                partition_strategy=strategy,
-                algorithm="dpr1",
-                t1=3.0,
-                t2=3.0,
-                seed=seed,
-                reference=reference,
-                target_relative_error=1e-4,
-                max_time=max_time,
-            )
-            run_bytes = res.traffic.total_bytes
-        return cut_stats, run_bytes
-
-    return cached_point(
-        "point/partitioning",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "strategy": strategy,
-            "n_groups": n_groups,
-            "seed": seed,
-            "measure_traffic": measure_traffic,
-            "max_time": max_time,
-        },
-        compute,
-    )
+    part = make_partition(graph, n_groups, strategy, seed=seed)
+    cut_stats = partition_cut_statistics(graph, part).as_dict()
+    run_bytes = None
+    if measure_traffic:
+        res = run_distributed_pagerank(
+            graph,
+            n_groups=n_groups,
+            partition=part,
+            partition_strategy=strategy,
+            algorithm="dpr1",
+            t1=3.0,
+            t2=3.0,
+            seed=seed,
+            reference=reference,
+            target_relative_error=1e-4,
+            max_time=max_time,
+        )
+        run_bytes = res.traffic.total_bytes
+    return cut_stats, run_bytes
 
 
+def _assemble_partitioning(options: Mapping[str, Any], values) -> PartitioningResult:
+    result = PartitioningResult(n_groups=options["n_groups"])
+    for strategy, (cut_stats, run_bytes) in zip(options["strategies"], values):
+        result.cut_stats[strategy] = cut_stats
+        if run_bytes is not None:
+            result.run_bytes[strategy] = run_bytes
+    return result
+
+
+@experiment(
+    "partitioning", _sweep("partitioning", "strategies", "strategy"), _assemble_partitioning
+)
 def run_partitioning_ablation(
     graph: WebGraph = None,
     *,
@@ -145,24 +158,6 @@ def run_partitioning_ablation(
     max_time: float = 400.0,
 ) -> PartitioningResult:
     """Compare partitioning strategies by cut size and real traffic."""
-    if graph is None:
-        graph = default_graph(scale)
-    reference = reference_ranks(graph)
-    result = PartitioningResult(n_groups=n_groups)
-    for strategy in strategies:
-        cut_stats, run_bytes = partitioning_point(
-            graph,
-            reference,
-            strategy=strategy,
-            n_groups=n_groups,
-            seed=seed,
-            measure_traffic=measure_traffic,
-            max_time=max_time,
-        )
-        result.cut_stats[strategy] = cut_stats
-        if run_bytes is not None:
-            result.run_bytes[strategy] = run_bytes
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -215,23 +210,17 @@ class TransportResult:
         )
 
 
+@point("transport_stats")
 def transport_overlay_stats(n_groups: int, seed: int) -> Tuple[float, float]:
     """(mean hops, mean neighbors) of the N-ranker Pastry overlay."""
-
-    def compute():
-        overlay = build_overlay("pastry", n_groups, seed=seed)
-        return (
-            hop_statistics(overlay, 300, seed=seed).mean,
-            neighbor_statistics(overlay)["mean"],
-        )
-
-    return cached_point(
-        "point/transport_stats",
-        {"overlay": "pastry", "n_groups": n_groups, "seed": seed, "samples": 300},
-        compute,
+    overlay = build_overlay("pastry", n_groups, seed=seed)
+    return (
+        hop_statistics(overlay, 300, seed=seed).mean,
+        neighbor_statistics(overlay)["mean"],
     )
 
 
+@point("transport", reference=REF_DEFAULT)
 def transport_point(
     graph: WebGraph,
     reference,
@@ -242,64 +231,51 @@ def transport_point(
     max_time: float,
 ) -> RunResult:
     """One transport's end-to-end convergence run."""
-
-    def compute() -> RunResult:
-        return run_distributed_pagerank(
-            graph,
-            n_groups=n_groups,
-            transport=kind,
-            algorithm="dpr1",
-            partition_strategy="url",
-            t1=3.0,
-            t2=3.0,
-            seed=seed,
-            reference=reference,
-            target_relative_error=1e-4,
-            max_time=max_time,
-        )
-
-    return cached_point(
-        "point/transport",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "kind": kind,
-            "n_groups": n_groups,
-            "seed": seed,
-            "max_time": max_time,
-        },
-        compute,
+    return run_distributed_pagerank(
+        graph,
+        n_groups=n_groups,
+        transport=kind,
+        algorithm="dpr1",
+        partition_strategy="url",
+        t1=3.0,
+        t2=3.0,
+        seed=seed,
+        reference=reference,
+        target_relative_error=1e-4,
+        max_time=max_time,
     )
 
 
+_TRANSPORTS = ("indirect", "direct")
+
+
+def _plan_transport(options: Mapping[str, Any]):
+    stats = dict(n_groups=options["n_groups"], seed=options["seed"])
+    return [("transport_stats", stats)] + [
+        ("transport", dict(options, kind=kind)) for kind in _TRANSPORTS
+    ]
+
+
+def _assemble_transport(options: Mapping[str, Any], values) -> TransportResult:
+    hops, neighbors = values[0]
+    return TransportResult(
+        n_groups=options["n_groups"],
+        overlay_hops=hops,
+        overlay_neighbors=neighbors,
+        runs=dict(zip(_TRANSPORTS, values[1:])),
+    )
+
+
+@experiment("transport", _plan_transport, _assemble_transport)
 def run_transport_comparison(
     graph: WebGraph = None,
     *,
-    n_groups: int = 32,
+    n_groups: int = 48,
     scale: ExperimentScale = ExperimentScale(),
     seed: int = 23,
     max_time: float = 400.0,
 ) -> TransportResult:
     """Run DPR1 to convergence over both transports; report traffic."""
-    if graph is None:
-        graph = default_graph(scale)
-    reference = reference_ranks(graph)
-    hops, neighbors = transport_overlay_stats(n_groups, seed)
-    result = TransportResult(
-        n_groups=n_groups,
-        overlay_hops=hops,
-        overlay_neighbors=neighbors,
-    )
-    for kind in ("indirect", "direct"):
-        result.runs[kind] = transport_point(
-            graph,
-            reference,
-            kind=kind,
-            n_groups=n_groups,
-            seed=seed,
-            max_time=max_time,
-        )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +305,7 @@ class CompressionResult:
         )
 
 
+@point("compression", reference=REF_DEFAULT)
 def compression_point(
     graph: WebGraph,
     reference,
@@ -339,40 +316,35 @@ def compression_point(
     max_time: float,
 ) -> Tuple[int, int, float]:
     """One suppression threshold: (bytes, messages, final rel error)."""
-
-    def compute() -> Tuple[int, int, float]:
-        res = run_distributed_pagerank(
-            graph,
-            n_groups=n_groups,
-            algorithm="dpr1",
-            partition_strategy="url",
-            t1=3.0,
-            t2=3.0,
-            send_threshold=float(tol),
-            seed=seed,
-            reference=reference,
-            max_time=max_time,
-        )
-        return (
-            res.traffic.total_bytes,
-            res.traffic.total_messages,
-            res.final_relative_error,
-        )
-
-    return cached_point(
-        "point/compression",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "tol": float(tol),
-            "n_groups": n_groups,
-            "seed": seed,
-            "max_time": max_time,
-        },
-        compute,
+    res = run_distributed_pagerank(
+        graph,
+        n_groups=n_groups,
+        algorithm="dpr1",
+        partition_strategy="url",
+        t1=3.0,
+        t2=3.0,
+        send_threshold=float(tol),
+        seed=seed,
+        reference=reference,
+        max_time=max_time,
+    )
+    return (
+        res.traffic.total_bytes,
+        res.traffic.total_messages,
+        res.final_relative_error,
     )
 
 
+def _assemble_compression(options: Mapping[str, Any], values) -> CompressionResult:
+    return CompressionResult(
+        [float(tol) for tol in options["thresholds"]],
+        *(list(column) for column in zip(*values)),
+    )
+
+
+@experiment(
+    "compression", _sweep("compression", "thresholds", "tol"), _assemble_compression
+)
 def run_compression_ablation(
     graph: WebGraph = None,
     *,
@@ -383,24 +355,6 @@ def run_compression_ablation(
     max_time: float = 120.0,
 ) -> CompressionResult:
     """Sweep the delta-suppression threshold; measure traffic vs error."""
-    if graph is None:
-        graph = default_graph(scale)
-    reference = reference_ranks(graph)
-    result = CompressionResult()
-    for tol in thresholds:
-        bytes_used, messages, final_error = compression_point(
-            graph,
-            reference,
-            tol=float(tol),
-            n_groups=n_groups,
-            seed=seed,
-            max_time=max_time,
-        )
-        result.thresholds.append(float(tol))
-        result.bytes_used.append(bytes_used)
-        result.messages.append(messages)
-        result.final_errors.append(final_error)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +389,7 @@ class TradeoffResult:
         )
 
 
+@point("tradeoff", reference=REF_TRADEOFF)
 def tradeoff_point(
     graph: WebGraph,
     reference,
@@ -446,43 +401,32 @@ def tradeoff_point(
     max_time: float,
 ) -> Tuple[float, float, int, float]:
     """One iteration interval T: (T, time to target, bytes, rate)."""
-
-    def compute() -> Tuple[float, float, int, float]:
-        res = run_distributed_pagerank(
-            graph,
-            n_groups=n_groups,
-            algorithm="dpr1",
-            partition_strategy="site",
-            t1=float(t),
-            t2=float(t),
-            seed=seed,
-            reference=reference,
-            target_relative_error=target,
-            max_time=max_time,
-        )
-        duration = res.time_to_target if res.converged else max_time
-        return (
-            float(t),
-            float(duration),
-            res.traffic.total_bytes,
-            res.traffic.total_bytes / max(duration, 1e-9),
-        )
-
-    return cached_point(
-        "point/tradeoff",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "t": float(t),
-            "n_groups": n_groups,
-            "seed": seed,
-            "target": target,
-            "max_time": max_time,
-        },
-        compute,
+    res = run_distributed_pagerank(
+        graph,
+        n_groups=n_groups,
+        algorithm="dpr1",
+        partition_strategy="site",
+        t1=float(t),
+        t2=float(t),
+        seed=seed,
+        reference=reference,
+        target_relative_error=target,
+        max_time=max_time,
+    )
+    duration = res.time_to_target if res.converged else max_time
+    return (
+        float(t),
+        float(duration),
+        res.traffic.total_bytes,
+        res.traffic.total_bytes / max(duration, 1e-9),
     )
 
 
+def _assemble_tradeoff(options: Mapping[str, Any], values) -> TradeoffResult:
+    return TradeoffResult(*(list(column) for column in zip(*values)))
+
+
+@experiment("tradeoff", _sweep("tradeoff", "wait_means", "t"), _assemble_tradeoff)
 def run_time_vs_bandwidth(
     graph: WebGraph = None,
     *,
@@ -502,25 +446,6 @@ def run_time_vs_bandwidth(
     ~linearly with T, while the bandwidth *rate* (bytes per time unit)
     shrinks ~inversely — total bytes to converge stays roughly flat.
     """
-    if graph is None:
-        graph = default_graph(scale)
-    reference = reference_ranks(graph, tol=1e-12)
-    result = TradeoffResult()
-    for t in wait_means:
-        wait, duration, bytes_total, rate = tradeoff_point(
-            graph,
-            reference,
-            t=float(t),
-            n_groups=n_groups,
-            seed=seed,
-            target=target,
-            max_time=max_time,
-        )
-        result.wait_means.append(wait)
-        result.times_to_target.append(duration)
-        result.bytes_total.append(bytes_total)
-        result.bytes_per_time_unit.append(rate)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -545,24 +470,30 @@ class OverlayHopsResult:
         )
 
 
+@point("overlay_hops")
 def overlay_hops_point(
     kind: str, n: int, *, samples: int, seed: int
 ) -> Tuple[str, int, float, float, float]:
     """One (overlay kind, size) row of the hop/neighbor table."""
-
-    def compute() -> Tuple[str, int, float, float, float]:
-        overlay = build_overlay(kind, int(n), seed=seed)
-        hs = hop_statistics(overlay, samples, seed=seed)
-        ns_stats = neighbor_statistics(overlay, max_nodes=500, seed=seed)
-        return (kind, int(n), hs.mean, hs.p95, ns_stats["mean"])
-
-    return cached_point(
-        "point/overlay_hops",
-        {"kind": kind, "n": int(n), "samples": samples, "seed": seed},
-        compute,
-    )
+    overlay = build_overlay(kind, n, seed=seed)
+    hs = hop_statistics(overlay, samples, seed=seed)
+    ns_stats = neighbor_statistics(overlay, max_nodes=500, seed=seed)
+    return (kind, n, hs.mean, hs.p95, ns_stats["mean"])
 
 
+def _plan_overlay_hops(options: Mapping[str, Any]):
+    return [
+        ("overlay_hops", dict(kind=kind, n=int(n), samples=options["samples"], seed=options["seed"]))
+        for kind in options["kinds"]
+        for n in options["ns"]
+    ]
+
+
+def _assemble_overlay_hops(options: Mapping[str, Any], values) -> OverlayHopsResult:
+    return OverlayHopsResult(rows_data=list(values))
+
+
+@experiment("overlay_hops", _plan_overlay_hops, _assemble_overlay_hops)
 def run_overlay_hops(
     *,
     kinds: Sequence[str] = ("pastry", "tapestry", "chord", "can"),
@@ -571,10 +502,3 @@ def run_overlay_hops(
     seed: int = 31,
 ) -> OverlayHopsResult:
     """Measure mean hops and neighbor counts for each overlay/size."""
-    result = OverlayHopsResult()
-    for kind in kinds:
-        for n in ns:
-            result.rows_data.append(
-                overlay_hops_point(kind, int(n), samples=samples, seed=seed)
-            )
-    return result

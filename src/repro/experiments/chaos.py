@@ -26,7 +26,7 @@ seconds.  The headline claims under test (DESIGN.md §13):
    ``benchmarks/bench_chaos.py`` pins ≥3x at 1e5 pages).
 
 Every per-engine point routes through the artifact cache
-(:func:`repro.parallel.cache.cached_point`), so a warm-cache rerun
+(:func:`repro.parallel.cache.cached_call`), so a warm-cache rerun
 reproduces the table byte-identically.  CLI: ``python -m repro
 chaos``; the gated numbers live in ``BENCH_chaos.json``.
 """
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.graph.webgraph import WebGraph
-from repro.parallel.cache import array_fingerprint, cached_point
+from repro.parallel.cache import cached_call
 
 __all__ = [
     "CHAOS_ENGINES",
@@ -156,6 +156,7 @@ class ChaosBakeoffResult:
         return table
 
 
+@cached_call("point/chaos", scenario=CHURN_SCENARIO)
 def chaos_point(
     graph: WebGraph,
     reference: np.ndarray,
@@ -168,7 +169,7 @@ def chaos_point(
 ) -> Dict[str, float]:
     """All chaos-scenario metrics for one engine (cached).
 
-    Wall-clock is measured inside ``compute``, so a cache hit replays
+    Wall-clock is measured inside the point, so a cache hit replays
     the originally measured timing rather than the (near-zero) lookup
     time — reruns stay byte-identical.
     """
@@ -177,48 +178,33 @@ def chaos_point(
             f"unknown chaos engine {engine!r}; pick from {CHAOS_ENGINES}"
         )
 
-    def compute() -> Dict[str, float]:
-        from repro.core.coordinator import run_distributed_pagerank
+    from repro.core.coordinator import run_distributed_pagerank
 
-        t0 = time.perf_counter()
-        res = run_distributed_pagerank(
-            graph,
-            n_groups=n_groups,
-            engine=engine,
-            seed=seed,
-            reference=reference,
-            max_time=max_time,
-            target_relative_error=target_relative_error,
-            **CHURN_SCENARIO,
-        )
-        return {
-            "rounds": float(res.max_outer_iterations),
-            "converged": float(res.converged),
-            "final_relative_error": float(res.final_relative_error),
-            "messages": float(res.traffic.total_messages),
-            "bytes": float(res.traffic.total_bytes),
-            "retransmits": float(res.retransmits),
-            "crashed_groups": float(res.crashed_groups),
-            "takeovers": float(res.takeovers),
-            "checkpoint_saves": float(res.checkpoint_saves),
-            "fast_rounds": float(res.fast_rounds),
-            "replayed_rounds": float(res.replayed_rounds),
-            "wall_seconds": time.perf_counter() - t0,
-        }
-
-    return cached_point(
-        "point/chaos",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "engine": engine,
-            "n_groups": n_groups,
-            "seed": seed,
-            "target": target_relative_error,
-            "max_time": max_time,
-        },
-        compute,
+    t0 = time.perf_counter()
+    res = run_distributed_pagerank(
+        graph,
+        n_groups=n_groups,
+        engine=engine,
+        seed=seed,
+        reference=reference,
+        max_time=max_time,
+        target_relative_error=target_relative_error,
+        **CHURN_SCENARIO,
     )
+    return {
+        "rounds": float(res.max_outer_iterations),
+        "converged": float(res.converged),
+        "final_relative_error": float(res.final_relative_error),
+        "messages": float(res.traffic.total_messages),
+        "bytes": float(res.traffic.total_bytes),
+        "retransmits": float(res.retransmits),
+        "crashed_groups": float(res.crashed_groups),
+        "takeovers": float(res.takeovers),
+        "checkpoint_saves": float(res.checkpoint_saves),
+        "fast_rounds": float(res.fast_rounds),
+        "replayed_rounds": float(res.replayed_rounds),
+        "wall_seconds": time.perf_counter() - t0,
+    }
 
 
 def run_chaos_bakeoff(

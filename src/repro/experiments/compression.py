@@ -24,7 +24,7 @@ same flat engine) and report, per codec:
   :meth:`CompressionBakeoffResult.certified`.
 
 Every per-codec point routes through the artifact cache
-(:func:`repro.parallel.cache.cached_point`), so a warm-cache rerun
+(:func:`repro.parallel.cache.cached_call`), so a warm-cache rerun
 reproduces the table byte-identically.  CLI: ``python -m repro
 compression``; the gated numbers live in ``BENCH_comm.json``
 (benchmarks/bench_comm.py).
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.graph.webgraph import WebGraph
-from repro.parallel.cache import array_fingerprint, cached_point
+from repro.parallel.cache import cached_call
 
 __all__ = [
     "COMPRESSION_CONTENDERS",
@@ -138,6 +138,7 @@ class CompressionBakeoffResult:
         return True
 
 
+@cached_call("point/compression_bakeoff", period=_PERIOD)
 def compression_bakeoff_point(
     graph: WebGraph,
     reference: np.ndarray,
@@ -165,71 +166,51 @@ def compression_bakeoff_point(
     codec, lossy = _SPECS[name]
     epsilon = float(comm_epsilon) if lossy else 0.0
 
-    def compute() -> Dict[str, float]:
-        from repro.core.coordinator import run_distributed_pagerank
+    from repro.core.coordinator import run_distributed_pagerank
 
-        t0 = time.perf_counter()
-        res = run_distributed_pagerank(
-            graph,
-            n_groups=n_groups,
-            engine="flat",
-            algorithm="dpr2",
-            partition_strategy="site",
-            transport="direct",
-            overlay="pastry",
-            schedule="sync",
-            t1=_PERIOD,
-            t2=_PERIOD,
-            sample_interval=_PERIOD,
-            seed=seed,
-            codec=codec,
-            comm_epsilon=epsilon,
-            reference=reference,
-            max_time=max_time,
-            target_relative_error=target_relative_error,
-        )
-        data = int(res.traffic.data_bytes)
-        paper = int(res.traffic.paper_data_bytes)
-        cs = res.codec_stats or {}
-        deviation = (
-            0.0
-            if base_ranks is None
-            else float(np.abs(res.ranks - base_ranks).sum())
-        )
-        return {
-            "rounds": float(res.max_outer_iterations),
-            "converged": float(res.converged),
-            "final_relative_error": float(res.final_relative_error),
-            "messages": float(res.traffic.total_messages),
-            "data_bytes": float(data),
-            "paper_bytes": float(paper),
-            "reduction_x": paper / data if data else 1.0,
-            "frames": float(cs.get("frames", 0)),
-            "suppressed_frames": float(cs.get("suppressed_frames", 0)),
-            "exact_flushes": float(cs.get("exact_flushes", 0)),
-            "certified_bound": float(cs.get("certified_bound", 0.0)),
-            "deviation_l1": deviation,
-            "wall_seconds": time.perf_counter() - t0,
-        }
-
-    return cached_point(
-        "point/compression_bakeoff",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "baseline": (
-                "" if base_ranks is None else array_fingerprint(base_ranks)
-            ),
-            "codec": name,
-            "n_groups": n_groups,
-            "seed": seed,
-            "target": target_relative_error,
-            "comm_epsilon": epsilon,
-            "max_time": max_time,
-            "period": _PERIOD,
-        },
-        compute,
+    t0 = time.perf_counter()
+    res = run_distributed_pagerank(
+        graph,
+        n_groups=n_groups,
+        engine="flat",
+        algorithm="dpr2",
+        partition_strategy="site",
+        transport="direct",
+        overlay="pastry",
+        schedule="sync",
+        t1=_PERIOD,
+        t2=_PERIOD,
+        sample_interval=_PERIOD,
+        seed=seed,
+        codec=codec,
+        comm_epsilon=epsilon,
+        reference=reference,
+        max_time=max_time,
+        target_relative_error=target_relative_error,
     )
+    data = int(res.traffic.data_bytes)
+    paper = int(res.traffic.paper_data_bytes)
+    cs = res.codec_stats or {}
+    deviation = (
+        0.0
+        if base_ranks is None
+        else float(np.abs(res.ranks - base_ranks).sum())
+    )
+    return {
+        "rounds": float(res.max_outer_iterations),
+        "converged": float(res.converged),
+        "final_relative_error": float(res.final_relative_error),
+        "messages": float(res.traffic.total_messages),
+        "data_bytes": float(data),
+        "paper_bytes": float(paper),
+        "reduction_x": paper / data if data else 1.0,
+        "frames": float(cs.get("frames", 0)),
+        "suppressed_frames": float(cs.get("suppressed_frames", 0)),
+        "exact_flushes": float(cs.get("exact_flushes", 0)),
+        "certified_bound": float(cs.get("certified_bound", 0.0)),
+        "deviation_l1": deviation,
+        "wall_seconds": time.perf_counter() - t0,
+    }
 
 
 def run_compression_bakeoff(

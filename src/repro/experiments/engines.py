@@ -24,7 +24,7 @@ report, per engine:
 * wall-clock seconds.
 
 Every per-engine point routes through the artifact cache
-(:func:`repro.parallel.cache.cached_point`), so a warm-cache rerun
+(:func:`repro.parallel.cache.cached_call`), so a warm-cache rerun
 reproduces the table byte-identically.  CLI: ``python -m repro
 engines``; the gated numbers live in ``BENCH_mc.json``
 (benchmarks/bench_mc.py) and the measured table in EXPERIMENTS.md.
@@ -41,7 +41,7 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.graph.webgraph import WebGraph
 from repro.linalg.montecarlo import mc_error_tolerance
-from repro.parallel.cache import array_fingerprint, cached_point
+from repro.parallel.cache import cached_call
 
 __all__ = [
     "ENGINE_CONTENDERS",
@@ -123,6 +123,7 @@ class EngineBakeoffResult:
         return table
 
 
+@cached_call("point/engine_bakeoff", period=_PERIOD)
 def engine_bakeoff_point(
     graph: WebGraph,
     reference: np.ndarray,
@@ -140,56 +141,39 @@ def engine_bakeoff_point(
             f"unknown engine contender {name!r}; pick from {ENGINE_CONTENDERS}"
         )
 
-    def compute() -> Dict[str, float]:
-        from repro.core.coordinator import run_distributed_pagerank
+    from repro.core.coordinator import run_distributed_pagerank
 
-        t0 = time.perf_counter()
-        res = run_distributed_pagerank(
-            graph,
-            n_groups=n_groups,
-            partition_strategy="site",
-            transport="indirect",
-            overlay="pastry",
-            schedule="sync",
-            t1=_PERIOD,
-            t2=_PERIOD,
-            sample_interval=_PERIOD,
-            seed=seed,
-            walks_per_page=walks_per_page,
-            reference=reference,
-            max_time=max_time,
-            target_relative_error=target_relative_error,
-            **_SPECS[name],
-        )
-        point: Dict[str, float] = {
-            "rounds": float(res.max_outer_iterations),
-            "converged": float(res.converged),
-            "final_relative_error": float(res.final_relative_error),
-            "messages": float(res.traffic.total_messages),
-            "bytes": float(res.traffic.total_bytes),
-            "wall_seconds": time.perf_counter() - t0,
-        }
-        if name == "mc":
-            point["tolerance"] = mc_error_tolerance(
-                reference, walks_per_page
-            )
-        return point
-
-    return cached_point(
-        "point/engine_bakeoff",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "engine": name,
-            "n_groups": n_groups,
-            "seed": seed,
-            "target": target_relative_error,
-            "max_time": max_time,
-            "walks_per_page": walks_per_page,
-            "period": _PERIOD,
-        },
-        compute,
+    t0 = time.perf_counter()
+    res = run_distributed_pagerank(
+        graph,
+        n_groups=n_groups,
+        partition_strategy="site",
+        transport="indirect",
+        overlay="pastry",
+        schedule="sync",
+        t1=_PERIOD,
+        t2=_PERIOD,
+        sample_interval=_PERIOD,
+        seed=seed,
+        walks_per_page=walks_per_page,
+        reference=reference,
+        max_time=max_time,
+        target_relative_error=target_relative_error,
+        **_SPECS[name],
     )
+    point: Dict[str, float] = {
+        "rounds": float(res.max_outer_iterations),
+        "converged": float(res.converged),
+        "final_relative_error": float(res.final_relative_error),
+        "messages": float(res.traffic.total_messages),
+        "bytes": float(res.traffic.total_bytes),
+        "wall_seconds": time.perf_counter() - t0,
+    }
+    if name == "mc":
+        point["tolerance"] = mc_error_tolerance(
+            reference, walks_per_page
+        )
+    return point
 
 
 def run_engine_bakeoff(

@@ -16,18 +16,13 @@ K exceeds the site count, as in the paper's K=1000 run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.reporting import format_series, format_table
 from repro.core.coordinator import RunResult, run_distributed_pagerank
-from repro.experiments.workloads import (
-    DEFAULT_CONFIGS,
-    ExperimentScale,
-    default_graph,
-    reference_ranks,
-)
+from repro.experiments.workloads import DEFAULT_CONFIGS, ExperimentScale
 from repro.graph.webgraph import WebGraph
-from repro.parallel.cache import array_fingerprint, cached_point
+from repro.parallel.tasks import REF_DEFAULT, experiment, point
 
 __all__ = ["Fig6Result", "run_fig6", "fig6_point"]
 
@@ -103,6 +98,7 @@ class Fig6Result:
         return "\n\n".join(parts)
 
 
+@point("fig6", reference=REF_DEFAULT)
 def fig6_point(
     graph: WebGraph,
     reference,
@@ -117,51 +113,41 @@ def fig6_point(
     engine: str,
     schedule: str,
 ) -> RunResult:
-    """One Fig 6 configuration: a single independent seeded run.
-
-    This is the sweep-point unit the parallel harness distributes;
-    :func:`run_fig6` executes the same points serially.  Results are
-    memoized through the active artifact cache.
-    """
-
-    def compute() -> RunResult:
-        return run_distributed_pagerank(
-            graph,
-            n_groups=n_groups,
-            algorithm=algorithm,
-            partition_strategy="url",
-            delivery_prob=p,
-            t1=t1,
-            t2=t2,
-            seed=seed,
-            # Flat engine: None resolves to the sync period (its trace
-            # is per-round; finer sampling is event-engine only).
-            sample_interval=1.0 if engine == "event" else None,
-            reference=reference,
-            max_time=max_time,
-            engine=engine,
-            schedule=schedule,
-        )
-
-    return cached_point(
-        "point/fig6",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "p": p,
-            "t1": t1,
-            "t2": t2,
-            "n_groups": n_groups,
-            "max_time": max_time,
-            "seed": seed,
-            "algorithm": algorithm,
-            "engine": engine,
-            "schedule": schedule,
-        },
-        compute,
+    """One Fig 6 configuration: a single independent seeded run."""
+    return run_distributed_pagerank(
+        graph,
+        n_groups=n_groups,
+        algorithm=algorithm,
+        partition_strategy="url",
+        delivery_prob=p,
+        t1=t1,
+        t2=t2,
+        seed=seed,
+        # Flat engine: None resolves to the sync period (its trace
+        # is per-round; finer sampling is event-engine only).
+        sample_interval=1.0 if engine == "event" else None,
+        reference=reference,
+        max_time=max_time,
+        engine=engine,
+        schedule=schedule,
     )
 
 
+def _plan(options: Mapping[str, Any]):
+    shared = {k: v for k, v in options.items() if k != "configs"}
+    return [
+        ("fig6", dict(shared, p=p, t1=t1, t2=t2))
+        for p, t1, t2 in options["configs"].values()
+    ]
+
+
+def _assemble(options: Mapping[str, Any], values: Sequence[RunResult]) -> Fig6Result:
+    return Fig6Result(
+        n_groups=options["n_groups"], results=dict(zip(options["configs"], values))
+    )
+
+
+@experiment("fig6", _plan, _assemble)
 def run_fig6(
     graph: WebGraph = None,
     *,
@@ -170,36 +156,16 @@ def run_fig6(
     scale: ExperimentScale = ExperimentScale(),
     seed: int = 7,
     algorithm: str = "dpr1",
-    configs: Dict[str, Tuple[float, float, float]] = None,
+    configs: Mapping[str, Tuple[float, float, float]] = DEFAULT_CONFIGS,
     engine: str = "event",
     schedule: str = "async",
 ) -> Fig6Result:
     """Run the Fig 6 experiment; see module docstring.
 
     Each labelled configuration is an independent simulation on the
-    same graph/partition against the same centralized reference.
+    same graph/partition against the same centralized reference
+    (``graph=None``: the contest-like graph of ``scale``).
     ``engine="flat"`` runs the vectorized bulk-synchronous engine
     (much faster at scale; synchronous timing instead of the paper's
     exponential waits).
     """
-    if graph is None:
-        graph = default_graph(scale)
-    if configs is None:
-        configs = DEFAULT_CONFIGS
-    reference = reference_ranks(graph)
-    result = Fig6Result(n_groups=n_groups)
-    for label, (p, t1, t2) in configs.items():
-        result.results[label] = fig6_point(
-            graph,
-            reference,
-            p=p,
-            t1=t1,
-            t2=t2,
-            n_groups=n_groups,
-            max_time=max_time,
-            seed=seed,
-            algorithm=algorithm,
-            engine=engine,
-            schedule=schedule,
-        )
-    return result

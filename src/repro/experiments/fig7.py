@@ -14,19 +14,14 @@ centralized fixed point).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.reporting import format_series, format_table
 from repro.core.convergence import is_monotone_nondecreasing
 from repro.core.coordinator import RunResult, run_distributed_pagerank
-from repro.experiments.workloads import (
-    DEFAULT_CONFIGS,
-    ExperimentScale,
-    default_graph,
-    reference_ranks,
-)
+from repro.experiments.workloads import DEFAULT_CONFIGS, ExperimentScale
 from repro.graph.webgraph import WebGraph
-from repro.parallel.cache import array_fingerprint, cached_point
+from repro.parallel.tasks import REF_DEFAULT, experiment, point
 
 __all__ = ["Fig7Result", "run_fig7", "fig7_point", "fig7_summary"]
 
@@ -85,6 +80,7 @@ class Fig7Result:
         return "\n\n".join(parts)
 
 
+@point("fig7", reference=REF_DEFAULT)
 def fig7_point(
     graph: WebGraph,
     reference,
@@ -99,41 +95,22 @@ def fig7_point(
     schedule: str,
 ) -> RunResult:
     """One Fig 7 configuration (DPR1); the parallelizable sweep unit."""
-
-    def compute() -> RunResult:
-        return run_distributed_pagerank(
-            graph,
-            n_groups=n_groups,
-            algorithm="dpr1",
-            partition_strategy="url",
-            delivery_prob=p,
-            t1=t1,
-            t2=t2,
-            seed=seed,
-            # Flat engine: None resolves to the sync period (its trace
-            # is per-round; finer sampling is event-engine only).
-            sample_interval=1.0 if engine == "event" else None,
-            reference=reference,
-            max_time=max_time,
-            engine=engine,
-            schedule=schedule,
-        )
-
-    return cached_point(
-        "point/fig7",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "p": p,
-            "t1": t1,
-            "t2": t2,
-            "n_groups": n_groups,
-            "max_time": max_time,
-            "seed": seed,
-            "engine": engine,
-            "schedule": schedule,
-        },
-        compute,
+    return run_distributed_pagerank(
+        graph,
+        n_groups=n_groups,
+        algorithm="dpr1",
+        partition_strategy="url",
+        delivery_prob=p,
+        t1=t1,
+        t2=t2,
+        seed=seed,
+        # Flat engine: None resolves to the sync period (its trace
+        # is per-round; finer sampling is event-engine only).
+        sample_interval=1.0 if engine == "event" else None,
+        reference=reference,
+        max_time=max_time,
+        engine=engine,
+        schedule=schedule,
     )
 
 
@@ -145,6 +122,24 @@ def fig7_summary(res: RunResult) -> Tuple[bool, float]:
     )
 
 
+def _plan(options: Mapping[str, Any]):
+    shared = {k: v for k, v in options.items() if k != "configs"}
+    return [
+        ("fig7", dict(shared, p=p, t1=t1, t2=t2))
+        for p, t1, t2 in options["configs"].values()
+    ]
+
+
+def _assemble(options: Mapping[str, Any], values: Sequence[RunResult]) -> Fig7Result:
+    result = Fig7Result(
+        n_groups=options["n_groups"], results=dict(zip(options["configs"], values))
+    )
+    for label, res in result.results.items():
+        result.monotone[label], result.plateau[label] = fig7_summary(res)
+    return result
+
+
+@experiment("fig7", _plan, _assemble)
 def run_fig7(
     graph: WebGraph = None,
     *,
@@ -152,7 +147,7 @@ def run_fig7(
     max_time: float = 90.0,
     scale: ExperimentScale = ExperimentScale(),
     seed: int = 11,
-    configs: Dict[str, Tuple[float, float, float]] = None,
+    configs: Mapping[str, Tuple[float, float, float]] = DEFAULT_CONFIGS,
     engine: str = "event",
     schedule: str = "async",
 ) -> Fig7Result:
@@ -160,25 +155,3 @@ def run_fig7(
 
     ``engine="flat"`` selects the vectorized bulk-synchronous engine.
     """
-    if graph is None:
-        graph = default_graph(scale)
-    if configs is None:
-        configs = DEFAULT_CONFIGS
-    reference = reference_ranks(graph)
-    result = Fig7Result(n_groups=n_groups)
-    for label, (p, t1, t2) in configs.items():
-        res = fig7_point(
-            graph,
-            reference,
-            p=p,
-            t1=t1,
-            t2=t2,
-            n_groups=n_groups,
-            max_time=max_time,
-            seed=seed,
-            engine=engine,
-            schedule=schedule,
-        )
-        result.results[label] = res
-        result.monotone[label], result.plateau[label] = fig7_summary(res)
-    return result

@@ -32,14 +32,14 @@ site-granularity placement provides (~90% of links intra-site).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.core.coordinator import run_distributed_pagerank
 from repro.core.pagerank import iterations_to_relative_error
-from repro.experiments.workloads import ExperimentScale, default_graph, reference_ranks
+from repro.experiments.workloads import ExperimentScale
 from repro.graph.webgraph import WebGraph
-from repro.parallel.cache import array_fingerprint, cached_point
+from repro.parallel.tasks import REF_DEFAULT, experiment, point
 
 __all__ = ["Fig8Result", "run_fig8", "fig8_point", "fig8_cpr_point"]
 
@@ -81,6 +81,7 @@ class Fig8Result:
         )
 
 
+@point("fig8", reference=REF_DEFAULT)
 def fig8_point(
     graph: WebGraph,
     reference,
@@ -97,63 +98,59 @@ def fig8_point(
     """One (algorithm, K) sweep point: mean outer loops at threshold.
 
     Returns -1 for runs that missed the threshold in their budget.
-    This is the unit of work the parallel harness distributes.
     """
-
-    def compute() -> int:
-        res = run_distributed_pagerank(
-            graph,
-            n_groups=int(k),
-            algorithm=algorithm,
-            partition_strategy="site",
-            delivery_prob=1.0,
-            t1=wait_mean,
-            t2=wait_mean,
-            seed=seed,
-            # Flat engine: None resolves to the sync period (its
-            # trace is per-round; finer sampling is event-only).
-            sample_interval=wait_mean / 3.0 if engine == "event" else None,
-            reference=reference,
-            max_time=max_time,
-            target_relative_error=threshold,
-            engine=engine,
-            schedule=schedule,
-        )
-        return (
-            int(round(res.trace.mean_outer_iterations[-1])) if res.converged else -1
-        )
-
-    return cached_point(
-        "point/fig8",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "algorithm": algorithm,
-            "k": int(k),
-            "threshold": threshold,
-            "wait_mean": wait_mean,
-            "max_time": max_time,
-            "seed": seed,
-            "engine": engine,
-            "schedule": schedule,
-        },
-        compute,
+    res = run_distributed_pagerank(
+        graph,
+        n_groups=k,
+        algorithm=algorithm,
+        partition_strategy="site",
+        delivery_prob=1.0,
+        t1=wait_mean,
+        t2=wait_mean,
+        seed=seed,
+        # Flat engine: None resolves to the sync period (its
+        # trace is per-round; finer sampling is event-only).
+        sample_interval=wait_mean / 3.0 if engine == "event" else None,
+        reference=reference,
+        max_time=max_time,
+        target_relative_error=threshold,
+        engine=engine,
+        schedule=schedule,
     )
+    return int(round(res.trace.mean_outer_iterations[-1])) if res.converged else -1
 
 
+@point("fig8_cpr", reference=REF_DEFAULT)
 def fig8_cpr_point(graph: WebGraph, reference, threshold: float) -> int:
     """The CPR baseline: Jacobi sweeps from R0=0 to the threshold."""
-    return cached_point(
-        "point/fig8_cpr",
-        {
-            "graph": graph.fingerprint(),
-            "reference": array_fingerprint(reference),
-            "threshold": threshold,
+    return iterations_to_relative_error(graph, reference, threshold)
+
+
+_ALGORITHMS = ("dpr1", "dpr2")
+
+
+def _plan(options: Mapping[str, Any]):
+    shared = {k: v for k, v in options.items() if k != "ks"}
+    return [("fig8_cpr", dict(threshold=options["threshold"]))] + [
+        ("fig8", dict(shared, algorithm=algorithm, k=int(k)))
+        for algorithm in _ALGORITHMS
+        for k in options["ks"]
+    ]
+
+
+def _assemble(options: Mapping[str, Any], values: Sequence[int]) -> Fig8Result:
+    runs = iter(values[1:])
+    return Fig8Result(
+        threshold=options["threshold"],
+        cpr_iterations=values[0],
+        iterations={
+            algorithm: {int(k): next(runs) for k in options["ks"]}
+            for algorithm in _ALGORITHMS
         },
-        lambda: iterations_to_relative_error(graph, reference, threshold),
     )
 
 
+@experiment("fig8", _plan, _assemble)
 def run_fig8(
     graph: WebGraph = None,
     *,
@@ -172,24 +169,3 @@ def run_fig8(
     vectorized bulk-synchronous engine, which makes the large-K
     points of the sweep dramatically cheaper.
     """
-    if graph is None:
-        graph = default_graph(scale)
-    reference = reference_ranks(graph)
-    result = Fig8Result(threshold=threshold)
-    result.cpr_iterations = fig8_cpr_point(graph, reference, threshold)
-    result.iterations = {"dpr1": {}, "dpr2": {}}
-    for algorithm in ("dpr1", "dpr2"):
-        for k in ks:
-            result.iterations[algorithm][int(k)] = fig8_point(
-                graph,
-                reference,
-                algorithm=algorithm,
-                k=int(k),
-                threshold=threshold,
-                wait_mean=wait_mean,
-                max_time=max_time,
-                seed=seed,
-                engine=engine,
-                schedule=schedule,
-            )
-    return result

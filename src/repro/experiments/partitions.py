@@ -18,7 +18,7 @@ rendezvous and contiguous extensions, and the greedy min-cut streamer
   inner/outer solve split).
 
 Every per-strategy point routes through the artifact cache
-(:func:`repro.parallel.cache.cached_point`), so re-running the
+(:func:`repro.parallel.cache.cached_call`), so re-running the
 bake-off with a warm cache reproduces the table byte-identically
 without touching the engine.  The experiment works unchanged on
 memory-mapped graphs (cut statistics, LDG, and the engine's operator
@@ -40,7 +40,7 @@ from repro.analysis.reporting import format_table
 from repro.graph.partition import make_partition
 from repro.graph.stats import partition_cut_statistics
 from repro.graph.webgraph import WebGraph
-from repro.parallel.cache import array_fingerprint, cached_point
+from repro.parallel.cache import cached_call
 
 __all__ = [
     "BAKEOFF_STRATEGIES",
@@ -117,6 +117,7 @@ class PartitionBakeoffResult:
         )
 
 
+@cached_call("point/partition_bakeoff", period=_PERIOD)
 def partition_bakeoff_point(
     graph: WebGraph,
     reference: Optional[np.ndarray],
@@ -129,76 +130,58 @@ def partition_bakeoff_point(
     measure_rank: bool,
 ) -> Dict[str, float]:
     """All bake-off metrics for one strategy (cached)."""
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        # Split sites are a *column* here, not console noise.
+        warnings.simplefilter("ignore", UserWarning)
+        part = make_partition(graph, n_groups, strategy, seed=seed)
+    point: Dict[str, float] = {
+        "partition_seconds": time.perf_counter() - t0,
+    }
+    point.update(partition_cut_statistics(graph, part).as_dict())
 
-    def compute() -> Dict[str, float]:
-        t0 = time.perf_counter()
-        with warnings.catch_warnings():
-            # Split sites are a *column* here, not console noise.
-            warnings.simplefilter("ignore", UserWarning)
-            part = make_partition(graph, n_groups, strategy, seed=seed)
-        point: Dict[str, float] = {
-            "partition_seconds": time.perf_counter() - t0,
-        }
-        point.update(partition_cut_statistics(graph, part).as_dict())
+    from repro.core.coordinator import DistributedConfig
+    from repro.core.engine import SynchronousEngine
 
-        from repro.core.coordinator import DistributedConfig
-        from repro.core.engine import SynchronousEngine
-
-        config = DistributedConfig(
-            n_groups=n_groups,
-            algorithm="dpr1",
-            partition_strategy=strategy,
-            transport="indirect",
-            overlay="pastry",
-            schedule="sync",
-            engine="flat",
-            t1=_PERIOD,
-            t2=_PERIOD,
-            sample_interval=_PERIOD,
-            seed=seed,
-        )
-        ref = (
-            reference
-            if reference is not None
-            else np.full(graph.n_pages, 1.0 / max(graph.n_pages, 1))
-        )
-        engine = SynchronousEngine(graph, config, partition=part, reference=ref)
-        paper = engine.paper_round_estimate()
-        point["round_bytes_paper"] = float(paper["data_bytes"])
-        point["round_messages_paper"] = float(paper["data_messages"])
-        round_snap = engine.calibrated_round_traffic()
-        point["round_bytes_measured"] = float(round_snap.total_bytes)
-        point["round_messages_measured"] = float(round_snap.total_messages)
-        if measure_rank:
-            res = engine.run(
-                max_time=max_time,
-                target_relative_error=target_relative_error,
-            )
-            point["rounds_to_target"] = (
-                float(res.max_outer_iterations) if res.converged else -1.0
-            )
-            point["converged"] = float(res.converged)
-            point["final_relative_error"] = float(res.final_relative_error)
-            point["run_bytes_total"] = float(res.traffic.total_bytes)
-        else:
-            point["rounds_to_target"] = -1.0
-        return point
-
-    return cached_point(
-        "point/partition_bakeoff",
-        {
-            "graph": graph.fingerprint(),
-            "reference": None if reference is None else array_fingerprint(reference),
-            "strategy": strategy,
-            "n_groups": n_groups,
-            "seed": seed,
-            "target": target_relative_error,
-            "max_time": max_time,
-            "measure_rank": measure_rank,
-            "period": _PERIOD,
-        },
-        compute,
+    config = DistributedConfig(
+        n_groups=n_groups,
+        algorithm="dpr1",
+        partition_strategy=strategy,
+        transport="indirect",
+        overlay="pastry",
+        schedule="sync",
+        engine="flat",
+        t1=_PERIOD,
+        t2=_PERIOD,
+        sample_interval=_PERIOD,
+        seed=seed,
     )
+    ref = (
+        reference
+        if reference is not None
+        else np.full(graph.n_pages, 1.0 / max(graph.n_pages, 1))
+    )
+    engine = SynchronousEngine(graph, config, partition=part, reference=ref)
+    paper = engine.paper_round_estimate()
+    point["round_bytes_paper"] = float(paper["data_bytes"])
+    point["round_messages_paper"] = float(paper["data_messages"])
+    round_snap = engine.calibrated_round_traffic()
+    point["round_bytes_measured"] = float(round_snap.total_bytes)
+    point["round_messages_measured"] = float(round_snap.total_messages)
+    if measure_rank:
+        res = engine.run(
+            max_time=max_time,
+            target_relative_error=target_relative_error,
+        )
+        point["rounds_to_target"] = (
+            float(res.max_outer_iterations) if res.converged else -1.0
+        )
+        point["converged"] = float(res.converged)
+        point["final_relative_error"] = float(res.final_relative_error)
+        point["run_bytes_total"] = float(res.traffic.total_bytes)
+    else:
+        point["rounds_to_target"] = -1.0
+    return point
 
 
 def run_partition_bakeoff(

@@ -19,7 +19,9 @@ from repro.experiments.workloads import ExperimentScale
 
 __all__ = ["ReproductionReport", "run_all", "EXPERIMENTS"]
 
-#: Experiment registry: name -> callable(graph, scale) -> result object.
+#: The suite, in report order; each name is declared (options, points,
+#: plan, assembly) in its own module and looked up in
+#: :data:`repro.parallel.tasks.REGISTRY`.
 EXPERIMENTS = (
     "table1",
     "fig6",
@@ -76,7 +78,7 @@ def run_all(
     scale: ExperimentScale = ExperimentScale(),
     only: Optional[Sequence[str]] = None,
     out_dir: Optional[Union[str, os.PathLike]] = None,
-    fig8_ks: Sequence[int] = (2, 10, 100, 256),
+    fig8_ks: Optional[Sequence[int]] = None,
     table1_ns: Optional[Sequence[int]] = None,
     overlay_ns: Optional[Sequence[int]] = None,
     jobs: int = 1,
@@ -90,7 +92,9 @@ def run_all(
         Workload size; one graph is generated and shared by every
         graph-based experiment so results are comparable.  The Table 1
         and overlay-hops size grids scale with it (``sweep_grid``)
-        unless overridden via ``table1_ns`` / ``overlay_ns``.
+        unless overridden via ``table1_ns`` / ``overlay_ns``;
+        ``fig8_ks`` overrides Fig 8's ranker counts.  Every other
+        option is the experiment's declared default.
     only:
         Subset of :data:`EXPERIMENTS` names to run (default: all).
     out_dir:
@@ -107,6 +111,7 @@ def run_all(
     """
     from repro.parallel.cache import activate
     from repro.parallel.executor import run_suite
+    from repro.parallel.tasks import suite_options
 
     selected = list(EXPERIMENTS if only is None else only)
     unknown = set(selected) - set(EXPERIMENTS)
@@ -115,13 +120,11 @@ def run_all(
 
     ctx = activate(cache) if cache is not None else contextlib.nullcontext()
     with ctx:
+        options = suite_options(
+            scale, fig8_ks=fig8_ks, table1_ns=table1_ns, overlay_ns=overlay_ns
+        )
         results, durations, task_durations = run_suite(
-            selected,
-            scale=scale,
-            jobs=jobs,
-            fig8_ks=fig8_ks,
-            table1_ns=table1_ns,
-            overlay_ns=overlay_ns,
+            selected, options, scale=scale, jobs=jobs
         )
 
     report = ReproductionReport(scale=scale)

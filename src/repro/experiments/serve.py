@@ -17,8 +17,8 @@ reports, per sync phase:
   full-vector-scan latency it replaces.
 
 Every phase routes through the artifact cache
-(:func:`repro.parallel.cache.cached_point`); wall-clock is measured
-inside the compute closure, so warm-cache reruns reproduce the table
+(:func:`repro.parallel.cache.cached_call`); wall-clock is measured
+inside the cached point, so warm-cache reruns reproduce the table
 byte-identically.  CLI: ``python -m repro serve``; the CI-gated
 numbers at 1e5 pages live in ``benchmarks/bench_serve.py`` →
 ``BENCH_serve.json``.
@@ -33,7 +33,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.parallel.cache import cached_point
+from repro.parallel.cache import cached_call
 
 __all__ = ["ServeDemoResult", "serve_demo_point", "run_serve_demo"]
 
@@ -149,6 +149,7 @@ class ServeDemoResult:
         return table
 
 
+@cached_call("point/serve")
 def serve_demo_point(
     *,
     web_pages: int,
@@ -163,91 +164,72 @@ def serve_demo_point(
     seed: int,
 ) -> Dict[str, object]:
     """All serving-demo metrics for one workload (cached)."""
+    from repro.core.pagerank import pagerank_open
+    from repro.crawl.crawler import Crawler
+    from repro.crawl.trueweb import TrueWeb
+    from repro.linalg.norms import relative_l1_error
+    from repro.serve import CrawlFeed, IncrementalRanker, RankServer
 
-    def compute() -> Dict[str, object]:
-        from repro.core.pagerank import pagerank_open
-        from repro.crawl.crawler import Crawler
-        from repro.crawl.trueweb import TrueWeb
-        from repro.linalg.norms import relative_l1_error
-        from repro.serve import CrawlFeed, IncrementalRanker, RankServer
-
-        web = TrueWeb(web_pages, web_sites, seed=seed)
-        crawler = Crawler(web, seeds=[0, web_pages // 2], seed=seed + 1)
-        crawler.crawl_until(crawl_pages)
-        feed = CrawlFeed(crawler)
-        server = RankServer(
-            feed.initial_graph(), n_groups=n_groups, epsilon=epsilon
-        )
-        rng = np.random.default_rng(seed + 2)
-
-        rows: List[Dict[str, float]] = []
-        for phase in range(phases):
-            web.churn(churn_per_phase, seed=seed + 10 + phase)
-            crawler.step(crawl_budget)
-            batch = feed.sync()
-            t0 = time.perf_counter()
-            stats = server.apply(batch)
-            rerank_s = time.perf_counter() - t0
-            snapshot = server.ranker.current_graph()
-            reference = pagerank_open(snapshot, tol=1e-12).ranks
-            measured = relative_l1_error(server.ranker.ranks, reference)
-            indexed, scans = run_query_mix(server, queries_per_phase, rng)
-            rows.append(
-                {
-                    "phase": float(phase),
-                    "n_pages": float(server.n_pages),
-                    "batch_mutations": float(len(batch)),
-                    "dirty_groups": float(stats.dirty_groups),
-                    "mode": stats.mode,
-                    "inner_sweeps": float(stats.inner_sweeps),
-                    "rerank_ms": rerank_s * 1e3,
-                    "staleness": server.staleness(),
-                    "measured_error": measured,
-                    "query_p50_us": _percentile_us(indexed, 50.0),
-                    "query_p99_us": _percentile_us(indexed, 99.0),
-                    "scan_mean_us": (
-                        float(np.mean(scans)) * 1e6 if scans else 0.0
-                    ),
-                }
-            )
-
-        # Cold baseline: rank the final snapshot from scratch with the
-        # same kernels and budget the incremental path maintained.
-        final = server.ranker.current_graph()
-        t0 = time.perf_counter()
-        IncrementalRanker(final, n_groups=n_groups, epsilon=epsilon)
-        cold_s = time.perf_counter() - t0
-        incr_ms = [r["rerank_ms"] for r in rows]
-        scan_means = [r["scan_mean_us"] for r in rows if r["scan_mean_us"]]
-        p50s = [r["query_p50_us"] for r in rows if r["query_p50_us"]]
-        summary = {
-            "cold_ms": cold_s * 1e3,
-            "incremental_mean_ms": float(np.mean(incr_ms)),
-            "speedup": cold_s * 1e3 / max(float(np.mean(incr_ms)), 1e-9),
-            "query_speedup": (
-                float(np.mean(scan_means)) / max(float(np.mean(p50s)), 1e-9)
-                if scan_means and p50s
-                else 0.0
-            ),
-        }
-        return {"phases": rows, "summary": summary}
-
-    return cached_point(
-        "point/serve",
-        {
-            "web_pages": web_pages,
-            "web_sites": web_sites,
-            "crawl_pages": crawl_pages,
-            "n_groups": n_groups,
-            "epsilon": epsilon,
-            "phases": phases,
-            "churn_per_phase": churn_per_phase,
-            "crawl_budget": crawl_budget,
-            "queries_per_phase": queries_per_phase,
-            "seed": seed,
-        },
-        compute,
+    web = TrueWeb(web_pages, web_sites, seed=seed)
+    crawler = Crawler(web, seeds=[0, web_pages // 2], seed=seed + 1)
+    crawler.crawl_until(crawl_pages)
+    feed = CrawlFeed(crawler)
+    server = RankServer(
+        feed.initial_graph(), n_groups=n_groups, epsilon=epsilon
     )
+    rng = np.random.default_rng(seed + 2)
+
+    rows: List[Dict[str, float]] = []
+    for phase in range(phases):
+        web.churn(churn_per_phase, seed=seed + 10 + phase)
+        crawler.step(crawl_budget)
+        batch = feed.sync()
+        t0 = time.perf_counter()
+        stats = server.apply(batch)
+        rerank_s = time.perf_counter() - t0
+        snapshot = server.ranker.current_graph()
+        reference = pagerank_open(snapshot, tol=1e-12).ranks
+        measured = relative_l1_error(server.ranker.ranks, reference)
+        indexed, scans = run_query_mix(server, queries_per_phase, rng)
+        rows.append(
+            {
+                "phase": float(phase),
+                "n_pages": float(server.n_pages),
+                "batch_mutations": float(len(batch)),
+                "dirty_groups": float(stats.dirty_groups),
+                "mode": stats.mode,
+                "inner_sweeps": float(stats.inner_sweeps),
+                "rerank_ms": rerank_s * 1e3,
+                "staleness": server.staleness(),
+                "measured_error": measured,
+                "query_p50_us": _percentile_us(indexed, 50.0),
+                "query_p99_us": _percentile_us(indexed, 99.0),
+                "scan_mean_us": (
+                    float(np.mean(scans)) * 1e6 if scans else 0.0
+                ),
+            }
+        )
+
+    # Cold baseline: rank the final snapshot from scratch with the
+    # same kernels and budget the incremental path maintained.
+    final = server.ranker.current_graph()
+    t0 = time.perf_counter()
+    IncrementalRanker(final, n_groups=n_groups, epsilon=epsilon)
+    cold_s = time.perf_counter() - t0
+    incr_ms = [r["rerank_ms"] for r in rows]
+    scan_means = [r["scan_mean_us"] for r in rows if r["scan_mean_us"]]
+    p50s = [r["query_p50_us"] for r in rows if r["query_p50_us"]]
+    summary = {
+        "cold_ms": cold_s * 1e3,
+        "incremental_mean_ms": float(np.mean(incr_ms)),
+        "speedup": cold_s * 1e3 / max(float(np.mean(incr_ms)), 1e-9),
+        "query_speedup": (
+            float(np.mean(scan_means)) / max(float(np.mean(p50s)), 1e-9)
+            if scan_means and p50s
+            else 0.0
+        ),
+    }
+    return {"phases": rows, "summary": summary}
 
 
 def run_serve_demo(

@@ -18,15 +18,15 @@ exact published numbers and the end-to-end derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.cost_model import CostModel, PASTRY_HOPS_BY_N, table1_rows
 from repro.analysis.reporting import format_table
 from repro.overlay.metrics import hop_statistics
 from repro.overlay.pastry import PastryOverlay
-from repro.parallel.cache import cached_point
+from repro.parallel.tasks import experiment, point
 
-__all__ = ["Table1Result", "run_table1", "table1_hops_point", "assemble_table1"]
+__all__ = ["Table1Result", "run_table1", "table1_hops_point"]
 
 
 @dataclass
@@ -71,28 +71,28 @@ class Table1Result:
         )
 
 
+@point("table1_hops")
 def table1_hops_point(n: int, *, hop_samples: int, seed: int) -> float:
     """Measured mean Pastry hop count at overlay size ``n``.
 
     Building a 10⁵-node Pastry overlay dominates Table 1's cost, so
     each size is its own parallelizable (and cacheable) task.
     """
-    return cached_point(
-        "point/table1_hops",
-        {"overlay": "pastry", "n": int(n), "hop_samples": hop_samples, "seed": seed},
-        lambda: hop_statistics(
-            PastryOverlay(int(n), seed=seed), hop_samples, seed=seed
-        ).mean,
-    )
+    return hop_statistics(PastryOverlay(n, seed=seed), hop_samples, seed=seed).mean
 
 
-def assemble_table1(
-    ns: Sequence[int], hops: Sequence[float], *, model: CostModel = None
-) -> Table1Result:
-    """Build the paper-vs-measured table from per-size hop counts."""
-    model = model if model is not None else CostModel()
-    measured_hops = {int(n): float(h) for n, h in zip(ns, hops)}
-    paper_hops = {int(n): PASTRY_HOPS_BY_N.get(int(n), measured_hops[int(n)]) for n in ns}
+def _plan(options: Mapping[str, Any]):
+    return [
+        ("table1_hops", dict(n=int(n), hop_samples=options["hop_samples"], seed=options["seed"]))
+        for n in options["ns"]
+    ]
+
+
+def _assemble(options: Mapping[str, Any], hops: Sequence[float]) -> Table1Result:
+    ns = [int(n) for n in options["ns"]]
+    model = options["model"] if options["model"] is not None else CostModel()
+    measured_hops = {n: float(h) for n, h in zip(ns, hops)}
+    paper_hops = {n: PASTRY_HOPS_BY_N.get(n, measured_hops[n]) for n in ns}
     return Table1Result(
         paper_rows=table1_rows(paper_hops, model=model),
         measured_rows=table1_rows(measured_hops, model=model),
@@ -100,6 +100,7 @@ def assemble_table1(
     )
 
 
+@experiment("table1", _plan, _assemble)
 def run_table1(
     *,
     ns: Sequence[int] = (1_000, 10_000, 100_000),
@@ -107,6 +108,8 @@ def run_table1(
     seed: int = 17,
     model: CostModel = None,
 ) -> Table1Result:
-    """Evaluate Table 1 with paper hops and measured Pastry hops."""
-    hops = [table1_hops_point(int(n), hop_samples=hop_samples, seed=seed) for n in ns]
-    return assemble_table1(ns, hops, model=model)
+    """Evaluate Table 1 with paper hops and measured Pastry hops.
+
+    One hop-count point per overlay size in ``ns``; ``model`` (default
+    ``CostModel()``, the paper's constants) turns them into rows.
+    """

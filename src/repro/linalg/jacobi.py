@@ -9,21 +9,19 @@ Theorem 3.3.
 The sweep is a single CSR SpMV plus a vector add — the recommended
 "one vectorized kernel per iteration" structure for numerical Python.
 
-Allocation-free hot path
-------------------------
-``jacobi_solve`` and :func:`jacobi_sweep` accept a reusable
-:class:`JacobiWorkspace`, which holds ping-pong iterate buffers and a
-scratch vector so that a solve performs **zero** heap allocations per
-sweep: the SpMV writes into a preallocated output via the CSR kernel,
-``f`` is added in place, and the ``‖Δx‖₁`` termination reduction is
-fused into the same scratch buffer.  A long-lived caller (one
-:class:`~repro.core.dpr.DPRNode` per ranker) keeps one workspace for
-its lifetime, so DPR1's warm-started inner solves stop generating
-O(n_local) garbage every outer loop.
-
-The workspace path performs bit-identical arithmetic to the plain
-path (same CSR kernel, same operation order), which the equivalence
-test layer asserts exactly.
+Allocation-free sweeps
+----------------------
+Every solve runs in a :class:`JacobiWorkspace` — ping-pong iterate
+buffers and a scratch vector — so it performs **zero** heap
+allocations per sweep: the SpMV writes into a preallocated output via
+the CSR kernel, ``f`` is added in place, and the ``‖Δx‖₁`` termination
+reduction is fused into the same scratch buffer.  A bare
+``jacobi_solve(p, f)`` allocates its own workspace for the call; a
+long-lived caller (one :class:`~repro.core.dpr.DPRNode` per ranker)
+passes one it keeps for its lifetime, so DPR1's warm-started inner
+solves stop generating O(n_local) garbage every outer loop.  The
+arithmetic is the same either way (the equivalence test layer pins it
+against a sweep-by-sweep reference loop).
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-
-from repro.linalg.norms import l1_norm
 
 try:  # scipy's raw CSR kernel: y += A @ x with no temporary
     from scipy.sparse import _sparsetools as _spt
@@ -161,8 +157,8 @@ class JacobiResult:
     Attributes
     ----------
     x:
-        Final iterate.  For a workspace-backed solve this is a
-        workspace buffer — valid until the workspace is next used.
+        Final iterate.  For a solve on a caller-supplied workspace this
+        is a workspace buffer — valid until the workspace is next used.
     iterations:
         Number of sweeps performed (0 if ``x0`` already met ``tol``
         is impossible — we always perform at least one sweep).
@@ -212,11 +208,11 @@ def jacobi_solve(
         Keep the per-sweep ``‖Δx‖₁`` series (used by convergence
         plots/tests).
     workspace:
-        Optional :class:`JacobiWorkspace` sized for this problem; when
-        given, every sweep runs in the workspace's ping-pong buffers
-        with zero allocations, and the returned ``x`` **aliases a
-        workspace buffer** (copy it if it must outlive the next use).
-        Arithmetic is bit-identical to the workspace-free path.
+        A :class:`JacobiWorkspace` sized for this problem, whose
+        ping-pong buffers every sweep runs in.  Omitted, the call
+        allocates its own and the returned ``x`` belongs to the
+        caller; given, the returned ``x`` **aliases a workspace
+        buffer** (copy it if it must outlive the workspace's next use).
     """
     f = np.asarray(f, dtype=np.float64)
     n = f.shape[0]
@@ -229,58 +225,28 @@ def jacobi_solve(
     if x0 is not None and np.shape(x0) != (n,):
         raise ValueError(f"x0 shape {np.shape(x0)} incompatible with f of size {n}")
 
+    if workspace is None:
+        workspace = JacobiWorkspace(n)
+    workspace.check_size(n)
+    x = workspace._ping
+    y = workspace._pong
+    if x0 is None:
+        x[:] = 0.0
+    else:
+        np.copyto(x, np.asarray(x0, dtype=np.float64))
+
     deltas: List[float] = []
-    delta = np.inf
-    iterations = 0
-
-    if workspace is not None:
-        workspace.check_size(n)
-        x = workspace._ping
-        y = workspace._pong
-        if x0 is None:
-            x[:] = 0.0
-        else:
-            np.copyto(x, np.asarray(x0, dtype=np.float64))
-        for iterations in range(1, max_iter + 1):
-            delta = workspace.sweep_delta(p, x, f, out=y)
-            x, y = y, x
-            if record_history:
-                deltas.append(delta)
-            if delta <= tol:
-                return JacobiResult(
-                    x=x,
-                    iterations=iterations,
-                    converged=True,
-                    final_delta=delta,
-                    deltas=deltas,
-                )
-        return JacobiResult(
-            x=x,
-            iterations=iterations,
-            converged=False,
-            final_delta=float(delta),
-            deltas=deltas,
-        )
-
-    x = np.zeros(n, dtype=np.float64) if x0 is None else np.array(x0, dtype=np.float64)
     for iterations in range(1, max_iter + 1):
-        x_new = jacobi_sweep(p, x, f)
-        delta = l1_norm(x_new - x)
-        x = x_new
+        delta = workspace.sweep_delta(p, x, f, out=y)
+        x, y = y, x
         if record_history:
             deltas.append(delta)
         if delta <= tol:
-            return JacobiResult(
-                x=x,
-                iterations=iterations,
-                converged=True,
-                final_delta=delta,
-                deltas=deltas,
-            )
+            break
     return JacobiResult(
         x=x,
         iterations=iterations,
-        converged=False,
-        final_delta=float(delta),
+        converged=delta <= tol,
+        final_delta=delta,
         deltas=deltas,
     )

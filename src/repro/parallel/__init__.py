@@ -6,9 +6,11 @@ Three cooperating pieces:
   graphs, reference vectors, and sweep-point results;
 * :mod:`repro.parallel.sharedmem` — zero-copy CSR workload handoff to
   worker processes via POSIX shared memory;
-* :mod:`repro.parallel.tasks` / :mod:`repro.parallel.executor` — suite
-  decomposition into independent seeded tasks and their execution,
-  serially or over a process pool, with bit-identical results.
+* :mod:`repro.parallel.tasks` / :mod:`repro.parallel.executor` — the
+  experiment registry (each experiment declared once: points, options,
+  plan, assembly), its decomposition into independent seeded tasks,
+  and the one runner that executes them, inline or over a process
+  pool, with bit-identical results.
 """
 
 from repro.parallel.cache import (
@@ -20,6 +22,7 @@ from repro.parallel.cache import (
     array_fingerprint,
     cache_from_env,
     cache_key,
+    cached_call,
     cached_point,
     set_active_cache,
 )
@@ -46,6 +49,7 @@ __all__ = [
     "assemble_experiment",
     "cache_from_env",
     "cache_key",
+    "cached_call",
     "cached_point",
     "execute_task",
     "plan_experiment",

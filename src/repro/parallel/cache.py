@@ -33,7 +33,9 @@ directly, which is the pre-cache code path, bit for bit.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+import inspect
 import json
 import os
 import pickle
@@ -54,6 +56,7 @@ __all__ = [
     "activate",
     "cache_from_env",
     "cached_point",
+    "cached_call",
     "array_fingerprint",
 ]
 
@@ -305,3 +308,53 @@ def cached_point(kind: str, params: Mapping[str, Any], compute: Callable[[], Any
     value = compute()
     cache.store_object(key, {"value": value})
     return value
+
+
+def _key_component(value: Any) -> Any:
+    """A bound argument as a cache-key component: arrays and graphs by
+    content fingerprint, everything else as itself."""
+    if isinstance(value, np.ndarray):
+        return array_fingerprint(value)
+    fingerprint = getattr(value, "fingerprint", None)  # WebGraph
+    return fingerprint() if callable(fingerprint) else value
+
+
+def cached_call(kind: str, **constants: Any) -> Callable[[Callable], Callable]:
+    """Decorator: memoize a point function, keyed by its bound call.
+
+    Every call of the decorated function goes through
+    :func:`cached_point` under ``kind``.  The key is derived, not
+    written: the call is bound to the function's signature (defaults
+    applied, so positional/keyword spelling and keyword order do not
+    matter) and each argument becomes one key component — a
+    :class:`~repro.graph.webgraph.WebGraph` by ``fingerprint()``, an
+    array by :func:`array_fingerprint`, scalars as themselves.
+    ``constants`` adds what the function bakes in beyond its arguments
+    (a module-level period, a scenario table).  The decorated function
+    exposes ``key_params(*args, **kwargs)``, the parameter dict a call
+    would be keyed by.
+    """
+
+    def decorate(fn: Callable) -> Callable:
+        signature = inspect.signature(fn)
+
+        def key_params(*args: Any, **kwargs: Any) -> Dict[str, Any]:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return {
+                **constants,
+                **{name: _key_component(v) for name, v in bound.arguments.items()},
+            }
+
+        @functools.wraps(fn)
+        def call(*args: Any, **kwargs: Any) -> Any:
+            if active_cache() is None:  # nothing to key: skip the fingerprints
+                return fn(*args, **kwargs)
+            return cached_point(
+                kind, key_params(*args, **kwargs), lambda: fn(*args, **kwargs)
+            )
+
+        call.key_params = key_params
+        return call
+
+    return decorate

@@ -1,45 +1,38 @@
-"""Suite execution: serial inline or across a process pool.
+"""Task-bag execution: inline or across a process pool.
 
-:func:`run_suite` is the single execution path behind
-``report.run_all`` for every ``jobs`` value.  It plans the selected
-experiments into independent tasks (:mod:`repro.parallel.tasks`),
-executes them — inline and in plan order for ``jobs == 1``, over a
-``ProcessPoolExecutor`` with a shared-memory workload for
-``jobs > 1`` — then reassembles the results in the caller's canonical
-experiment order.  Because the serial and parallel paths run the very
-same point functions with the same seeds, the assembled results (and
-hence the formatted report tables) are bit-identical across modes.
+:func:`run_suite` is the one runner of the experiment suite — behind
+``report.run_all`` for every ``jobs`` value and behind every single
+``run_*`` call.  It plans the selected experiments into independent
+tasks (:mod:`repro.parallel.tasks`), builds the workload the planned
+tasks name, executes them — inline and in plan order for ``jobs == 1``,
+over a ``ProcessPoolExecutor`` with a shared-memory workload for
+``jobs > 1`` — then reassembles the results in the caller's experiment
+order.  Every mode runs the same point functions with the same seeds,
+so the assembled results (and hence the formatted report tables) are
+bit-identical across modes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments.workloads import ExperimentScale
 from repro.parallel import tasks as _tasks
 from repro.parallel.cache import active_cache
 from repro.parallel.sharedmem import SharedWorkload
-from repro.parallel.tasks import (
-    REF_DEFAULT,
-    REF_TRADEOFF,
-    SweepTask,
-    assemble_experiment,
-    execute_task,
-    experiment_needs_graph,
-    experiment_ref_keys,
-    plan_experiment,
-    suite_options,
-)
+from repro.parallel.tasks import SweepTask, assemble_experiment, execute_task, plan_experiment
+
+if TYPE_CHECKING:
+    from repro.experiments.workloads import ExperimentScale
+    from repro.graph.webgraph import WebGraph
 
 __all__ = ["run_suite"]
 
 
-def _run_task(task: SweepTask) -> Tuple[str, int, Any, float]:
+def _run_task(task: SweepTask) -> Tuple[Any, float]:
     """Pool entry point: run one task against the worker's workload."""
-    value, seconds = execute_task(task.kind, task.params)
-    return task.experiment, task.index, value, seconds
+    return execute_task(task.kind, task.params)
 
 
 def _pool_context():
@@ -52,14 +45,19 @@ def _pool_context():
 
 def run_suite(
     selected: Sequence[str],
+    options: Optional[Mapping[str, Mapping[str, Any]]] = None,
     *,
-    scale: ExperimentScale,
+    graph: Optional[WebGraph] = None,
+    scale: Optional[ExperimentScale] = None,
     jobs: int = 1,
-    fig8_ks: Sequence[int] = (2, 10, 100, 256),
-    table1_ns: Optional[Sequence[int]] = None,
-    overlay_ns: Optional[Sequence[int]] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, float], Dict[str, List[float]]]:
     """Run the selected experiments as a task bag.
+
+    ``options`` maps experiment names to overrides of their declared
+    defaults.  The workload is ``graph`` or, when that is ``None``, the
+    contest-like graph of ``scale`` (``None``: the default scale) —
+    generated only if a planned task runs on it — plus every reference
+    vector those tasks name.
 
     Returns ``(results, durations, task_durations)`` keyed by
     experiment name, with ``results`` in ``selected`` order and
@@ -69,38 +67,32 @@ def run_suite(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    options = options or {}
+    plan = [task for name in selected for task in plan_experiment(name, options)]
 
-    options = suite_options(
-        scale, fig8_ks=fig8_ks, table1_ns=table1_ns, overlay_ns=overlay_ns
-    )
-    plan: List[SweepTask] = []
-    for name in selected:
-        plan.extend(plan_experiment(name, options))
-
-    # Build the shared workload once in the parent: the graph (if any
-    # selected experiment runs on it) and every reference vector those
-    # experiments consume.  Goes through the active artifact cache.
-    need_graph = any(experiment_needs_graph(name) for name in selected)
-    ref_keys = {key for name in selected for key in experiment_ref_keys(name)}
-    graph = None
+    # Build the shared workload once in the parent, through the active
+    # artifact cache: what it holds is read off the planned tasks.
+    needed = {_tasks.POINTS[task.kind].reference for task in plan} - {None}
     refs: Dict[str, Any] = {}
-    if need_graph:
+    if not needed:
+        graph = None
+    else:
         from repro.experiments.workloads import default_graph, reference_ranks
 
-        graph = default_graph(scale)
-        if REF_DEFAULT in ref_keys:
-            refs[REF_DEFAULT] = reference_ranks(graph)
-        if REF_TRADEOFF in ref_keys:
-            refs[REF_TRADEOFF] = reference_ranks(graph, tol=1e-12)
+        if graph is None:
+            graph = default_graph() if scale is None else default_graph(scale)
+        refs = {
+            key: reference_ranks(graph, tol=tol)
+            for key, tol in _tasks.REFERENCE_TOLS.items()
+            if key in needed
+        }
 
-    values: Dict[Tuple[str, int], Any] = {}
-    seconds: Dict[Tuple[str, int], float] = {}
     if jobs == 1 or len(plan) <= 1:
         _tasks.set_worker_workload(graph, refs)
-        for task in plan:
-            value, secs = execute_task(task.kind, task.params)
-            values[(task.experiment, task.index)] = value
-            seconds[(task.experiment, task.index)] = secs
+        try:
+            outcomes = [_run_task(task) for task in plan]
+        finally:
+            _tasks.set_worker_workload(None, {})
     else:
         cache = active_cache()
         cache_root = str(cache.root) if cache is not None else None
@@ -116,17 +108,14 @@ def run_suite(
                     ctx.get_start_method() != "fork",
                 ),
             ) as pool:
-                for name, index, value, secs in pool.map(_run_task, plan):
-                    values[(name, index)] = value
-                    seconds[(name, index)] = secs
+                outcomes = list(pool.map(_run_task, plan))
 
     results: Dict[str, Any] = {}
     durations: Dict[str, float] = {}
     task_durations: Dict[str, List[float]] = {}
     for name in selected:
-        n_tasks = sum(1 for t in plan if t.experiment == name)
-        ordered = [values[(name, i)] for i in range(n_tasks)]
-        results[name] = assemble_experiment(name, options, ordered)
-        task_durations[name] = [seconds[(name, i)] for i in range(n_tasks)]
+        mine = [out for task, out in zip(plan, outcomes) if task.experiment == name]
+        results[name] = assemble_experiment(name, options, [value for value, _ in mine])
+        task_durations[name] = [seconds for _, seconds in mine]
         durations[name] = float(sum(task_durations[name]))
     return results, durations, task_durations

@@ -1,58 +1,96 @@
-"""Suite decomposition into independent seeded tasks.
+"""The experiment registry and the task bag it plans.
 
-The experiment suite is a bag of *sweep points* — independent,
-deterministic computations distinguished only by their parameters
-(config label, ranker count K, partitioning strategy, threshold,
-overlay size …).  This module turns each experiment into an explicit
-task list (:func:`plan_experiment`), executes single tasks against a
-per-process workload (:func:`execute_task`), and reassembles completed
-tasks into the experiment's result object in canonical order
-(:func:`assemble_experiment`) — so results are identical whether the
-tasks ran serially in-process or scattered across a worker pool.
+An experiment is declared **once**, in its own module under
+:mod:`repro.experiments`, next to its result class:
+
+* its *point functions* — independent, deterministic, seeded
+  computations — each registered under a task kind with
+  :func:`point`, which also says whether the point runs on the
+  workload (graph + which reference vector) and derives its cache key
+  from the bound call (:func:`repro.parallel.cache.cached_call`);
+* its *options and their defaults* — the keyword-only parameters of
+  its ``run_*`` function, declared with :func:`experiment` together
+  with ``plan(options)`` (which points make up the sweep, in canonical
+  order) and ``assemble(options, values)`` (how their values become
+  the result object).
+
+Everything else here is a look-up in those two tables with no
+per-experiment branch: :func:`plan_experiment` turns a declaration
+into an explicit :class:`SweepTask` list, :func:`execute_task` runs
+one task against the per-process workload, and
+:func:`assemble_experiment` rebuilds the result in plan order — so
+results are identical whether the tasks ran inline or scattered across
+a worker pool.  ``run_*`` itself has no body of its own: it is
+"plan → run the bag inline → assemble" through
+:func:`repro.parallel.executor.run_suite`, the executor ``run_all``
+uses.
 
 The per-process workload (graph + reference vectors) is installed once
-with :func:`set_worker_workload` — in the parent for serial runs, in
+with :func:`set_worker_workload` — in the parent for inline runs, in
 the pool initializer (:func:`init_worker`, attaching shared memory)
 for parallel runs.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.experiments.workloads import DEFAULT_CONFIGS, ExperimentScale
+from repro.parallel.cache import ArtifactCache, cached_call, set_active_cache
+
+if TYPE_CHECKING:
+    from repro.experiments.workloads import ExperimentScale
 
 __all__ = [
     "SweepTask",
+    "Point",
+    "Experiment",
+    "POINTS",
+    "REGISTRY",
+    "REF_DEFAULT",
+    "REF_TRADEOFF",
+    "REFERENCE_TOLS",
+    "point",
+    "experiment",
     "suite_options",
     "plan_experiment",
     "assemble_experiment",
-    "experiment_needs_graph",
-    "experiment_ref_keys",
     "set_worker_workload",
     "init_worker",
     "execute_task",
 ]
 
-#: Experiments that run on the shared workload graph.
-GRAPH_EXPERIMENTS = frozenset(
-    {"fig6", "fig7", "fig8", "partitioning", "transport", "compression", "tradeoff"}
-)
-
-#: Reference-vector keys by experiment (see ``suite refs`` in executor).
+#: Reference-vector keys a point can run against.
 REF_DEFAULT = "default"
 REF_TRADEOFF = "tol1e-12"
+
+#: Solver tolerance of each reference vector (None: the solver's own
+#: default); the executor computes the ones the planned tasks name.
+REFERENCE_TOLS: Dict[str, Optional[float]] = {REF_DEFAULT: None, REF_TRADEOFF: 1e-12}
 
 
 @dataclass(frozen=True)
 class SweepTask:
     """One independent unit of suite work.
 
-    ``index`` orders tasks within their experiment; reassembly sorts
-    by it, so completion order never matters.  ``params`` must be
-    picklable (plain scalars/strings only).
+    ``index`` is the task's position in its experiment's plan (the
+    order ``assemble`` expects its values in).  ``params`` are the
+    keyword arguments of the point function registered under ``kind``
+    and must be picklable (plain scalars/strings only).
     """
 
     experiment: str
@@ -61,204 +99,163 @@ class SweepTask:
     params: Dict[str, Any] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class Point:
+    """A registered point function and the workload inputs it takes.
+
+    ``reference`` names the reference vector (a :data:`REFERENCE_TOLS`
+    key) of a point called as ``fn(graph, reference, **params)``; a
+    point with ``reference=None`` takes no workload input and is called
+    as ``fn(**params)``.
+    """
+
+    fn: Callable[..., Any]
+    reference: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One suite experiment: default options, its plan and its assembly.
+
+    ``plan(options)`` yields ``(task kind, point params)`` pairs in
+    canonical order; ``assemble(options, values)`` builds the result
+    object from the points' values in that order.  Both receive the
+    fully resolved options (defaults overlaid with the caller's).
+    """
+
+    defaults: Mapping[str, Any]
+    plan: Callable[[Mapping[str, Any]], Iterable[Tuple[str, Dict[str, Any]]]]
+    assemble: Callable[[Mapping[str, Any], Sequence[Any]], Any]
+
+
+#: Task kind -> point function (filled by :func:`point`).
+POINTS: Dict[str, Point] = {}
+
+#: Experiment name -> declaration (filled by :func:`experiment`).
+REGISTRY: Dict[str, Experiment] = {}
+
+
+def point(kind: str, *, reference: Optional[str] = None) -> Callable[[Callable], Callable]:
+    """Decorator: register a point function under task kind ``kind``.
+
+    The function is memoized through the artifact cache as
+    ``point/<kind>``, keyed by its bound call; ``reference`` declares
+    its workload inputs (see :class:`Point`).
+    """
+
+    def decorate(fn: Callable) -> Callable:
+        fn = cached_call(f"point/{kind}")(fn)
+        POINTS[kind] = Point(fn, reference)
+        return fn
+
+    return decorate
+
+
+def experiment(name: str, plan: Callable, assemble: Callable) -> Callable[[Callable], Callable]:
+    """Decorator: declare suite experiment ``name`` on its ``run_*``.
+
+    The decorated function is a *declaration*: its keyword-only
+    parameters are the experiment's options and their defaults (the
+    only place they are stated), its docstring documents them, and it
+    has no body.  ``graph`` / ``scale`` are the workload, not options.
+    The function returned runs the declaration through the suite's
+    executor — plan, run the bag inline, assemble — so a single
+    ``run_*`` call and ``run_all(only=[name])`` execute the same tasks.
+    """
+
+    def decorate(declaration: Callable) -> Callable:
+        signature = inspect.signature(declaration)
+        defaults = {
+            key: p.default
+            for key, p in signature.parameters.items()
+            if p.kind is p.KEYWORD_ONLY and key != "scale"
+        }
+        REGISTRY[name] = Experiment(defaults, plan, assemble)
+
+        @functools.wraps(declaration)
+        def run(*args: Any, **kwargs: Any) -> Any:
+            from repro.parallel.executor import run_suite
+
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            options = bound.arguments
+            graph, scale = options.pop("graph", None), options.pop("scale", None)
+            results, _, _ = run_suite([name], {name: options}, graph=graph, scale=scale)
+            return results[name]
+
+        return run
+
+    return decorate
+
+
+def _lookup(table: Mapping[str, Any], key: str, what: str) -> Any:
+    # Importing the package runs every experiment module, i.e. every
+    # registration (a spawn-started worker gets here first).
+    import repro.experiments  # noqa: F401
+
+    try:
+        return table[key]
+    except KeyError:
+        raise ValueError(f"unknown {what}: {key!r}") from None
+
+
+def _resolve(name: str, options: Mapping[str, Any]) -> Tuple[Experiment, Dict[str, Any]]:
+    """An experiment and its options: defaults overlaid with ``options[name]``."""
+    declared = _lookup(REGISTRY, name, "experiment")
+    given = options.get(name, {})
+    unknown = sorted(set(given) - set(declared.defaults))
+    if unknown:
+        raise ValueError(f"experiment {name!r} has no option(s) {unknown}")
+    return declared, {**declared.defaults, **given}
+
+
 def suite_options(
     scale: ExperimentScale,
     *,
-    fig8_ks: Sequence[int] = (2, 10, 100, 256),
+    fig8_ks: Optional[Sequence[int]] = None,
     table1_ns: Optional[Sequence[int]] = None,
     overlay_ns: Optional[Sequence[int]] = None,
 ) -> Dict[str, Dict[str, Any]]:
-    """The canonical per-experiment options of one ``run_all`` suite.
+    """What a ``run_all`` suite overrides of the experiments' defaults.
 
-    This is the single source of truth shared by planning, execution
-    and assembly; the values reproduce the suite's historical
-    hard-coded settings.  ``table1_ns`` / ``overlay_ns`` default to
-    grids scaled with the workload (identical to the historical grids
-    at the default 4000-page scale).
+    ``table1_ns`` / ``overlay_ns`` default to the experiments' own
+    grids scaled with the workload (unchanged at the default 4000-page
+    scale); ``fig8_ks`` overrides Fig 8's ranker counts when given.
+    Every other option keeps its declared default.
     """
-    if table1_ns is None:
-        table1_ns = scale.sweep_grid((1_000, 10_000, 100_000), minimum=64)
-    if overlay_ns is None:
-        overlay_ns = scale.sweep_grid((100, 1_000, 10_000), minimum=16)
-    return {
-        "table1": dict(ns=tuple(int(n) for n in table1_ns), hop_samples=400, seed=17),
-        "fig6": dict(
-            configs=dict(DEFAULT_CONFIGS),
-            n_groups=64,
-            max_time=90.0,
-            seed=7,
-            algorithm="dpr1",
-            engine="event",
-            schedule="async",
-        ),
-        "fig7": dict(
-            configs=dict(DEFAULT_CONFIGS),
-            n_groups=100,
-            max_time=90.0,
-            seed=11,
-            engine="event",
-            schedule="async",
-        ),
-        "fig8": dict(
-            ks=tuple(int(k) for k in fig8_ks),
-            threshold=1e-4,
-            wait_mean=15.0,
-            max_time=4000.0,
-            seed=13,
-            engine="event",
-            schedule="async",
-        ),
-        "partitioning": dict(
-            strategies=("random", "url", "site"),
-            n_groups=16,
-            seed=19,
-            measure_traffic=True,
-            max_time=400.0,
-        ),
-        "transport": dict(n_groups=48, seed=23, max_time=400.0),
-        "compression": dict(
-            thresholds=(0.0, 1e-8, 1e-4, 1e-2), n_groups=16, seed=29, max_time=120.0
-        ),
-        "overlay_hops": dict(
-            kinds=("pastry", "tapestry", "chord", "can"),
-            ns=tuple(int(n) for n in overlay_ns),
-            samples=300,
-            seed=31,
-        ),
-        "tradeoff": dict(
-            wait_means=(1.0, 3.0, 9.0),
-            n_groups=16,
-            seed=37,
-            target=1e-4,
-            max_time=3000.0,
-        ),
-    }
+    options = {}
+    for name, ns, minimum in (("table1", table1_ns, 64), ("overlay_hops", overlay_ns, 16)):
+        if ns is None:
+            declared = _lookup(REGISTRY, name, "experiment")
+            ns = scale.sweep_grid(declared.defaults["ns"], minimum=minimum)
+        options[name] = {"ns": tuple(int(n) for n in ns)}
+    if fig8_ks is not None:
+        options["fig8"] = {"ks": tuple(int(k) for k in fig8_ks)}
+    return options
 
 
-def experiment_needs_graph(name: str) -> bool:
-    """Whether an experiment consumes the shared workload graph."""
-    return name in GRAPH_EXPERIMENTS
-
-
-def experiment_ref_keys(name: str) -> Tuple[str, ...]:
-    """Which reference vectors an experiment's tasks consume."""
-    if name == "tradeoff":
-        return (REF_TRADEOFF,)
-    if name in GRAPH_EXPERIMENTS:
-        return (REF_DEFAULT,)
-    return ()
-
-
-# ----------------------------------------------------------------------
-# Planning
-# ----------------------------------------------------------------------
 def plan_experiment(name: str, options: Mapping[str, Any]) -> List[SweepTask]:
-    """Decompose one experiment into its independent sweep tasks."""
-    opts = options[name]
-    tasks: List[SweepTask] = []
+    """Decompose one experiment into its independent sweep tasks.
 
-    def add(task_kind: str, **params: Any) -> None:
-        tasks.append(SweepTask(name, len(tasks), task_kind, params))
+    ``options`` maps experiment names to option overrides (e.g. the
+    result of :func:`suite_options`); experiments it does not mention
+    run on their declared defaults.
+    """
+    declared, resolved = _resolve(name, options)
+    return [
+        SweepTask(name, index, kind, params)
+        for index, (kind, params) in enumerate(declared.plan(resolved))
+    ]
 
-    if name == "table1":
-        for n in opts["ns"]:
-            add("table1_hops", n=n, hop_samples=opts["hop_samples"], seed=opts["seed"])
-    elif name == "fig6":
-        for label, (p, t1, t2) in opts["configs"].items():
-            add(
-                "fig6_run",
-                label=label,
-                p=p,
-                t1=t1,
-                t2=t2,
-                n_groups=opts["n_groups"],
-                max_time=opts["max_time"],
-                seed=opts["seed"],
-                algorithm=opts["algorithm"],
-                engine=opts["engine"],
-                schedule=opts["schedule"],
-            )
-    elif name == "fig7":
-        for label, (p, t1, t2) in opts["configs"].items():
-            add(
-                "fig7_run",
-                label=label,
-                p=p,
-                t1=t1,
-                t2=t2,
-                n_groups=opts["n_groups"],
-                max_time=opts["max_time"],
-                seed=opts["seed"],
-                engine=opts["engine"],
-                schedule=opts["schedule"],
-            )
-    elif name == "fig8":
-        add("fig8_cpr", threshold=opts["threshold"])
-        for algorithm in ("dpr1", "dpr2"):
-            for k in opts["ks"]:
-                add(
-                    "fig8_run",
-                    algorithm=algorithm,
-                    k=k,
-                    threshold=opts["threshold"],
-                    wait_mean=opts["wait_mean"],
-                    max_time=opts["max_time"],
-                    seed=opts["seed"],
-                    engine=opts["engine"],
-                    schedule=opts["schedule"],
-                )
-    elif name == "partitioning":
-        for strategy in opts["strategies"]:
-            add(
-                "partitioning_run",
-                strategy=strategy,
-                n_groups=opts["n_groups"],
-                seed=opts["seed"],
-                measure_traffic=opts["measure_traffic"],
-                max_time=opts["max_time"],
-            )
-    elif name == "transport":
-        add("transport_stats", n_groups=opts["n_groups"], seed=opts["seed"])
-        for kind in ("indirect", "direct"):
-            add(
-                "transport_run",
-                kind=kind,
-                n_groups=opts["n_groups"],
-                seed=opts["seed"],
-                max_time=opts["max_time"],
-            )
-    elif name == "compression":
-        for tol in opts["thresholds"]:
-            add(
-                "compression_run",
-                tol=float(tol),
-                n_groups=opts["n_groups"],
-                seed=opts["seed"],
-                max_time=opts["max_time"],
-            )
-    elif name == "overlay_hops":
-        for kind in opts["kinds"]:
-            for n in opts["ns"]:
-                add(
-                    "overlay_hops_run",
-                    kind=kind,
-                    n=n,
-                    samples=opts["samples"],
-                    seed=opts["seed"],
-                )
-    elif name == "tradeoff":
-        for t in opts["wait_means"]:
-            add(
-                "tradeoff_run",
-                t=float(t),
-                n_groups=opts["n_groups"],
-                seed=opts["seed"],
-                target=opts["target"],
-                max_time=opts["max_time"],
-            )
-    else:
-        raise ValueError(f"unknown experiment: {name!r}")
-    return tasks
+
+def assemble_experiment(name: str, options: Mapping[str, Any], values: Sequence[Any]):
+    """Rebuild an experiment's result object from task values.
+
+    ``values`` must be in plan order (task ``index``); the object is
+    the one ``run_*`` with the same options returns.
+    """
+    declared, resolved = _resolve(name, options)
+    return declared.assemble(resolved, values)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +286,6 @@ def init_worker(
     ``own_tracker`` is True for spawn-started workers (whose private
     resource tracker must forget the parent-owned segments).
     """
-    from repro.parallel.cache import ArtifactCache, set_active_cache
     from repro.parallel.sharedmem import attach_workload
 
     keepalive: list = []
@@ -298,139 +294,22 @@ def init_worker(
     set_active_cache(ArtifactCache(cache_root) if cache_root else None)
 
 
-def _graph():
-    graph = _WORKLOAD["graph"]
-    if graph is None:
-        raise RuntimeError("task needs the workload graph but none is installed")
-    return graph
-
-
-def _ref(key: str):
-    try:
-        return _WORKLOAD["refs"][key]
-    except KeyError:
-        raise RuntimeError(f"task needs reference {key!r} but it is not installed")
-
-
 def execute_task(kind: str, params: Mapping[str, Any]) -> Tuple[Any, float]:
     """Run one task in this process; returns ``(value, seconds)``.
 
-    Dispatches to the experiment modules' point functions — the exact
-    code the serial runners execute — so parallel results are
-    bit-identical to serial ones.
+    Calls the point function registered under ``kind`` with the
+    workload inputs it declared and ``params`` as keywords.
     """
-    # Imported here (not at module top) so worker processes pay the
-    # import once and spawn-start workers resolve the full package.
-    from repro.experiments import ablations, fig6, fig7, fig8, table1
-
-    p = dict(params)
+    registered = _lookup(POINTS, kind, "task kind")
+    inputs: Tuple[Any, ...] = ()
+    if registered.reference is not None:
+        graph, refs = _WORKLOAD["graph"], _WORKLOAD["refs"]
+        if graph is None or registered.reference not in refs:
+            raise RuntimeError(
+                f"task {kind!r} needs the workload graph and reference "
+                f"{registered.reference!r}, but they are not installed"
+            )
+        inputs = (graph, refs[registered.reference])
     t0 = time.perf_counter()
-    if kind == "table1_hops":
-        value = table1.table1_hops_point(
-            p["n"], hop_samples=p["hop_samples"], seed=p["seed"]
-        )
-    elif kind == "fig6_run":
-        p.pop("label")
-        value = fig6.fig6_point(_graph(), _ref(REF_DEFAULT), **p)
-    elif kind == "fig7_run":
-        p.pop("label")
-        value = fig7.fig7_point(_graph(), _ref(REF_DEFAULT), **p)
-    elif kind == "fig8_cpr":
-        value = fig8.fig8_cpr_point(_graph(), _ref(REF_DEFAULT), p["threshold"])
-    elif kind == "fig8_run":
-        value = fig8.fig8_point(_graph(), _ref(REF_DEFAULT), **p)
-    elif kind == "partitioning_run":
-        value = ablations.partitioning_point(_graph(), _ref(REF_DEFAULT), **p)
-    elif kind == "transport_stats":
-        value = ablations.transport_overlay_stats(p["n_groups"], p["seed"])
-    elif kind == "transport_run":
-        value = ablations.transport_point(_graph(), _ref(REF_DEFAULT), **p)
-    elif kind == "compression_run":
-        value = ablations.compression_point(_graph(), _ref(REF_DEFAULT), **p)
-    elif kind == "overlay_hops_run":
-        value = ablations.overlay_hops_point(
-            p["kind"], p["n"], samples=p["samples"], seed=p["seed"]
-        )
-    elif kind == "tradeoff_run":
-        value = ablations.tradeoff_point(_graph(), _ref(REF_TRADEOFF), **p)
-    else:
-        raise ValueError(f"unknown task kind: {kind!r}")
+    value = registered.fn(*inputs, **params)
     return value, time.perf_counter() - t0
-
-
-# ----------------------------------------------------------------------
-# Assembly
-# ----------------------------------------------------------------------
-def assemble_experiment(
-    name: str, options: Mapping[str, Any], values: Sequence[Any]
-):
-    """Rebuild an experiment's result object from task values.
-
-    ``values`` must be ordered by task ``index`` (the planner's
-    order); the constructed object is identical to what the serial
-    runner produces.
-    """
-    from repro.experiments import ablations, fig6, fig7, fig8, table1
-
-    opts = options[name]
-    if name == "table1":
-        return table1.assemble_table1(opts["ns"], values)
-    if name == "fig6":
-        result = fig6.Fig6Result(n_groups=opts["n_groups"])
-        for (label, _), res in zip(opts["configs"].items(), values):
-            result.results[label] = res
-        return result
-    if name == "fig7":
-        result = fig7.Fig7Result(n_groups=opts["n_groups"])
-        for (label, _), res in zip(opts["configs"].items(), values):
-            result.results[label] = res
-            result.monotone[label], result.plateau[label] = fig7.fig7_summary(res)
-        return result
-    if name == "fig8":
-        result = fig8.Fig8Result(threshold=opts["threshold"])
-        result.cpr_iterations = values[0]
-        result.iterations = {"dpr1": {}, "dpr2": {}}
-        i = 1
-        for algorithm in ("dpr1", "dpr2"):
-            for k in opts["ks"]:
-                result.iterations[algorithm][int(k)] = values[i]
-                i += 1
-        return result
-    if name == "partitioning":
-        result = ablations.PartitioningResult(n_groups=opts["n_groups"])
-        for strategy, (cut_stats, run_bytes) in zip(opts["strategies"], values):
-            result.cut_stats[strategy] = cut_stats
-            if run_bytes is not None:
-                result.run_bytes[strategy] = run_bytes
-        return result
-    if name == "transport":
-        hops, neighbors = values[0]
-        result = ablations.TransportResult(
-            n_groups=opts["n_groups"], overlay_hops=hops, overlay_neighbors=neighbors
-        )
-        for kind, res in zip(("indirect", "direct"), values[1:]):
-            result.runs[kind] = res
-        return result
-    if name == "compression":
-        result = ablations.CompressionResult()
-        for tol, (bytes_used, messages, final_error) in zip(
-            opts["thresholds"], values
-        ):
-            result.thresholds.append(float(tol))
-            result.bytes_used.append(bytes_used)
-            result.messages.append(messages)
-            result.final_errors.append(final_error)
-        return result
-    if name == "overlay_hops":
-        result = ablations.OverlayHopsResult()
-        result.rows_data.extend(values)
-        return result
-    if name == "tradeoff":
-        result = ablations.TradeoffResult()
-        for wait, duration, bytes_total, rate in values:
-            result.wait_means.append(wait)
-            result.times_to_target.append(duration)
-            result.bytes_total.append(bytes_total)
-            result.bytes_per_time_unit.append(rate)
-        return result
-    raise ValueError(f"unknown experiment: {name!r}")

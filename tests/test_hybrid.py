@@ -260,46 +260,16 @@ def test_async_flat_request_dispatches_and_converges(graph):
 
 
 # ---------------------------------------------------------------------------
-# Satellite: sub-period sampling rounds up under REPRO_STRICT_SAMPLING=0.
+# Satellite: sub-period sampling on a round-boundary engine is an error.
 # ---------------------------------------------------------------------------
 
 
-def test_subperiod_sampling_rounds_up_when_strict_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_STRICT_SAMPLING", "0")
-    with pytest.warns(RuntimeWarning, match="round boundaries"):
-        cfg = DistributedConfig(
-            n_groups=4, engine="flat", schedule="sync", t1=T, t2=T,
-            sample_interval=7.0,
-        )
-    assert cfg.sample_interval == T
-    with pytest.warns(RuntimeWarning, match="rounding sample_interval"):
-        cfg = DistributedConfig(
-            n_groups=4, engine="flat", schedule="sync", t1=T, t2=T,
-            sample_interval=15.0,
-        )
-    assert cfg.sample_interval == 2 * T
-
-
-def test_subperiod_sampling_is_an_error_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_STRICT_SAMPLING", raising=False)
-    with pytest.raises(ValueError, match="REPRO_STRICT_SAMPLING"):
+def test_subperiod_sampling_is_an_error_by_default():
+    with pytest.raises(ValueError, match="whole multiple of the synchronous period"):
         DistributedConfig(
             n_groups=4, engine="flat", schedule="sync", t1=T, t2=T,
             sample_interval=7.0,
         )
-
-
-def test_whole_multiple_sampling_needs_no_override(monkeypatch):
-    monkeypatch.setenv("REPRO_STRICT_SAMPLING", "0")
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        cfg = DistributedConfig(
-            n_groups=4, engine="flat", schedule="sync", t1=T, t2=T,
-            sample_interval=3 * T,
-        )
-    assert cfg.sample_interval == 3 * T
 
 
 # ---------------------------------------------------------------------------

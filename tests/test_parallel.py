@@ -199,3 +199,152 @@ class TestSharedWorkload:
             out_graph, out_refs = attach_workload(workload.spec())
             assert out_graph is graph
             assert out_refs["default"] is refs["default"]
+
+
+# ----------------------------------------------------------------------
+# One definition, one runner
+# ----------------------------------------------------------------------
+import dataclasses
+import inspect
+
+from repro import experiments
+from repro.experiments.chaos import chaos_point
+from repro.experiments.compression import compression_bakeoff_point
+from repro.experiments.engines import engine_bakeoff_point
+from repro.experiments.partitions import partition_bakeoff_point
+from repro.experiments.serve import serve_demo_point
+from repro.parallel import tasks
+from repro.parallel.cache import cached_call
+
+RUNNERS = {
+    "table1": experiments.run_table1,
+    "fig6": experiments.run_fig6,
+    "fig7": experiments.run_fig7,
+    "fig8": experiments.run_fig8,
+    "partitioning": experiments.run_partitioning_ablation,
+    "transport": experiments.run_transport_comparison,
+    "compression": experiments.run_compression_ablation,
+    "overlay_hops": experiments.run_overlay_hops,
+    "tradeoff": experiments.run_time_vs_bandwidth,
+}
+
+
+class TestOneRunner:
+    """``run_*`` and ``run_all`` are the same plan on the same executor."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return run_all(scale=TINY)
+
+    @pytest.fixture
+    def point_calls(self, monkeypatch):
+        """Spy on every registered point: ``[(kind, keywords), ...]``."""
+        calls = []
+        for kind, registered in list(tasks.POINTS.items()):
+
+            def spy(*inputs, _kind=kind, _fn=registered.fn, **params):
+                calls.append((_kind, params))
+                return _fn(*inputs, **params)
+
+            monkeypatch.setitem(
+                tasks.POINTS, kind, dataclasses.replace(registered, fn=spy)
+            )
+        return calls
+
+    def test_registry_is_the_suite(self):
+        assert set(tasks.REGISTRY) == set(experiments.EXPERIMENTS) == set(RUNNERS)
+
+    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
+    def test_single_run_is_the_suite_section(self, name, suite, point_calls):
+        options = suite_options(TINY)
+        run = RUNNERS[name]
+        workload = (
+            {"graph": default_graph(TINY)}
+            if "graph" in inspect.signature(run).parameters
+            else {}
+        )
+        result = run(**workload, **options.get(name, {}))
+        # Byte for byte the section run_all printed (same defaults) ...
+        assert result.format() == suite.sections[name]
+        # ... from exactly the planned point calls, in plan order.
+        assert point_calls == [
+            (task.kind, task.params) for task in plan_experiment(name, options)
+        ]
+
+    def test_unknown_option_rejected(self):
+        with pytest.raises(ValueError, match="no option"):
+            plan_experiment("fig6", {"fig6": {"n_grups": 8}})
+        with pytest.raises(TypeError):
+            experiments.run_fig6(n_grups=8)
+
+    def test_inline_run_releases_the_workload(self):
+        experiments.run_partitioning_ablation(
+            default_graph(TINY), n_groups=4, measure_traffic=False
+        )
+        with pytest.raises(RuntimeError, match="not installed"):
+            tasks.execute_task("fig8_cpr", {"threshold": 1e-4})
+
+
+#: Every cached point: the 11 suite points and the 5 bake-off points.
+CACHED_POINTS = [registered.fn for registered in tasks.POINTS.values()] + [
+    engine_bakeoff_point,
+    chaos_point,
+    compression_bakeoff_point,
+    partition_bakeoff_point,
+    serve_demo_point,
+]
+
+
+def _two_values(name, parameter):
+    """Two distinct valid bindings for one point-function parameter."""
+    if name == "graph":
+        return default_graph(TINY), default_graph(dataclasses.replace(TINY, seed=10))
+    if name in ("reference", "base_ranks"):
+        return np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
+    return {
+        "int": (3, 4),
+        "float": (0.5, 0.25),
+        "str": ("a", "b"),
+        "bool": (True, False),
+    }[parameter.annotation]
+
+
+class TestDerivedCacheKeys:
+    def test_all_sixteen_points_covered(self):
+        assert len(CACHED_POINTS) == 16
+
+    @pytest.mark.parametrize("fn", CACHED_POINTS, ids=lambda fn: fn.__name__)
+    def test_key_tracks_every_bound_argument(self, fn):
+        parameters = inspect.signature(fn).parameters
+        values = {name: _two_values(name, p) for name, p in parameters.items()}
+        call = {name: pair[0] for name, pair in values.items()}
+
+        def key(keywords):
+            return cache_key("k", fn.key_params(**keywords))
+
+        assert key(dict(reversed(call.items()))) == key(call)
+        for name, (_, other) in values.items():
+            assert key({**call, name: other}) != key(call), name
+
+    def test_key_covers_constants_defaults_and_spelling(self):
+        def fn(a, b=2, *, c=3):
+            return a + b + c
+
+        keyed = cached_call("k", period=6.0)(fn)
+        assert keyed(1) == 6
+        assert keyed.key_params(1) == {"period": 6.0, "a": 1, "b": 2, "c": 3}
+        assert keyed.key_params(1, 2, c=3) == keyed.key_params(a=1, c=3, b=2)
+        other = cached_call("k", period=7.0)(fn)
+        assert other.key_params(1) != keyed.key_params(1)
+
+    def test_cached_call_memoizes_through_the_active_cache(self, tmp_path):
+        calls = []
+
+        @cached_call("point/t")
+        def fn(x, *, y=1):
+            calls.append((x, y))
+            return x * y
+
+        with activate(ArtifactCache(tmp_path)):
+            assert [fn(2), fn(2, y=1), fn(x=2), fn(2, y=3)] == [2, 2, 2, 6]
+        assert calls == [(2, 1), (2, 3)]
