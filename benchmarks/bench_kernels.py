@@ -7,17 +7,12 @@ multi-round timing since each call is fast.
 
 Before/after cases
 ------------------
-Each allocation-free kernel introduced by the hot-path work is
-benchmarked against the naive implementation it replaced
+``jacobi_sweep`` is timed fresh-array vs. workspace out-buffer
 (``jacobi_solve`` has one implementation, the ping-pong workspace
-loop, and one case):
-
-* ``jacobi_sweep``  — fresh-array sweep vs. workspace out-buffer sweep
-* ``efferent``      — per-destination dict scan vs. stacked single SpMV
-* ``refresh_x``     — re-sum-every-call vs. incrementally maintained X
-* ``dpr2_outer_step`` — one full synchronous DPR2 round over all
-  groups (refresh X + sweep + efferent for every ranker), naive vs
-  fast; this is the composite number the acceptance gate tracks.
+loop, and one case).  The per-ranker kernels the event engine used to
+own — its stacked efferent SpMV, incremental X and DPR2 round — are
+gone: every engine now runs the flat state's kernels, which the
+end-to-end benchmark (``benchmarks/e2e``) measures.
 
 ``group_blocks_k_scaling`` times the partitioned-operator build on one
 1e5-page graph at K = 16, 64 and 256: the builder makes a fixed number
@@ -37,8 +32,6 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.core.dpr import DPRNode
-from repro.core.open_system import GroupSystem
 from repro.core.pagerank import pagerank_open
 from repro.experiments import default_graph
 from repro.graph import google_contest_like, make_partition
@@ -49,12 +42,10 @@ from repro.linalg import (
     jacobi_sweep,
     propagation_matrix,
 )
-from repro.net.message import ScoreUpdate
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_kernels.json"
 
-#: Group count for the partitioned cases — large enough that the naive
-#: per-destination dict scan (O(#cross blocks) per call) is visible.
+#: Group count for the partitioned build.
 N_GROUPS = 32
 
 #: kernel -> {"naive_ns": float, "fast_ns": float}
@@ -80,12 +71,6 @@ def graph(scale):
 @pytest.fixture(scope="module")
 def operator(graph):
     return propagation_matrix(graph, 0.85)
-
-
-@pytest.fixture(scope="module")
-def partitioned(graph):
-    part = make_partition(graph, N_GROUPS, "site")
-    return GroupSystem(graph, part)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -146,146 +131,6 @@ def test_jacobi_solve(benchmark, graph, operator):
     res = benchmark(jacobi_solve, operator, f, tol=1e-10, workspace=ws)
     assert res.converged
     _record("jacobi_solve", "fast", benchmark)
-
-
-def _naive_efferent(blocks):
-    """The pre-stacking efferent: scan every cross block (built once,
-    outside the timed calls), one SpMV per destination."""
-    cross = dict(blocks.cross)
-
-    def efferent(g, r):
-        return {h: block @ r for (src, h), block in cross.items() if src == g}
-
-    return efferent
-
-
-def test_efferent_naive(benchmark, partitioned):
-    blocks = partitioned.blocks
-    rs = [np.random.default_rng(g).random(blocks.group_size(g)) for g in range(N_GROUPS)]
-    efferent = _naive_efferent(blocks)
-
-    def all_groups():
-        return [efferent(g, rs[g]) for g in range(N_GROUPS)]
-
-    result = benchmark(all_groups)
-    assert len(result) == N_GROUPS
-    _record("efferent", "naive", benchmark)
-
-
-def test_efferent_stacked(benchmark, partitioned):
-    blocks = partitioned.blocks
-    rs = [np.random.default_rng(g).random(blocks.group_size(g)) for g in range(N_GROUPS)]
-    bufs = [blocks.efferent_buffer(g) for g in range(N_GROUPS)]
-
-    def all_groups():
-        return [blocks.efferent_into(g, rs[g], bufs[g]) for g in range(N_GROUPS)]
-
-    result = benchmark(all_groups)
-    assert len(result) == N_GROUPS
-    _record("efferent", "fast", benchmark)
-
-
-def test_refresh_x_naive(benchmark, partitioned):
-    g = max(range(N_GROUPS), key=lambda h: len(partitioned.sources_of(h)))
-    n = partitioned.group_size(g)
-    rng = np.random.default_rng(7)
-    latest = {src: rng.random(n) for src in partitioned.sources_of(g)}
-
-    def resum():
-        x = np.zeros(n)
-        for vec in latest.values():
-            x += vec
-        return x
-
-    result = benchmark(resum)
-    assert result.shape == (n,)
-    _record("refresh_x", "naive", benchmark)
-
-
-def test_refresh_x_incremental(benchmark, partitioned):
-    g = max(range(N_GROUPS), key=lambda h: len(partitioned.sources_of(h)))
-    node = DPRNode(g, partitioned.diag(g), partitioned.beta_e[g], mode="dpr2")
-    rng = np.random.default_rng(7)
-    for src in partitioned.sources_of(g):
-        node.receive(ScoreUpdate(src, g, rng.random(node.n_local), 1, generation=1))
-
-    result = benchmark(node.refresh_x)
-    assert result.shape == (node.n_local,)
-    _record("refresh_x", "fast", benchmark)
-
-
-# ----------------------------------------------------------------------
-# Composite: one synchronous DPR2 outer round over every group
-# ----------------------------------------------------------------------
-
-
-class _SeedNode:
-    """The pre-optimization DPR2 node: allocates on every call."""
-
-    def __init__(self, group, a_group, beta_e):
-        self.group = group
-        self.a_group = a_group
-        self.beta_e = beta_e
-        self.r = np.zeros(beta_e.shape[0])
-        self._latest_values = {}
-        self._latest_gen = {}
-        self.outer_iterations = 0
-
-    def receive(self, update):
-        src = update.src_group
-        if src in self._latest_gen and update.generation <= self._latest_gen[src]:
-            return
-        self._latest_gen[src] = update.generation
-        self._latest_values[src] = update.values
-
-    def step(self):
-        x = np.zeros(self.r.shape[0])
-        for vec in self._latest_values.values():
-            x += vec
-        f = self.beta_e + x
-        if self.r.shape[0]:
-            self.r = jacobi_sweep(self.a_group, self.r, f)
-        self.outer_iterations += 1
-        return self.r
-
-
-def _dpr2_round(nodes, efferent, receive_all):
-    mail = []
-    for node in nodes:
-        r = node.step()
-        for dst, values in efferent(node.group, r).items():
-            mail.append(ScoreUpdate(node.group, dst, values, 1, node.outer_iterations))
-    receive_all(mail)
-
-
-def test_dpr2_outer_step_naive(benchmark, partitioned):
-    nodes = [
-        _SeedNode(g, partitioned.diag(g), partitioned.beta_e[g])
-        for g in range(N_GROUPS)
-    ]
-
-    def receive_all(mail):
-        for u in mail:
-            nodes[u.dst_group].receive(u)
-
-    benchmark(_dpr2_round, nodes, _naive_efferent(partitioned.blocks), receive_all)
-    assert all(n.outer_iterations > 0 for n in nodes)
-    _record("dpr2_outer_step", "naive", benchmark)
-
-
-def test_dpr2_outer_step_fast(benchmark, partitioned):
-    nodes = [
-        DPRNode(g, partitioned.diag(g), partitioned.beta_e[g], mode="dpr2")
-        for g in range(N_GROUPS)
-    ]
-
-    def receive_all(mail):
-        for u in mail:
-            nodes[u.dst_group].receive(u)
-
-    benchmark(_dpr2_round, nodes, partitioned.efferent, receive_all)
-    assert all(n.outer_iterations > 0 for n in nodes)
-    _record("dpr2_outer_step", "fast", benchmark)
 
 
 # ----------------------------------------------------------------------

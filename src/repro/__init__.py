@@ -55,7 +55,6 @@ from repro.core import (
     PageRankResult,
     GroupSystem,
     group_pagerank,
-    DPRNode,
     DistributedConfig,
     DistributedRun,
     RunResult,
@@ -76,7 +75,6 @@ __all__ = [
     "PageRankResult",
     "GroupSystem",
     "group_pagerank",
-    "DPRNode",
     "DistributedConfig",
     "DistributedRun",
     "RunResult",

@@ -7,17 +7,19 @@ Layered as the paper presents it:
   open-system fixed point used as the distributed reference, "CPR").
 * :mod:`~repro.core.open_system` — §3's Open System PageRank:
   per-group operators and Algorithm 2 (``GroupPageRank``).
-* :mod:`~repro.core.dpr` — §4.2's DPR1 and DPR2 node state machines
-  (pure computation, no networking).
-* :mod:`~repro.core.ranker` — a page ranker as a simulator process:
-  wake on an exponential timer, refresh X, compute, emit Y, sleep.
-* :mod:`~repro.core.coordinator` — builds the whole distributed
-  system (graph → partition → blocks → overlay → transport → rankers)
-  and runs it to convergence, producing the traces behind Figs 6–8.
-* :mod:`~repro.core.engine` — the round loop every bulk-synchronous
-  engine shares, and the flat engine: whole-system block SpMV rounds
-  with analytically accounted traffic, bit-identical to the event
-  engine's synchronous schedule.
+* :mod:`~repro.core.dpr` — §4.2's DPR1/DPR2 group step (pure
+  computation, no networking).
+* :mod:`~repro.core.engine` — the one ranker state every engine runs
+  on (rank vector, receiver memory, counters), the round loop every
+  bulk-synchronous engine shares, and the flat engine: whole-system
+  block SpMV rounds with analytically accounted traffic, bit-identical
+  to the event engine's synchronous schedule.
+* :mod:`~repro.core.ranker` — the event engine: page rankers as
+  simulator processes over that state — wake on an exponential timer,
+  refresh X, compute, emit Y, sleep.
+* :mod:`~repro.core.coordinator` — the config, set-up and report every
+  engine shares, and the entry point that runs the engine a config
+  names, producing the traces behind Figs 6–8.
 * :mod:`~repro.core.convergence` — relative-error/monotonicity
   instrumentation (Theorems 4.1/4.2 checks).
 * :mod:`~repro.core.recovery` — checkpointing and heartbeat-triggered
@@ -36,8 +38,6 @@ from repro.core.pagerank import (
 )
 from repro.core.open_system import GroupSystem, group_pagerank
 from repro.core.hits import HITSResult, hits
-from repro.core.dpr import DPRNode
-from repro.core.ranker import PageRanker
 from repro.core.convergence import (
     ConvergenceTrace,
     Monitor,
@@ -45,12 +45,12 @@ from repro.core.convergence import (
 )
 from repro.core.coordinator import (
     DistributedConfig,
-    DistributedRun,
     RunResult,
     assemble_run_result,
     run_distributed_pagerank,
 )
 from repro.core.engine import SynchronousEngine
+from repro.core.ranker import DistributedRun, PageRanker
 
 __all__ = [
     "PageRankResult",
@@ -61,7 +61,6 @@ __all__ = [
     "group_pagerank",
     "HITSResult",
     "hits",
-    "DPRNode",
     "PageRanker",
     "ConvergenceTrace",
     "Monitor",

@@ -310,9 +310,9 @@ ENGINES: Dict[str, EngineProfile] = {
 
 
 #: Codec × engine validity table (``DistributedConfig.codec``).  The
-#: score engines all speak the delta codecs — the event engine encodes
-#: in ``PageRanker._emit``, the flat/hybrid engines at their round
-#: emit paths — while the Monte-Carlo engine ships walk tokens, not
+#: score engines all speak the delta codecs — one emit step
+#: (``SynchronousEngine._build_sends``) encodes for all three — while
+#: the Monte-Carlo engine ships walk tokens, not
 #: score vectors: its frames are exact varint gap lists
 #: (:func:`repro.net.codec.token_frame_bytes`), so the quantized
 #: ``delta-q16`` codec has nothing to quantize and is rejected.

@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.open_system import GroupSystem
 from repro.linalg.norms import l1_norm
 from repro.net.bandwidth import TrafficAccountant
 from repro.net.simulator import Simulator
@@ -186,10 +185,16 @@ class Monitor(Sampler):
     The monitor is *omniscient* — it reads every ranker's current local
     vector without network cost.  That matches the paper's methodology:
     the error curves of Figs 6–8 are measured by the experimenter, not
-    by the protocol.
+    by the protocol.  What it samples is the engine's flat state —
+    ``engine._ranks(out)``, ``engine._outer`` and
+    ``engine._quiescent_now`` — exactly what
+    :meth:`~repro.core.engine.RoundEngine.run` samples between rounds.
 
     Parameters
     ----------
+    sim, engine:
+        The simulator the sampling process runs on and the run it
+        samples (its ``reference`` and ``accountant`` too).
     target_relative_error:
         When set, :attr:`converged` flips as soon as a sample meets
         the threshold; the coordinator uses it to stop the run.
@@ -199,7 +204,7 @@ class Monitor(Sampler):
         least once and every ranker's last outer-step change
         ``‖ΔR‖₁`` stays at or below this value for
         ``quiescence_samples`` consecutive samples.  Theorem 3.3 turns
-        each node's step delta into a bound on its distance to the
+        each group's step delta into a bound on its distance to the
         local fixed point, so small deltas everywhere (with no larger
         afferent updates arriving between samples) certify global
         convergence — this is the termination rule the paper's
@@ -209,12 +214,9 @@ class Monitor(Sampler):
     def __init__(
         self,
         sim: Simulator,
-        system: GroupSystem,
-        rankers: Sequence,
-        reference: np.ndarray,
+        engine,
         *,
         interval: float = 1.0,
-        accountant: Optional[TrafficAccountant] = None,
         target_relative_error: Optional[float] = None,
         quiescence_delta: Optional[float] = None,
         quiescence_samples: int = 3,
@@ -222,18 +224,14 @@ class Monitor(Sampler):
         if interval <= 0:
             raise ValueError("interval must be > 0")
         super().__init__(
-            reference,
-            accountant,
+            engine.reference,
+            engine.accountant,
             target_relative_error=target_relative_error,
             quiescence_delta=quiescence_delta,
             quiescence_samples=quiescence_samples,
         )
         self.sim = sim
-        self.system = system
-        # Deliberately NOT copied: the recovery layer swaps replacement
-        # rankers into the live list in place, and the monitor must
-        # sample the current occupant of each group, not a stale one.
-        self.rankers = rankers
+        self.engine = engine
         self.interval = float(interval)
         self._stopped = False
 
@@ -246,23 +244,13 @@ class Monitor(Sampler):
         """Stop scheduling further samples."""
         self._stopped = True
 
-    def current_ranks(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Assemble the instantaneous global rank vector."""
-        return self.system.assemble([rk.node.r for rk in self.rankers], out=out)
-
     # ------------------------------------------------------------------
     def _sample(self) -> None:
         if self._stopped:
             return
-        nodes = [rk.node for rk in self.rankers]
+        eng = self.engine
         self.sample(
-            self.sim.now,
-            self.current_ranks(out=self.buffer),
-            np.array([n.outer_iterations for n in nodes], dtype=np.int64),
-            lambda delta: all(
-                n.outer_iterations > 0 and n.last_step_delta <= delta
-                for n in nodes
-            ),
+            self.sim.now, eng._ranks(self.buffer), eng._outer, eng._quiescent_now
         )
         if not self.converged and not self.quiescent:
             self.sim.schedule(self.interval, self._sample)

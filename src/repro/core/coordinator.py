@@ -1,10 +1,14 @@
 """End-to-end orchestration of a distributed page-ranking run.
 
 :func:`run_distributed_pagerank` is the package's main entry point: it
-wires graph → partition → :class:`~repro.core.open_system.GroupSystem`
-→ overlay → transport → rankers → monitor, runs the event simulation
-until convergence (or a time budget), and returns a
-:class:`RunResult` carrying everything the paper's figures plot.
+builds the engine the config names — by default the event engine
+(:class:`~repro.core.ranker.DistributedRun`), which wires graph →
+partition → :class:`~repro.core.open_system.GroupSystem` → overlay →
+transport → rankers → monitor and runs the event simulation — until
+convergence (or a time budget), and returns a :class:`RunResult`
+carrying everything the paper's figures plot.  This module holds what
+every engine shares: the validity table (:class:`DistributedConfig`),
+the set-up (:class:`RunSetup`) and the report (:class:`RunResult`).
 
 The experiment parameters mirror §5 exactly: ``K`` page groups, wait
 means drawn from ``[T1, T2]``, per-node exponential waits, delivery
@@ -30,17 +34,14 @@ from repro.core.capabilities import (
     resolve_engine,
     validate_config,
 )
-from repro.core.convergence import ConvergenceTrace, Monitor
-from repro.core.dpr import ALGORITHMS, INNER_SOLVERS, DPRNode
-from repro.core.faultplane import FaultPlane
+from repro.core.convergence import ConvergenceTrace
+from repro.core.dpr import ALGORITHMS, INNER_SOLVERS
 from repro.core.open_system import GroupSystem
-from repro.core.ranker import MIN_MEAN_WAIT, PageRanker
-from repro.core.recovery import RecoveryManager
 from repro.graph.partition import STRATEGIES, Partition, make_partition
 from repro.graph.webgraph import WebGraph
 from repro.linalg.montecarlo import DANGLING_MODES, WALK_MODES
 from repro.net.bandwidth import TrafficAccountant, TrafficSnapshot
-from repro.net.failures import BernoulliLoss, NodePauseInjector, NoLoss
+from repro.net.failures import BernoulliLoss, NoLoss
 from repro.net.latency import FixedLatency
 from repro.net.simulator import Simulator
 from repro.net.transport import TRANSPORTS, Transport, build_transport
@@ -61,6 +62,7 @@ from repro.utils.validation import (
 
 __all__ = [
     "GROUPS",
+    "MIN_MEAN_WAIT",
     "DistributedConfig",
     "DistributedRun",
     "RunResult",
@@ -71,6 +73,20 @@ __all__ = [
     "config_transport",
     "run_distributed_pagerank",
 ]
+
+#: Waits are clamped below to keep a mean of exactly 0 (possible when
+#: T1 = T2 = 0) from livelocking the event loop at one instant.
+MIN_MEAN_WAIT = 1e-3
+
+
+def __getattr__(name: str):
+    # The event engine runs on the round engines' flat state, whose
+    # module imports this one; it is resolved here on first use.
+    if name == "DistributedRun":
+        from repro.core.ranker import DistributedRun
+
+        return DistributedRun
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Field groups of :class:`DistributedConfig`, in table order: heading →
@@ -292,7 +308,7 @@ class DistributedConfig:
         "--heartbeat-miss",
     )
     checkpoint_interval: float = _spec(
-        0.0, NON_NEGATIVE, "recovery", "DPRNode state snapshot period (0 disables)"
+        0.0, NON_NEGATIVE, "recovery", "ranker state snapshot period (0 disables)"
     )
     recovery: bool = _spec(
         False, BOOLEAN, "recovery",
@@ -487,7 +503,7 @@ def assemble_run_result(
     """Build a :class:`RunResult` from one finished run's pieces.
 
     This is the single reporting path shared by the event engine
-    (:class:`DistributedRun`) and the flat engine
+    (:class:`~repro.core.ranker.DistributedRun`) and the flat engine
     (:class:`~repro.core.engine.SynchronousEngine`): the traffic
     snapshot is taken here, from the one :class:`TrafficAccountant`
     both engines feed, so reported totals always come out of the same
@@ -545,7 +561,7 @@ class RunSetup:
     the centralized reference, the overlay, the traffic accountant, the
     origin loss model, the shared wire-codec session manager and the
     synchronous period.  The event engine
-    (:class:`DistributedRun`) and the round engines
+    (:class:`~repro.core.ranker.DistributedRun`) and the round engines
     (:mod:`repro.core.engine`, :mod:`repro.core.hybrid`) all start
     here, so one seed gives every engine the same partition, overlay
     ids and loss stream.  Named streams are independent: which of them
@@ -663,180 +679,6 @@ class RunSetup:
         }
 
 
-class DistributedRun(RunSetup):
-    """A fully wired distributed page-ranking system, ready to run.
-
-    Splitting construction from :meth:`run` lets tests and examples
-    poke at the assembled parts (rankers, transport, overlay) and
-    inject faults before or during execution.
-    """
-
-    def __init__(
-        self,
-        graph: WebGraph,
-        config: DistributedConfig,
-        *,
-        partition: Optional[Partition] = None,
-        reference: Optional[np.ndarray] = None,
-    ):
-        super().__init__(graph, config, partition=partition, reference=reference)
-        seeds = self._seeds
-        self.sim = Simulator()
-        self.rankers: List[PageRanker] = []
-        #: Reliability layer now (rankers are wired to its transport),
-        #: fault processes once the ranker list is populated.
-        self.faults = FaultPlane(
-            self.sim,
-            self.rankers,
-            config,
-            seeds,
-            self._make_replacement,
-            transport=config_transport(
-                config, self.sim, self.overlay, self.accountant, self._loss
-            ),
-        )
-        self.transport = self.faults.transport
-
-        self._mean_waits = self._group_mean_waits()
-        for g in range(config.n_groups):
-            self.rankers.append(self._make_ranker(g, seeds.generator(f"wait/{g}")))
-        self.transport.attach(self._deliver)
-        self.monitor: Optional[Monitor] = None
-        self.faults.install()
-
-    @property
-    def recovery(self) -> Optional[RecoveryManager]:
-        """The takeover manager (None unless ``config.recovery``)."""
-        return self.faults.recovery
-
-    # ------------------------------------------------------------------
-    def _make_ranker(self, g: int, seed) -> PageRanker:
-        cfg = self.config
-        node = DPRNode(
-            g,
-            self.system.diag(g),
-            self.system.beta_e[g],
-            mode=cfg.algorithm,
-            local_tol=cfg.local_tol,
-            max_inner=cfg.max_inner,
-            inner_solver=cfg.inner_solver,
-        )
-        return PageRanker(
-            self.sim,
-            node,
-            self.system,
-            self.transport,
-            mean_wait=self._mean_waits[g],
-            seed=seed,
-            suppress_tol=cfg.suppress_tol,
-            fixed_wait=cfg.schedule == "sync",
-            codec=self._codec,
-        )
-
-    def _make_replacement(self, g: int, epoch: int) -> PageRanker:
-        """Recovery factory: a blank ranker for group ``g`` with a
-        private deterministic stream per takeover epoch."""
-        return self._make_ranker(g, self._seeds.generator(f"recovery/{g}/{epoch}"))
-
-    def _deliver(self, dst_group: int, update) -> None:
-        self.rankers[dst_group].receive(update)
-
-    def install_pause_injector(self, injector: NodePauseInjector) -> None:
-        """Add node churn to the run (must be called before :meth:`run`)."""
-        injector.install(self.sim, self.rankers)
-
-    def warm_start(self, ranks: np.ndarray) -> None:
-        """Seed the run with a prior global rank vector.
-
-        Setting each node's ``r`` alone is not enough: the outer step
-        recomputes ``R`` from ``βE + X``, so with empty afferent state
-        the first step erases the carried ranks before they are ever
-        sent.  This scatters ``ranks`` into every node *and* seeds each
-        node's afferent state with the generation-0 contributions its
-        sources would have sent for those ranks, so the first outer
-        step refines the previous fixed point instead of starting over.
-        Must be called before :meth:`run`.
-        """
-        ranks = np.asarray(ranks, dtype=np.float64)
-        if ranks.shape != (self.graph.n_pages,):
-            raise ValueError(
-                f"warm-start vector has shape {ranks.shape}, "
-                f"want ({self.graph.n_pages},)"
-            )
-        pages = self.system.blocks.pages
-        for g, ranker in enumerate(self.rankers):
-            ranker.node.r = ranks[pages[g]].copy()
-        for g, ranker in enumerate(self.rankers):
-            # ``efferent`` returns views into one shared buffer;
-            # ``seed_afferent`` copies before storing.
-            for dst, values in self.system.efferent(g, ranker.node.r).items():
-                self.rankers[dst].node.seed_afferent(g, values)
-
-    def run(
-        self,
-        *,
-        max_time: float = 1000.0,
-        target_relative_error: Optional[float] = None,
-        quiescence_delta: Optional[float] = None,
-        quiescence_samples: int = 3,
-    ) -> RunResult:
-        """Execute the simulation and gather results.
-
-        The run stops at the first of: the target relative error being
-        reached (sampled at ``config.sample_interval``), system-wide
-        quiescence (when ``quiescence_delta`` is set — the
-        reference-free termination rule, held for
-        ``quiescence_samples`` consecutive samples; see
-        :class:`~repro.core.convergence.Monitor`), or simulated time
-        ``max_time``.
-        """
-        cfg = self.config
-        monitor = self.monitor = Monitor(
-            self.sim,
-            self.system,
-            self.rankers,
-            self.reference,
-            interval=cfg.sample_interval,
-            accountant=self.accountant,
-            target_relative_error=target_relative_error,
-            quiescence_delta=quiescence_delta,
-            quiescence_samples=quiescence_samples,
-        )
-        monitor.start()
-        for ranker in self.rankers:
-            ranker.start()
-        self.faults.start()
-        stop = None
-        if target_relative_error is not None or quiescence_delta is not None:
-            def stop() -> bool:
-                return monitor.converged or monitor.quiescent
-        self.sim.run(until=max_time, stop_condition=stop)
-        monitor.stop()
-        self.faults.stop()
-
-        return assemble_run_result(
-            ranks=monitor.current_ranks(),
-            reference=self.reference,
-            trace=monitor.trace,
-            converged=monitor.converged,
-            time_to_target=monitor.target_time,
-            outer_iterations=np.array(
-                [rk.node.outer_iterations for rk in self.rankers], dtype=np.int64
-            ),
-            inner_sweeps=np.array(
-                [rk.node.inner_sweeps for rk in self.rankers], dtype=np.int64
-            ),
-            accountant=self.accountant,
-            now=self.sim.now,
-            dropped_updates=self.transport.dropped_updates,
-            quiescent=monitor.quiescent,
-            quiescence_time=monitor.quiescence_time,
-            config=cfg,
-            codec_stats=self._codec_stats(),
-            **self.faults.counters(self.sim.now),
-        )
-
-
 def run_distributed_pagerank(
     graph: WebGraph,
     config: Optional[DistributedConfig] = None,
@@ -866,6 +708,7 @@ def run_distributed_pagerank(
     # Imported lazily: the engine modules import coordinator types.
     from repro.core.engine import MonteCarloEngine, SynchronousEngine
     from repro.core.hybrid import HybridEngine
+    from repro.core.ranker import DistributedRun
 
     engine_class = {
         "event": DistributedRun,

@@ -1,28 +1,58 @@
-"""Vectorized bulk-synchronous execution engine (the "flat" engine).
+"""The one ranker state, and the bulk-synchronous engines that run on it.
 
-The event engine (:class:`~repro.core.coordinator.DistributedRun`)
-replays every score update as a simulator event: one Python object per
-(source, destination) pair per outer loop, one heap operation per
-delivery, one ``DPRNode.receive`` per update.  That faithfully models
-the paper's asynchronous timing, but when the *schedule* is
-synchronous — every ranker ticking at the same fixed period — the
-per-message machinery computes exactly one bulk-synchronous round per
-tick, and the whole round collapses into dense linear algebra:
+A ranker of the paper (§4.2, Algorithms 3–4) holds its group's rank
+vector, the newest afferent vector per source and a few counters, and
+loops: refresh X, compute R, emit Y.  :class:`SynchronousEngine` holds
+all K rankers' state as flat arrays — the *flat state* — and every
+score-exchanging engine runs on it:
+
+* ``_r`` — the rank vector, group-major (group ``g`` owns
+  ``_r[_slices[g]]``);
+* ``_recv`` / ``_recv_gen`` / ``_recv_rank`` — the *flat receiver
+  memory*: what each receiver holds of each pair, laid out like the
+  compressed ``Y`` vector, with the generation it carried (-1: nothing
+  yet, elements ``+0.0``) and the pair's first-arrival stamp;
+* ``_outer`` / ``_last_delta`` / ``_inner_sweeps`` / ``_stale`` — the
+  per-group counters.
+
+Three steps change it, each written once: the *group step*
+(:meth:`SynchronousEngine._step_groups`, over
+:func:`repro.core.dpr.group_step`), the *emit step*
+(:meth:`SynchronousEngine._build_sends`: threshold suppression or one
+wire-codec call per source) and the *receive rule*
+(:meth:`SynchronousEngine._accept`: stale generations counted, first
+arrivals stamped).  A ranker entry of the fault plane sees its group's
+share through one checkpoint format
+(:class:`repro.core.ranker.RankerState`).  The engines differ only in
+who steps when and how a send travels:
+
+* **flat** (this module) — every group steps every round; the round
+  ledger charges the sends;
+* **hybrid** (:mod:`repro.core.hybrid`) — the due, live groups step;
+  the ledger, an ARQ replay or the fault plane's real transport
+  charges;
+* **event** (:class:`repro.core.ranker.DistributedRun`) — one ranker
+  steps per simulated wake, and its sends travel the real transport as
+  :class:`~repro.net.message.ScoreUpdate` messages.
+
+A flat round
+------------
+When the *schedule* is synchronous — every ranker ticking at the same
+fixed period — the event engine's per-message machinery computes
+exactly one bulk-synchronous round per tick, and the whole round
+collapses into sparse linear algebra:
 
 * **compute** — the K in-group operators ``A_G`` are one
   block-diagonal CSR (built that way, straight from the edge list, by
   :func:`~repro.linalg.operators.group_blocks`), so a DPR2 outer loop
   over the entire system is *one* SpMV over the concatenated rank
-  vector (plus one fused add/delta pass); DPR1 runs the same per-group
-  warm-started Jacobi solves as the event engine, sharing its
-  :class:`~repro.linalg.jacobi.JacobiWorkspace` kernels;
-* **communicate** — the K stacked efferent operators are one
-  whole-system *cut matrix* (same builder), compressed to its
-  structurally nonzero rows, so every efferent vector ``Y`` of the
-  round is one more SpMV over exactly the cross-link elements; what
-  survives the round lands in one *flat receiver memory* — a vector
-  ``recv`` laid out like ``Y``, with a generation and a first-arrival
-  stamp per pair — by one masked copy, and every afferent sum of the
+  vector (plus one fused add/delta pass); DPR1 runs the per-group
+  warm-started Jacobi solves;
+* **communicate** — the cut links form one whole-system *cut matrix*
+  (same builder), compressed to its structurally nonzero rows, so
+  every efferent vector ``Y`` of the round is one more SpMV over
+  exactly the cross-link elements; what survives the round lands in the
+  receiver memory by one masked copy, and every afferent sum of the
   next round is a third SpMV ``X = F·recv`` against a 0/1 *afferent
   matrix* whose per-row storage order replays the observed
   first-arrival order — lossless or lossy, coded or not;
@@ -40,81 +70,74 @@ tick, and the whole round collapses into dense linear algebra:
   per run for the uncoded full pair set.  Either way the charges and
   the delivery order are exactly the real transport's.
 
-One loop, one round, one receiver memory
-----------------------------------------
+One loop, one round
+-------------------
 Every round engine — this one, the Monte-Carlo engine below, and the
-hybrid engine of :mod:`repro.core.hybrid` — is a :class:`RoundEngine`:
-it supplies ``_round`` and its current ranks, and inherits the one
-tick/sample/stop loop (:meth:`RoundEngine.run`) over the one sample
-body (:class:`~repro.core.convergence.Sampler`) the event engine's
-monitor also uses.  A score-exchanging round is the paper's outer loop
-(§4.2, Algorithms 3–4) applied to the groups that step
-(:meth:`SynchronousEngine._round`):
+hybrid engine — is a :class:`RoundEngine`: it supplies ``_round`` and
+its current ranks, and inherits the one tick/sample/stop loop
+(:meth:`RoundEngine.run`) over the one sample body
+(:class:`~repro.core.convergence.Sampler`) the event engine's monitor
+also uses.  A score-exchanging round is the paper's outer loop applied
+to the groups that step (:meth:`SynchronousEngine._round`):
 
 1. **refresh** — ``X = F·recv`` over whatever has landed
    (:meth:`SynchronousEngine._refresh`);
 2. **compute** — the stepping groups' update of ``R``
    (:meth:`SynchronousEngine._compute`): the whole-system dpr2 sweep
-   when every group steps, else group by group through
-   :func:`repro.core.dpr.group_step`, the very function
-   ``DPRNode.step`` calls;
-3. **emit** — ``Y`` by the cut SpMV, then one *emit step*:
-   :meth:`SynchronousEngine._build_sends` lists the round's sends in
-   emission order — under a wire codec with **one codec call per
-   source**: a source's efferent segments sit contiguously in ``Y``, so
-   its whole emission (every destination's suppress / quantize /
-   exact-flush verdict and frame size) is one vectorized pass of
-   :meth:`~repro.net.adaptive.AdaptiveCodec.encode` over that span, K
-   calls a round rather than one per communicating pair; without a
-   codec, per-pair threshold suppression — and an *accounting backend*
-   charges and routes them: here the round ledger above; the hybrid
-   engine adds an ARQ protocol replay and its fault plane's real
-   transport;
-4. **land** — the arrivals, in delivery order, enter the receiver
-   memory (:meth:`SynchronousEngine._land`): ``DPRNode.receive`` for
-   all of them at once — stale generations counted, first arrivals
-   stamped, the fresh pairs' segments copied.
+   when every group steps, else the group step;
+3. **emit** — ``Y`` by the cut SpMV, then the emit step lists the
+   round's sends in emission order — under a wire codec with **one
+   codec call per source**: a source's efferent segments sit
+   contiguously in ``Y``, so its whole emission (every destination's
+   suppress / quantize / exact-flush verdict and frame size) is one
+   vectorized pass of :meth:`~repro.net.adaptive.AdaptiveCodec.encode`
+   over that span — and an *accounting backend* charges and routes
+   them: here the round ledger above;
+4. **land** — the arrivals, in delivery order, go through the receive
+   rule and the fresh pairs' segments are copied
+   (:meth:`SynchronousEngine._land`).
 
-The flat engine is the case "every group steps, round ledger"; the
-hybrid engine changes who steps and how sends are charged, nothing
-else.
+An event wake is the same four steps for one group: its rows of ``F``,
+the group step, its span of cut rows, its emission.
 
 Bit-identity
 ------------
-The engine is not approximately equivalent to the event engine under
-the synchronous schedule — it is **bit-identical**, which the
-equivalence tests assert.  The reasoning:
+Under the synchronous schedule the flat engine is not approximately
+equivalent to the event engine — it is **bit-identical**, which the
+equivalence tests assert.  Both run the same group step on the same
+slices, so what has to agree is the arithmetic of the whole-system
+kernels and the order things happen in:
 
 * block-diagonal SpMV: each output row's dot product runs over the
   same stored values in the same order as the per-block SpMV, so IEEE
-  non-associativity never enters;
-* the cut-matrix SpMV likewise reproduces each group's stacked
-  efferent product row for row; dropping the cut matrix's structurally
-  *empty* rows is exact because every score is nonnegative, so the
-  event engine's adds of those always-``+0.0`` elements
-  (``x + 0.0 == x`` bitwise for ``x ≥ +0.0``) never change a single
-  bit of any afferent sum;
-* afferent sums: a :class:`~repro.core.dpr.DPRNode` re-sums its
-  newest per-source vectors in *first-arrival order* (dict insertion
-  order).  Here that order lives in per-pair stamps: a pair is stamped
-  when its first frame lands, in the delivery order the accounting
-  step reports — the event simulator's own: every send of a round is
-  scheduled at the tick, so ``(time, sequence)`` order is a stable
-  sort of the arrival times in emission order.  ``F``'s rows are laid
-  out in stamp order, and scipy's CSR kernel accumulates each output
-  row over its stored entries *in storage order*, so ``X = F·recv``
-  performs the node's vector adds scalar for scalar.  A pair whose
-  first frame ships — or survives the loss model — rounds after its
-  neighbours' keeps that later place, as in the node's dict; ``F`` is
-  rebuilt only after a round that saw a first arrival.  A pair that
-  has not arrived holds only ``+0.0``, which a nonnegative sum cannot
-  see;
+  non-associativity never enters; the whole cut SpMV likewise
+  reproduces each source's span of cut rows row for row;
+* afferent sums: ``F``'s rows store their entries in first-arrival
+  (stamp) order, and scipy's CSR kernel accumulates each output row
+  over its stored entries *in storage order*.  A pair is stamped when
+  its first frame lands, in delivery order — the event simulator's
+  own there, and here the order the accounting step reports: every
+  send of a round is scheduled at the tick, so ``(time, sequence)``
+  order is a stable sort of the arrival times in emission order.  A
+  pair whose first frame ships — or survives the loss model — rounds
+  after its neighbours' keeps that later place; ``F`` is rebuilt only
+  after a round that saw a first arrival;
 * loss draws: the Bernoulli stream is consumed in (source group
   ascending, destination ascending) order, exactly the order rankers
   tick and emit in a synchronous event round.
 
+The compressed memory is also bit-identical to the receiver §4.2
+describes — per destination the newest *dense* vector per source,
+re-summed in first-arrival order (the reference the tests keep beside
+the engines): dropping the cut matrix's structurally *empty* rows is
+exact because every score is nonnegative, so the dense receiver's adds
+of those always-``+0.0`` elements (``x + 0.0 == x`` bitwise for
+``x ≥ +0.0``) never change a single bit of any afferent sum, and a pair
+that has not arrived holds only ``+0.0``, which a nonnegative sum
+cannot see.
+
 Use ``DistributedConfig(engine="flat")`` (CLI ``--engine flat``) to
-select it end to end; results come back as the same
+select the flat engine end to end; results come back as the same
 :class:`~repro.core.coordinator.RunResult` via the shared
 :func:`~repro.core.coordinator.assemble_run_result` reporting path.
 """
@@ -214,6 +237,13 @@ def _replay_transport_round(
         transport.send_updates(g, list(batch))
     sim.run()
     return np.array(order, dtype=np.int64)
+
+
+def _positions_by(keys: np.ndarray, k: int) -> List[np.ndarray]:
+    """For each value ``0 … k-1``, the positions of ``keys`` holding it,
+    ascending."""
+    bounds = np.cumsum(np.bincount(keys, minlength=k))[:-1]
+    return np.split(np.argsort(keys, kind="stable"), bounds)
 
 
 def paper_round_estimate(
@@ -424,12 +454,14 @@ class RoundEngine(RunSetup):
 
 
 class SynchronousEngine(RoundEngine):
-    """Whole-system block-SpMV runner for failure-free synchronous runs.
+    """The flat state (module docstring), and the flat engine: whole-
+    system block-SpMV rounds for failure-free synchronous runs.
 
-    Construction mirrors :class:`~repro.core.coordinator.DistributedRun`
-    (same partition, overlay, and loss streams from the same named
-    seeds), then flattens the K per-group operators into two global
-    matrices.  :meth:`run` executes ticks at the common period
+    Construction starts from :class:`~repro.core.coordinator.RunSetup`
+    (the partition, overlay, and loss streams every engine draws from
+    the same named seeds), then allocates the flat state around the
+    builder's two global operators.  :meth:`run` executes ticks at the
+    common period
     ``max((t1+t2)/2, MIN_MEAN_WAIT)`` until ``max_time``, a target
     error, or quiescence — the same stop conditions the event engine's
     monitor applies.
@@ -459,12 +491,12 @@ class SynchronousEngine(RoundEngine):
         # (repro.linalg.operators): the block-diagonal in-group
         # operator, the whole-system cut operator compressed to its
         # structurally nonzero rows — a dense efferent segment's zero
-        # rows are always exactly +0.0 in the event engine too, and
-        # adding +0.0 to a nonnegative score is a bitwise no-op (module
-        # docstring) — and, per ordered (src, dst) pair in emission
-        # order (also the event engine's loss draw order), the pair's
-        # span of the compressed Y vector and its link-record count.
-        # What follows only allocates round state around them.
+        # rows are always exactly +0.0, and adding +0.0 to a
+        # nonnegative score is a bitwise no-op (module docstring) — and,
+        # per ordered (src, dst) pair in emission order (also the loss
+        # draw order), the pair's span of the compressed Y vector and
+        # its link-record count.  What follows only allocates state
+        # around them.
         blocks = self.system.blocks
         sizes = [blocks.group_size(g) for g in range(k)]
         offsets = self._offsets = blocks.offsets
@@ -539,15 +571,19 @@ class SynchronousEngine(RoundEngine):
         #: receiver holds of each pair, laid out like ``_y``, with the
         #: generation it carried (-1: nothing yet, elements +0.0), the
         #: pair's first-arrival stamp, and the stale arrivals rejected
-        #: per destination — ``DPRNode.receive``'s bookkeeping as
-        #: arrays.  F (``X = F·recv``) is built on first use.
+        #: per destination.  F (``X = F·recv``) is built on first use,
+        #: whole (a round) or one destination's rows (an event wake).
         self._recv = np.zeros(n_nz, dtype=np.float64)
         self._recv_gen = np.full(self._pair_src.size, -1, dtype=np.int64)
         self._recv_rank = np.zeros_like(self._recv_gen)
         self._arrivals = 0
         self._recv_matrix: Optional[sp.csr_matrix] = None
+        self._aff_ops: List[Optional[sp.csr_matrix]] = [None] * k
         self._pair_len = np.diff(start)
         self._stale = np.zeros(k, dtype=np.int64)
+        #: Transport deliveries not yet landed, in delivery order
+        #: (:meth:`_on_deliver`).
+        self._inbox: List[ScoreUpdate] = []
         #: Last segment sent per pair position (threshold suppression only).
         self._last_sent: Dict[int, np.ndarray] = {}
         # Per-group solves run sequentially and copy their result out
@@ -571,8 +607,8 @@ class SynchronousEngine(RoundEngine):
         """The pair table row by row — ``(src, dst, slice of the
         compressed Y vector, destination-local rows, link records)`` —
         for the paths that are per-pair Python anyway: threshold
-        suppression and the fault plane's real transport.  Rounds on
-        the array paths never build it."""
+        suppression and the real transport's messages.  Rounds on the
+        array paths never build it."""
         start = self._pair_start.tolist()
         return [
             (g, h, slice(a, b), self._row_map[a:b], records)
@@ -584,6 +620,18 @@ class SynchronousEngine(RoundEngine):
                 self._pair_records.tolist(),
             )
         ]
+
+    @cached_property
+    def _aff_pairs(self) -> List[np.ndarray]:
+        """Per destination, the positions of its afferent pairs
+        (sources ascending)."""
+        return _positions_by(self._pair_dst, self.n_groups)
+
+    @cached_property
+    def _aff_elems(self) -> List[np.ndarray]:
+        """Per destination, its elements of ``_recv`` — what a
+        checkpoint gathers and a blank replacement zeroes."""
+        return _positions_by(np.repeat(self._pair_dst, self._pair_len), self.n_groups)
 
     # ------------------------------------------------------------------
     def group_ranks(self) -> List[np.ndarray]:
@@ -662,23 +710,27 @@ class SynchronousEngine(RoundEngine):
         self.accountant.merge(acc)
         return order
 
-    def _build_afferent(self, order: np.ndarray) -> sp.csr_matrix:
-        """Assemble the 0/1 afferent matrix F with X = F·recv.
+    def _build_afferent(
+        self, order: np.ndarray, rows: Optional[slice] = None
+    ) -> sp.csr_matrix:
+        """Assemble the 0/1 afferent matrix F with X = F·recv — whole,
+        or only the group-major ``rows`` of one destination.
 
         Row ``offsets[dst] + i`` holds one unit entry per source whose
         efferent segment touches destination-local element ``i``, with
         the entries *stored in the first-arrival order* ``order`` lists
-        the pair positions in.  scipy's CSR matvec kernel accumulates
-        each row sequentially over its stored entries, so F reproduces
-        the event engine's per-destination vector-add sequence scalar
-        for scalar.
+        the pair positions in (for ``rows``: the destination's afferent
+        pairs).  scipy's CSR matvec kernel accumulates each row
+        sequentially over its stored entries, so F reproduces a
+        receiver's per-source vector-add sequence scalar for scalar.
 
         List the elements of Y pair by pair in arrival order, each with
-        the global row it adds into, and transpose: the CSC → CSR
-        conversion is a stable counting sort by row, so every row keeps
-        its elements in arrival order.
+        the row it adds into, and transpose: the CSC → CSR conversion is
+        a stable counting sort by row, so every row keeps its elements
+        in arrival order.
         """
-        n_rows, n_nz = self._x.size, self._y.size
+        rows = slice(0, self._x.size) if rows is None else rows
+        n_rows, n_nz = rows.stop - rows.start, self._y.size
         idx_dtype = np.int32 if n_nz < 2**31 else np.int64
         start = self._pair_start
         lens = self._pair_len[order]
@@ -686,11 +738,11 @@ class SynchronousEngine(RoundEngine):
         elems = np.arange(total, dtype=idx_dtype) + np.repeat(
             start[order] - (np.cumsum(lens) - lens), lens
         ).astype(idx_dtype)
-        rows = self._row_map[elems] + np.repeat(
-            self._offsets[self._pair_dst[order]], lens
+        local = self._row_map[elems] + np.repeat(
+            self._offsets[self._pair_dst[order]] - rows.start, lens
         )
         by_row = sp.csc_matrix(
-            (elems, rows, np.arange(total + 1, dtype=idx_dtype)),
+            (elems, local, np.arange(total + 1, dtype=idx_dtype)),
             shape=(n_rows, total),
         ).tocsr()
         return sp.csr_matrix(
@@ -710,21 +762,18 @@ class SynchronousEngine(RoundEngine):
 
         Under a wire codec each source is **one** codec call: its
         contiguous span of the compressed Y vector, the pair starts
-        within it and the span's nonzero-row map (so frame bytes match
-        the event engine's dense emissions — see
-        :meth:`AdaptiveCodec.encode`) go in, and the per-destination
-        verdicts come back.  A pair the budget lets the codec suppress
-        ships nothing; the source's reconstruction mirror — every
-        receiver's exact post-frame state — is copied into its span of
-        ``_held``.  At ε_comm = 0 the reconstruction equals the true
+        within it and the span's nonzero-row map (so a frame's indices
+        are destination pages — see :meth:`AdaptiveCodec.encode`) go
+        in, and the per-destination verdicts come back.  A pair the
+        budget lets the codec suppress ships nothing; the source's
+        reconstruction mirror — every receiver's exact post-frame
+        state — is copied into its span of ``_held``.  At ε_comm = 0 the reconstruction equals the true
         segment bit for bit.
 
         Without a codec ``_held`` is Y itself, and threshold
         suppression filters (config validation makes it and the codec
         mutually exclusive): a pair whose segment moved at most
-        ``suppress_tol`` in L1 since it was last sent ships nothing;
-        the compressed diff equals the dense diff because
-        structurally-zero rows are +0.0 on both sides.
+        ``suppress_tol`` in L1 since it was last sent ships nothing.
 
         Either way a pair's slice of ``_held`` stays valid until the
         source's next emission; a backend that keeps it past the round
@@ -782,35 +831,133 @@ class SynchronousEngine(RoundEngine):
             idx, wire_bytes = idx[keep], wire_bytes[keep]
         self._land(idx[self._charge(idx, wire_bytes)])
 
-    def _land(self, arrived: np.ndarray) -> None:
-        """Deliver the pairs ``arrived`` (delivery order) into the flat
-        receiver memory: ``DPRNode.receive``'s bookkeeping for all of
-        them at once — stale generations counted against their
-        destinations, first arrivals stamped — then one masked copy of
-        the fresh pairs' segments of ``_held``.  A source's generation
-        is its outer count at emission, so only a sender rolled back by
-        a takeover presents a stale one."""
-        gens = self._outer[self._pair_src[arrived]]
-        fresh = gens > self._recv_gen[arrived]
-        np.add.at(self._stale, self._pair_dst[arrived[~fresh]], 1)
-        arrived = arrived[fresh]
-        first = arrived[self._recv_gen[arrived] < 0]
+    def _accept(self, pairs: np.ndarray, gens: np.ndarray) -> np.ndarray:
+        """The receive rule, for arrivals of the distinct ``pairs``
+        (delivery order) stamped with generations ``gens``.
+
+        An arrival whose generation is at or below the one its pair
+        holds is stale and counted against its destination (a sender's
+        generation is its outer count at emission, so only a duplicate,
+        a reordered frame or a sender rolled back by a takeover presents
+        one).  A pair's first fresh arrival takes the last place in its
+        destination's summation order for good (F is rebuilt before its
+        next use).  Records the fresh pairs' generations and returns
+        those pairs; the caller copies their payloads into ``_recv``.
+        """
+        fresh = gens > self._recv_gen[pairs]
+        if not fresh.all():
+            np.add.at(self._stale, self._pair_dst[pairs[~fresh]], 1)
+        pairs = pairs[fresh]
+        first = pairs[self._recv_gen[pairs] < 0]
         if first.size:
-            # A first arrival takes the last place in its destination's
-            # summation order for good; F is rebuilt before its next use.
             self._recv_rank[first] = self._arrivals + np.arange(first.size)
             self._arrivals += first.size
             self._recv_matrix = None
-        self._recv_gen[arrived] = gens[fresh]
+            for h in self._pair_dst[first].tolist():
+                self._aff_ops[h] = None
+        self._recv_gen[pairs] = gens[fresh]
+        return pairs
+
+    def _land(self, arrived: np.ndarray) -> None:
+        """Deliver a round's pairs ``arrived`` (delivery order) into the
+        receiver memory: each carries its source's current outer count
+        and its slice of ``_held``; the fresh ones are copied in by one
+        masked copy."""
+        fresh = self._accept(arrived, self._outer[self._pair_src[arrived]])
         mask = np.zeros(self._pair_src.size, dtype=bool)
-        mask[arrived] = True
+        mask[fresh] = True
         np.copyto(self._recv, self._held, where=np.repeat(mask, self._pair_len))
+
+    def _on_deliver(self, dst: int, update: ScoreUpdate) -> None:
+        """Transport upcall: queue the update unless its group is dead
+        (a crashed ranker's inbox is dark).  Queued deliveries land, in
+        delivery order, before anything next reads the receiver memory
+        (:meth:`_land_inbox`)."""
+        if not self.rankers[dst].crashed:
+            self._inbox.append(update)
+
+    def _land_inbox(self) -> None:
+        """Land the queued transport deliveries through the receive
+        rule; a fresh update's payload (the values it carried, which may
+        be older than ``_held``) becomes its pair's span of ``_recv``.
+
+        The rule takes distinct pairs, so the queue goes in layers:
+        every pair's first delivery in delivery order, then every
+        pair's second, and so on.  That is the per-delivery order for
+        each pair, and first-arrival stamps are all given in the first
+        layer, in delivery order — the same outcome as landing one
+        delivery at a time, with one rule call per layer.
+        """
+        if not self._inbox:
+            return
+        position = self.system.blocks.pair_position
+        layers: List[Dict[int, ScoreUpdate]] = []
+        count: Dict[int, int] = {}
+        for update in self._inbox:
+            p = position[(update.src_group, update.dst_group)]
+            k = count.get(p, 0)
+            count[p] = k + 1
+            if k == len(layers):
+                layers.append({})
+            layers[k][p] = update
+        self._inbox = []
+        for layer in layers:
+            pairs = np.fromiter(layer, np.int64, len(layer))
+            gens = np.fromiter((u.generation for u in layer.values()), np.int64, len(layer))
+            for p in self._accept(pairs, gens).tolist():
+                self._recv[self._pairs[p][2]] = layer[p].values
+
+    def _send(self, transport, sends: Tuple[np.ndarray, np.ndarray], t: float) -> None:
+        """The message backend: hand ``sends`` to a real ``transport``,
+        one :class:`~repro.net.message.ScoreUpdate` per shipped pair and
+        one ``send_updates`` call per source.  Payloads are copied: the
+        Y buffer and the codec mirror are rewritten at the source's next
+        emission, and an ARQ layer must retransmit the *original*
+        payload.  They land through :meth:`_on_deliver` when delivered."""
+        idx, wire_bytes = sends
+        shipped = [
+            (*self._pairs[p], wire)
+            for p, wire in zip(idx.tolist(), wire_bytes.tolist())
+        ]
+        for g, batch in groupby(shipped, key=lambda send: send[0]):
+            gen = int(self._outer[g])
+            transport.send_updates(
+                g,
+                [
+                    ScoreUpdate(
+                        src_group=g,
+                        dst_group=h,
+                        values=self._held[csl].copy(),
+                        n_link_records=records,
+                        generation=gen,
+                        sent_at=t,
+                        wire_bytes=wire,
+                    )
+                    for _, h, csl, _, records, wire in batch
+                ],
+            )
+
+    def _blank(self, g: int) -> None:
+        """Reset group ``g`` to a fresh ranker's state for a takeover:
+        zero ranks, empty afferent memory, zeroed counters, nothing
+        sent.  The recovery manager restores the latest checkpoint on
+        top, if one exists."""
+        self._land_inbox()
+        self._r[self._slices[g]] = 0.0
+        self._recv[self._aff_elems[g]] = 0.0
+        self._recv_gen[self._aff_pairs[g]] = -1
+        self._outer[g] = 0
+        self._inner_sweeps[g] = 0
+        self._stale[g] = 0
+        self._last_delta[g] = np.inf
+        for p in self._src_pairs[g].tolist():
+            self._last_sent.pop(p, None)
 
     def _refresh(self) -> None:
         """``X = F·recv`` for every destination in one SpMV.
 
         F's rows store their entries in first-arrival (stamp) order, so
-        the sums are the event engine's re-summation scalar for scalar
+        the sums are a receiver's re-summation scalar for scalar
         (module docstring, "afferent sums"); a pair that has not
         arrived holds only +0.0, which a nonnegative sum cannot see.
         """
@@ -823,9 +970,9 @@ class SynchronousEngine(RoundEngine):
         csr_matvec_into(self._recv_matrix, self._recv, self._x)
 
     def _step_groups(self, groups: Sequence[int]) -> None:
-        """Step each of ``groups`` exactly as ``DPRNode.step`` does:
-        the same :func:`~repro.core.dpr.group_step` over the group's
-        slice of the flat state."""
+        """The group step: one outer loop for each of ``groups``, in
+        order — :func:`~repro.core.dpr.group_step` over the group's
+        slices of the flat state, with ``f = βE + X``."""
         cfg = self.config
         for g in groups:
             self._outer[g] += 1
@@ -856,9 +1003,8 @@ class SynchronousEngine(RoundEngine):
             self._step_groups(groups)
             return
         # dpr2 with every group stepping is one whole-system sweep.
-        # f = βE + X over the whole system (same elementwise add
-        # the nodes perform per group; a cached unchanged f re-adds
-        # to the same bits, so recomputing globally is safe).
+        # f = βE + X over the whole system (same elementwise add the
+        # group step performs per group, so the same bits).
         if self._f is None:
             self._f = np.empty_like(self._r)
         np.add(self._beta_e, self._x, out=self._f)

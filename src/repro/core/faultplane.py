@@ -5,10 +5,14 @@ wrapper), the crash/pause injectors, the heartbeat failure detector,
 the periodic checkpointer and the checkpoint-based recovery manager
 are all duck-typed over a simulator and a *live ranker list* (see
 :mod:`repro.core.recovery` for the entry contract).  The event engine
-(:class:`~repro.core.coordinator.DistributedRun`) passes its real
-:class:`~repro.core.ranker.PageRanker` list; the hybrid engine
-(:class:`~repro.core.hybrid.HybridEngine`) passes lightweight shadows
-bridging the flat state.  Because both go through :class:`FaultPlane`,
+(:class:`~repro.core.ranker.DistributedRun`) passes its
+:class:`~repro.core.ranker.PageRanker` list, each entry with a wake
+chain; the hybrid engine (:class:`~repro.core.hybrid.HybridEngine`)
+passes bare :class:`~repro.core.ranker.Ranker` entries, its round loop
+deciding who steps.  Either way an entry's ``node`` is its group's
+share of the one flat state
+(:class:`~repro.core.ranker.RankerState`).  Because both go through
+:class:`FaultPlane`,
 one seed yields one fault schedule — the same named streams
 (``"chaos"``, ``"retry-jitter"``, ``"pause-injector"``,
 ``"crash-injector"``) drawn in the same order, the same events

@@ -3,16 +3,17 @@
 The flat engine (:class:`~repro.core.engine.SynchronousEngine`) runs a
 bulk-synchronous round as three sparse kernels but is failure-free;
 the event engine (:class:`~repro.core.coordinator.DistributedRun`)
-simulates every fault subsystem but pays one Python event per message.
-:class:`HybridEngine` combines them: **compute stays flat** (the same
-per-group Jacobi/DPR2 kernels over one concatenated rank vector) while
-**messaging and faults run on a persistent event-simulated "fault
-plane"** — a real :class:`~repro.net.simulator.Simulator` carrying the
-real transport stack (:func:`~repro.net.transport.build_transport`,
-optionally wrapped in :class:`~repro.net.reliable.ReliableTransport`),
-the crash/pause injectors, the heartbeat detector, and the
-checkpoint/recovery layer, all driven over lightweight *shadow
-rankers* that bridge the flat engine's state slices.
+simulates every fault subsystem but pays one Python event per message
+and one wake per ranker step.  :class:`HybridEngine` combines them:
+**compute stays flat** (the same group step over the same flat state,
+stepping every due group of a round together) while **messaging and
+faults run on a persistent event-simulated "fault plane"** — a real
+:class:`~repro.net.simulator.Simulator` carrying the real transport
+stack (:func:`~repro.net.transport.build_transport`, optionally wrapped
+in :class:`~repro.net.reliable.ReliableTransport`), the crash/pause
+injectors, the heartbeat detector, and the checkpoint/recovery layer,
+all driven over bare ranker entries (:class:`repro.core.ranker.Ranker`)
+whose ``node`` is the group's share of the flat state.
 
 A round is the flat engine's own (:meth:`SynchronousEngine._round
 <repro.core.engine.SynchronousEngine._round>`: refresh ``X = F·recv``,
@@ -24,15 +25,14 @@ machinery they need:
   that are alive, unpaused and — under the async schedule — due per
   their rate credit.  When that is every group the round takes the
   whole-system dpr2 sweep, exactly as a flat round does; otherwise
-  each stepping group runs :func:`repro.core.dpr.group_step`, the
-  function ``DPRNode.step`` calls;
+  the group step runs group by group, as an event wake runs it;
 * **how sends are charged** — :meth:`HybridEngine._emit` routes the
   stepping groups' sends through one of three accounting backends:
   the inherited round ledger; the fault plane's real transport (real
   :class:`~repro.net.message.ScoreUpdate` payloads, so loss, chaos, ARQ
   and sequence numbering behave identically to the event engine, each
-  delivery landing through :meth:`HybridEngine._on_deliver` when the
-  simulator reaches it); or — reliable + direct configs — the
+  delivery queued by the event engine's own upcall and landed through
+  the one receive rule); or — reliable + direct configs — the
   round-granular :class:`_ReplayARQ`, which resolves the round's ARQ
   conversations as array waves and charges them in closed form.
 
@@ -42,10 +42,10 @@ sweeps, checkpoints, takeovers, retransmissions, and in-flight
 deliveries up to ``t`` all land exactly as the event engine would
 interleave them (they share one timeline, so a crash firing
 mid-delivery-window swallows exactly the deliveries the event engine
-drops).  A shadow's checkpoint, restore or blank replacement is two
-gathers or scatters over the receiver memory.  The fault stack itself
-is built by the same :class:`~repro.core.faultplane.FaultPlane` the
-event engine uses, over the shadows.
+drops).  A checkpoint, restore or blank replacement is two gathers or
+scatters over the receiver memory, in the format the event engine's
+rankers checkpoint in.  The fault stack itself is built by the same
+:class:`~repro.core.faultplane.FaultPlane` the event engine uses.
 
 Equivalence contracts (verified by ``tests/test_hybrid.py``; see
 DESIGN.md §13 for the full argument):
@@ -75,96 +75,23 @@ waits come from ``config.mean_waits`` or the same named
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.capabilities import needs_fault_plane
-from repro.core.coordinator import DistributedConfig, config_transport
+from repro.core.coordinator import MIN_MEAN_WAIT, DistributedConfig, config_transport
 from repro.core.engine import SynchronousEngine
 from repro.core.faultplane import FaultPlane
-from repro.core.ranker import MIN_MEAN_WAIT
+from repro.core.ranker import Ranker
 from repro.graph.partition import Partition
 from repro.graph.webgraph import WebGraph
 from repro.net.failures import ChaosModel
-from repro.net.message import ScoreUpdate
 from repro.net.reliable import RetryPolicy
 from repro.net.simulator import Simulator
 from repro.net.transport import charge_direct_round
 
 __all__ = ["HybridEngine"]
-
-
-class _ShadowNode:
-    """DPRNode-shaped view of one group's slice of the flat state.
-
-    Implements the :class:`~repro.core.dpr.DPRNode`
-    ``state_dict``/``load_state_dict`` contract the checkpoint and
-    recovery layers consume, over the engine's global arrays.  The
-    group's afferent memory is its elements of the flat receiver vector
-    and its pairs' generations: a snapshot gathers them (fancy indexing
-    copies, so nothing aliases live state), a restore scatters them.
-    The format only has to round-trip within the hybrid engine.
-    """
-
-    __slots__ = ("engine", "group")
-
-    def __init__(self, engine: "HybridEngine", group: int):
-        self.engine = engine
-        self.group = group
-
-    def state_dict(self) -> dict:
-        eng, g = self.engine, self.group
-        return {
-            "group": g,
-            "mode": eng.config.algorithm,
-            "r": eng._r[eng._slices[g]].copy(),
-            "latest_values": eng._recv[eng._aff_elems[g]],
-            "latest_gen": eng._recv_gen[eng._aff_pairs[g]],
-            "outer_iterations": int(eng._outer[g]),
-            "inner_sweeps": int(eng._inner_sweeps[g]),
-            "stale_updates": int(eng._stale[g]),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        eng, g = self.engine, self.group
-        np.copyto(eng._r[eng._slices[g]], state["r"])
-        eng._recv[eng._aff_elems[g]] = state["latest_values"]
-        eng._recv_gen[eng._aff_pairs[g]] = state["latest_gen"]
-        eng._outer[g] = int(state["outer_iterations"])
-        eng._inner_sweeps[g] = int(state["inner_sweeps"])
-        eng._stale[g] = int(state["stale_updates"])
-
-
-class _ShadowRanker:
-    """PageRanker-shaped façade over one group for the fault plane.
-
-    Satisfies the duck-typed contract shared by the injectors
-    (writable ``paused``/``crashed``), the heartbeat monitor
-    (``crashed``), the checkpointer (``group``, ``node``), and the
-    recovery manager (``node``, ``start``).  It owns no wake chain —
-    the engine's round loop decides who steps — so ``start`` only
-    marks the shadow live.
-    """
-
-    __slots__ = ("node", "group", "paused", "crashed", "started")
-
-    def __init__(self, engine: "HybridEngine", group: int):
-        self.node = _ShadowNode(engine, group)
-        self.group = group
-        self.paused = False
-        self.crashed = False
-        self.started = False
-
-    def start(self, *, initial_delay: Optional[float] = None) -> None:
-        self.started = True
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"_ShadowRanker(group={self.group}, paused={self.paused}, "
-            f"crashed={self.crashed})"
-        )
 
 
 class _ReplayARQ:
@@ -343,22 +270,15 @@ class HybridEngine(SynchronousEngine):
         )
         self._credit = np.zeros(k, dtype=np.float64)
 
-        self._shadows: List[_ShadowRanker] = [
-            _ShadowRanker(self, g) for g in range(k)
-        ]
+        #: The fault plane's live ranker list: bare entries, since the
+        #: round loop decides who steps.
+        self.rankers: List[Ranker] = [Ranker(self, g) for g in range(k)]
 
         if not fault_world:
             return
-        self._pair_pos = self.system.blocks.pair_position
-        #: Per destination, the positions of its afferent pairs and of
-        #: their elements in ``_recv`` — what a checkpoint gathers.
-        self._aff_pairs = [np.flatnonzero(self._pair_dst == g) for g in range(k)]
-        elem_dst = np.repeat(self._pair_dst, self._pair_len)
-        self._aff_elems = np.split(
-            np.argsort(elem_dst, kind="stable"),
-            np.cumsum(np.bincount(elem_dst, minlength=k))[:-1],
-        )
-
+        # What a checkpoint gathers, indexed at construction rather than
+        # at the first checkpoint of the run.
+        self._aff_pairs, self._aff_elems
         # Reliable+direct data traffic needs no simulator of its own;
         # only the fault-plane *processes* (if any) do.
         inner = None
@@ -377,7 +297,7 @@ class HybridEngine(SynchronousEngine):
             )
         self._faults = FaultPlane(
             self._fsim,
-            self._shadows,
+            self.rankers,
             cfg,
             seeds,
             self._make_replacement,
@@ -399,46 +319,13 @@ class HybridEngine(SynchronousEngine):
     # ------------------------------------------------------------------
     # Fault-plane callbacks
     # ------------------------------------------------------------------
-    def _make_replacement(self, g: int, epoch: int) -> _ShadowRanker:
-        """Recovery factory: reset group ``g`` to blank-node state.
-
-        Mirrors the event engine's fresh :class:`DPRNode` (zero ranks,
-        empty afferent memory, zeroed counters); the recovery manager
-        restores the latest checkpoint on top, if one exists.
-        """
-        self._r[self._slices[g]] = 0.0
-        self._recv[self._aff_elems[g]] = 0.0
-        self._recv_gen[self._aff_pairs[g]] = -1
-        self._outer[g] = 0
-        self._inner_sweeps[g] = 0
-        self._stale[g] = 0
-        self._last_delta[g] = np.inf
+    def _make_replacement(self, g: int, epoch: int) -> Ranker:
+        """Recovery factory: group ``g`` reset to a fresh ranker's state
+        (:meth:`~repro.core.engine.SynchronousEngine._blank`) with no
+        banked rate credit."""
+        self._blank(g)
         self._credit[g] = 0.0
-        # A fresh ranker has sent nothing yet.
-        for p in self._src_pairs[g].tolist():
-            self._last_sent.pop(p, None)
-        return _ShadowRanker(self, g)
-
-    def _on_deliver(self, dst: int, update: ScoreUpdate) -> None:
-        """Transport upcall: land the update unless the group is dead."""
-        if self._faults.reliable is None and self._shadows[dst].crashed:
-            # Plain transports deliver into the dead group's ranker,
-            # which drops on the floor (PageRanker.receive); the
-            # reliable wrapper's alive-oracle already dead-dropped.
-            return
-        # :meth:`_land`'s rule for one pair, with the payload the frame
-        # carried (it may arrive late, after ``_held`` moved on).
-        p = self._pair_pos[(update.src_group, dst)]
-        held = self._recv_gen[p]
-        if update.generation <= held:
-            self._stale[dst] += 1
-            return
-        if held < 0:
-            self._recv_rank[p] = self._arrivals
-            self._arrivals += 1
-            self._recv_matrix = None
-        self._recv_gen[p] = update.generation
-        self._recv[self._pairs[p][2]] = update.values
+        return Ranker(self, g)
 
     # ------------------------------------------------------------------
     # Round execution
@@ -457,24 +344,21 @@ class HybridEngine(SynchronousEngine):
         for g in range(k):
             if self._async and not due[g]:
                 continue
-            shadow = self._shadows[g]
-            if shadow.crashed or shadow.paused:
+            ranker = self.rankers[g]
+            if ranker.crashed or ranker.paused:
                 continue
             out.append(g)
         return out
 
     def _emit(self, sends: Tuple[np.ndarray, np.ndarray], t: float) -> None:
         """Account and deliver ``sends`` through the config's backend
-        (module docstring, "how sends are charged").  The fault plane's
-        payloads are copied: the Y buffer and the codec mirror are
-        rewritten next round, and its ARQ layer must retransmit the
-        *original* payload (every resend ships the same object); they
-        land through :meth:`_on_deliver` when the simulator reaches
-        their delivery time.  The ARQ replay's land in the sending
-        round."""
+        (module docstring, "how sends are charged"): the ARQ replay's
+        land in the sending round; the fault plane's travel its real
+        transport (:meth:`~repro.core.engine.SynchronousEngine._send`)
+        and land when the simulator reaches their delivery time."""
         idx, wire_bytes = sends
         if self._arq is not None:
-            alive = np.array([not shadow.crashed for shadow in self._shadows])
+            alive = np.array([not ranker.crashed for ranker in self.rankers])
             delivered = self._arq.resolve(
                 idx, self._pair_records[idx], wire_bytes, alive
             )
@@ -483,27 +367,7 @@ class HybridEngine(SynchronousEngine):
         if self._transport is None:
             super()._emit(sends, t)
             return
-        shipped = [
-            (*self._pairs[p], wire)
-            for p, wire in zip(idx.tolist(), wire_bytes.tolist())
-        ]
-        for g, batch in groupby(shipped, key=lambda send: send[0]):
-            gen = int(self._outer[g])
-            self._transport.send_updates(
-                g,
-                [
-                    ScoreUpdate(
-                        src_group=g,
-                        dst_group=h,
-                        values=self._held[csl].copy(),
-                        n_link_records=records,
-                        generation=gen,
-                        sent_at=t,
-                        wire_bytes=wire,
-                    )
-                    for _, h, csl, _, records, wire in batch
-                ],
-            )
+        self._send(self._transport, sends, t)
 
     def _round(self, t: float) -> None:
         super()._round(t)
@@ -524,6 +388,7 @@ class HybridEngine(SynchronousEngine):
         # Idempotent (Simulator.run(until=now) is a no-op).
         if self._fsim is not None:
             self._fsim.run(until=t)
+            self._land_inbox()
 
     def _dropped_total(self) -> int:
         if self._transport is not None:

@@ -14,7 +14,7 @@ Algorithm 2 (``GroupPageRank``) solves it by Jacobi iteration —
 guaranteed to converge because ``ρ(A_G) ≤ ‖·‖ ≤ α < 1``
 (Theorems 3.1–3.2).
 
-Efferent ranks ``Y`` (eq. 3.5) are computed from the cross blocks.
+Efferent ranks ``Y`` (eq. 3.5) are computed from the cut operator.
 The paper prints the efferent matrix entry as ``β/d(u)``; as recorded
 in DESIGN.md this must be ``α/d(u)`` for the distributed fixed point to
 match centralized PageRank (β is already consumed by the virtual-link
@@ -27,7 +27,7 @@ blocks, per-group ``βE`` terms, and assembly helpers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,9 +115,8 @@ class GroupSystem:
     def beta_e(self) -> List[np.ndarray]:
         """Per-group constant term ``βE`` of eq. 3.4 (built on first use).
 
-        The event engine hands one segment to each node; the flat
-        engine assembles its own concatenated copy straight from
-        ``e_full`` and never forces this list into existence.
+        The engines assemble their own concatenated copy straight from
+        ``e_full`` and never force this list into existence.
         """
         if self._beta_e is None:
             self._beta_e = [
@@ -142,26 +141,6 @@ class GroupSystem:
     def diag(self, g: int) -> sp.csr_matrix:
         """Group ``g``'s inner-link operator ``A_G``."""
         return self.blocks.diag[g]
-
-    def efferent(self, g: int, r: np.ndarray) -> Dict[int, np.ndarray]:
-        """Group ``g``'s efferent contributions ``Y`` per destination.
-
-        One SpMV over the group's stacked efferent operator; the dict
-        values are views into a single fresh output array (see
-        :meth:`GroupBlocks.efferent <repro.linalg.operators.GroupBlocks.efferent>`).
-        """
-        return self.blocks.efferent(g, r)
-
-    def efferent_into(
-        self, g: int, r: np.ndarray, out: np.ndarray
-    ) -> Dict[int, np.ndarray]:
-        """Allocation-free :meth:`efferent` into a caller-owned buffer.
-
-        ``out`` must have length ``blocks.efferent_rows(g)`` (use
-        ``blocks.efferent_buffer(g)`` to allocate it once); the
-        returned views are valid until ``out`` is reused.
-        """
-        return self.blocks.efferent_into(g, r, out)
 
     def destinations_of(self, g: int) -> List[int]:
         """Groups that receive rank from group ``g`` (precomputed)."""

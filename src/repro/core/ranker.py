@@ -1,4 +1,4 @@
-"""A page ranker as an asynchronous simulator process.
+"""The event engine: page rankers as asynchronous simulator processes.
 
 Implements the outer loops of Algorithms 3/4 on the event simulator
 with the paper's experimental timing model (§5):
@@ -12,86 +12,115 @@ with the paper's experimental timing model (§5):
 * after computing, the ranker emits its efferent vectors through
   whichever transport it was wired to; the transport applies loss.
 
-Extension (paper's "future work" on reducing traffic): when
-``suppress_tol > 0`` a destination is skipped if the efferent vector
-changed by less than the threshold since it was last sent — delta
-suppression, measured by the compression ablation bench.
+The rankers' state is the round engines' flat state
+(:mod:`repro.core.engine`): :class:`DistributedRun` is a
+:class:`~repro.core.engine.SynchronousEngine` whose groups step one at
+a time, each when its :class:`PageRanker` wakes, instead of all
+together on a round grid.  A wake is the paper's loop for one group —
+refresh X from the group's rows of ``F``, the group step, Y over the
+group's span of cut rows, the emit step — and its sends travel the real
+transport as messages; a delivery is queued and lands through the one
+receive rule before anything next reads the receiver memory.  The
+fault plane sees each ranker as an entry (:class:`Ranker`) whose
+``node`` is the group's share of that state (:class:`RankerState`), in
+the event and hybrid engines alike.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.dpr import DPRNode
-from repro.core.open_system import GroupSystem
-from repro.net.message import ScoreUpdate
+from repro.core.convergence import Monitor
+from repro.core.coordinator import (
+    MIN_MEAN_WAIT,
+    DistributedConfig,
+    RunResult,
+    assemble_run_result,
+    config_transport,
+)
+from repro.core.engine import SynchronousEngine
+from repro.core.faultplane import FaultPlane
+from repro.core.recovery import RecoveryManager
+from repro.graph.partition import Partition
+from repro.graph.webgraph import WebGraph
+from repro.linalg.jacobi import csr_matvec_into
+from repro.net.failures import NodePauseInjector
 from repro.net.simulator import Simulator
-from repro.net.transport import Transport
-from repro.utils.rng import as_generator, RngLike
+from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_non_negative
 
-__all__ = ["PageRanker"]
-
-#: Waits are clamped below to keep a mean of exactly 0 (possible when
-#: T1 = T2 = 0) from livelocking the event loop at one instant.
-MIN_MEAN_WAIT = 1e-3
+__all__ = ["DistributedRun", "MIN_MEAN_WAIT", "PageRanker", "Ranker", "RankerState"]
 
 
-class PageRanker:
-    """Simulator process wrapping one :class:`DPRNode`.
+class RankerState:
+    """One group's share of an engine's flat state, as the checkpoint
+    and recovery layers see it — the ranker's ``node``.
 
-    Parameters
-    ----------
-    sim, node, system, transport:
-        The event engine, the algorithmic state, the shared group
-        decomposition, and the wire.
-    mean_wait:
-        This ranker's mean waiting time (drawn from ``[T1, T2]`` by the
-        coordinator).
-    seed:
-        Seeds the ranker's private exponential-wait stream.
-    suppress_tol:
-        Delta-suppression threshold (0 disables; see module docs).
-    fixed_wait:
-        When True, every wait is exactly ``mean_wait`` instead of an
-        exponential draw — the *synchronous schedule* used to verify
-        the flat execution engine against the event engine (all
-        rankers tick in lockstep; see :mod:`repro.core.engine`).
-    codec:
-        Shared :class:`~repro.net.adaptive.AdaptiveCodec` session
-        manager (None disables).  When set, every emission is
-        delta-encoded against the pair's reconstruction mirror: the
-        shipped values are the receiver's exact post-frame state, the
-        update's ``wire_bytes`` carries the calibrated frame size, and
-        emissions the budget lets the codec suppress entirely count in
-        :attr:`suppressed_sends`.  Mutually exclusive with
-        ``suppress_tol`` (enforced by config validation).
+    A snapshot gathers the group's rank slice, its elements of the
+    receiver memory and its pairs' generations, and its counters
+    (fancy indexing copies, so nothing aliases live state); a restore
+    scatters them back.  First-arrival stamps are not part of it: a
+    restored pair keeps the stamp its first arrival got, and a pair the
+    checkpoint lacks arrives again as a first arrival, so the summation
+    order after a restore is the checkpointed order followed by later
+    arrivals.  Deliveries still queued land first.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        node: DPRNode,
-        system: GroupSystem,
-        transport: Transport,
-        *,
-        mean_wait: float = 1.0,
-        seed: RngLike = 0,
-        suppress_tol: float = 0.0,
-        fixed_wait: bool = False,
-        codec=None,
-    ):
-        self.sim = sim
-        self.node = node
-        self.system = system
-        self.transport = transport
-        self.mean_wait = max(check_non_negative(mean_wait, "mean_wait"), MIN_MEAN_WAIT)
-        self.suppress_tol = check_non_negative(suppress_tol, "suppress_tol")
-        self.codec = codec
-        self.fixed_wait = bool(fixed_wait)
-        self._rng = as_generator(seed)
+    __slots__ = ("engine", "group")
+
+    def __init__(self, engine: SynchronousEngine, group: int):
+        self.engine = engine
+        self.group = group
+
+    def state_dict(self) -> dict:
+        """Serializable snapshot of the group's mutable state."""
+        eng, g = self.engine, self.group
+        eng._land_inbox()
+        return {
+            "group": g,
+            "mode": eng.config.algorithm,
+            "r": eng._r[eng._slices[g]].copy(),
+            "latest_values": eng._recv[eng._aff_elems[g]],
+            "latest_gen": eng._recv_gen[eng._aff_pairs[g]],
+            "outer_iterations": int(eng._outer[g]),
+            "inner_sweeps": int(eng._inner_sweeps[g]),
+            "stale_updates": int(eng._stale[g]),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a snapshot produced by :meth:`state_dict` for this
+        group and algorithm."""
+        eng, g = self.engine, self.group
+        if state["group"] != g or state["mode"] != eng.config.algorithm:
+            raise ValueError(
+                f"checkpoint is for group {state['group']} in mode {state['mode']!r}, "
+                f"not group {g} in mode {eng.config.algorithm!r}"
+            )
+        eng._land_inbox()
+        np.copyto(eng._r[eng._slices[g]], state["r"])
+        eng._recv[eng._aff_elems[g]] = state["latest_values"]
+        eng._recv_gen[eng._aff_pairs[g]] = state["latest_gen"]
+        eng._outer[g] = int(state["outer_iterations"])
+        eng._inner_sweeps[g] = int(state["inner_sweeps"])
+        eng._stale[g] = int(state["stale_updates"])
+
+
+class Ranker:
+    """One entry of the fault plane's live ranker list.
+
+    Satisfies the duck-typed contract shared by the injectors
+    (writable ``paused``/``crashed``), the heartbeat monitor
+    (``crashed``), the checkpointer (``group``, ``node``), and the
+    recovery manager (``node``, ``start``).  A bare entry owns no wake
+    chain — the hybrid engine's round loop decides who steps — so
+    :meth:`start` only marks it live.
+    """
+
+    def __init__(self, engine: SynchronousEngine, group: int):
+        self.group = group
+        self.node = RankerState(engine, group)
         self.paused = False
         #: Permanent failure (§4.2's "shutdown"): a crashed ranker's
         #: wake chain dies, its inbox goes dark, and it never comes
@@ -99,19 +128,54 @@ class PageRanker:
         #: (see repro.core.recovery).
         self.crashed = False
         self.started = False
-        #: Last efferent vector sent per destination (delta suppression).
-        self._last_sent: Dict[int, np.ndarray] = {}
-        #: Sends skipped because the vector hadn't changed enough.
-        self.suppressed_sends = 0
+
+    def start(self, *, initial_delay: Optional[float] = None) -> None:
+        """Mark the entry live."""
+        self.started = True
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}(group={self.group}, paused={self.paused}, "
+            f"crashed={self.crashed})"
+        )
+
+
+class PageRanker(Ranker):
+    """A ranker as a simulator process: the wake chain of one group.
+
+    Parameters
+    ----------
+    engine, group:
+        The event engine whose flat state the ranker steps, and its
+        group.
+    mean_wait:
+        This ranker's mean waiting time (drawn from ``[T1, T2]`` by the
+        engine).
+    seed:
+        Seeds the ranker's private exponential-wait stream.
+    fixed_wait:
+        When True, every wait is exactly ``mean_wait`` instead of an
+        exponential draw — the *synchronous schedule* the flat engine
+        reproduces bit for bit (all rankers tick in lockstep; see
+        :mod:`repro.core.engine`).
+    """
+
+    def __init__(
+        self,
+        engine: "DistributedRun",
+        group: int,
+        *,
+        mean_wait: float = 1.0,
+        seed: RngLike = 0,
+        fixed_wait: bool = False,
+    ):
+        super().__init__(engine, group)
+        self.engine = engine
+        self.mean_wait = max(check_non_negative(mean_wait, "mean_wait"), MIN_MEAN_WAIT)
+        self.fixed_wait = bool(fixed_wait)
+        self._rng = as_generator(seed)
         #: Loop steps skipped while paused.
         self.skipped_wakes = 0
-        #: Updates that arrived after this ranker crashed (dropped).
-        self.dropped_while_crashed = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def group(self) -> int:
-        return self.node.group
 
     def start(self, *, initial_delay: Optional[float] = None) -> None:
         """Schedule the first wake-up.
@@ -122,18 +186,10 @@ class PageRanker:
         """
         if self.started:
             raise RuntimeError("ranker already started")
-        self.started = True
+        super().start()
         delay = self._draw_wait() if initial_delay is None else float(initial_delay)
-        self.sim.schedule(delay, self._on_wake)
+        self.engine.sim.schedule(delay, self._on_wake)
 
-    def receive(self, update: ScoreUpdate) -> None:
-        """Transport upcall: stash an afferent update for the next refresh."""
-        if self.crashed:
-            self.dropped_while_crashed += 1
-            return
-        self.node.receive(update)
-
-    # ------------------------------------------------------------------
     def _draw_wait(self) -> float:
         if self.fixed_wait:
             return self.mean_wait
@@ -147,48 +203,182 @@ class PageRanker:
             # A paused ranker does nothing this round — not even send —
             # but keeps its timer alive so it resumes naturally.
             self.skipped_wakes += 1
-            self.sim.schedule(self._draw_wait(), self._on_wake)
-            return
-        r = self.node.step()
-        self._emit(r)
-        self.sim.schedule(self._draw_wait(), self._on_wake)
+        else:
+            self.engine._wake(self.group)
+        self.engine.sim.schedule(self._draw_wait(), self._on_wake)
 
-    def _emit(self, r: np.ndarray) -> None:
-        """Compute Y per destination and hand it to the transport.
 
-        ``system.efferent`` is one stacked SpMV; the per-destination
-        vectors are views into one fresh array per emit, which is safe
-        to hand to in-flight messages (the array is never reused — a
-        double-buffered ``efferent_into`` would alias updates still
-        sitting in transport queues).
+class DistributedRun(SynchronousEngine):
+    """A fully wired event-driven page-ranking system, ready to run.
+
+    Splitting construction from :meth:`run` lets tests and examples
+    poke at the assembled parts (rankers, transport, overlay) and
+    inject faults before or during execution.
+    """
+
+    def __init__(
+        self,
+        graph: WebGraph,
+        config: DistributedConfig,
+        *,
+        partition: Optional[Partition] = None,
+        reference: Optional[np.ndarray] = None,
+    ):
+        super().__init__(graph, config, partition=partition, reference=reference)
+        seeds = self._seeds
+        self.sim = Simulator()
+        self.rankers: List[PageRanker] = []
+        #: Reliability layer now (rankers are wired to its transport),
+        #: fault processes once the ranker list is populated.
+        self.faults = FaultPlane(
+            self.sim,
+            self.rankers,
+            config,
+            seeds,
+            self._make_replacement,
+            transport=config_transport(
+                config, self.sim, self.overlay, self.accountant, self._loss
+            ),
+        )
+        self.transport = self.faults.transport
+
+        self._mean_waits = self._group_mean_waits()
+        for g in range(config.n_groups):
+            self.rankers.append(self._make_ranker(g, seeds.generator(f"wait/{g}")))
+        self.transport.attach(self._on_deliver)
+        self.monitor: Optional[Monitor] = None
+        self.faults.install()
+
+    @property
+    def recovery(self) -> Optional[RecoveryManager]:
+        """The takeover manager (None unless ``config.recovery``)."""
+        return self.faults.recovery
+
+    # ------------------------------------------------------------------
+    def _make_ranker(self, g: int, seed) -> PageRanker:
+        return PageRanker(
+            self,
+            g,
+            mean_wait=self._mean_waits[g],
+            seed=seed,
+            fixed_wait=self.config.schedule == "sync",
+        )
+
+    def _make_replacement(self, g: int, epoch: int) -> PageRanker:
+        """Recovery factory: group ``g`` reset to a fresh ranker's state,
+        woken by a private deterministic stream per takeover epoch."""
+        self._blank(g)
+        return self._make_ranker(g, self._seeds.generator(f"recovery/{g}/{epoch}"))
+
+    def _refresh_group(self, g: int) -> None:
+        """Refresh X of group ``g`` alone: its rows of ``F`` — its
+        afferent pairs in first-arrival order, rebuilt only after a
+        first arrival to ``g`` — times the receiver memory."""
+        self._land_inbox()
+        pairs = self._aff_pairs[g]
+        if not pairs.size:
+            return  # nobody sends to g: X stays +0.0
+        sl = self._slices[g]
+        aff = self._aff_ops[g]
+        if aff is None:
+            order = pairs[np.argsort(self._recv_rank[pairs], kind="stable")]
+            aff = self._aff_ops[g] = self._build_afferent(order, sl)
+        csr_matvec_into(aff, self._recv, self._x[sl])
+
+    def _wake(self, g: int) -> None:
+        """One outer loop of ranker ``g`` at the simulator's now:
+        refresh its X, step, compute ``Y`` over the group's span of cut
+        rows, and hand the emit step's sends to the transport."""
+        self._refresh_group(g)
+        self._step_groups([g])
+        emission = self._emissions[g]
+        if emission is not None:
+            csr_matvec_into(self.system.blocks.cut_rows[g], self._r, self._y[emission[0]])
+        self._send(self.transport, self._build_sends([g]), self.sim.now)
+
+    def install_pause_injector(self, injector: NodePauseInjector) -> None:
+        """Add node churn to the run (must be called before :meth:`run`)."""
+        injector.install(self.sim, self.rankers)
+
+    def warm_start(self, ranks: np.ndarray) -> None:
+        """Seed the run with a prior global rank vector.
+
+        Setting the ranks alone is not enough: the outer step
+        recomputes ``R`` from ``βE + X``, so with empty afferent state
+        the first step erases the carried ranks before they are ever
+        sent.  This scatters ``ranks`` into every group *and* lands
+        every pair at generation 0, in pair order, carrying the
+        contribution its source would have sent for those ranks, so the
+        first outer step refines the previous fixed point instead of
+        starting over (any real update supersedes it).  Must be called
+        before :meth:`run`.
         """
-        updates = []
-        for dst, values in self.system.efferent(self.group, r).items():
-            wire_bytes = -1
-            if self.codec is not None:
-                frame = self.codec.encode_pair(self.group, dst, values)
-                if frame is None:
-                    self.suppressed_sends += 1
-                    continue
-                # The mirror mutates on the pair's next encode, and the
-                # update may still be in flight then — copy at send.
-                values = frame.values.copy()
-                wire_bytes = frame.wire_bytes
-            elif self.suppress_tol > 0.0:
-                prev = self._last_sent.get(dst)
-                if prev is not None and np.abs(values - prev).sum() <= self.suppress_tol:
-                    self.suppressed_sends += 1
-                    continue
-                self._last_sent[dst] = values.copy()
-            updates.append(
-                ScoreUpdate(
-                    src_group=self.group,
-                    dst_group=dst,
-                    values=values,
-                    n_link_records=self.system.cross_records(self.group, dst),
-                    generation=self.node.outer_iterations,
-                    wire_bytes=wire_bytes,
-                )
+        ranks = np.asarray(ranks, dtype=np.float64)
+        if ranks.shape != (self.graph.n_pages,):
+            raise ValueError(
+                f"warm-start vector has shape {ranks.shape}, "
+                f"want ({self.graph.n_pages},)"
             )
-        if updates:
-            self.transport.send_updates(self.group, updates)
+        for g, sl in enumerate(self._slices):
+            self._r[sl] = ranks[self.system.blocks.pages[g]]
+        pairs = np.arange(self._pair_src.size)
+        self._accept(pairs, np.zeros_like(pairs))
+        csr_matvec_into(self._cut, self._r, self._recv)
+
+    def run(
+        self,
+        *,
+        max_time: float = 1000.0,
+        target_relative_error: Optional[float] = None,
+        quiescence_delta: Optional[float] = None,
+        quiescence_samples: int = 3,
+    ) -> RunResult:
+        """Execute the simulation and gather results.
+
+        The run stops at the first of: the target relative error being
+        reached (sampled at ``config.sample_interval``), system-wide
+        quiescence (when ``quiescence_delta`` is set — the
+        reference-free termination rule, held for
+        ``quiescence_samples`` consecutive samples; see
+        :class:`~repro.core.convergence.Monitor`), or simulated time
+        ``max_time``.
+        """
+        cfg = self.config
+        monitor = self.monitor = Monitor(
+            self.sim,
+            self,
+            interval=cfg.sample_interval,
+            target_relative_error=target_relative_error,
+            quiescence_delta=quiescence_delta,
+            quiescence_samples=quiescence_samples,
+        )
+        monitor.start()
+        for ranker in self.rankers:
+            ranker.start()
+        self.faults.start()
+        stop = None
+        if target_relative_error is not None or quiescence_delta is not None:
+            def stop() -> bool:
+                return monitor.converged or monitor.quiescent
+        self.sim.run(until=max_time, stop_condition=stop)
+        monitor.stop()
+        self.faults.stop()
+        self._land_inbox()
+
+        return assemble_run_result(
+            ranks=self.assemble_ranks(),
+            reference=self.reference,
+            trace=monitor.trace,
+            converged=monitor.converged,
+            time_to_target=monitor.target_time,
+            outer_iterations=self._outer.copy(),
+            inner_sweeps=self._inner_sweeps.copy(),
+            accountant=self.accountant,
+            now=self.sim.now,
+            dropped_updates=self.transport.dropped_updates,
+            quiescent=monitor.quiescent,
+            quiescence_time=monitor.quiescence_time,
+            config=cfg,
+            codec_stats=self._codec_stats(),
+            **self.faults.counters(self.sim.now),
+        )

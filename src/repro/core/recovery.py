@@ -7,16 +7,16 @@ vector forever — no amount of tolerance at the survivors recovers the
 lost state.  This module closes the loop:
 
 * :class:`CheckpointStore` — the durable-store stand-in: latest
-  :meth:`~repro.core.dpr.DPRNode.state_dict` snapshot per group.
+  :meth:`~repro.core.ranker.RankerState.state_dict` snapshot per group.
 * :class:`Checkpointer` — a periodic simulator process snapshotting
   every live ranker's node into the store.
 * :class:`RecoveryManager` — subscribed to the heartbeat detector's
   death callbacks; on a death it picks the next live group as the
   *successor* (the DHT convention: the crashed key range is adopted by
-  its overlay neighbor), builds a replacement
-  :class:`~repro.core.ranker.PageRanker` for the dead group, restores
-  the last checkpoint into it, swaps it into the live ranker list, and
-  starts its wake loop.
+  its overlay neighbor), builds a replacement ranker for the dead
+  group (the engine resets the group's share of its flat state),
+  restores the last checkpoint into it, swaps it into the live ranker
+  list, and starts it.
 
 Why this converges to the centralized fixed point: the restored state
 is merely *stale*, never *wrong* — it is a valid (R, X, generation)
@@ -29,18 +29,21 @@ ACKed by the replacement (same group id, same sequence space is *not*
 assumed — the reliable transport dedups per seq, and a seq the dead
 ranker never ACKed is simply delivered to the replacement).
 
-The recovery layer is duck-typed over its "ranker" entries so the
-hybrid engine (:mod:`repro.core.hybrid`) can drive the *same*
-Checkpointer/RecoveryManager over lightweight shadow objects bridging
-the flat engine's state slices.  A ranker entry must expose:
+The recovery layer is duck-typed over its "ranker" entries, so the
+event and hybrid engines drive the *same* Checkpointer/RecoveryManager.
+A ranker entry must expose:
 
 * ``.group`` — the group index it ranks;
 * ``.crashed`` — writable liveness flag the injectors/heartbeat read;
-* ``.node`` — an object with ``state_dict()``/``load_state_dict()``
-  (the :class:`~repro.core.dpr.DPRNode` contract);
-* ``.start()`` — begin (or for shadows, mark eligible for) work.
+* ``.node`` — an object with ``state_dict()``/``load_state_dict()``;
+* ``.start()`` — begin work (a wake chain, or eligibility for the
+  round loop).
 
-:class:`~repro.core.ranker.PageRanker` is the canonical implementation.
+:class:`~repro.core.ranker.Ranker` (the hybrid engine's entries) and
+its wake-chain subclass :class:`~repro.core.ranker.PageRanker` (the
+event engine's) are the implementations; both carry a
+:class:`~repro.core.ranker.RankerState` as ``node``, one checkpoint
+format over the engines' flat state.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ class RecoveryManager:
         place — every component holding this list sees takeovers), and
         the checkpoint store.
     factory:
-        ``factory(group, epoch) -> PageRanker`` building a blank
+        ``factory(group, epoch) -> ranker`` building a blank
         replacement wired to the same transport/system; ``epoch``
         counts takeovers of that group so each replacement gets an
         independent deterministic random stream.

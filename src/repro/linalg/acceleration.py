@@ -7,8 +7,8 @@ Two extensions beyond the paper's plain Jacobi iteration:
   ``A = L + U`` (strict lower / remaining) and solving
   ``(I − L)·x_{k+1} = U·x_k + f`` with a sparse triangular solve.
   For PageRank-type operators this roughly halves the sweep count at
-  the same per-sweep cost; it is offered as the DPR inner solver via
-  ``DPRNode(..., inner_solver="gauss_seidel")``.
+  the same per-sweep cost; it is offered as the DPR1 inner solver via
+  ``DistributedConfig(inner_solver="gauss_seidel")``.
 * **Aitken Δ² extrapolation** (:func:`jacobi_solve_accelerated`) —
   the paper cites Kamvar et al.'s extrapolation methods [8] for
   accelerating PageRank; this implements the simplest member of that

@@ -17,9 +17,10 @@ allocations per sweep: the SpMV writes into a preallocated output via
 the CSR kernel, ``f`` is added in place, and the ``‖Δx‖₁`` termination
 reduction is fused into the same scratch buffer.  A bare
 ``jacobi_solve(p, f)`` allocates its own workspace for the call; a
-long-lived caller (one :class:`~repro.core.dpr.DPRNode` per ranker)
-passes one it keeps for its lifetime, so DPR1's warm-started inner
-solves stop generating O(n_local) garbage every outer loop.  The
+long-lived caller (the engines' group step, one shared max-group-size
+workspace per run) passes one it keeps for its lifetime, so DPR1's
+warm-started inner solves stop generating O(n_local) garbage every
+outer loop.  The
 arithmetic is the same either way (the equivalence test layer pins it
 against a sweep-by-sweep reference loop).
 """
@@ -77,7 +78,7 @@ class JacobiWorkspace:
     Buffers returned to callers (e.g. ``JacobiResult.x`` from a
     workspace-backed solve) remain owned by the workspace: they are
     valid until the workspace's next use, so copy them out if they
-    must survive (``DPRNode`` copies into its stable ``r`` array).
+    must survive (the group step copies into the engine's rank vector).
     """
 
     n: int

@@ -30,18 +30,20 @@ list whose cost depends on the links, not on K:
   ``diag[g]``; :meth:`GroupBlocks.block_diagonal` is the same data and
   row pointers under global column ids — the whole-system ``A``.
 * ``cut`` — every cut link, one stable sort on ``(source group,
-  destination group, destination-local row)``: the block-diagonal
-  stack of all K stacked efferent operators compressed to its
-  structurally nonzero rows, columns group-major.  ``row_map`` names
+  destination group, destination-local row)``: every cross block
+  ``B`` of every source, stacked source by source and destination by
+  destination, compressed to its structurally nonzero rows, columns
+  group-major.  ``row_map`` names
   each compressed row's destination-local index, and the *pair table*
   (``pair_src``, ``pair_dst``, ``pair_start``, ``pair_records``) names
   each communicating ordered pair's span of rows and its link-record
   count, in emission order (source ascending, destination ascending).
 
-``GroupBlocks.diag[g]`` and ``GroupBlocks.cross[(g, h)]`` remain, as
-lazy read-only views that slice the two operators on demand; only
-consumers that want per-block matrices (the event engine's nodes, the
-serving tier, tests) ever build one.
+``GroupBlocks.diag[g]``, ``GroupBlocks.cut_rows[g]`` and
+``GroupBlocks.cross[(g, h)]`` are lazy read-only views that slice the
+two operators on demand; only consumers that want per-group or per-pair
+matrices (per-group solves, the event engine's wakes, the serving
+tier, tests) ever build one.
 
 Why the one-pass build is bit-identical to a per-block build
 ------------------------------------------------------------
@@ -56,18 +58,6 @@ destination group, destination-local row)`` ascending is exactly the
 order in which a walk over the ordered pairs concatenates per-pair
 blocks.  The property tests compare every view with a naive per-block
 ``csr_matrix`` byte for byte.
-
-Stacked efferent operators
---------------------------
-The event engine wants each destination's efferent vector ``Y`` dense
-over the destination's pages.  Source ``g``'s *stacked efferent
-operator* — its cross blocks stacked vertically, destinations
-ascending — is cut from ``g``'s span of ``cut`` rows on first use
-(same stored values in the same order, rows re-expanded), with the
-per-destination output bounds computed once alongside:
-:meth:`GroupBlocks.efferent` runs one SpMV for all destinations and
-returns zero-copy views into the output, :meth:`GroupBlocks.efferent_into`
-is the allocation-free variant.
 """
 
 from __future__ import annotations
@@ -83,7 +73,6 @@ import scipy.sparse as sp
 from repro.graph.io import madvise_dontneed
 from repro.graph.partition import Partition
 from repro.graph.webgraph import WebGraph
-from repro.linalg.jacobi import csr_matvec_into
 from repro.utils.validation import check_fraction
 
 __all__ = [
@@ -92,11 +81,6 @@ __all__ = [
     "source_group_blocks",
     "GroupBlocks",
 ]
-
-
-#: A source's stacked efferent operator and, per destination, the span
-#: ``(dst, start, stop)`` of its output that the destination owns.
-_StackedEfferent = Tuple[sp.csr_matrix, List[Tuple[int, int, int]]]
 
 
 def _link_weights(alpha: float, degrees: np.ndarray) -> np.ndarray:
@@ -151,19 +135,23 @@ def _csr_view(
     return m
 
 
-class _DiagBlocks(Sequence):
-    """``diag[g]`` — lazy views of the diagonal stack's row ranges.
+class _RowBlocks(Sequence):
+    """``blocks[g]`` — lazy views of one CSR matrix's row ranges
+    ``bounds[g]:bounds[g+1]``, square unless ``n_cols`` is given.
 
-    A view shares the stack's data and column arrays and owns only its
-    re-based row pointers, so keeping all K costs one page-sized int
-    array in total; they are cached because per-group solves ask for
-    the same block every round.
+    A view shares the matrix's data and column arrays and owns only its
+    re-based row pointers, so keeping all K costs one row-sized int
+    array in total; they are cached because per-group work asks for
+    the same block every step.
     """
 
-    def __init__(self, stack: sp.csr_matrix, offsets: np.ndarray):
-        self._stack = stack
-        self._offsets = offsets
-        self._blocks: List[Optional[sp.csr_matrix]] = [None] * (offsets.size - 1)
+    def __init__(
+        self, matrix: sp.csr_matrix, bounds: np.ndarray, n_cols: Optional[int] = None
+    ):
+        self._matrix = matrix
+        self._bounds = bounds
+        self._n_cols = n_cols
+        self._blocks: List[Optional[sp.csr_matrix]] = [None] * (bounds.size - 1)
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -172,14 +160,14 @@ class _DiagBlocks(Sequence):
         g = range(len(self._blocks))[g]  # IndexError past K ends iteration
         block = self._blocks[g]
         if block is None:
-            r0, r1 = int(self._offsets[g]), int(self._offsets[g + 1])
-            indptr = self._stack.indptr
+            r0, r1 = int(self._bounds[g]), int(self._bounds[g + 1])
+            indptr = self._matrix.indptr
             lo, hi = int(indptr[r0]), int(indptr[r1])
             block = self._blocks[g] = _csr_view(
-                self._stack.data[lo:hi],
-                self._stack.indices[lo:hi],
+                self._matrix.data[lo:hi],
+                self._matrix.indices[lo:hi],
                 indptr[r0 : r1 + 1] - lo,
-                (r1 - r0, r1 - r0),
+                (r1 - r0, r1 - r0 if self._n_cols is None else self._n_cols),
             )
         return block
 
@@ -208,11 +196,15 @@ class _CrossBlocks(Mapping):
         p = b.pair_position[key]
         g, h = key
         s, e = int(b.pair_start[p]), int(b.pair_start[p + 1])
-        indptr, lo, hi = b._expand_rows(s, e, b.row_map[s:e], b.group_size(h))
+        cp = b.cut.indptr
+        lo, hi = int(cp[s]), int(cp[e])
+        # Pointer i of the span serves every row after rows[i-1] up to
+        # and including rows[i] (ascending), the last one the tail.
+        gaps = np.diff(np.concatenate(([-1], b.row_map[s:e], [b.group_size(h)])))
         return _csr_view(
             b.cut.data[lo:hi],
             b.cut.indices[lo:hi] - int(b.offsets[g]),
-            indptr,
+            np.repeat(cp[s : e + 1] - lo, gaps),
             (b.group_size(h), b.group_size(g)),
         )
 
@@ -244,6 +236,11 @@ class GroupBlocks:
     diag:
         ``diag[g]`` — CSR block mapping group ``g``'s local rank vector
         to the in-group rank it receives (the ``A`` of Algorithm 2).
+    cut_rows:
+        ``cut_rows[g]`` — source ``g``'s span of ``cut`` rows, columns
+        still group-major: one SpMV over the whole-system rank vector
+        gives ``g``'s segment of the compressed ``Y`` (a wake of the
+        event engine's ranker ``g``).
     cross:
         ``cross[(g, h)]`` — CSR block mapping group ``g``'s local rank
         vector to the afferent contribution arriving at group ``h``
@@ -265,6 +262,7 @@ class GroupBlocks:
     #: are contiguous, destinations ascending).
     pair_first: np.ndarray = field(init=False, repr=False)
     diag: Sequence = field(init=False, repr=False)
+    cut_rows: Sequence = field(init=False, repr=False)
     cross: Mapping = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -272,15 +270,12 @@ class GroupBlocks:
         sizes = np.array([p.size for p in self.pages], dtype=np.int64)
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self.pair_first = np.searchsorted(self.pair_src, np.arange(k + 1))
-        self.diag = _DiagBlocks(self.diag_stack, self.offsets)
+        self.diag = _RowBlocks(self.diag_stack, self.offsets)
+        self.cut_rows = _RowBlocks(
+            self.cut, self.pair_start[self.pair_first], int(self.offsets[-1])
+        )
         self.cross = _CrossBlocks(self)
         self._block_diagonal: Optional[sp.csr_matrix] = None
-        self._efferent_rows = np.bincount(
-            self.pair_src, weights=sizes[self.pair_dst], minlength=k
-        ).astype(np.int64)
-        #: Per source, cut on first use: only the event engine's
-        #: per-node efferent calls need the re-expanded rows.
-        self._efferent: List[Optional[_StackedEfferent]] = [None] * k
 
     @property
     def n_groups(self) -> int:
@@ -326,92 +321,6 @@ class GroupBlocks:
     def apply_local(self, g: int, r: np.ndarray) -> np.ndarray:
         """One in-group propagation: returns ``diag[g] @ r``."""
         return self.diag[g] @ r
-
-    def _expand_rows(
-        self, s: int, e: int, rows: np.ndarray, n_rows: int
-    ) -> Tuple[np.ndarray, int, int]:
-        """Row pointers that put ``cut`` rows ``s:e`` at ``rows`` of an
-        ``n_rows``-row matrix, and the entry span they cover."""
-        cp = self.cut.indptr
-        lo, hi = int(cp[s]), int(cp[e])
-        # Pointer i of the span serves every row after rows[i-1] up to
-        # and including rows[i] (ascending), the last one the tail.
-        gaps = np.diff(np.concatenate(([-1], rows, [n_rows])))
-        return np.repeat(cp[s : e + 1] - lo, gaps), lo, hi
-
-    def _efferent_of(self, g: int) -> _StackedEfferent:
-        cached = self._efferent[g]
-        if cached is None:
-            p0, p1 = int(self.pair_first[g]), int(self.pair_first[g + 1])
-            dests = self.pair_dst[p0:p1]
-            bounds = np.concatenate(
-                [[0], np.cumsum(self.offsets[dests + 1] - self.offsets[dests])]
-            )
-            s, e = int(self.pair_start[p0]), int(self.pair_start[p1])
-            rows = (
-                np.repeat(bounds[:-1], np.diff(self.pair_start[p0 : p1 + 1]))
-                + self.row_map[s:e]
-            )
-            indptr, lo, hi = self._expand_rows(s, e, rows, int(bounds[-1]))
-            op = _csr_view(
-                self.cut.data[lo:hi],
-                self.cut.indices[lo:hi] - int(self.offsets[g]),
-                indptr,
-                (int(bounds[-1]), self.group_size(g)),
-            )
-            spans = list(zip(dests.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()))
-            cached = self._efferent[g] = (op, spans)
-        return cached
-
-    def efferent_rows(self, g: int) -> int:
-        """Total output length of group ``g``'s stacked efferent operator."""
-        return int(self._efferent_rows[g])
-
-    def efferent_buffer(self, g: int) -> np.ndarray:
-        """Allocate an output buffer suitable for :meth:`efferent_into`."""
-        return np.zeros(self.efferent_rows(g), dtype=np.float64)
-
-    def efferent_operator(self, g: int) -> sp.csr_matrix:
-        """Group ``g``'s stacked efferent operator (read-only).
-
-        The vertical stack of ``cross[(g, h)]`` for ``h`` in
-        :meth:`destinations_of` order, cut from the cut operator on
-        first access.
-        """
-        return self._efferent_of(g)[0]
-
-    def efferent(self, g: int, r: np.ndarray) -> Dict[int, np.ndarray]:
-        """Efferent contributions ``Y`` of group ``g`` given its rank ``r``.
-
-        Returns a dict ``destination group -> dense vector`` over the
-        destination group's local pages.  This is the paper's
-        ``Y = B·R`` computed per destination, with the matrix entry
-        corrected to ``α/d(u)`` (see DESIGN.md, "Known typo handled").
-
-        One SpMV over the stacked efferent operator serves every
-        destination; the returned vectors are views into a single
-        fresh output array (safe to hand to in-flight messages — the
-        array is not reused by later calls).
-        """
-        op, spans = self._efferent_of(g)
-        y = op @ np.asarray(r, dtype=np.float64)
-        return {h: y[a:b] for h, a, b in spans}
-
-    def efferent_into(
-        self, g: int, r: np.ndarray, out: np.ndarray
-    ) -> Dict[int, np.ndarray]:
-        """Allocation-free :meth:`efferent`: one SpMV into ``out``.
-
-        ``out`` must have length :meth:`efferent_rows`; the returned
-        dict holds views into ``out``, valid until ``out`` is reused.
-        """
-        if out.shape != (self.efferent_rows(g),):
-            raise ValueError(
-                f"out has shape {out.shape}, want ({self.efferent_rows(g)},)"
-            )
-        op, spans = self._efferent_of(g)
-        csr_matvec_into(op, r, out)
-        return {h: out[a:b] for h, a, b in spans}
 
     def cross_records(self, g: int, h: int) -> int:
         """Link records group ``g`` ships to group ``h`` — the stored

@@ -49,7 +49,7 @@ from repro.net.codec import (
     frame_wire_bytes,
     token_frame_bytes,
 )
-from repro.net.adaptive import AdaptiveCodec, EncodedEmission, EncodedFrame
+from repro.net.adaptive import AdaptiveCodec, EncodedEmission
 from repro.net.failures import (
     BernoulliLoss,
     ChaosModel,
@@ -84,7 +84,6 @@ __all__ = [
     "token_frame_bytes",
     "AdaptiveCodec",
     "EncodedEmission",
-    "EncodedFrame",
     "BernoulliLoss",
     "ChaosModel",
     "NoLoss",

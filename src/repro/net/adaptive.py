@@ -11,16 +11,17 @@ receiver has not seen.
 The unit of work is **one source's emission**: the efferent vectors of
 all its destinations, concatenated, with the pair boundaries
 (:meth:`AdaptiveCodec.encode`).  The source's pairs share one flat
-mirror and every step below runs once over it, segmented by pair — a
-round costs one call per source, not one per pair.  A single pair
-(:meth:`AdaptiveCodec.encode_pair`, the event engine's per-destination
-emit) is the one-destination emission, not a second code path.
+mirror and every step below runs once over it, segmented by pair — an
+emission costs one call per source, not one per pair, in every engine.
 
 Encoding the true efferent vector ``v`` of each pair:
 
 1. ``delta = v − recon``; candidate entries are those with
    ``|delta| > θ`` where ``θ = ε_pair / (2·len(v))`` (with a zero
-   budget every changed entry is a candidate).
+   budget every changed entry is a candidate).  ``v`` is the pair's
+   *compressed* segment — one entry per destination page the pair has
+   a cut link into — so ``len(v)`` is the pair's compressed length,
+   the same number in every engine.
 2. Candidates are quantized at the codec's width (float32 for
    ``delta``, float16 for ``delta-q16``) and the *post-frame* residual
    is computed: withheld mass plus quantization error.
@@ -66,10 +67,7 @@ from repro.net.codec import (
     frames_wire_bytes,
 )
 
-__all__ = ["AdaptiveCodec", "EncodedEmission", "EncodedFrame"]
-
-#: Pair boundaries of a one-destination emission.
-_ONE_PAIR = np.zeros(1, dtype=np.int64)
+__all__ = ["AdaptiveCodec", "EncodedEmission"]
 
 
 @dataclass
@@ -93,22 +91,6 @@ class EncodedEmission:
     exact: np.ndarray
     #: Total wire bytes of the emission's shipped frames.
     wire_bytes: int
-
-
-@dataclass
-class EncodedFrame:
-    """One encoded pair emission: what ships and what it costs.
-
-    ``values`` is the receiver's post-frame reconstruction — a *view*
-    of the codec's mirror, valid until the pair's next encode; copy it
-    before handing it to anything with a longer lifetime (in-flight
-    messages, held state).
-    """
-
-    values: np.ndarray
-    wire_bytes: int
-    entries: int
-    exact: bool
 
 
 class _Session:
@@ -176,7 +158,12 @@ class AdaptiveCodec:
         float64 flush.
     n_pairs:
         Number of communicating pairs; the per-pair budget is
-        ``epsilon / n_pairs``.
+        ``ε_pair = epsilon / n_pairs``.
+
+    An entry is a candidate when its change exceeds
+    ``θ = ε_pair / (2·len)``, ``len`` being the pair's compressed
+    length: the entries of its segment — one per destination page the
+    pair has a cut link into — as every engine passes it.
     """
 
     def __init__(self, codec: str, *, epsilon: float = 0.0, n_pairs: int = 1):
@@ -255,12 +242,9 @@ class AdaptiveCodec:
 
         ``index_map`` translates positions in ``values`` to the wire's
         destination-local index space before gap coding (default: the
-        position within the pair's own vector).  The flat engine passes
-        its compressed segments with their nonzero-row map so frames
-        cost exactly what the event engine's dense emissions cost (a
-        dense vector's structural zeros never change, so both views
-        select the same wire indices); the event engine passes dense
-        vectors and no map.
+        position within the pair's own vector).  The engines pass their
+        compressed segments with the nonzero-row map, so a frame's
+        indices — and its bytes — are those of the destination's pages.
         """
         vec = np.asarray(values, dtype=np.float64)
         s = self._session(src, dsts, vec.size, starts)
@@ -332,25 +316,6 @@ class AdaptiveCodec:
             entries=entries,
             exact=flush,
             wire_bytes=int(frame_bytes.sum()),
-        )
-
-    def encode_pair(
-        self,
-        src: int,
-        dst: int,
-        values: np.ndarray,
-        index_map: Optional[np.ndarray] = None,
-    ) -> Optional[EncodedFrame]:
-        """Encode a one-destination emission; ``None`` means the frame
-        was suppressed."""
-        out = self.encode(src, (dst,), values, _ONE_PAIR, index_map)
-        if not out.shipped[0]:
-            return None
-        return EncodedFrame(
-            values=out.values,
-            wire_bytes=out.wire_bytes,
-            entries=int(out.entries[0]),
-            exact=bool(out.exact[0]),
         )
 
     # ------------------------------------------------------------------

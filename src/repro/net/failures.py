@@ -126,7 +126,7 @@ class NodePauseInjector:
         """Schedule the pause/resume events onto ``sim``.
 
         ``rankers`` must expose a boolean ``paused`` attribute (see
-        :class:`repro.core.ranker.PageRanker`).
+        :class:`repro.core.ranker.Ranker`).
         """
         for _ in range(self.n_faults):
             node = int(self._rng.integers(0, len(rankers)))

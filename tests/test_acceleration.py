@@ -142,12 +142,8 @@ class TestGaussSeidelInDPR:
         )
         assert gs.inner_sweeps.sum() < jac.inner_sweeps.sum()
 
-    def test_invalid_solver_rejected(self, contest_small):
-        from repro.core.dpr import DPRNode
-        from repro.core.open_system import GroupSystem
-        from repro.graph import make_partition
+    def test_invalid_solver_rejected(self):
+        from repro.core.coordinator import DistributedConfig
 
-        part = make_partition(contest_small, 2, "site")
-        system = GroupSystem(contest_small, part)
-        with pytest.raises(ValueError):
-            DPRNode(0, system.diag(0), system.beta_e[0], inner_solver="sor")
+        with pytest.raises(ValueError, match="inner_solver"):
+            DistributedConfig(inner_solver="sor")

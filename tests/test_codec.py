@@ -258,6 +258,12 @@ def emission_sequences(draw):
     return lengths, index_maps, steps, reset_at
 
 
+def encode_one(codec, src, dst, values, index_map=None):
+    """A one-destination emission; ``None`` when the codec suppressed it."""
+    out = codec.encode(src, (dst,), values, np.zeros(1, dtype=np.int64), index_map)
+    return out if out.shipped[0] else None
+
+
 class TestAdaptiveCodec:
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -268,11 +274,11 @@ class TestAdaptiveCodec:
     def test_lossless_mode_ships_exact_or_suppresses(self):
         codec = AdaptiveCodec("delta", epsilon=0.0, n_pairs=4)
         v = np.array([0.5, 0.0, 0.25])
-        frame = codec.encode_pair(0, 1, v)
-        assert frame.exact
+        frame = encode_one(codec, 0, 1, v)
+        assert frame.exact[0]
         np.testing.assert_array_equal(codec.recon(0, 1), v)
         # Unchanged vector -> free suppression, residual stays 0.
-        assert codec.encode_pair(0, 1, v) is None
+        assert encode_one(codec, 0, 1, v) is None
         assert codec.residual_mass() == 0.0
         assert codec.stats()["suppressed_frames"] == 1
 
@@ -289,7 +295,7 @@ class TestAdaptiveCodec:
         codec = AdaptiveCodec(name, epsilon=epsilon, n_pairs=2)
         for vec in vectors:
             v = np.asarray(vec)
-            codec.encode_pair(3, 1, v)
+            encode_one(codec, 3, 1, v)
             gap = float(np.abs(v - codec.recon(3, 1)).sum())
             assert gap <= codec.pair_budget + 1e-12
             assert codec.residual_mass() <= codec.epsilon + 1e-12
@@ -297,17 +303,18 @@ class TestAdaptiveCodec:
     def test_escalates_to_exact_flush_when_over_budget(self):
         codec = AdaptiveCodec("delta-q16", epsilon=1e-6, n_pairs=1)
         v = np.array([1 / 3, 2 / 3, 0.123])  # not float16-representable
-        frame = codec.encode_pair(0, 1, v)
+        frame = encode_one(codec, 0, 1, v)
         # float16 quantization error on these values dwarfs the
         # budget, so the very first frame must be an exact flush.
-        assert frame.exact
+        assert frame.exact[0]
         assert codec.exact_flushes == 1
         np.testing.assert_array_equal(codec.recon(0, 1), v)
 
     def test_index_map_changes_bytes_not_state(self):
         """A compressed segment + index map must cost exactly what the
-        equivalent dense vector costs (flat vs event engine byte
-        identity), without altering the codec's delivered values."""
+        equivalent dense vector costs — a frame's indices are the
+        destination's pages — without altering the codec's delivered
+        values."""
         dense = np.zeros(50)
         rows = np.array([4, 17, 41], dtype=np.int64)
         seg = np.array([0.5, 1.5, 2.5])
@@ -315,30 +322,30 @@ class TestAdaptiveCodec:
 
         a = AdaptiveCodec("delta", epsilon=0.0, n_pairs=1)
         b = AdaptiveCodec("delta", epsilon=0.0, n_pairs=1)
-        f_dense = a.encode_pair(0, 1, dense)
-        f_seg = b.encode_pair(0, 1, seg, index_map=rows)
+        f_dense = encode_one(a, 0, 1, dense)
+        f_seg = encode_one(b, 0, 1, seg, index_map=rows)
         assert f_dense.wire_bytes == f_seg.wire_bytes
-        assert f_dense.entries == f_seg.entries
+        assert f_dense.entries[0] == f_seg.entries[0]
         np.testing.assert_array_equal(b.recon(0, 1), seg)
         np.testing.assert_array_equal(a.recon(0, 1), dense)
 
     def test_reset_pair_resyncs(self):
         codec = AdaptiveCodec("delta", epsilon=0.0, n_pairs=1)
         v = np.array([1.0, 2.0])
-        codec.encode_pair(0, 1, v)
+        encode_one(codec, 0, 1, v)
         codec.reset_pair(0, 1)
         assert codec.resyncs == 1
-        frame = codec.encode_pair(0, 1, v)  # full resync frame
-        assert frame.entries == 2
+        frame = encode_one(codec, 0, 1, v)  # full resync frame
+        assert frame.entries[0] == 2
         # Resetting an unknown pair is a no-op.
         codec.reset_pair(9, 9)
         assert codec.resyncs == 1
 
     def test_length_change_rejected(self):
         codec = AdaptiveCodec("delta", epsilon=0.0, n_pairs=1)
-        codec.encode_pair(0, 1, np.array([1.0, 2.0]))
+        encode_one(codec, 0, 1, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            codec.encode_pair(0, 1, np.array([1.0]))
+            encode_one(codec, 0, 1, np.array([1.0]))
 
     def test_emission_layout_is_validated(self):
         codec = AdaptiveCodec("delta", epsilon=0.0, n_pairs=2)
@@ -360,7 +367,7 @@ class TestAdaptiveCodec:
         with pytest.raises(ValueError, match="layout changed"):
             codec.encode(0, (1, 3), v, np.array([0, 1]))
         with pytest.raises(ValueError, match="layout changed"):
-            codec.encode_pair(0, 2, v[1:])
+            encode_one(codec, 0, 2, v[1:])
         with pytest.raises(ValueError, match="another emission layout"):
             codec.encode(0, (5, 2), v, np.array([0, 1]))
 
@@ -392,7 +399,8 @@ class TestAdaptiveCodec:
             vec = np.asarray(values)
             out = batched.encode(7, dsts, vec, starts, flat_map)
             frames = [
-                single.encode_pair(
+                encode_one(
+                    single,
                     7,
                     dst,
                     vec[bounds[j] : bounds[j + 1]],
@@ -405,10 +413,10 @@ class TestAdaptiveCodec:
                 0 if f is None else f.wire_bytes for f in frames
             ]
             assert out.entries.tolist() == [
-                0 if f is None else f.entries for f in frames
+                0 if f is None else f.entries[0] for f in frames
             ]
             assert out.exact.tolist() == [
-                f is not None and f.exact for f in frames
+                f is not None and f.exact[0] for f in frames
             ]
             assert out.wire_bytes == sum(
                 f.wire_bytes for f in frames if f is not None

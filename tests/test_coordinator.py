@@ -153,13 +153,13 @@ class TestWarmStart:
         cfg = DistributedConfig(n_groups=8, t1=1.0, t2=1.0, seed=2)
         run = DistributedRun(contest_small, cfg)
         run.warm_start(run.reference)
-        for g, ranker in enumerate(run.rankers):
+        blocks = run.system.blocks
+        for g in range(run.n_groups):
             expected = np.zeros(run.system.group_size(g))
             for src in run.system.sources_of(g):
-                expected += run.system.efferent(
-                    src, run.reference[run.system.blocks.pages[src]]
-                )[g]
-            np.testing.assert_allclose(ranker.node.refresh_x(), expected)
+                expected += blocks.cross[(src, g)] @ run.reference[blocks.pages[src]]
+            run._refresh_group(g)
+            np.testing.assert_allclose(run._x[run._slices[g]], expected)
 
     def test_warm_start_rejects_wrong_shape(self, contest_small):
         cfg = DistributedConfig(n_groups=4, t1=1.0, t2=1.0)

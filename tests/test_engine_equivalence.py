@@ -94,6 +94,25 @@ def test_engines_agree_under_loss(p):
     assert event.dropped_updates > 0
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("codec", ["delta", "delta-q16"])
+def test_engines_agree_under_codec(codec, epsilon):
+    """A wire codec, lossless or budgeted: both engines make one codec
+    call per source emission over the same compressed segments, so the
+    candidate threshold θ = ε_pair / (2·len) reads the same compressed
+    pair length and every verdict, frame and byte agrees."""
+    event, flat = run_both(GRAPHS["contest"](), codec=codec, comm_epsilon=epsilon)
+    assert_equivalent(event, flat)
+    assert event.traffic.paper_data_bytes == flat.traffic.paper_data_bytes
+    assert event.codec_stats == flat.codec_stats
+    stats = event.codec_stats
+    if epsilon:
+        # The budget is spent: frames ship quantized, not all exact.
+        assert stats["exact_flushes"] < stats["frames"]
+    else:
+        assert stats["exact_flushes"] == stats["frames"] > 0
+
+
 def test_single_group_degenerate():
     """K = 1: no cross traffic at all, ranks still bit-identical."""
     graph = GRAPHS["contest"]()

@@ -12,8 +12,8 @@ Two contracts behind ``tests/test_hybrid.py``'s end-to-end ones:
   snapshots do not alias it, restores round-trip it, a blank
   replacement clears exactly one destination's share, and ``_land`` +
   ``_refresh`` — generation check, stale counts, first-arrival
-  summation order — equal the per-delivery dict receiver
-  (``DPRNode.receive`` semantics) on the flat engine and the hybrid.
+  summation order — equal the per-delivery dict receiver on the flat
+  engine and the hybrid.
 """
 
 import numpy as np
@@ -239,7 +239,7 @@ class TestFlatReceiverMemory:
     def test_snapshot_is_not_aliased_to_live_state(self, graph):
         engine = make_engine(graph)
         run_rounds(engine, 1, 2)
-        node = engine._shadows[3].node
+        node = engine.rankers[3].node
         snap = node.state_dict()
         frozen = {key: np.array(snap[key]) for key in ("r", "latest_values", "latest_gen")}
         run_rounds(engine, 3, 5)
@@ -254,7 +254,7 @@ class TestFlatReceiverMemory:
         engine = make_engine(graph)
         run_rounds(engine, 1, 2)
         engine._stale[3] = 7
-        node = engine._shadows[3].node
+        node = engine.rankers[3].node
         snap = node.state_dict()
         others = engine._recv.copy()
         run_rounds(engine, 3, 5)
@@ -297,7 +297,7 @@ class TestFlatReceiverMemory:
         engine._outer += 1
         engine._outer[[1, 4]] -= 3
         arrived = np.arange(len(engine._pairs))
-        # The per-delivery rule (DPRNode.receive), pair by pair.
+        # The per-delivery rule, pair by pair.
         expect = np.zeros(engine.n_groups, dtype=np.int64)
         for p in arrived.tolist():
             src, dst = engine._pairs[p][:2]
@@ -328,7 +328,7 @@ class TestFlatReceiverMemory:
         assert res.crashed_groups > 0 and res.fidelity == "approximate"
         assert engine._arrivals == np.count_nonzero(engine._recv_gen >= 0) > 0
         assert engine._recv.any() and engine._recv_matrix is not None
-        dead = [g for g, shadow in enumerate(engine._shadows) if shadow.crashed]
+        dead = [g for g, ranker in enumerate(engine.rankers) if ranker.crashed]
         live_pairs = ~np.isin(engine._pair_src, dead) & ~np.isin(engine._pair_dst, dead)
         assert (engine._recv_gen[live_pairs] == 6).all()
 

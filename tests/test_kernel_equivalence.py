@@ -1,24 +1,24 @@
 """Equivalence layer for the allocation-free hot-path kernels.
 
 Every fast kernel introduced by the perf work — workspace-backed
-Jacobi sweeps/solves, the stacked efferent SpMV, and the incremental
-running-``X`` — is checked here against a naive reference
-implementation (the pre-optimization code path, re-implemented
-inline) to ≤ 1e-15, and in
-the exact paths to *bitwise* equality.
+Jacobi sweeps/solves, the compressed cut rows a wake multiplies, and
+the afferent sums over the flat receiver memory — is checked here
+against a naive reference implementation (the pre-optimization code
+path, re-implemented inline) to ≤ 1e-15, and in the exact paths to
+*bitwise* equality.
 
 Also covers the degenerate fast-path inputs (zero-page groups, groups
 with no efferent destinations, dangling pages) and a property-based
-test that whole DPR runs on the fast kernels produce **bit-identical**
-final ranks to the seed implementation on random graphs/partitions.
+test that whole event-engine runs produce **bit-identical** final ranks
+to the seed implementation — one dense dict receiver per ranker — on
+random graphs/partitions.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dpr import DPRNode
-from repro.core.open_system import GroupSystem
+from repro.core.coordinator import DistributedConfig, DistributedRun
 from repro.graph import WebGraph, make_partition
 from repro.linalg import (
     JacobiWorkspace,
@@ -49,6 +49,20 @@ def efferent_reference(blocks, g, r):
     return {h: block @ r for (src, h), block in blocks.cross.items() if src == g}
 
 
+def efferent_from_cut_rows(blocks, g, r_global):
+    """Source ``g``'s dense Y per destination from its span of cut rows
+    (what an event wake computes), re-expanded to destination pages."""
+    y = blocks.cut_rows[g] @ r_global
+    base = int(blocks.pair_start[blocks.pair_first[g]])
+    out = {}
+    for p in range(blocks.pair_first[g], blocks.pair_first[g + 1]):
+        a, b = int(blocks.pair_start[p]), int(blocks.pair_start[p + 1])
+        dense = np.zeros(blocks.group_size(int(blocks.pair_dst[p])))
+        dense[blocks.row_map[a:b]] = y[a - base : b - base]
+        out[int(blocks.pair_dst[p])] = dense
+    return out
+
+
 def naive_jacobi_solve(p, f, x0=None, *, tol, max_iter=10_000):
     """Seed ``jacobi_solve``: a fresh iterate and a fresh ``Δx`` per sweep.
 
@@ -66,7 +80,7 @@ def naive_jacobi_solve(p, f, x0=None, *, tol, max_iter=10_000):
 
 
 def naive_refresh_x(latest_values, n_local):
-    """Seed ``DPRNode.refresh_x``: fresh zeros + per-source adds."""
+    """Seed refresh of X: fresh zeros + per-source adds."""
     x = np.zeros(n_local, dtype=np.float64)
     for vec in latest_values.values():
         x += vec
@@ -109,6 +123,22 @@ class SeedDPRNode:
             self.r = jacobi_sweep(self.a_group, self.r, f)
         self.outer_iterations += 1
         return self.r
+
+
+def event_engine(graph, k, mode="dpr2", strategy="site"):
+    """An event engine whose rankers are never started — tests drive
+    its wakes and deliveries by hand — over zero-latency direct links,
+    so the messages of a lockstep round arrive in send order."""
+    cfg = DistributedConfig(n_groups=k, algorithm=mode, transport="direct", hop_delay=0.0)
+    return DistributedRun(graph, cfg, partition=make_partition(graph, k, strategy, seed=7))
+
+
+def lockstep_round(run):
+    """Every ranker wakes once, in group order, then every message is
+    delivered — the seed harness's round."""
+    for g in range(run.n_groups):
+        run._wake(g)
+    run.sim.run()
 
 
 # ----------------------------------------------------------------------
@@ -181,29 +211,35 @@ class TestSweepEquivalence:
 
 class TestEfferentEquivalence:
     def test_stacked_matches_reference_bitwise(self, blocks):
+        """A source's span of cut rows, times the whole-system rank
+        vector, is every destination's efferent vector bit for bit."""
         rng = np.random.default_rng(0)
+        r_global = rng.random(int(blocks.offsets[-1]))
         for g in range(blocks.n_groups):
-            r = rng.random(blocks.group_size(g))
+            r = r_global[blocks.offsets[g] : blocks.offsets[g + 1]]
             ref = efferent_reference(blocks, g, r)
-            fast = blocks.efferent(g, r)
+            fast = efferent_from_cut_rows(blocks, g, r_global)
             assert sorted(fast) == sorted(ref)
             for h, vec in ref.items():
                 np.testing.assert_array_equal(fast[h], vec)
                 assert np.abs(fast[h] - vec).max(initial=0.0) <= TOL
 
-    def test_efferent_into_matches_reference(self, blocks):
+    def test_efferent_into_matches_reference(self, contest_small):
+        """What a wake computes — the allocation-free cut-row SpMV into
+        the source's span of the engine's Y buffer — is the reference
+        efferent vector, pair by pair."""
+        run = event_engine(contest_small, 8)
         rng = np.random.default_rng(1)
-        for g in range(blocks.n_groups):
-            r = rng.random(blocks.group_size(g))
-            out = blocks.efferent_buffer(g)
-            fast = blocks.efferent_into(g, r, out)
-            for h, vec in efferent_reference(blocks, g, r).items():
-                np.testing.assert_array_equal(fast[h], vec)
-
-    def test_efferent_into_rejects_bad_buffer(self, blocks):
-        r = np.zeros(blocks.group_size(0))
-        with pytest.raises(ValueError):
-            blocks.efferent_into(0, r, np.zeros(blocks.efferent_rows(0) + 1))
+        run._r[:] = rng.random(run._r.size)
+        blocks = run.system.blocks
+        for g in range(8):
+            if run._emissions[g] is None:
+                continue
+            csr_matvec_into(blocks.cut_rows[g], run._r, run._y[run._emissions[g][0]])
+            ref = efferent_reference(blocks, g, run._r[run._slices[g]])
+            for p in run._src_pairs[g].tolist():
+                _, h, span, rows, _ = run._pairs[p]
+                np.testing.assert_array_equal(run._y[span], ref[h][rows])
 
     def test_adjacency_matches_cross_scan(self, blocks):
         for g in range(blocks.n_groups):
@@ -214,70 +250,67 @@ class TestEfferentEquivalence:
                 s for (s, h) in blocks.cross if h == g
             )
 
-    def test_efferent_views_are_independent_per_call(self, blocks):
-        g = next(g for g in range(blocks.n_groups) if blocks.destinations_of(g))
-        r = np.random.default_rng(2).random(blocks.group_size(g))
-        first = blocks.efferent(g, r)
-        second = blocks.efferent(g, 2.0 * r)
-        for h, vec in first.items():
-            # A later call must not overwrite earlier results in flight.
-            np.testing.assert_array_equal(vec, efferent_reference(blocks, g, r)[h])
-            np.testing.assert_array_equal(second[h], 2.0 * vec)
+    def test_efferent_views_are_independent_per_call(self, contest_small):
+        """A message keeps the payload it was sent with: the source's Y
+        span is rewritten at its next wake while the update may still
+        be in flight."""
+        run = event_engine(contest_small, 8)
+        sent = []
+        run.transport.send_updates = lambda g, updates: sent.extend(updates)
+        g = next(g for g in range(8) if run.system.destinations_of(g))
+        run._wake(g)
+        assert [u.dst_group for u in sent] == run.system.destinations_of(g)
+        payloads = [u.values.copy() for u in sent]
+        run._y[:] = -1.0
+        run._r[:] = 7.0
+        run._wake(g)
+        for u, values in zip(sent, payloads):
+            np.testing.assert_array_equal(u.values, values)
 
 
 class TestRefreshXEquivalence:
-    def _node_and_sources(self, contest_small):
-        part = make_partition(contest_small, 6, "site")
-        system = GroupSystem(contest_small, part)
-        dst = max(range(6), key=lambda h: len(system.sources_of(h)))
-        node = DPRNode(dst, system.diag(dst), system.beta_e[dst], mode="dpr2")
-        return system, node, dst
+    def _engine_and_sources(self, contest_small):
+        run = event_engine(contest_small, 6)
+        dst = max(range(6), key=lambda h: len(run.system.sources_of(h)))
+        return run, dst
+
+    def _deliver(self, run, src, dst, rng, gen, latest):
+        """One update from ``src``; ``latest`` keeps the dense vector the
+        seed receiver would hold, in first-arrival order."""
+        p = run.system.blocks.pair_position[(src, dst)]
+        rows = run._pairs[p][3]
+        values = rng.random(rows.size)
+        run._on_deliver(dst, ScoreUpdate(src, dst, values, 1, generation=gen))
+        dense = np.zeros(run.system.group_size(dst))
+        dense[rows] = values
+        latest[src] = dense
 
     # One policy is left (the id is kept from when "delta" sat beside it).
     @pytest.mark.parametrize("policy", ["exact"])
     def test_incremental_matches_naive_resum(self, contest_small, policy):
-        system, node, dst = self._node_and_sources(contest_small)
+        run, dst = self._engine_and_sources(contest_small)
         rng = np.random.default_rng(4)
-        sources = system.sources_of(dst) or [dst + 1 % 6]
+        sl = run._slices[dst]
         latest = {}
         for gen in range(1, 6):
-            for src in sources:
-                v = rng.random(node.n_local)
-                node.receive(ScoreUpdate(src, dst, v, 1, generation=gen))
-                latest[src] = v
-            np.testing.assert_array_equal(
-                node.refresh_x(), naive_refresh_x(latest, node.n_local)
-            )
+            for src in run.system.sources_of(dst):
+                self._deliver(run, src, dst, rng, gen, latest)
+            run._refresh_group(dst)
+            assert run._x[sl].tobytes() == naive_refresh_x(latest, sl.stop - sl.start).tobytes()
 
     def test_exact_mode_bit_identical_under_interleaving(self, contest_small):
-        system, node, dst = self._node_and_sources(contest_small)
+        run, dst = self._engine_and_sources(contest_small)
         rng = np.random.default_rng(5)
-        sources = system.sources_of(dst)
+        sources = run.system.sources_of(dst)
+        sl = run._slices[dst]
         latest = {}
         for gen in range(1, 9):
-            # Only a rotating subset re-sends each generation.
-            for src in sources[gen % (len(sources) or 1) :]:
-                v = rng.random(node.n_local)
-                node.receive(ScoreUpdate(src, dst, v, 1, generation=gen))
-                latest[src] = v
-            np.testing.assert_array_equal(
-                node.refresh_x(), naive_refresh_x(latest, node.n_local)
-            )
-
-    def test_no_mail_step_skips_refresh(self, contest_small):
-        system, node, dst = self._node_and_sources(contest_small)
-        # No mail has ever arrived: the cached f = βE + 0 is valid.
-        node.step()
-        node.step()
-        assert node.refresh_skips == 2
-        src = system.sources_of(dst)[0]
-        node.receive(
-            ScoreUpdate(src, dst, np.ones(node.n_local), 1, generation=1)
-        )
-        node.step()
-        assert node.refresh_skips == 2  # mail arrived: refresh ran
-        node.step()
-        assert node.refresh_skips == 3
+            # Only a rotating subset re-sends each generation, so the
+            # first-arrival order is not the source order.
+            for src in sources[gen % (len(sources) or 1) :][::-1]:
+                self._deliver(run, src, dst, rng, gen, latest)
+            run._refresh_group(dst)
+            assert run._x[sl].tobytes() == naive_refresh_x(latest, sl.stop - sl.start).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -288,56 +321,54 @@ class TestRefreshXEquivalence:
 class TestDegenerateInputs:
     def test_zero_page_group(self, contest_small):
         # K far above the site count forces empty groups.
-        part = make_partition(contest_small, 64, "site")
-        system = GroupSystem(contest_small, part)
-        empty = next(g for g in range(64) if system.group_size(g) == 0)
-        node = DPRNode(empty, system.diag(empty), system.beta_e[empty], mode="dpr2")
-        r = node.step()
-        assert r.size == 0
-        assert node.last_step_delta == 0.0
-        assert system.efferent(empty, r) == {}
-        assert system.blocks.efferent_rows(empty) == 0
+        run = event_engine(contest_small, 64)
+        empty = next(g for g in range(64) if run.system.group_size(g) == 0)
+        run._wake(empty)
+        assert run._outer[empty] == 1
+        assert run._last_delta[empty] == 0.0
+        assert run._emissions[empty] is None
+        assert run.system.blocks.cut_rows[empty].shape[0] == 0
 
     def test_group_with_no_efferent_destinations(self):
         # Two isolated cliques: no cut links at all.
         g = WebGraph(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], site_of=[0, 0, 0, 1, 1, 1])
         part = make_partition(g, 2, "site")
         blocks = group_blocks(g, part, 0.85)
+        r_global = np.random.default_rng(0).random(6)
         for grp in range(2):
             assert blocks.destinations_of(grp) == []
             assert blocks.sources_of(grp) == []
-            r = np.random.default_rng(0).random(blocks.group_size(grp))
-            assert blocks.efferent(grp, r) == {}
+            r = r_global[blocks.offsets[grp] : blocks.offsets[grp + 1]]
+            assert efferent_from_cut_rows(blocks, grp, r_global) == {}
             assert efferent_reference(blocks, grp, r) == {}
-            out = blocks.efferent_buffer(grp)
-            assert out.size == 0
-            assert blocks.efferent_into(grp, r, out) == {}
+            assert blocks.cut_rows[grp].shape == (0, 6)
 
     def test_dangling_pages(self):
         # Page 2 and 5 have no out-links; their columns must be empty
-        # in both the diagonal and the stacked efferent operators.
+        # in both the diagonal and the cut operators.
         g = WebGraph(6, [0, 1, 3, 4], [2, 3, 5, 0], site_of=[0, 0, 0, 1, 1, 1])
         part = make_partition(g, 2, "site")
         blocks = group_blocks(g, part, 0.85)
         for grp in range(2):
-            r = np.ones(blocks.group_size(grp))
-            ref = efferent_reference(blocks, grp, r)
-            fast = blocks.efferent(grp, r)
+            ref = efferent_reference(blocks, grp, np.ones(blocks.group_size(grp)))
+            fast = efferent_from_cut_rows(blocks, grp, np.ones(6))
             assert sorted(fast) == sorted(ref)
             for h in ref:
                 np.testing.assert_array_equal(fast[h], ref[h])
         # A full solve still runs and matches the naive path.
-        system = GroupSystem(g, part)
+        run = DistributedRun(g, DistributedConfig(n_groups=2), partition=part)
+        system = run.system
         for grp in range(2):
-            node = DPRNode(grp, system.diag(grp), system.beta_e[grp], mode="dpr1")
             ref = SeedDPRNode(grp, system.diag(grp), system.beta_e[grp], "dpr1")
-            np.testing.assert_array_equal(node.step(), ref.step())
+            run._step_groups([grp])
+            np.testing.assert_array_equal(run._r[run._slices[grp]], ref.step())
 
     def test_single_group_partition(self, contest_small):
         part = make_partition(contest_small, 1, "site")
         blocks = group_blocks(contest_small, part, 0.85)
         assert blocks.destinations_of(0) == []
-        assert blocks.efferent(0, np.ones(contest_small.n_pages)) == {}
+        assert blocks.cut_rows[0].shape[0] == 0
+        assert efferent_from_cut_rows(blocks, 0, np.ones(contest_small.n_pages)) == {}
 
 
 # ----------------------------------------------------------------------
@@ -365,36 +396,24 @@ class TestEndToEndBitIdentity:
         rounds=st.integers(min_value=1, max_value=6),
     )
     def test_fast_run_bit_identical_to_seed(self, graph, k, mode, strategy, rounds):
-        """Stacked-efferent + incremental-X (exact mode) + workspace
-        sweeps reproduce the seed implementation bit for bit."""
-        part = make_partition(graph, k, strategy, seed=7)
-        system = GroupSystem(graph, part)
-        fast = [
-            DPRNode(g, system.diag(g), system.beta_e[g], mode=mode) for g in range(k)
-        ]
+        """The event engine — cut-row Y, the flat receiver memory's
+        first-arrival sums, workspace sweeps — reproduces the seed
+        implementation, round for round, bit for bit."""
+        run = event_engine(graph, k, mode, strategy)
+        system = run.system
         seed = [
             SeedDPRNode(g, system.diag(g), system.beta_e[g], mode) for g in range(k)
         ]
         for _ in range(rounds):
-            mail_fast, mail_seed = [], []
-            for nf, ns in zip(fast, seed):
-                rf = nf.step()
+            lockstep_round(run)
+            mail = []
+            for ns in seed:
                 rs = ns.step()
-                np.testing.assert_array_equal(rf, rs)
-                for dst, values in system.efferent(nf.group, rf).items():
-                    mail_fast.append(
-                        ScoreUpdate(nf.group, dst, values, 1, nf.outer_iterations)
-                    )
-                for dst, values in efferent_reference(
-                    system.blocks, ns.group, rs
-                ).items():
-                    mail_seed.append(
-                        ScoreUpdate(ns.group, dst, values, 1, ns.outer_iterations)
-                    )
-            for u in mail_fast:
-                fast[u.dst_group].receive(u)
-            for u in mail_seed:
+                for dst, values in efferent_reference(system.blocks, ns.group, rs).items():
+                    mail.append(ScoreUpdate(ns.group, dst, values, 1, ns.outer_iterations))
+            for u in mail:
                 seed[u.dst_group].receive(u)
-        final_fast = system.assemble([n.r for n in fast])
+            for g, ns in enumerate(seed):
+                np.testing.assert_array_equal(run._r[run._slices[g]], ns.r)
         final_seed = system.assemble([n.r for n in seed])
-        np.testing.assert_array_equal(final_fast, final_seed)
+        np.testing.assert_array_equal(run.assemble_ranks(), final_seed)

@@ -73,10 +73,14 @@ class TestGroupBlocks:
     def test_efferent_matches_cross_blocks(self, contest_small):
         part = partition_contiguous(contest_small, 4)
         blocks = group_blocks(contest_small, part, 0.85)
-        r = np.random.default_rng(1).random(blocks.group_size(0))
-        eff = blocks.efferent(0, r)
-        for h, vec in eff.items():
-            np.testing.assert_allclose(vec, blocks.cross[(0, h)] @ r)
+        r = np.random.default_rng(1).random(blocks.offsets[-1])
+        y = blocks.cut_rows[0] @ r
+        for p in range(blocks.pair_first[0], blocks.pair_first[1]):
+            h = int(blocks.pair_dst[p])
+            a, b = blocks.pair_start[p], blocks.pair_start[p + 1]
+            vec = np.zeros(blocks.group_size(h))
+            vec[blocks.row_map[a:b]] = y[a:b]
+            np.testing.assert_allclose(vec, blocks.cross[(0, h)] @ r[: blocks.offsets[1]])
 
     def test_single_group_has_no_cross(self, contest_small):
         part = make_partition(contest_small, 1, "site")
@@ -190,14 +194,22 @@ class TestOnePassBuilder:
         for g in range(partition.n_groups):
             assert blocks.destinations_of(g) == [h for s, h in sorted(cross) if s == g]
             assert blocks.sources_of(g) == [s for s, h in sorted(cross) if h == g]
-            # The stacked efferent operator is the vstack of the oracle blocks.
+            # A source's span of cut rows is the vstack of its oracle
+            # blocks, compressed to their nonzero rows, in group-major
+            # columns that only ever fall inside its own group.
+            lo, hi = blocks.offsets[g], blocks.offsets[g + 1]
             stacked = sp.vstack(
-                [cross[(g, h)] for h in blocks.destinations_of(g)]
+                [
+                    cross[(g, h)][np.unique(cross[(g, h)].nonzero()[0])]
+                    for h in blocks.destinations_of(g)
+                ]
                 or [sp.csr_matrix((0, blocks.group_size(g)))],
                 format="csr",
             )
-            assert (blocks.efferent_operator(g) != stacked).nnz == 0
-            assert blocks.efferent_rows(g) == stacked.shape[0]
+            rows = blocks.cut_rows[g]
+            assert rows.shape == (stacked.shape[0], blocks.offsets[-1])
+            assert rows[:, lo:hi].nnz == rows.nnz
+            assert (rows[:, lo:hi] != stacked).nnz == 0
         # The whole-system operator is the block diagonal of the oracle's.
         whole = sp.block_diag(diag, format="csr")
         assert_same_csr(blocks.block_diagonal(), whole)

@@ -76,11 +76,14 @@ class TestGroupSystemAlgebra:
         assert system.cross_records(1, 0) == 0
 
     def test_efferent_keys_match_destinations(self, contest_small):
-        part = make_partition(contest_small, 4, "site")
-        system = GroupSystem(contest_small, part)
-        r = np.random.default_rng(0).random(system.group_size(0))
-        eff = system.efferent(0, r)
-        assert sorted(eff) == system.blocks.destinations_of(0)
+        """A ranker's emission reaches exactly its group's destinations."""
+        from repro.core.coordinator import DistributedConfig, DistributedRun
+
+        run = DistributedRun(contest_small, DistributedConfig(n_groups=4))
+        sent = []
+        run.transport.send_updates = lambda g, updates: sent.extend(updates)
+        run._wake(0)
+        assert [u.dst_group for u in sent] == run.system.destinations_of(0)
 
     def test_scalar_and_vector_e_agree(self, contest_small):
         part = make_partition(contest_small, 3, "site")

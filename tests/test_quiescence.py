@@ -7,7 +7,6 @@ its fixed point.  These tests check the rule fires, fires *correctly*
 (the detected state really is converged), and does not fire early.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import pagerank_open, run_distributed_pagerank
@@ -78,14 +77,8 @@ class TestQuiescence:
 
     def test_invalid_quiescence_samples(self, contest_small):
         from repro.core.convergence import Monitor
-        from repro.core.open_system import GroupSystem
-        from repro.graph import make_partition
-        from repro.net.simulator import Simulator
+        from repro.core.coordinator import DistributedConfig, DistributedRun
 
-        part = make_partition(contest_small, 2, "site")
-        system = GroupSystem(contest_small, part)
+        run = DistributedRun(contest_small, DistributedConfig(n_groups=2))
         with pytest.raises(ValueError):
-            Monitor(
-                Simulator(), system, [], np.zeros(contest_small.n_pages),
-                quiescence_samples=0,
-            )
+            Monitor(run.sim, run, quiescence_samples=0)

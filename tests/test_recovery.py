@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.dpr import DPRNode
-from repro.core.open_system import GroupSystem
+from repro.core.coordinator import DistributedConfig, DistributedRun
 from repro.core.recovery import Checkpointer, CheckpointStore, RecoveryManager
-from repro.graph import make_partition
 from repro.net.heartbeat import HeartbeatMonitor
 from repro.net.simulator import Simulator
 
@@ -207,22 +205,34 @@ class TestRecoveryManager:
         assert built == []
 
 
-@pytest.fixture
-def system(contest_small):
-    part = make_partition(contest_small, 4, "site")
-    return GroupSystem(contest_small, part)
+class GroupStepper:
+    """Group 0 of an event engine, stepped by hand: ``step`` wakes it
+    and returns its ranks, ``r`` is its live slice."""
+
+    def __init__(self, run):
+        self.run = run
+        self.sl = run._slices[0]
+
+    @property
+    def r(self):
+        return self.run._r[self.sl]
+
+    def step(self):
+        self.run._wake(0)
+        return self.r.copy()
 
 
 class TestMidRunStateRoundTrip:
-    def test_bit_identical_continuation(self, system):
-        """Snapshot a node mid-run, restore into a fresh node, and both
-        must produce bit-identical vectors from then on."""
-        node = DPRNode(0, system.diag(0), system.beta_e[0])
+    def test_bit_identical_continuation(self, contest_small):
+        """Snapshot a group mid-run, restore it into a blank replacement,
+        and both must produce bit-identical vectors from then on."""
+        cfg = DistributedConfig(n_groups=4, algorithm="dpr1")
+        original, other = (DistributedRun(contest_small, cfg) for _ in range(2))
+        node, clone = GroupStepper(original), GroupStepper(other)
         for _ in range(5):
             node.step()
-        state = node.state_dict()
-        clone = DPRNode(0, system.diag(0), system.beta_e[0])
-        clone.load_state_dict(state)
+        state = original.rankers[0].node.state_dict()
+        other._make_replacement(0, 0).node.load_state_dict(state)
         for _ in range(3):
             np.testing.assert_array_equal(node.step(), clone.step())
         np.testing.assert_array_equal(node.r, clone.r)

@@ -107,9 +107,9 @@ def graph():
 
 class DictReceiver:
     """The per-delivery receiver the engines' flat memory replaced —
-    ``DPRNode.receive`` and ``DPRNode._refresh`` over compressed
-    segments: per destination an insertion-ordered dict of the newest
-    vector per pair, re-summed in first-arrival order."""
+    the paper's refresh-X rule over compressed segments: per
+    destination an insertion-ordered dict of the newest vector per
+    pair, re-summed in first-arrival order."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -226,9 +226,9 @@ def test_late_first_frame_keeps_its_place_in_the_sum(graph):
 def test_budgeted_codec_freezes_on_first_arrival_order(graph):
     """ε_comm is large enough that two light pairs stay suppressed for
     their first rounds (1→0 first ships in round 2, 2→1 in round 4).
-    With a budget the event engine picks different candidates (θ
-    depends on the vector length, dense there and compressed here), so
-    the reference is :func:`run_flat`'s per-delivery receiver alone."""
+    The reference is :func:`run_flat`'s per-delivery receiver; that the
+    event engine agrees with a budget too is
+    ``tests/test_engine_equivalence.py``'s codec matrix."""
     cfg = dict(BASE, codec="delta-q16", comm_epsilon=1.0)
     engine, res, rebuilt = run_flat(graph, cfg)
 
