@@ -14,7 +14,6 @@ Run:  python examples/failure_resilience.py
 from repro import google_contest_like, pagerank_open
 from repro.analysis import format_table
 from repro.core import DistributedConfig, DistributedRun
-from repro.net.failures import NodePauseInjector
 
 
 def scenario(graph, reference, *, label, delivery_prob, t2, n_faults):
@@ -26,14 +25,11 @@ def scenario(graph, reference, *, label, delivery_prob, t2, n_faults):
         t1=0.0,
         t2=t2,
         seed=21,
+        pause_faults=n_faults,
+        pause_horizon=40.0,
+        pause_mean_outage=15.0,
     )
     run = DistributedRun(graph, config, reference=reference)
-    if n_faults:
-        run.install_pause_injector(
-            NodePauseInjector(
-                n_faults=n_faults, horizon=40.0, mean_outage=15.0, seed=4
-            )
-        )
     result = run.run(max_time=2000.0, target_relative_error=1e-4)
     return (
         label,

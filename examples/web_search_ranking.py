@@ -16,7 +16,6 @@ import numpy as np
 from repro import google_contest_like, pagerank_open
 from repro.analysis import format_table, rank_order_correlation, topk_overlap
 from repro.core import DistributedConfig, DistributedRun
-from repro.net.failures import NodePauseInjector
 
 
 def main() -> None:
@@ -35,11 +34,11 @@ def main() -> None:
         t2=6.0,
         delivery_prob=0.9,
         seed=11,
+        pause_faults=2,
+        pause_horizon=30.0,
+        pause_mean_outage=20.0,
     )
     run = DistributedRun(graph, config, reference=centralized)
-    run.install_pause_injector(
-        NodePauseInjector(n_faults=2, horizon=30.0, mean_outage=20.0, seed=2)
-    )
     result = run.run(max_time=600.0, target_relative_error=1e-5)
 
     print(

@@ -40,7 +40,6 @@ from repro.core.open_system import GroupSystem, group_pagerank
 from repro.core.hits import HITSResult, hits
 from repro.core.convergence import (
     ConvergenceTrace,
-    Monitor,
     is_monotone_nondecreasing,
 )
 from repro.core.coordinator import (
@@ -63,7 +62,6 @@ __all__ = [
     "hits",
     "PageRanker",
     "ConvergenceTrace",
-    "Monitor",
     "is_monotone_nondecreasing",
     "DistributedConfig",
     "DistributedRun",

@@ -8,10 +8,10 @@ The paper's experiments track two global time series:
   non-decreasing (Theorem 4.1) and bounded (Theorem 4.2), plateauing
   below ``E`` because of the open-system leak.
 
-:class:`Sampler` records both and decides when a run stops;
-:class:`Monitor` drives it at a fixed cadence on the simulator.  The
-module also provides the monotonicity checker used to *test*
-Theorems 4.1/4.2 empirically.
+:class:`Sampler` records both and decides when a run stops; every
+engine's run loop (:meth:`repro.core.engine.RoundEngine.run`) drives it
+at the fixed ``sample_interval`` cadence.  The module also provides the
+monotonicity checker used to *test* Theorems 4.1/4.2 empirically.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import numpy as np
 
 from repro.linalg.norms import l1_norm
 from repro.net.bandwidth import TrafficAccountant
-from repro.net.simulator import Simulator
 
-__all__ = ["ConvergenceTrace", "Monitor", "Sampler", "is_monotone_nondecreasing"]
+__all__ = ["ConvergenceTrace", "Sampler", "is_monotone_nondecreasing"]
 
 
 def is_monotone_nondecreasing(values: Sequence[float], *, tol: float = 1e-9) -> bool:
@@ -86,12 +85,25 @@ class Sampler:
     A sample appends one row to the :class:`ConvergenceTrace` (error,
     mean rank, outer progress, traffic so far), then evaluates the two
     stop rules: the target relative error, and *quiescence* — the
-    reference-free termination rule (see :class:`Monitor`).  The event
-    engine drives it from a simulator process (:class:`Monitor`), the
-    round engines from their tick loop
-    (:mod:`repro.core.engine`); because it is the same code, the
+    reference-free termination rule.  Every engine drives it from the
+    one run loop (:meth:`repro.core.engine.RoundEngine.run`), so the
     recorded values and the stop sample are identical across engines
     wherever their states are.
+
+    The sampler is *omniscient* — it reads every group's current ranks
+    without network cost.  That matches the paper's methodology: the
+    error curves of Figs 6–8 are measured by the experimenter, not by
+    the protocol.
+
+    Quiescence (``quiescence_delta`` set) declares the run converged
+    once every group has stepped at least once and every group's last
+    outer-step change ``‖ΔR‖₁`` stays at or below ``quiescence_delta``
+    for ``quiescence_samples`` consecutive samples.  Theorem 3.3 turns
+    each group's step delta into a bound on its distance to the local
+    fixed point, so small deltas everywhere (with no larger afferent
+    updates arriving between samples) signal global convergence — the
+    termination rule the paper's ``while true`` loops leave
+    unspecified.
 
     The error is computed in place on the caller's rank vector with
     the exact subtract/abs/sum/divide sequence of
@@ -177,80 +189,3 @@ class Sampler:
             if self._quiet_streak >= self.quiescence_samples:
                 self.quiescent = True
                 self.quiescence_time = t
-
-
-class Monitor(Sampler):
-    """Periodic global sampler running inside the simulation.
-
-    The monitor is *omniscient* — it reads every ranker's current local
-    vector without network cost.  That matches the paper's methodology:
-    the error curves of Figs 6–8 are measured by the experimenter, not
-    by the protocol.  What it samples is the engine's flat state —
-    ``engine._ranks(out)``, ``engine._outer`` and
-    ``engine._quiescent_now`` — exactly what
-    :meth:`~repro.core.engine.RoundEngine.run` samples between rounds.
-
-    Parameters
-    ----------
-    sim, engine:
-        The simulator the sampling process runs on and the run it
-        samples (its ``reference`` and ``accountant`` too).
-    target_relative_error:
-        When set, :attr:`converged` flips as soon as a sample meets
-        the threshold; the coordinator uses it to stop the run.
-    quiescence_delta:
-        When set, enables *reference-free* termination detection: the
-        run is declared quiescent once every ranker has iterated at
-        least once and every ranker's last outer-step change
-        ``‖ΔR‖₁`` stays at or below this value for
-        ``quiescence_samples`` consecutive samples.  Theorem 3.3 turns
-        each group's step delta into a bound on its distance to the
-        local fixed point, so small deltas everywhere (with no larger
-        afferent updates arriving between samples) certify global
-        convergence — this is the termination rule the paper's
-        ``while true`` loops leave unspecified.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        engine,
-        *,
-        interval: float = 1.0,
-        target_relative_error: Optional[float] = None,
-        quiescence_delta: Optional[float] = None,
-        quiescence_samples: int = 3,
-    ):
-        if interval <= 0:
-            raise ValueError("interval must be > 0")
-        super().__init__(
-            engine.reference,
-            engine.accountant,
-            target_relative_error=target_relative_error,
-            quiescence_delta=quiescence_delta,
-            quiescence_samples=quiescence_samples,
-        )
-        self.sim = sim
-        self.engine = engine
-        self.interval = float(interval)
-        self._stopped = False
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Take a t=0 sample and begin the sampling cadence."""
-        self._sample()
-
-    def stop(self) -> None:
-        """Stop scheduling further samples."""
-        self._stopped = True
-
-    # ------------------------------------------------------------------
-    def _sample(self) -> None:
-        if self._stopped:
-            return
-        eng = self.engine
-        self.sample(
-            self.sim.now, eng._ranks(self.buffer), eng._outer, eng._quiescent_now
-        )
-        if not self.converged and not self.quiescent:
-            self.sim.schedule(self.interval, self._sample)

@@ -4,8 +4,9 @@
 builds the engine the config names — by default the event engine
 (:class:`~repro.core.ranker.DistributedRun`), which wires graph →
 partition → :class:`~repro.core.open_system.GroupSystem` → overlay →
-transport → rankers → monitor and runs the event simulation — until
-convergence (or a time budget), and returns a :class:`RunResult`
+transport → rankers → fault plane — and runs it through the one
+tick/sample/stop loop (:meth:`repro.core.engine.RoundEngine.run`)
+until convergence (or a time budget), returning a :class:`RunResult`
 carrying everything the paper's figures plot.  This module holds what
 every engine shares: the validity table (:class:`DistributedConfig`),
 the set-up (:class:`RunSetup`) and the report (:class:`RunResult`).
@@ -233,7 +234,7 @@ class DistributedConfig:
     e: Union[float, np.ndarray, None] = _spec(
         None, Domain("None, a number or a 1-D array", _check_e), "experiment"
     )
-    #: Monitor sampling cadence.  ``None`` resolves in
+    #: Sampling cadence of the run loop.  ``None`` resolves in
     #: ``__post_init__``: 1.0 for the event engine, the synchronous
     #: period for the round engines.  Those only accept whole
     #: multiples of the period — their samples land exactly on round

@@ -72,13 +72,16 @@ collapses into sparse linear algebra:
 
 One loop, one round
 -------------------
-Every round engine — this one, the Monte-Carlo engine below, and the
-hybrid engine — is a :class:`RoundEngine`: it supplies ``_round`` and
-its current ranks, and inherits the one tick/sample/stop loop
-(:meth:`RoundEngine.run`) over the one sample body
-(:class:`~repro.core.convergence.Sampler`) the event engine's monitor
-also uses.  A score-exchanging round is the paper's outer loop applied
-to the groups that step (:meth:`SynchronousEngine._round`):
+Every engine — this one, the Monte-Carlo engine below, the hybrid
+engine and the event engine — is a :class:`RoundEngine`: it supplies
+``_round`` and its current ranks, and inherits the one
+tick/sample/stop loop (:meth:`RoundEngine.run`) over the one sample
+body (:class:`~repro.core.convergence.Sampler`).  The event engine is a
+schedule over that loop: its tick is the sample interval, its round is
+empty, and its wakes, deliveries and fault processes run inside its
+simulator between samples.  A score-exchanging round is the paper's
+outer loop applied to the groups that step
+(:meth:`SynchronousEngine._round`):
 
 1. **refresh** — ``X = F·recv`` over whatever has landed
    (:meth:`SynchronousEngine._refresh`);
@@ -280,13 +283,15 @@ def paper_round_estimate(
 
 
 class RoundEngine(RunSetup):
-    """A bulk-synchronous engine: the one tick/sample/stop loop.
+    """The one tick/sample/stop loop (:meth:`run`), for every engine.
 
     Subclasses supply the compute kernel — :meth:`_round` and
     :meth:`_ranks` — and maintain the three per-group vectors the loop
     reads: ``_outer`` (outer iterations), ``_last_delta`` (L1 change of
     the last step; the quiescence signal) and ``_inner_sweeps`` (the
-    work counter reported as ``RunResult.inner_sweeps``).
+    work counter reported as ``RunResult.inner_sweeps``).  An engine
+    with simulated processes of its own — the hybrid's fault plane, the
+    event engine's whole schedule — runs them in :meth:`_sync_to`.
     """
 
     def __init__(
@@ -314,6 +319,11 @@ class RoundEngine(RunSetup):
         self._inner_sweeps = np.zeros(k, dtype=np.int64)
 
     # -- what a subclass supplies --------------------------------------
+    @property
+    def _tick(self) -> float:
+        """The loop's tick: the synchronous period, one round each."""
+        return self.period
+
     def _round(self, t: float) -> None:
         """Execute the round of the tick at simulated time ``t``."""
         raise NotImplementedError
@@ -327,7 +337,8 @@ class RoundEngine(RunSetup):
         return False
 
     def _sync_to(self, t: float) -> None:
-        """Bring engine-side simulated processes up to time ``t``."""
+        """Bring engine-side simulated processes up to time ``t`` (a
+        sample's time, or ``max_time`` when the run ends there)."""
 
     def _dropped_total(self) -> int:
         """Loss-model drops to report (transports may hold the counter)."""
@@ -338,10 +349,9 @@ class RoundEngine(RunSetup):
         return {}
 
     def _quiescent_now(self, quiescence_delta: float) -> bool:
-        """One sample's quiescence verdict — the monitor's per-node
-        rule: every group has stepped at least once and its last step
-        delta is at or below the threshold (streak logic is the
-        sampler's)."""
+        """One sample's quiescence verdict: every group has stepped at
+        least once and its last step delta is at or below the threshold
+        (streak logic is the sampler's)."""
         return bool(
             (self._outer > 0).all()
             and (self._last_delta <= quiescence_delta).all()
@@ -356,31 +366,26 @@ class RoundEngine(RunSetup):
         quiescence_delta: Optional[float] = None,
         quiescence_samples: int = 3,
     ) -> RunResult:
-        """Execute rounds until a stop condition; gather a RunResult.
+        """Tick, sample and stop; gather a RunResult.
 
-        Tick ``m`` runs at simulated time ``m × period`` (the exact
-        float sequence the event engine's fixed waits produce), and a
-        sample lands on every ``m``-th tick where
-        ``sample_interval = m × period`` (config validation guarantees
-        the whole-multiple ratio).  The sampling order replicates the
-        event engine's :class:`~repro.core.convergence.Monitor`, whose
-        sample at a tick always executes *before* that tick's ranker
-        wakes (its event was scheduled a full interval earlier, so it
-        carries the lower sequence number): the sample at tick ``m``
-        therefore observes the rounds completed *before* it, and when
-        it trips a stop condition the tick's round is never computed —
-        exactly as the event simulator halts before processing the
-        remaining same-time wakes.  The sample clock accumulates
-        ``sample_interval`` separately from the tick clock (mirroring
-        the monitor's relative rescheduling) so trace timestamps are
-        bit-identical too.  Stop conditions mirror the monitor: target
-        relative error, quiescence (every group's last step delta at
-        or below ``quiescence_delta`` for ``quiescence_samples``
-        consecutive samples), or ``max_time`` — plus, for an engine
-        whose work can run out (the Monte-Carlo estimator once every
-        token has terminated), the first sample that observes it
-        exhausted: the final ranks are on the trace and further rounds
-        are no-ops.
+        Tick ``m`` is at simulated time ``m × tick``, accumulated as
+        ``t + tick`` (the float sequence of fixed waits), and a sample
+        lands on every ``m``-th tick where ``sample_interval = m ×
+        tick`` (config validation guarantees the whole-multiple ratio;
+        the sample clock accumulates ``sample_interval`` on its own and
+        must agree with the tick clock bit for bit).  A sample at ``t``
+        first brings the engine's simulated processes to ``t``
+        (:meth:`_sync_to`), then records one trace row and applies the
+        stop rules: the target relative error; quiescence (every group
+        has stepped and its last step delta is at or below
+        ``quiescence_delta`` for ``quiescence_samples`` consecutive
+        samples); or exhaustion, for an engine whose work can run out
+        (the Monte-Carlo estimator once every token has terminated).  A
+        sample that trips one ends the run where it stands: the tick's
+        round (:meth:`_round`) is not computed and nothing else runs.
+        Otherwise the run ends when the next tick would pass
+        ``max_time``: the engine's processes are drained to
+        ``max_time``, the run's reported time.
         """
         cfg = self.config
         sampler = Sampler(
@@ -391,27 +396,26 @@ class RoundEngine(RunSetup):
             quiescence_samples=quiescence_samples,
         )
 
-        def sample(t: float) -> Tuple[bool, bool, bool]:
-            # The event engine's monitor samples after every event
-            # strictly before t has been processed; sync first so
-            # traffic snapshots and delivered state agree.
+        def sample(t: float) -> bool:
             self._sync_to(t)
             sampler.sample(
                 t, self._ranks(sampler.buffer), self._outer, self._quiescent_now
             )
-            return sampler.converged, sampler.quiescent, self._exhausted()
+            return sampler.converged or sampler.quiescent or self._exhausted()
 
+        tick = self._tick
         interval = float(cfg.sample_interval)
-        every = int(round(interval / self.period))
+        every = int(round(interval / tick))
 
-        converged, quiescent, exhausted = sample(0.0)
-        t = 0.0  # tick clock: accumulates the period like ranker waits
-        t_s = 0.0  # sample clock: accumulates the monitor's interval
+        stop = sample(0.0)
+        t = 0.0  # tick clock: accumulates the tick like fixed waits
+        t_s = 0.0  # sample clock: accumulates the sample interval
         k = 0
-        while not converged and not quiescent and not exhausted:
-            t_next = t + self.period
+        while not stop:
+            t_next = t + tick
             if t_next > max_time:
                 t = float(max_time)
+                self._sync_to(t)
                 break
             t = t_next
             k += 1
@@ -424,14 +428,11 @@ class RoundEngine(RunSetup):
                         "period accumulate differently in float "
                         "arithmetic; pick exactly representable values"
                     )
-                converged, quiescent, exhausted = sample(t_s)
-                if converged or quiescent or exhausted:
+                stop = sample(t_s)
+                if stop:
                     break
             self._round(t)
 
-        # Drain in-flight engine-side work to the run's final time, as
-        # the event engine runs its one simulator to the stop time.
-        self._sync_to(t)
         return assemble_run_result(
             # The sample buffer is dead after the loop, so the final
             # assembly fills it and hands it to the result outright.
@@ -460,11 +461,9 @@ class SynchronousEngine(RoundEngine):
     Construction starts from :class:`~repro.core.coordinator.RunSetup`
     (the partition, overlay, and loss streams every engine draws from
     the same named seeds), then allocates the flat state around the
-    builder's two global operators.  :meth:`run` executes ticks at the
-    common period
-    ``max((t1+t2)/2, MIN_MEAN_WAIT)`` until ``max_time``, a target
-    error, or quiescence — the same stop conditions the event engine's
-    monitor applies.
+    builder's two global operators.  :meth:`run` executes a round per
+    tick of the common period ``max((t1+t2)/2, MIN_MEAN_WAIT)`` until
+    ``max_time``, a target error, or quiescence.
 
     Parameters
     ----------

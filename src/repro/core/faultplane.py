@@ -17,6 +17,13 @@ one seed yields one fault schedule — the same named streams
 (``"chaos"``, ``"retry-jitter"``, ``"pause-injector"``,
 ``"crash-injector"``) drawn in the same order, the same events
 scheduled in the same sequence — on either engine.
+
+The config is the only way faults enter a run: the ``pause_*``,
+``crash_*``, heartbeat, checkpoint and recovery fields of
+:class:`~repro.core.coordinator.DistributedConfig` name every process
+built here.  Processes are started once and never stopped; a run ends
+by no longer advancing the simulator (the run loop,
+:meth:`repro.core.engine.RoundEngine.run`).
 """
 
 from __future__ import annotations
@@ -168,18 +175,13 @@ class FaultPlane:
             self.heartbeat.add_death_callback(self.recovery.on_death)
 
     def start(self) -> None:
-        """Begin the heartbeat sweeps and the checkpoint cadence."""
+        """Begin the heartbeat sweeps and the checkpoint cadence (the
+        event engine at its first sample, the hybrid at construction;
+        both while the simulator is at 0)."""
         if self.heartbeat is not None:
             self.heartbeat.start()
         if self.checkpointer is not None:
             self.checkpointer.start()
-
-    def stop(self) -> None:
-        """Stop scheduling further sweeps and checkpoints."""
-        if self.heartbeat is not None:
-            self.heartbeat.stop()
-        if self.checkpointer is not None:
-            self.checkpointer.stop()
 
     def counters(self, now: float) -> Dict[str, int]:
         """The nine fault/ARQ :class:`RunResult` counters at ``now``."""

@@ -24,29 +24,27 @@ receive rule before anything next reads the receiver memory.  The
 fault plane sees each ranker as an entry (:class:`Ranker`) whose
 ``node`` is the group's share of that state (:class:`RankerState`), in
 the event and hybrid engines alike.
+
+The run is the round engines' one tick/sample/stop loop
+(:meth:`~repro.core.engine.RoundEngine.run`) with the sample interval
+as its tick and an empty round: between two samples the simulator runs
+the wakes, deliveries and fault processes up to the next sample's
+*slot* (:meth:`DistributedRun._sync_to`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.convergence import Monitor
-from repro.core.coordinator import (
-    MIN_MEAN_WAIT,
-    DistributedConfig,
-    RunResult,
-    assemble_run_result,
-    config_transport,
-)
+from repro.core.coordinator import MIN_MEAN_WAIT, DistributedConfig, config_transport
 from repro.core.engine import SynchronousEngine
 from repro.core.faultplane import FaultPlane
 from repro.core.recovery import RecoveryManager
 from repro.graph.partition import Partition
 from repro.graph.webgraph import WebGraph
 from repro.linalg.jacobi import csr_matvec_into
-from repro.net.failures import NodePauseInjector
 from repro.net.simulator import Simulator
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_non_negative
@@ -212,8 +210,11 @@ class DistributedRun(SynchronousEngine):
     """A fully wired event-driven page-ranking system, ready to run.
 
     Splitting construction from :meth:`run` lets tests and examples
-    poke at the assembled parts (rankers, transport, overlay) and
-    inject faults before or during execution.
+    poke at the assembled parts (rankers, transport, overlay) before or
+    during execution.  :meth:`run` is the round engines' loop
+    (:meth:`~repro.core.engine.RoundEngine.run`) with one sample per
+    tick and an empty round: everything between two samples runs inside
+    :attr:`sim` (:meth:`_sync_to`).
     """
 
     def __init__(
@@ -246,8 +247,10 @@ class DistributedRun(SynchronousEngine):
         for g in range(config.n_groups):
             self.rankers.append(self._make_ranker(g, seeds.generator(f"wait/{g}")))
         self.transport.attach(self._on_deliver)
-        self.monitor: Optional[Monitor] = None
         self.faults.install()
+        #: Set when the simulator reaches the pending sample slot
+        #: (:meth:`_sync_to`); None until the run's first sample.
+        self._at_slot: Optional[bool] = None
 
     @property
     def recovery(self) -> Optional[RecoveryManager]:
@@ -296,10 +299,6 @@ class DistributedRun(SynchronousEngine):
             csr_matvec_into(self.system.blocks.cut_rows[g], self._r, self._y[emission[0]])
         self._send(self.transport, self._build_sends([g]), self.sim.now)
 
-    def install_pause_injector(self, injector: NodePauseInjector) -> None:
-        """Add node churn to the run (must be called before :meth:`run`)."""
-        injector.install(self.sim, self.rankers)
-
     def warm_start(self, ranks: np.ndarray) -> None:
         """Seed the run with a prior global rank vector.
 
@@ -325,60 +324,53 @@ class DistributedRun(SynchronousEngine):
         self._accept(pairs, np.zeros_like(pairs))
         csr_matvec_into(self._cut, self._r, self._recv)
 
-    def run(
-        self,
-        *,
-        max_time: float = 1000.0,
-        target_relative_error: Optional[float] = None,
-        quiescence_delta: Optional[float] = None,
-        quiescence_samples: int = 3,
-    ) -> RunResult:
-        """Execute the simulation and gather results.
+    # ------------------------------------------------------------------
+    # Run-loop hooks (see RoundEngine)
+    # ------------------------------------------------------------------
+    @property
+    def _tick(self) -> float:
+        return float(self.config.sample_interval)
 
-        The run stops at the first of: the target relative error being
-        reached (sampled at ``config.sample_interval``), system-wide
-        quiescence (when ``quiescence_delta`` is set — the
-        reference-free termination rule, held for
-        ``quiescence_samples`` consecutive samples; see
-        :class:`~repro.core.convergence.Monitor`), or simulated time
-        ``max_time``.
+    def _round(self, t: float) -> None:
+        """Nothing: the wakes, deliveries and fault processes between
+        two samples run inside the simulator (:meth:`_sync_to`)."""
+
+    def _sync_to(self, t: float) -> None:
+        """Run the simulator to the sample slot at ``t``.
+
+        The sample at ``t`` sees exactly the events ordered before its
+        *slot* — an event at ``t`` scheduled when the previous sample
+        ran — so a same-time wake or delivery scheduled before that
+        moment runs before the sample and one scheduled after it runs
+        after.  The first call (``t = 0``) runs nothing: it schedules
+        the next slot, the rankers' first wakes and the heartbeat and
+        checkpoint cadence, in that order (sequence numbers break
+        same-time ties).  When no slot is due at ``t`` — the drain at
+        ``max_time`` — every event at or before ``t`` runs.
         """
-        cfg = self.config
-        monitor = self.monitor = Monitor(
-            self.sim,
-            self,
-            interval=cfg.sample_interval,
-            target_relative_error=target_relative_error,
-            quiescence_delta=quiescence_delta,
-            quiescence_samples=quiescence_samples,
-        )
-        monitor.start()
-        for ranker in self.rankers:
-            ranker.start()
-        self.faults.start()
-        stop = None
-        if target_relative_error is not None or quiescence_delta is not None:
-            def stop() -> bool:
-                return monitor.converged or monitor.quiescent
-        self.sim.run(until=max_time, stop_condition=stop)
-        monitor.stop()
-        self.faults.stop()
+        if self._at_slot is None:
+            self._open_slot(t)
+            for ranker in self.rankers:
+                ranker.start()
+            self.faults.start()
+            return
+        if t < self.sim.now:
+            raise RuntimeError("the event engine's simulator is past t; a run starts once")
+        self.sim.run(until=t, stop_condition=lambda: self._at_slot)
         self._land_inbox()
+        if self._at_slot:
+            self._open_slot(t)
 
-        return assemble_run_result(
-            ranks=self.assemble_ranks(),
-            reference=self.reference,
-            trace=monitor.trace,
-            converged=monitor.converged,
-            time_to_target=monitor.target_time,
-            outer_iterations=self._outer.copy(),
-            inner_sweeps=self._inner_sweeps.copy(),
-            accountant=self.accountant,
-            now=self.sim.now,
-            dropped_updates=self.transport.dropped_updates,
-            quiescent=monitor.quiescent,
-            quiescence_time=monitor.quiescence_time,
-            config=cfg,
-            codec_stats=self._codec_stats(),
-            **self.faults.counters(self.sim.now),
-        )
+    def _open_slot(self, t: float) -> None:
+        """Schedule the next sample's slot, one tick after ``t``."""
+        self._at_slot = False
+        self.sim.schedule_at(t + self._tick, self._reach_slot)
+
+    def _reach_slot(self) -> None:
+        self._at_slot = True
+
+    def _dropped_total(self) -> int:
+        return self.transport.dropped_updates
+
+    def _extra_result_fields(self, now: float) -> Dict:
+        return self.faults.counters(now)

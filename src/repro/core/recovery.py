@@ -103,7 +103,6 @@ class Checkpointer:
         self.rankers = rankers
         self.store = store
         self.interval = float(interval)
-        self._stopped = False
         self._started = False
 
     def start(self) -> None:
@@ -113,13 +112,7 @@ class Checkpointer:
         self._started = True
         self.sim.schedule(self.interval, self._tick)
 
-    def stop(self) -> None:
-        """Stop scheduling further snapshots."""
-        self._stopped = True
-
     def _tick(self) -> None:
-        if self._stopped:
-            return
         for ranker in self.rankers:
             if not ranker.crashed:
                 self.store.save(

@@ -46,10 +46,10 @@ __all__ = [
     "DEFAULT_CHUNK_PAGES",
 ]
 
-#: Pages per block on the streaming generation path.  At the default
-#: mean out-degree this bounds the working set of transient edge-block
-#: arrays (sources, sites, Zipf draws, targets, scatter slots) near
-#: 10 MB per chunk.
+#: Pages per edge block of the generators' blocked build.  At the
+#: default mean out-degree this bounds the working set of transient
+#: edge-block arrays (sources, sites, Zipf draws, targets, scatter
+#: slots) near 10 MB per chunk.
 DEFAULT_CHUNK_PAGES = 1 << 16
 
 
@@ -107,6 +107,35 @@ def _edge_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + ramp
 
 
+def _check_chunk_pages(chunk_pages: Optional[int]) -> int:
+    chunk_pages = chunk_pages or DEFAULT_CHUNK_PAGES
+    if chunk_pages < 1:
+        raise ValueError("chunk_pages must be >= 1")
+    return chunk_pages
+
+
+def _indices_sink(out, indptr: np.ndarray, meta: dict):
+    """Where a blocked build writes its CSR indices: ``(writer,
+    indices)`` — an ``.npy``-directory writer under ``out`` and its
+    indices memmap, or ``None`` and a fresh in-memory array."""
+    if out is None:
+        return None, np.empty(int(indptr[-1]), dtype=np.int64)
+    from repro.graph.io import WebGraphDirWriter
+
+    writer = WebGraphDirWriter(out, indptr=indptr, **meta)
+    return writer, writer.indices
+
+
+def _finish(writer, n_pages: int, indptr, indices, meta: dict) -> WebGraph:
+    """The built graph: the writer's memory-mapped load, or the
+    in-memory arrays adopted as they are."""
+    if writer is not None:
+        return writer.finalize(mmap=True)
+    return WebGraph.from_csr(
+        n_pages, indptr, indices, **meta, copy=False, validate=False
+    )
+
+
 def google_contest_like(
     n_pages: int = 10_000,
     n_sites: int = 100,
@@ -149,21 +178,33 @@ def google_contest_like(
         Seed or generator for reproducibility.
     out:
         Stream the graph into this ``.npy``-directory path (see
-        :mod:`repro.graph.io`) and return the memory-mapped load.
-        Selects the out-of-core build, which never materializes a
-        global edge list — peak memory is O(n_pages) plus one edge
-        block, not O(n_links).
+        :mod:`repro.graph.io`) and return the memory-mapped load
+        (peak memory O(n_pages) plus one edge block, not O(n_links));
+        ``None`` builds the indices array in memory.
     chunk_pages:
-        Pages per streamed edge block.  Setting it without ``out``
-        runs the chunked build into an in-memory indices array (useful
-        to bound transient memory, and how the tests prove the two
-        paths bit-identical).  Default
-        :data:`DEFAULT_CHUNK_PAGES` when ``out`` is given, else the
-        eager path.
+        Pages per edge block (default :data:`DEFAULT_CHUNK_PAGES`).
+        The graph does not depend on it.
 
-    The streamed and eager paths draw from the RNG in exactly the same
-    sequence, so for equal parameters they produce *bit-identical*
-    graphs (asserted in ``tests/test_outofcore.py``).
+    The build never materializes a global edge list:
+
+    * per-page arrays (degrees, external/intra/inter splits) are single
+      vectorized draws;
+    * intra-site targets are drawn in page-order blocks — numpy's
+      ``Generator.random`` consumes the bitstream sequentially, so N
+      blocked draws equal one draw of size N, and the graph is the
+      same for every block size — and scattered into their final CSR
+      slots (:func:`_edge_slots`), leaving per-page gaps for the
+      inter-site links;
+    * inter-site targets are one global phase: the collision resample
+      loop keys off the *global* ``bad`` pattern, which no blocked
+      schedule can reproduce.  Inter links are ~
+      ``(1-intra_site_fraction)`` of internal links (paper: 10%), so
+      this phase is small compared to the intra stream.
+
+    Each page's intra targets (in draw order) precede its inter
+    targets, the layout a stable sort of ``concat([intra, inter])`` by
+    source gives (``tests/test_outofcore.py`` keeps that edge-list
+    build as the oracle).
 
     Returns
     -------
@@ -176,6 +217,7 @@ def google_contest_like(
     check_positive(mean_out_degree, "mean_out_degree")
     check_probability(internal_link_fraction, "internal_link_fraction")
     check_probability(intra_site_fraction, "intra_site_fraction")
+    chunk_pages = _check_chunk_pages(chunk_pages)
     rng = as_generator(seed)
 
     # --- site sizes: Zipf weights, at least one page per site ---------
@@ -196,24 +238,6 @@ def google_contest_like(
     site_of = np.repeat(np.arange(n_sites, dtype=np.int64), sizes)
     site_names = tuple(f"www.site{i:04d}.edu" for i in range(n_sites))
 
-    if out is not None or chunk_pages is not None:
-        return _google_contest_streamed(
-            n_pages,
-            n_sites,
-            rng,
-            sizes=sizes,
-            site_start=site_start,
-            site_of=site_of,
-            site_names=site_names,
-            mean_out_degree=mean_out_degree,
-            internal_link_fraction=internal_link_fraction,
-            intra_site_fraction=intra_site_fraction,
-            degree_sigma=degree_sigma,
-            popularity_exponent=popularity_exponent,
-            out=out,
-            chunk_pages=chunk_pages or DEFAULT_CHUNK_PAGES,
-        )
-
     # --- out-degrees: log-normal with the requested mean --------------
     mu = np.log(mean_out_degree) - 0.5 * degree_sigma**2
     degrees = np.floor(rng.lognormal(mu, degree_sigma, size=n_pages)).astype(np.int64)
@@ -228,122 +252,14 @@ def google_contest_like(
         # No other site exists: inter-site links fold into intra-site.
         n_intra = n_intra + n_inter
         n_inter = np.zeros_like(n_inter)
-
-    # --- intra-site links ---------------------------------------------
-    intra_src = np.repeat(np.arange(n_pages, dtype=np.int64), n_intra)
-    src_site = site_of[intra_src]
-    dom = sizes[src_site]
-    local = _zipf_indices(rng, intra_src.size, dom, popularity_exponent)
-    intra_dst = site_start[src_site] + local
-    # Retarget self-loops deterministically to the next page in-site
-    # (single-page sites keep the loop; it's harmless to PageRank).
-    loops = intra_dst == intra_src
-    if loops.any():
-        fix = (local[loops] + 1) % dom[loops]
-        intra_dst[loops] = site_start[src_site[loops]] + fix
-
-    # --- inter-site links ----------------------------------------------
-    inter_src = np.repeat(np.arange(n_pages, dtype=np.int64), n_inter)
-    if inter_src.size:
-        site_w = sizes.astype(np.float64)
-        site_w /= site_w.sum()
-        tgt_site = rng.choice(n_sites, size=inter_src.size, p=site_w)
-        # Resample collisions with the source's own site a few times;
-        # leftovers are shifted to the next site (keeps vectorization).
-        own = site_of[inter_src]
-        for _ in range(4):
-            bad = tgt_site == own
-            if not bad.any():
-                break
-            tgt_site[bad] = rng.choice(n_sites, size=int(bad.sum()), p=site_w)
-        still = tgt_site == own
-        tgt_site[still] = (tgt_site[still] + 1) % n_sites
-        local = _zipf_indices(rng, inter_src.size, sizes[tgt_site], popularity_exponent)
-        inter_dst = site_start[tgt_site] + local
-    else:
-        inter_dst = np.zeros(0, dtype=np.int64)
-
-    src = np.concatenate([intra_src, inter_src])
-    dst = np.concatenate([intra_dst, inter_dst])
-    return WebGraph(
-        n_pages, src, dst, site_of=site_of, external_out=n_ext, site_names=site_names
-    )
-
-
-def _google_contest_streamed(
-    n_pages: int,
-    n_sites: int,
-    rng: np.random.Generator,
-    *,
-    sizes: np.ndarray,
-    site_start: np.ndarray,
-    site_of: np.ndarray,
-    site_names: tuple,
-    mean_out_degree: float,
-    internal_link_fraction: float,
-    intra_site_fraction: float,
-    degree_sigma: float,
-    popularity_exponent: float,
-    out: Optional[Union[str, os.PathLike]],
-    chunk_pages: int,
-) -> WebGraph:
-    """Out-of-core build of :func:`google_contest_like`.
-
-    Draws from ``rng`` in exactly the eager path's sequence, so the
-    result is bit-identical for equal parameters:
-
-    * per-page arrays (degrees, external/intra splits) use the same
-      single vectorized calls;
-    * intra-site targets are generated in page-order blocks — numpy's
-      ``Generator.random`` consumes the bitstream sequentially, so N
-      blocked draws equal one draw of size N;
-    * inter-site targets stay a single global phase: the collision
-      resample loop keys off the *global* ``bad`` pattern, which no
-      blocked schedule can reproduce.  Inter links are ~
-      ``(1-intra_site_fraction)`` of internal links (paper: 10%), so
-      this phase is small compared to the intra stream.
-
-    The eager path stable-sorts ``concat([intra, inter])`` by source,
-    which lands each page's intra targets (in draw order) before its
-    inter targets — exactly the layout the blocked scatter writes via
-    :func:`_edge_slots`, leaving per-page gaps for the inter phase.
-    """
-    if chunk_pages < 1:
-        raise ValueError("chunk_pages must be >= 1")
-
-    mu = np.log(mean_out_degree) - 0.5 * degree_sigma**2
-    degrees = np.floor(rng.lognormal(mu, degree_sigma, size=n_pages)).astype(np.int64)
-    degrees = np.clip(degrees, 0, max(1, n_pages // 2))
-    n_ext = rng.binomial(degrees, 1.0 - internal_link_fraction)
-    n_int = degrees - n_ext
-    n_intra = rng.binomial(n_int, intra_site_fraction)
-    n_inter = n_int - n_intra
-    if n_sites == 1:
-        n_intra = n_intra + n_inter
-        n_inter = np.zeros_like(n_inter)
     # Only the split counts matter from here on; at 10M pages each
     # retired int64 array is 80 MB of peak RSS.
     del degrees, n_int
 
     indptr = np.zeros(n_pages + 1, dtype=np.int64)
     np.cumsum(n_intra + n_inter, out=indptr[1:])
-    total = int(indptr[-1])
-
-    writer = None
-    if out is not None:
-        from repro.graph.io import WebGraphDirWriter
-
-        writer = WebGraphDirWriter(
-            out,
-            indptr=indptr,
-            site_of=site_of,
-            external_out=n_ext,
-            site_names=site_names,
-        )
-        indices = writer.indices
-    else:
-        indices = np.empty(total, dtype=np.int64)
-
+    meta = dict(site_of=site_of, external_out=n_ext, site_names=site_names)
+    writer, indices = _indices_sink(out, indptr, meta)
     try:
         # --- intra-site links, one page block at a time ----------------
         for p0 in range(0, n_pages, chunk_pages):
@@ -357,6 +273,9 @@ def _google_contest_streamed(
             dom = sizes[src_site]
             local = _zipf_indices(rng, m, dom, popularity_exponent)
             dst = site_start[src_site] + local
+            # Retarget self-loops deterministically to the next page
+            # in-site (single-page sites keep the loop; it's harmless to
+            # PageRank).
             loops = dst == src
             if loops.any():
                 fix = (local[loops] + 1) % dom[loops]
@@ -373,6 +292,9 @@ def _google_contest_streamed(
             site_w = sizes.astype(np.float64)
             site_w /= site_w.sum()
             tgt_site = rng.choice(n_sites, size=inter_src.size, p=site_w)
+            # Resample collisions with the source's own site a few
+            # times; leftovers are shifted to the next site (keeps
+            # vectorization).
             own = site_of[inter_src]
             for _ in range(4):
                 bad = tgt_site == own
@@ -396,18 +318,7 @@ def _google_contest_streamed(
                     indices[slots] = inter_dst[lo:hi]
                 _release_written(writer, int(indptr[p0]), int(indptr[p1]))
 
-        if writer is not None:
-            return writer.finalize(mmap=True)
-        return WebGraph.from_csr(
-            n_pages,
-            indptr,
-            indices,
-            site_of=site_of,
-            external_out=n_ext,
-            site_names=site_names,
-            copy=False,
-            validate=False,
-        )
+        return _finish(writer, n_pages, indptr, indices, meta)
     except BaseException:
         if writer is not None:
             writer.abort()
@@ -426,43 +337,30 @@ def erdos_renyi_web(
 ) -> WebGraph:
     """Uniform random graph: each page gets ``Poisson(mean)`` uniform targets.
 
-    ``out`` / ``chunk_pages`` select the streaming build (same contract
-    as :func:`google_contest_like`): uniform targets are drawn in
-    page-order blocks, which consumes the RNG bitstream exactly like
-    the single global draw, so both paths are bit-identical.
+    ``out`` / ``chunk_pages`` as for :func:`google_contest_like`:
+    uniform targets are drawn in page-order blocks, which consumes the
+    RNG bitstream exactly like one global draw, so the graph does not
+    depend on the block size.
     """
     check_positive(mean_out_degree, "mean_out_degree")
     check_probability(external_fraction, "external_fraction")
+    chunk_pages = _check_chunk_pages(chunk_pages)
     rng = as_generator(seed)
     degrees = rng.poisson(mean_out_degree, size=n_pages)
     n_ext = rng.binomial(degrees, external_fraction)
     n_int = degrees - n_ext
     site_of = np.arange(n_pages, dtype=np.int64) % n_sites
 
-    if out is None and chunk_pages is None:
-        src = np.repeat(np.arange(n_pages, dtype=np.int64), n_int)
-        dst = rng.integers(0, n_pages, size=src.size, dtype=np.int64)
-        return WebGraph(n_pages, src, dst, site_of=site_of, external_out=n_ext)
-
-    chunk_pages = chunk_pages or DEFAULT_CHUNK_PAGES
-    if chunk_pages < 1:
-        raise ValueError("chunk_pages must be >= 1")
     indptr = np.zeros(n_pages + 1, dtype=np.int64)
     np.cumsum(n_int, out=indptr[1:])
-    writer = None
-    if out is not None:
-        from repro.graph.io import WebGraphDirWriter
-
-        # Match the eager path's default naming, which covers only the
-        # site ids actually present (n_pages can be < n_sites).
-        n_named = int(site_of.max()) + 1 if n_pages else 0
-        writer = WebGraphDirWriter(
-            out, indptr=indptr, site_of=site_of, external_out=n_ext,
-            site_names=tuple(f"site{i:04d}.example.edu" for i in range(n_named)),
-        )
-        indices = writer.indices
-    else:
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    # WebGraph's default naming, which covers only the site ids
+    # actually present (n_pages can be < n_sites).
+    n_named = int(site_of.max()) + 1 if n_pages else 0
+    meta = dict(
+        site_of=site_of, external_out=n_ext,
+        site_names=tuple(f"site{i:04d}.example.edu" for i in range(n_named)),
+    )
+    writer, indices = _indices_sink(out, indptr, meta)
     try:
         for p0 in range(0, n_pages, chunk_pages):
             p1 = min(p0 + chunk_pages, n_pages)
@@ -472,12 +370,7 @@ def erdos_renyi_web(
                     0, n_pages, size=m, dtype=np.int64
                 )
                 _release_written(writer, int(indptr[p0]), int(indptr[p1]))
-        if writer is not None:
-            return writer.finalize(mmap=True)
-        return WebGraph.from_csr(
-            n_pages, indptr, indices, site_of=site_of, external_out=n_ext,
-            copy=False, validate=False,
-        )
+        return _finish(writer, n_pages, indptr, indices, meta)
     except BaseException:
         if writer is not None:
             writer.abort()

@@ -74,7 +74,6 @@ class HeartbeatMonitor:
         #: Completed sweep events (detection latency = sweeps × interval).
         self.sweeps = 0
         self._started = False
-        self._stopped = False
 
     # ------------------------------------------------------------------
     def add_death_callback(self, callback: DeathCallback) -> None:
@@ -88,18 +87,12 @@ class HeartbeatMonitor:
         self._started = True
         self.sim.schedule(self.interval, self._sweep)
 
-    def stop(self) -> None:
-        """Stop scheduling further sweeps."""
-        self._stopped = True
-
     def is_dead(self, group: int) -> bool:
         """True while ``group`` is in the declared-dead set."""
         return group in self.dead
 
     # ------------------------------------------------------------------
     def _sweep(self) -> None:
-        if self._stopped:
-            return
         self.sweeps += 1
         for g in range(len(self.rankers)):
             if getattr(self.rankers[g], "crashed", False):

@@ -19,7 +19,7 @@ def make_run(graph, **overrides):
 def advance(run, rounds):
     """Run ``rounds`` more wakes of every ranker (the first call starts
     the run; later calls continue its simulator)."""
-    if run.monitor is None:
+    if run.sim.now == 0.0:
         run.run(max_time=rounds * T + T / 2)
     else:
         run.sim.run(until=run.sim.now + rounds * T)

@@ -9,7 +9,6 @@ from repro.core import (
     pagerank_open,
     run_distributed_pagerank,
 )
-from repro.net.failures import NodePauseInjector
 
 
 class TestConfigValidation:
@@ -112,14 +111,14 @@ class TestRunMechanics:
 class TestFaultInjection:
     def test_converges_despite_node_pauses(self, contest_small):
         """§4.2: nodes may sleep/suspend; DPR still converges."""
-        cfg = DistributedConfig(n_groups=8, t1=1.0, t2=1.0, seed=4)
-        run = DistributedRun(contest_small, cfg)
-        injector = NodePauseInjector(
-            n_faults=4, horizon=20.0, mean_outage=10.0, seed=1
+        cfg = DistributedConfig(
+            n_groups=8, t1=1.0, t2=1.0, seed=4,
+            pause_faults=4, pause_horizon=20.0, pause_mean_outage=10.0,
         )
-        run.install_pause_injector(injector)
+        run = DistributedRun(contest_small, cfg)
         res = run.run(max_time=600.0, target_relative_error=1e-4)
         assert res.converged
+        assert sum(ranker.skipped_wakes for ranker in run.rankers) > 0
 
     def test_converges_despite_message_loss(self, contest_small):
         res = run_distributed_pagerank(

@@ -18,13 +18,42 @@ import numpy as np
 import pytest
 
 from repro.core.coordinator import DistributedConfig, run_distributed_pagerank
+from repro.core.engine import MonteCarloEngine, SynchronousEngine
+from repro.core.hybrid import HybridEngine
+from repro.core.ranker import DistributedRun
+from repro.experiments.chaos import CHURN_SCENARIO
 from repro.graph import google_contest_like, ring_web, two_site_web
 
 #: Common wait parameters: T1 = T2 = 10 -> synchronous period T = 10.
 T = 10.0
 
+ENGINES = {
+    "event": DistributedRun,
+    "flat": SynchronousEngine,
+    "hybrid": HybridEngine,
+    "mc": MonteCarloEngine,
+}
 
-def run_both(graph, *, rounds=6, **overrides):
+
+def assert_traffic_conserved(accountant):
+    """Byte conservation in a run's accountant: every byte charged
+    leaves one node, and every byte but a lookup's reaches one."""
+    assert accountant.bytes_out.sum() == (
+        accountant.data_bytes + accountant.lookup_bytes + accountant.ack_bytes
+    )
+    assert accountant.bytes_in.sum() == accountant.data_bytes + accountant.ack_bytes
+
+
+def run_engine(graph, config, reference=None, **run_args):
+    """Run the engine ``config`` names on ``graph``; its traffic must
+    be conserved."""
+    engine = ENGINES[config.engine](graph, config, reference=reference)
+    result = engine.run(**run_args)
+    assert_traffic_conserved(engine.accountant)
+    return result
+
+
+def run_both(graph, *, rounds=6, reference=None, target_relative_error=None, **overrides):
     """Run both engines on ``graph`` under the synchronous schedule."""
     base = dict(
         n_groups=8,
@@ -39,9 +68,11 @@ def run_both(graph, *, rounds=6, **overrides):
         sample_interval=T,
     )
     base.update(overrides)
-    max_time = rounds * T + 5.0
-    event = run_distributed_pagerank(graph, engine="event", max_time=max_time, **base)
-    flat = run_distributed_pagerank(graph, engine="flat", max_time=max_time, **base)
+    run_args = dict(max_time=rounds * T + 5.0, target_relative_error=target_relative_error)
+    event, flat = (
+        run_engine(graph, DistributedConfig(engine=name, **base), reference, **run_args)
+        for name in ("event", "flat")
+    )
     return event, flat
 
 
@@ -111,6 +142,27 @@ def test_engines_agree_under_codec(codec, epsilon):
         assert stats["exact_flushes"] < stats["frames"]
     else:
         assert stats["exact_flushes"] == stats["frames"] > 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(engine="flat", transport="indirect", delivery_prob=0.7),
+        dict(engine="hybrid", n_groups=8, **CHURN_SCENARIO),
+        dict(
+            engine="hybrid", schedule="async", t1=2.0, t2=8.0, transport="indirect",
+            pause_faults=3, pause_horizon=30.0, pause_mean_outage=10.0,
+        ),
+        dict(engine="mc", transport="indirect"),
+    ],
+    ids=["flat-indirect-lossy", "hybrid-churn", "hybrid-async-pause-indirect", "mc-indirect"],
+)
+def test_traffic_conserved(overrides):
+    """The engines outside the pairs above conserve bytes too (the
+    event engine's fault paths are pinned in test_event_digests)."""
+    config = DistributedConfig(**{**dict(n_groups=6, seed=3, schedule="sync"), **overrides})
+    result = run_engine(GRAPHS["contest"](), config, max_time=200.0)
+    assert result.traffic.total_bytes > 0
 
 
 def test_single_group_degenerate():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.graph import (
+    WebGraph,
     WebGraphDirWriter,
     backing_memmap,
     erdos_renyi_web,
@@ -19,19 +20,106 @@ from repro.graph import (
     make_partition,
     save_webgraph,
 )
+from repro.graph.generators import _zipf_indices
 from repro.graph.io import DIR_FORMAT_VERSION
+
+
+def contest_eager(n_pages, n_sites, *, seed):
+    """Oracle: :func:`google_contest_like` at its default shape as one
+    global edge list per phase — every draw of the whole graph at once,
+    then ``WebGraph``'s stable sort by source."""
+    rng = np.random.default_rng(seed)
+    weights = np.power(np.arange(1, n_sites + 1, dtype=np.float64), -0.9)
+    weights /= weights.sum()
+    sizes = np.maximum(1, np.floor(weights * n_pages).astype(np.int64))
+    drift = n_pages - int(sizes.sum())
+    i = 0
+    while drift != 0:
+        step = 1 if drift > 0 else -1
+        if sizes[i % n_sites] + step >= 1:
+            sizes[i % n_sites] += step
+            drift -= step
+        i += 1
+    site_start = np.zeros(n_sites, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=site_start[1:])
+    site_of = np.repeat(np.arange(n_sites, dtype=np.int64), sizes)
+
+    sigma = 1.0
+    degrees = np.floor(rng.lognormal(np.log(15.0) - 0.5 * sigma**2, sigma, size=n_pages))
+    degrees = np.clip(degrees.astype(np.int64), 0, max(1, n_pages // 2))
+    n_ext = rng.binomial(degrees, 1.0 - 7.0 / 15.0)
+    n_int = degrees - n_ext
+    n_intra = rng.binomial(n_int, 0.9)
+    n_inter = n_int - n_intra
+    if n_sites == 1:
+        n_intra = n_intra + n_inter
+        n_inter = np.zeros_like(n_inter)
+
+    intra_src = np.repeat(np.arange(n_pages, dtype=np.int64), n_intra)
+    src_site = site_of[intra_src]
+    dom = sizes[src_site]
+    local = _zipf_indices(rng, intra_src.size, dom, 0.8)
+    intra_dst = site_start[src_site] + local
+    loops = intra_dst == intra_src
+    if loops.any():
+        intra_dst[loops] = site_start[src_site[loops]] + (local[loops] + 1) % dom[loops]
+
+    inter_src = np.repeat(np.arange(n_pages, dtype=np.int64), n_inter)
+    inter_dst = np.zeros(0, dtype=np.int64)
+    if inter_src.size:
+        site_w = sizes.astype(np.float64)
+        site_w /= site_w.sum()
+        tgt_site = rng.choice(n_sites, size=inter_src.size, p=site_w)
+        own = site_of[inter_src]
+        for _ in range(4):
+            bad = tgt_site == own
+            if not bad.any():
+                break
+            tgt_site[bad] = rng.choice(n_sites, size=int(bad.sum()), p=site_w)
+        still = tgt_site == own
+        tgt_site[still] = (tgt_site[still] + 1) % n_sites
+        local = _zipf_indices(rng, inter_src.size, sizes[tgt_site], 0.8)
+        inter_dst = site_start[tgt_site] + local
+
+    return WebGraph(
+        n_pages,
+        np.concatenate([intra_src, inter_src]),
+        np.concatenate([intra_dst, inter_dst]),
+        site_of=site_of,
+        external_out=n_ext,
+        site_names=tuple(f"www.site{i:04d}.edu" for i in range(n_sites)),
+    )
+
+
+def erdos_eager(n_pages, mean_out_degree, *, n_sites, seed):
+    """Oracle: :func:`erdos_renyi_web` as one global target draw."""
+    rng = np.random.default_rng(seed)
+    degrees = rng.poisson(mean_out_degree, size=n_pages)
+    n_ext = rng.binomial(degrees, 0.0)  # the default external_fraction
+    src = np.repeat(np.arange(n_pages, dtype=np.int64), degrees - n_ext)
+    dst = rng.integers(0, n_pages, size=src.size, dtype=np.int64)
+    site_of = np.arange(n_pages, dtype=np.int64) % n_sites
+    return WebGraph(n_pages, src, dst, site_of=site_of, external_out=n_ext)
+
+
+def assert_same_arrays(graph, oracle):
+    for name in ("indptr", "indices", "site_of", "external_out"):
+        got, want = getattr(graph, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert graph.site_names == oracle.site_names
 
 
 class TestStreamedGeneration:
     @pytest.mark.parametrize("n_pages,n_sites", [(5000, 40), (333, 333), (100, 1)])
     def test_contest_chunked_matches_eager(self, n_pages, n_sites):
-        eager = google_contest_like(n_pages, n_sites, seed=7)
+        eager = contest_eager(n_pages, n_sites, seed=7)
+        assert_same_arrays(google_contest_like(n_pages, n_sites, seed=7), eager)
         chunked = google_contest_like(n_pages, n_sites, seed=7, chunk_pages=257)
         assert chunked.fingerprint() == eager.fingerprint()
         assert chunked.site_names == eager.site_names
 
     def test_contest_to_dir_matches_eager(self, tmp_path):
-        eager = google_contest_like(4000, 60, seed=11)
+        eager = contest_eager(4000, 60, seed=11)
         streamed = google_contest_like(
             4000, 60, seed=11, out=tmp_path / "wg", chunk_pages=501
         )
@@ -40,7 +128,8 @@ class TestStreamedGeneration:
         assert backing_memmap(streamed.indices) is not None
 
     def test_erdos_chunked_matches_eager(self, tmp_path):
-        eager = erdos_renyi_web(3000, 5, n_sites=30, seed=3)
+        eager = erdos_eager(3000, 5, n_sites=30, seed=3)
+        assert_same_arrays(erdos_renyi_web(3000, 5, n_sites=30, seed=3), eager)
         chunked = erdos_renyi_web(3000, 5, n_sites=30, seed=3, chunk_pages=119)
         on_disk = erdos_renyi_web(
             3000, 5, n_sites=30, seed=3, out=tmp_path / "wg", chunk_pages=119

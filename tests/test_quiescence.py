@@ -76,9 +76,10 @@ class TestQuiescence:
         assert res.quiescent
 
     def test_invalid_quiescence_samples(self, contest_small):
-        from repro.core.convergence import Monitor
         from repro.core.coordinator import DistributedConfig, DistributedRun
 
         run = DistributedRun(contest_small, DistributedConfig(n_groups=2))
-        with pytest.raises(ValueError):
-            Monitor(run.sim, run, quiescence_samples=0)
+        with pytest.raises(ValueError, match="quiescence_samples"):
+            run.run(quiescence_delta=1e-9, quiescence_samples=0)
+        # Rejected before the run started anything.
+        assert run.sim.now == 0.0 and run.sim.pending == 0

@@ -30,6 +30,15 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             rankers[0].start()
 
+    def test_second_run_rejected(self, wired):
+        """The first sample starts every simulated process; a second
+        run would rewind the simulator's clock instead."""
+        sim, run, _, _ = wired
+        run.run(max_time=3.0)
+        assert sim.now == 3.0
+        with pytest.raises(RuntimeError, match="once"):
+            run.run(max_time=3.0)
+
     def test_wakes_advance_iterations(self, wired):
         sim, run, _, rankers = wired
         for rk in rankers:
