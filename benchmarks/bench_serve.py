@@ -4,9 +4,10 @@ A :class:`RankServer` is brought up on a 100k-page crawl snapshot and
 then driven through growth + churn phases: each phase the TrueWeb
 churns, the crawler advances, the :class:`CrawlFeed` diffs the delta
 into a mutation batch, and the server re-ranks incrementally (sparse
-column swaps on the dirty stripes + a warm-started active-set solve +
-one ε certification sweep) while a seeded mixed query workload
-(top-k / rank-of / percentile) runs against the index.
+column swaps on the dirty stripes + warm-started block sweeps over
+every group until the ε certification sweep holds) while a seeded
+mixed query workload (top-k / rank-of / percentile) runs against the
+index.
 
 On teardown the module writes ``BENCH_serve.json`` at the repo root
 with the three CI-gated claims:

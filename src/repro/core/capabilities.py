@@ -83,8 +83,7 @@ class Feature:
 
 #: Every feature, in the order rejection messages list them.  The
 #: predicates read the config as the caller gave it, so they hold
-#: before and after ``DistributedConfig`` normalises itself (hence
-#: both names of the suppression threshold).
+#: before and after ``DistributedConfig`` normalises itself.
 FEATURES: Tuple[Feature, ...] = (
     Feature("async", ("schedule",), lambda c: c.schedule == "async", "schedule='async'"),
     Feature("loss", ("delivery_prob",), lambda c: c.delivery_prob < 1.0, "delivery_prob < 1"),
@@ -94,11 +93,7 @@ FEATURES: Tuple[Feature, ...] = (
         ("ack_loss_prob", "duplicate_prob", "reorder_prob"),
         lambda c: c.ack_loss_prob > 0 or c.duplicate_prob > 0 or c.reorder_prob > 0,
     ),
-    Feature(
-        "suppress",
-        ("send_threshold", "suppress_tol"),
-        lambda c: c.send_threshold > 0.0 or c.suppress_tol > 0.0,
-    ),
+    Feature("suppress", ("send_threshold",), lambda c: c.send_threshold > 0.0),
     Feature("codec", ("codec",), lambda c: c.codec != "none", "codec != 'none'"),
     Feature("comm_epsilon", ("comm_epsilon",), lambda c: c.comm_epsilon > 0.0, "comm_epsilon > 0"),
     Feature("pause", ("pause_faults",), lambda c: c.pause_faults > 0, plane=True),
@@ -176,14 +171,6 @@ RULES: Tuple[Rule, ...] = (
         holds=lambda c: c.inner_solver != "gauss_seidel" or c.algorithm == "dpr1",
     ),
     Rule(
-        "threshold-alias",
-        "send_threshold and suppress_tol name the same knob; got conflicting values "
-        "{c.send_threshold!r} and {c.suppress_tol!r}",
-        fields=("send_threshold", "suppress_tol"),
-        holds=lambda c: c.send_threshold == c.suppress_tol
-        or 0.0 in (c.send_threshold, c.suppress_tol),
-    ),
-    Rule(
         "epsilon-needs-codec",
         "comm_epsilon is the wire codec's error budget; set codec='delta' or "
         "codec='delta-q16' to use it",
@@ -198,7 +185,7 @@ RULES: Tuple[Rule, ...] = (
     ),
     Rule(
         "codec-excludes-threshold",
-        "send_threshold/suppress_tol and a wire codec are mutually exclusive: the "
+        "send_threshold and a wire codec are mutually exclusive: the "
         "codec's ε_comm budget subsumes ad-hoc threshold suppression",
         when=("codec",), excludes=("suppress",),
     ),
@@ -317,7 +304,7 @@ ENGINES: Dict[str, EngineProfile] = {
 #: (:func:`repro.net.codec.token_frame_bytes`), so the quantized
 #: ``delta-q16`` codec has nothing to quantize and is rejected.
 #: Cross-engine requirements (guaranteed delivery, no crash faults, no
-#: ad-hoc ``suppress_tol``) are :data:`RULES` — they restrict
+#: ad-hoc ``send_threshold``) are :data:`RULES` — they restrict
 #: *configs*, not engines.
 CODEC_ENGINES: Dict[str, Tuple[str, ...]] = {
     "none": ("event", "flat", "hybrid", "mc"),

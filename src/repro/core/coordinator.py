@@ -38,6 +38,7 @@ from repro.core.capabilities import (
 from repro.core.convergence import ConvergenceTrace
 from repro.core.dpr import ALGORITHMS, INNER_SOLVERS
 from repro.core.open_system import GroupSystem
+from repro.core.pagerank import pagerank_open
 from repro.graph.partition import STRATEGIES, Partition, make_partition
 from repro.graph.webgraph import WebGraph
 from repro.linalg.montecarlo import DANGLING_MODES, WALK_MODES
@@ -204,10 +205,6 @@ class DistributedConfig:
     inner_solver: str = _spec("jacobi", one_of(INNER_SOLVERS), "engine")
     hop_delay: float = _spec(0.5, NON_NEGATIVE, "experiment")
     aggregation_delay: float = _spec(0.25, NON_NEGATIVE, "experiment")
-    #: Historical name of ``send_threshold``, kept for compatibility:
-    #: each mirrors the other, and setting both to different values is
-    #: an error.
-    suppress_tol: float = _spec(0.0, NON_NEGATIVE, "compression")
     #: Promoted from the compression ablation.  Mutually exclusive
     #: with a wire codec, whose budgeted suppression subsumes it.
     send_threshold: float = _spec(
@@ -323,11 +320,6 @@ class DistributedConfig:
             "engine": self.engine, "sample_interval": self.sample_interval
         }
         validate_config(self)
-        # Normalise.  The two names of the suppression threshold mirror
-        # each other (the rules have rejected a conflict).
-        self.send_threshold = self.suppress_tol = max(
-            self.send_threshold, self.suppress_tol
-        )
         # Default-on fast-path dispatch: a "flat" request that needs
         # faults or the async schedule runs on the hybrid engine.
         self.engine = resolve_engine(self)
@@ -577,8 +569,9 @@ class RunSetup:
         Optional precomputed partition / centralized solution.
     group_system:
         False skips the grouped operator (the Monte-Carlo engine walks
-        the raw CSR); the default reference is then
-        :func:`~repro.core.pagerank.pagerank_open` on the same graph.
+        the raw CSR).  The default reference is
+        :func:`~repro.core.pagerank.pagerank_open` on the same graph
+        either way, solved to 1e-12 with the grouped operator.
     """
 
     def __init__(
@@ -614,12 +607,11 @@ class RunSetup:
             )
         if reference is not None:
             self.reference = np.asarray(reference, dtype=np.float64)
-        elif group_system:
-            self.reference = self.system.solve_exact()
         else:
-            from repro.core.pagerank import pagerank_open
-
-            self.reference = pagerank_open(graph, config.alpha, e=config.e).ranks
+            # The Jacobi engines are measured against a 1e-12 solve, the
+            # Monte-Carlo engine's coarser walk estimates against the default.
+            tol = 1e-12 if group_system else 1e-10
+            self.reference = pagerank_open(graph, config.alpha, e=config.e, tol=tol).ranks
 
         self.overlay = build_overlay(
             config.overlay, config.n_groups, seed=seeds.seed("overlay") % (2**31)

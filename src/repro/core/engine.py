@@ -772,13 +772,13 @@ class SynchronousEngine(RoundEngine):
         Without a codec ``_held`` is Y itself, and threshold
         suppression filters (config validation makes it and the codec
         mutually exclusive): a pair whose segment moved at most
-        ``suppress_tol`` in L1 since it was last sent ships nothing.
+        ``send_threshold`` in L1 since it was last sent ships nothing.
 
         Either way a pair's slice of ``_held`` stays valid until the
         source's next emission; a backend that keeps it past the round
         copies it.
         """
-        tol = self.config.suppress_tol
+        tol = self.config.send_threshold
         idx_parts: List[np.ndarray] = []
         wire_parts: List[np.ndarray] = []
         for g in groups:

@@ -247,7 +247,7 @@ class HybridEngine(SynchronousEngine):
         # the indirect transport keeps full world-mode fidelity.
         arq_mode = bool(cfg.reliable and cfg.transport == "direct")
         self._async = cfg.schedule == "async"
-        self._approx = self._async or fault_world or cfg.suppress_tol > 0.0
+        self._approx = self._async or fault_world or cfg.send_threshold > 0.0
         #: Rounds run — reported as ``fast_rounds`` by an exact run
         #: (every group steps, round ledger) and as ``replayed_rounds``
         #: by an approximate one.

@@ -190,14 +190,6 @@ class GroupSystem:
             xs[h] += block @ group_ranks[g]
         return xs
 
-    def solve_exact(self, *, tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
-        """Centralized reference solution ``R = αAR + βE`` on the full graph."""
-        from repro.linalg.operators import propagation_matrix
-
-        p = propagation_matrix(self.graph, self.alpha)
-        res = jacobi_solve(p, self.beta * self.e_full, tol=tol, max_iter=max_iter)
-        return res.x
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"GroupSystem(n_pages={self.n_pages}, n_groups={self.n_groups}, "

@@ -4,8 +4,8 @@ Turns a computed rank vector into a system that serves traffic:
 
 * :mod:`repro.serve.incremental` — :class:`IncrementalRanker`
   maintains the open-system fixed point under edge/page mutations
-  with dirty-group column-stripe rebuilds, warm-started bounded
-  re-solves, and a certified ε staleness budget (Theorem 3.3).
+  with dirty-group operator-column updates, one warm-started solve
+  loop, and a certified ε staleness budget (Theorem 3.3).
 * :mod:`repro.serve.index` — :class:`RankIndex` answers exact top-k /
   rank-of / percentile queries without scanning the vector, updated
   from each flush's changed-page delta.

@@ -19,22 +19,19 @@ can rely on:
   :func:`repro.linalg.operators.source_group_blocks`.  The site-hash
   partition is stable (a page's group never changes), so site-local
   edit bursts touch few stripes.
-* **Warm-started bounded re-solve.**  Re-ranking runs block
-  Gauss–Seidel rounds over an *active set* seeded by the dirty groups
-  and their downstream neighbours: each active group solves its local
-  fixed point (Algorithm 2, via the existing
-  :func:`~repro.linalg.jacobi.jacobi_solve` workspace kernels)
-  warm-started from its current ranks, and activation spreads to a
-  group's destinations only while its ranks keep moving.  Work is
-  bounded by ``max_rounds``.
-* **Certified ε staleness.**  After the bounded re-solve, one global
-  O(nnz) certification sweep measures ``Δ = ‖Pr + f − r‖₁`` and
+* **One warm-started solve loop.**  Construction and every non-empty
+  flush run the same loop: block Gauss–Seidel rounds over every group,
+  each group solving its local fixed point (Algorithm 2, via the
+  existing :func:`~repro.linalg.jacobi.jacobi_solve` workspace kernels)
+  warm-started from its current ranks.  A serving feed's batch
+  dirties nearly every group, so every round re-solves every group.
+* **Certified ε staleness.**  Once a round moves the ranks little, one
+  global O(nnz) certification sweep measures ``Δ = ‖Pr + f − r‖₁`` and
   Theorem 3.3 (serving form,
   :func:`~repro.linalg.norms.pre_sweep_error_bound`) converts it into
   a hard bound on the served vector's L1 distance to the current
-  graph's fixed point.  If the bound exceeds the configured ε budget
-  (relative to ``‖r‖₁``), the ranker falls back to a *full* re-solve —
-  warm-started rounds over every group — and re-certifies.
+  graph's fixed point.  The loop keeps sweeping while that bound
+  exceeds the configured ε budget (relative to ``‖r‖₁``).
 
 The fixed point maintained is exactly
 ``pagerank_open(current_graph(), alpha, e)``: tests pin the measured
@@ -59,6 +56,10 @@ from repro.utils.hashing import stable_uint64
 from repro.utils.validation import check_fraction, check_positive
 
 __all__ = ["MutationBatch", "FlushStats", "IncrementalRanker"]
+
+#: Hard cap on the solve loop's rounds; the block sweeps contract, so
+#: reaching it means a broken operator, not a slow one.
+_MAX_ROUNDS = 10_000
 
 
 @dataclass
@@ -110,7 +111,8 @@ class FlushStats:
 
     ``changed_pages``/``changed_values`` list every page whose rank
     moved (plus every inserted page), which is exactly the delta a
-    downstream query index needs.
+    downstream query index needs.  ``touched_groups`` counts the
+    non-empty groups the solve loop re-solved.
     """
 
     n_pages: int
@@ -118,7 +120,7 @@ class FlushStats:
     touched_groups: int
     rounds: int
     inner_sweeps: int
-    mode: str  # "noop" | "incremental" | "full"
+    mode: str  # "noop" | "incremental"
     staleness_bound: float
     changed_pages: np.ndarray
     changed_values: np.ndarray
@@ -142,16 +144,9 @@ class IncrementalRanker:
         Relative-L1 staleness budget: after every flush the served
         vector is certified within ``epsilon·‖r‖₁`` of the current
         graph's fixed point (Theorem 3.3, serving form).
-    max_rounds:
-        Active-set round budget per flush before the certification
-        check; a failed certificate triggers the full-re-solve
-        fallback regardless.
     salt:
         Site-hash salt (must match the partition salt of any
         co-deployed distributed run).
-    solve:
-        Solve to within ε at construction (default).  Pass ``False``
-        to seed ranks via :meth:`warm_start` first.
     """
 
     def __init__(
@@ -162,9 +157,7 @@ class IncrementalRanker:
         alpha: float = 0.85,
         e: float = 1.0,
         epsilon: float = 1e-3,
-        max_rounds: int = 50,
         salt: str = "",
-        solve: bool = True,
     ):
         check_fraction(alpha, "alpha")
         check_positive(epsilon, "epsilon")
@@ -172,13 +165,10 @@ class IncrementalRanker:
             raise ValueError("n_groups must be >= 1")
         if e < 0:
             raise ValueError("e must be >= 0")
-        if max_rounds < 0:
-            raise ValueError("max_rounds must be >= 0")
         self.alpha = float(alpha)
         self.e = float(e)
         self.epsilon = float(epsilon)
         self.n_groups = int(n_groups)
-        self.max_rounds = int(max_rounds)
         self.salt = salt
 
         # --- mutable adjacency (the serving tier's own copy of C) ----
@@ -241,26 +231,10 @@ class IncrementalRanker:
 
         # --- counters -------------------------------------------------
         self.flushes = 0
-        self.full_resolves = 0
         self.total_inner_sweeps = 0
         self.last_staleness_bound = float("inf")
         self._eps_abs = self._compute_eps_abs()
-
-        if solve:
-            self._resolve_full_and_certify()
-            self.last_stats = FlushStats(
-                n_pages=self.n_pages,
-                dirty_groups=self.n_groups,
-                touched_groups=self.n_groups,
-                rounds=0,
-                inner_sweeps=self.total_inner_sweeps,
-                mode="full",
-                staleness_bound=self.last_staleness_bound,
-                changed_pages=np.arange(self.n_pages, dtype=np.int64),
-                changed_values=self.ranks.copy(),
-            )
-        else:
-            self.last_stats = None
+        self.last_stats = self._solve(self.n_groups, np.zeros(0))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -410,8 +384,8 @@ class IncrementalRanker:
             self.last_stats = stats
             return stats
 
-        sweeps_before = self.total_inner_sweeps
         new_pages = self._staged_new
+        old_ranks = self.ranks[: self.n_pages - len(new_pages)]
         self._absorb_new_pages(new_pages)
         self._eps_abs = self._compute_eps_abs()
 
@@ -426,56 +400,15 @@ class IncrementalRanker:
                 self._rebuild_source_stripe(g)
             else:
                 self._apply_stripe_delta(g, touched)
-        dirty_groups: Set[int] = set(touched_by_group)
 
-        # Groups needing re-solve: dirty sources themselves plus every
-        # group whose afferent X changed because a dirty source feeds it.
-        seeds: Set[int] = set(dirty_groups)
-        for g in dirty_groups:
-            seeds.update(self._dests[g])
-
-        old_local: Dict[int, np.ndarray] = {}
-        rounds = self._active_set_rounds(seeds, old_local, self.max_rounds)
-        mode = "incremental"
-
-        delta = self._certification_sweep()
-        bound = pre_sweep_error_bound(self.alpha, delta)
-        if bound > self._eps_abs:
-            mode = "full"
-            self._resolve_full(old_local)
-            delta = self._certification_sweep()
-            bound = pre_sweep_error_bound(self.alpha, delta)
-            if bound > self._eps_abs:  # pragma: no cover - contraction
-                raise RuntimeError(
-                    f"staleness bound {bound:.3e} still above budget "
-                    f"{self._eps_abs:.3e} after a full re-solve"
-                )
-            self.full_resolves += 1
-        self.last_staleness_bound = bound
-
-        self._ranks_cache = None
-        changed_pages, changed_values = self._collect_changes(
-            old_local, new_pages
-        )
         self._staged_dirty.clear()
         self._staged_new = []
         self._staged_new_set.clear()
         self._pristine.clear()
         self._staged_any = False
         self.flushes += 1
-        stats = FlushStats(
-            n_pages=self.n_pages,
-            dirty_groups=len(dirty_groups),
-            touched_groups=len(old_local),
-            rounds=rounds,
-            inner_sweeps=self.total_inner_sweeps - sweeps_before,
-            mode=mode,
-            staleness_bound=bound,
-            changed_pages=changed_pages,
-            changed_values=changed_values,
-        )
-        self.last_stats = stats
-        return stats
+        self.last_stats = self._solve(len(touched_by_group), old_ranks)
+        return self.last_stats
 
     def staleness(self) -> float:
         """Certified relative-L1 staleness of the served vector."""
@@ -664,7 +597,7 @@ class IncrementalRanker:
                     self._dests[g].discard(h)
                     self._srcs[h].discard(g)
 
-    def _solve_group(self, h: int, old_local: Dict[int, np.ndarray]) -> float:
+    def _solve_group(self, h: int) -> float:
         """Local Algorithm-2 solve of group ``h``; returns its L1 change."""
         size = self._pages[h].size
         if size == 0:
@@ -672,8 +605,6 @@ class IncrementalRanker:
         x = self._f[h].copy()
         for g in self._srcs[h]:
             x += self._cross[(g, h)] @ self._r[g]
-        if h not in old_local:
-            old_local[h] = self._r[h].copy()
         res = jacobi_solve(
             self._diag[h],
             x,
@@ -693,54 +624,50 @@ class IncrementalRanker:
         # inner truncation cannot dominate the global sweep residual.
         return self._eps_abs / (16.0 * self.n_groups)
 
-    @property
-    def _activation_tol(self) -> float:
-        # A group quieter than this stops propagating activation; the
-        # certification sweep catches any accumulated neglect.
-        return self._eps_abs / (4.0 * self.n_groups)
+    def _solve(self, dirty_groups: int, old_ranks: np.ndarray) -> FlushStats:
+        """The one solve loop, run at construction and by every flush.
 
-    def _active_set_rounds(
-        self,
-        seeds: Set[int],
-        old_local: Dict[int, np.ndarray],
-        max_rounds: int,
-    ) -> int:
-        """Bounded block Gauss–Seidel over the activation frontier."""
-        active = set(seeds)
-        rounds = 0
-        while active and rounds < max_rounds:
-            rounds += 1
-            next_active: Set[int] = set()
-            for h in sorted(active):
-                delta = self._solve_group(h, old_local)
-                if delta > self._activation_tol:
-                    next_active.update(self._dests[h])
-            active = next_active
-        return rounds
-
-    def _resolve_full(self, old_local: Dict[int, np.ndarray]) -> None:
-        """Warm-started rounds over every group until within budget."""
+        Warm-started rounds re-solve every group until one round moves
+        the ranks by at most ``(1−α)·ε_abs/2`` in L1; from then on each
+        round ends with the certification sweep, and the loop stops at
+        the first round whose Theorem 3.3 bound is within the budget.
+        Reports every page whose rank differs from ``old_ranks``, plus
+        the pages beyond it (insertions).
+        """
+        sweeps_before = self.total_inner_sweeps
         target = self._eps_abs * (1.0 - self.alpha) / 2.0
-        for _ in range(10_000):
+        for rounds in range(1, _MAX_ROUNDS + 1):
             total = 0.0
             for h in range(self.n_groups):
-                total += self._solve_group(h, old_local)
-            if total <= target:
-                return
-        raise RuntimeError("full re-solve failed to converge")  # pragma: no cover
-
-    def _resolve_full_and_certify(self) -> None:
-        """Construction-time solve: full rounds, then certification."""
-        old: Dict[int, np.ndarray] = {}
-        self._resolve_full(old)
-        delta = self._certification_sweep()
-        bound = pre_sweep_error_bound(self.alpha, delta)
-        if bound > self._eps_abs:
-            self._resolve_full(old)
-            delta = self._certification_sweep()
-            bound = pre_sweep_error_bound(self.alpha, delta)
+                total += self._solve_group(h)
+            if total > target:
+                continue
+            bound = pre_sweep_error_bound(self.alpha, self._certification_sweep())
+            if bound <= self._eps_abs:
+                break
+        else:  # pragma: no cover - contraction
+            raise RuntimeError(
+                f"no certified solve within {_MAX_ROUNDS} rounds "
+                f"(budget {self._eps_abs:.3e})"
+            )
         self.last_staleness_bound = bound
         self._ranks_cache = None
+        ranks = self.ranks
+        m = old_ranks.size
+        changed = np.concatenate(
+            [np.flatnonzero(ranks[:m] != old_ranks), np.arange(m, ranks.size)]
+        )
+        return FlushStats(
+            n_pages=self.n_pages,
+            dirty_groups=dirty_groups,
+            touched_groups=sum(1 for p in self._pages if p.size),
+            rounds=rounds,
+            inner_sweeps=self.total_inner_sweeps - sweeps_before,
+            mode="incremental",
+            staleness_bound=bound,
+            changed_pages=changed,
+            changed_values=ranks[changed],
+        )
 
     def _certification_sweep(self) -> float:
         """One global Jacobi step difference ``‖Pr + f − r‖₁`` (not applied)."""
@@ -754,35 +681,6 @@ class IncrementalRanker:
                 step += self._cross[(g, h)] @ self._r[g]
             total += l1_norm(step - self._r[h])
         return total
-
-    def _collect_changes(
-        self,
-        old_local: Dict[int, np.ndarray],
-        new_pages: Sequence[int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Pages whose rank moved this flush (plus all insertions)."""
-        pages: List[np.ndarray] = []
-        values: List[np.ndarray] = []
-        new_set = set(int(p) for p in new_pages)
-        for h, old in old_local.items():
-            cur = self._r[h]
-            m = old.size  # pages beyond m are insertions, handled below
-            mask = np.flatnonzero(cur[:m] != old)
-            if mask.size:
-                pages.append(self._pages[h][mask])
-                values.append(cur[mask])
-        if new_set:
-            arr = np.asarray(sorted(new_set), dtype=np.int64)
-            pages.append(arr)
-            values.append(self.ranks[arr])
-        if not pages:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        cat_pages = np.concatenate(pages)
-        cat_values = np.concatenate(values)
-        # Insertions may also appear via their group diff; keep the
-        # last occurrence of each page (they agree on the value).
-        uniq, idx = np.unique(cat_pages, return_index=True)
-        return uniq, cat_values[idx]
 
 
 def _pad_rows(block: sp.csr_matrix, n_rows: int) -> sp.csr_matrix:

@@ -55,8 +55,7 @@ class RankServer:
     """Incrementally maintained PageRank with exact indexed queries.
 
     Keyword arguments are forwarded to :class:`IncrementalRanker`
-    (``n_groups``, ``alpha``, ``e``, ``epsilon``, ``max_rounds``,
-    ``salt``).  Construction solves the initial graph and builds the
+    (``n_groups``, ``alpha``, ``e``, ``epsilon``, ``salt``).  Construction solves the initial graph and builds the
     index; each :meth:`apply` re-certifies the ε budget and applies
     the resulting rank delta to the index.
     """

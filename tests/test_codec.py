@@ -485,14 +485,6 @@ class TestCodecConfig:
                 comm_epsilon=1e-4,
             )
 
-    def test_send_threshold_mirrors_suppress_tol(self):
-        cfg = DistributedConfig(send_threshold=1e-5)
-        assert cfg.suppress_tol == 1e-5
-        cfg = DistributedConfig(suppress_tol=1e-5)
-        assert cfg.send_threshold == 1e-5
-        with pytest.raises(ValueError, match="same knob"):
-            DistributedConfig(send_threshold=1e-5, suppress_tol=1e-6)
-
 
 @pytest.fixture(scope="module")
 def small_world():

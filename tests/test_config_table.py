@@ -48,7 +48,6 @@ VIOLATIONS = {
     "mean-waits-length": dict(n_groups=4, mean_waits=[1.0] * 3),
     "mean-waits-async": dict(n_groups=2, schedule="sync", mean_waits=[1.0, 2.0]),
     "gauss-seidel-dpr1": dict(algorithm="dpr2", inner_solver="gauss_seidel"),
-    "threshold-alias": dict(send_threshold=1e-3, suppress_tol=1e-4),
     "epsilon-needs-codec": dict(comm_epsilon=1e-4),
     "codec-needs-delivery": dict(codec="delta", delivery_prob=0.9),
     "codec-excludes-threshold": dict(codec="delta", send_threshold=1e-6),
@@ -166,7 +165,6 @@ def test_every_generated_config_constructs_and_normalises_once(kwargs):
     assert cfg.with_overrides() == cfg
     assert cfg.engine in ENGINES
     assert unsupported_features(cfg, cfg.engine) == []
-    assert cfg.send_threshold == cfg.suppress_tol
     assert cfg.sample_interval > 0
 
 

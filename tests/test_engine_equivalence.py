@@ -258,7 +258,7 @@ def test_flat_fault_features_dispatch_to_hybrid():
     """Fault knobs on a flat request resolve to the hybrid fast path."""
     for knobs in (
         dict(reliable=True),
-        dict(suppress_tol=1e-6),
+        dict(send_threshold=1e-6),
         dict(crash_prob=0.1),
     ):
         cfg = DistributedConfig(

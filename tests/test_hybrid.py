@@ -140,8 +140,8 @@ def test_pause_faults_match_event_engine(graph):
 
 def test_suppression_matches_event_engine(graph):
     baseline = run_engine(graph, "hybrid", rounds=16)
-    event = run_engine(graph, "event", rounds=16, suppress_tol=1e-6)
-    hybrid = run_engine(graph, "hybrid", rounds=16, suppress_tol=1e-6)
+    event = run_engine(graph, "event", rounds=16, send_threshold=1e-6)
+    hybrid = run_engine(graph, "hybrid", rounds=16, send_threshold=1e-6)
     assert_bit_identical(event, hybrid)
     # Suppression genuinely withheld converged updates.
     assert hybrid.traffic.data_messages < baseline.traffic.data_messages

@@ -59,15 +59,6 @@ class TestGroupSystemAlgebra:
         with pytest.raises(ValueError):
             system.assemble([np.zeros(1)] * 3)
 
-    def test_solve_exact_matches_pagerank_open(self, contest_small):
-        part = make_partition(contest_small, 4, "site")
-        system = GroupSystem(contest_small, part)
-        np.testing.assert_allclose(
-            system.solve_exact(tol=1e-13),
-            pagerank_open(contest_small, tol=1e-13).ranks,
-            atol=1e-9,
-        )
-
     def test_cross_records_counts_cut_links(self, twosite):
         part = partition_contiguous(twosite, 2)
         system = GroupSystem(twosite, part)

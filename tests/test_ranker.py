@@ -99,7 +99,7 @@ class TestDeltaSuppression:
         res = run_distributed_pagerank(
             contest_small,
             n_groups=4,
-            suppress_tol=1e-10,
+            send_threshold=1e-10,
             t1=1.0,
             t2=1.0,
             seed=3,

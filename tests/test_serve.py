@@ -25,6 +25,7 @@ from repro.crawl import Crawler, TrueWeb
 from repro.graph.partition import partition_by_site_hash
 from repro.graph.webgraph import WebGraph
 from repro.linalg.norms import relative_l1_error
+from repro.linalg.operators import group_blocks
 from repro.serve import (
     CrawlFeed,
     IncrementalRanker,
@@ -34,6 +35,7 @@ from repro.serve import (
     brute_force_percentile,
     brute_force_rank_of,
     brute_force_top_k,
+    incremental,
 )
 
 EPS = 1e-3
@@ -220,7 +222,7 @@ class TestIncrementalRanker:
             page = int(rng.integers(0, ranker.n_pages))
             batch.external_delta[page] = 1
             stats = ranker.update(batch)
-            assert stats.mode in ("incremental", "full")
+            assert stats.mode == "incremental"
             self.assert_within_budget(ranker)
 
     def test_link_removal(self):
@@ -296,17 +298,29 @@ class TestIncrementalRanker:
         assert ranker.n_pages == 2
         self.assert_within_budget(ranker)
 
-    def test_tight_budget_triggers_full_resolve(self):
-        # max_rounds=0 disables the incremental pass entirely, so any
-        # real mutation must fail certification and fall back.
+    def test_failed_certificate_keeps_sweeping(self, monkeypatch):
+        # A certificate that fails once makes the loop sweep on and
+        # certify again; one that never holds hits the round cap.
         graph = small_graph(seed=6)
-        ranker = IncrementalRanker(
-            graph, n_groups=4, epsilon=EPS, max_rounds=0
-        )
+        ranker = IncrementalRanker(graph, n_groups=4, epsilon=EPS)
+        honest = ranker._certification_sweep
+        calls = []
+
+        def fail_first():
+            calls.append(None)
+            return 1e9 if len(calls) == 1 else honest()
+
+        monkeypatch.setattr(ranker, "_certification_sweep", fail_first)
         stats = ranker.update(MutationBatch(add_links=[(0, 1)] * 10))
-        assert stats.mode == "full"
-        assert ranker.full_resolves == 1
+        assert len(calls) == 2
+        assert stats.rounds >= 2
         self.assert_within_budget(ranker)
+
+        monkeypatch.setattr(ranker, "_certification_sweep", lambda: 1e9)
+        monkeypatch.setattr(incremental, "_MAX_ROUNDS", 5)
+        ranker.add_link(1, 2)
+        with pytest.raises(RuntimeError, match="5 rounds"):
+            ranker.flush()
 
     def test_rejects_bad_parameters(self):
         graph = small_graph()
@@ -316,8 +330,6 @@ class TestIncrementalRanker:
             IncrementalRanker(graph, epsilon=0.0)
         with pytest.raises(ValueError):
             IncrementalRanker(graph, alpha=1.0)
-        with pytest.raises(ValueError):
-            IncrementalRanker(graph, max_rounds=-1)
         ranker = IncrementalRanker(graph, n_groups=2, epsilon=EPS)
         with pytest.raises(IndexError):
             ranker.add_link(0, graph.n_pages)
@@ -327,26 +339,34 @@ class TestIncrementalRanker:
         ranker = IncrementalRanker(graph, n_groups=3, epsilon=EPS)
         assert ranker.current_graph() == graph
 
-    def test_delta_updated_blocks_bit_identical_to_fresh_build(self):
-        # The sparse column-swap path must leave the operator blocks
-        # exactly equal to a from-scratch build of the mutated graph —
-        # stale entries cancel to exact zeros, re-edited entries carry
-        # no accumulated 1-ulp residue across flushes.
+    def test_delta_updated_blocks_bit_identical_to_fresh_build(self, monkeypatch):
+        # Both operator-maintenance paths must leave the blocks exactly
+        # equal to a from-scratch build of the mutated graph.  Column
+        # swaps: stale entries cancel to exact zeros, re-edited entries
+        # carry no accumulated 1-ulp residue across flushes.  Stripe
+        # rebuild: one flush edits half of one group's pages.
         graph = small_graph(n_pages=400, n_sites=30, n_links=1600, seed=8)
-        ranker = IncrementalRanker(graph, n_groups=4, epsilon=EPS)
-        rng = np.random.default_rng(9)
-        for step in range(5):
-            batch = MutationBatch()
-            # Few pages per flush, so the delta path (not the stripe
-            # rebuild) is exercised; re-edit page 0 every time.
-            batch.add_links.append((0, int(rng.integers(0, 400))))
-            src = int(rng.integers(0, 400))
-            batch.add_links.append((src, int(rng.integers(0, 400))))
-            batch.external_delta[int(rng.integers(0, 400))] = 1
-            ranker.update(batch)
-        fresh = IncrementalRanker(
-            ranker.current_graph(), n_groups=4, epsilon=EPS, solve=False
-        )
+
+        def few_pages_per_flush(ranker):
+            rng = np.random.default_rng(9)
+            for step in range(5):
+                batch = MutationBatch()
+                # Re-edit page 0 every time.
+                batch.add_links.append((0, int(rng.integers(0, 400))))
+                src = int(rng.integers(0, 400))
+                batch.add_links.append((src, int(rng.integers(0, 400))))
+                batch.external_delta[int(rng.integers(0, 400))] = 1
+                ranker.update(batch)
+
+        def half_of_one_group(ranker):
+            pages = ranker.partition().pages_of_group(0)
+            edited = [int(p) for p in pages[: pages.size // 2]]
+            ranker.update(
+                MutationBatch(
+                    add_links=[(p, (7 * p) % 400) for p in edited],
+                    external_delta={edited[0]: 2},
+                )
+            )
 
         def canon(m):
             m = m.copy()
@@ -355,19 +375,36 @@ class TestIncrementalRanker:
             m.eliminate_zeros()
             return m
 
-        for g in range(4):
-            a, b = canon(ranker._diag[g]), canon(fresh._diag[g])
+        def assert_same(a, b):
+            a, b = canon(a), canon(b)
             assert a.shape == b.shape
             np.testing.assert_array_equal(a.indptr, b.indptr)
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.data, b.data)
-        assert set(ranker._cross) == set(fresh._cross)
-        for key in fresh._cross:
-            a, b = canon(ranker._cross[key]), canon(fresh._cross[key])
-            assert a.shape == b.shape
-            np.testing.assert_array_equal(a.indptr, b.indptr)
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_array_equal(a.data, b.data)
+
+        for mutate, path, other in (
+            (few_pages_per_flush, "_apply_stripe_delta", "_rebuild_source_stripe"),
+            (half_of_one_group, "_rebuild_source_stripe", "_apply_stripe_delta"),
+        ):
+            ranker = IncrementalRanker(graph, n_groups=4, epsilon=EPS)
+            taken = {path: 0, other: 0}
+            for name in taken:
+
+                def spy(*args, _name=name, _real=getattr(ranker, name)):
+                    taken[_name] += 1
+                    return _real(*args)
+
+                monkeypatch.setattr(ranker, name, spy)
+            mutate(ranker)
+            assert taken[path] > 0 and taken[other] == 0, taken
+
+            fresh = group_blocks(ranker.current_graph(), ranker.partition(), ranker.alpha)
+            for g in range(4):
+                assert_same(ranker._diag[g], fresh.diag[g])
+            cross = dict(fresh.cross)
+            assert set(ranker._cross) == set(cross)
+            for key, block in cross.items():
+                assert_same(ranker._cross[key], block)
 
 
 # ----------------------------------------------------------------------
