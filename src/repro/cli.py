@@ -23,7 +23,11 @@ Usage::
                                 [--comm-epsilon EPS] [--codecs none,delta,...]
 
 Every subcommand prints the same text tables the benches save, so a
-user can regenerate any paper artifact without touching pytest.
+user can regenerate any paper artifact without touching pytest.  The
+nine experiment subcommands (fig6 … compression) share one handler:
+:data:`EXPERIMENT_COMMANDS` maps each one's flags onto the options of
+its :data:`repro.parallel.tasks.REGISTRY` declaration and its result
+onto the exit code.
 """
 
 from __future__ import annotations
@@ -275,47 +279,6 @@ def _make_graph(args):
     return google_contest_like(args.pages, min(args.sites, args.pages), seed=args.seed)
 
 
-def cmd_fig6(args) -> int:
-    from repro.experiments import run_fig6
-
-    result = run_fig6(
-        _make_graph(args), n_groups=args.groups, max_time=args.max_time,
-        engine=args.engine, schedule=args.schedule,
-    )
-    print(result.format())
-    return 0
-
-
-def cmd_fig7(args) -> int:
-    from repro.experiments import run_fig7
-
-    result = run_fig7(
-        _make_graph(args), n_groups=args.groups, max_time=args.max_time,
-        engine=args.engine, schedule=args.schedule,
-    )
-    print(result.format())
-    return 0 if all(result.monotone.values()) else 1
-
-
-def cmd_fig8(args) -> int:
-    from repro.experiments import run_fig8
-
-    result = run_fig8(
-        _make_graph(args), ks=args.ks, max_time=args.max_time,
-        engine=args.engine, schedule=args.schedule,
-    )
-    print(result.format())
-    return 0
-
-
-def cmd_table1(args) -> int:
-    from repro.experiments import run_table1
-
-    result = run_table1(ns=args.ns, hop_samples=args.hop_samples)
-    print(result.format())
-    return 0
-
-
 def cmd_run(args) -> int:
     from repro.core import run_distributed_pagerank
 
@@ -417,104 +380,75 @@ def cmd_graphgen(args) -> int:
 def _cache(args):
     from repro.parallel.cache import ArtifactCache, cache_from_env
 
-    return ArtifactCache(args.cache_dir) if args.cache_dir else cache_from_env()
+    root = getattr(args, "cache_dir", None)
+    return ArtifactCache(root) if root else cache_from_env()
 
 
-def _workload(args) -> dict:
-    """The keywords every graph bake-off shares: the graph (loaded from
-    ``--graph`` or generated), the ε target and the time budget."""
-    if args.graph is not None:
-        from repro.graph.io import load_webgraph
+def _graph(args):
+    """The workload graph: loaded from ``--graph`` when the subcommand
+    has it and it is given, else generated from --pages/--sites/--seed."""
+    path = getattr(args, "graph", None)
+    if path is None:
+        return _make_graph(args)
+    from repro.graph.io import load_webgraph
 
-        graph = load_webgraph(args.graph, mmap=not str(args.graph).endswith(".npz"))
-    else:
-        graph = _make_graph(args)
-    return dict(graph=graph, target_relative_error=args.target, max_time=args.max_time)
+    return load_webgraph(path, mmap=not str(path).endswith(".npz"))
 
 
-def _bakeoff(args, run, passed=None, **kwargs) -> int:
-    """The body every bake-off subcommand shares: run under the
-    artifact cache, print the table, and map the result's ``passed``
-    verdict (None: always) to the exit code."""
+def _figure(args) -> dict:
+    """The options fig6/7/8 share (their --seed seeds the graph only)."""
+    return dict(graph=_graph(args), max_time=args.max_time, engine=args.engine,
+                schedule=args.schedule)
+
+
+def _bakeoff(args) -> dict:
+    """The options the graph bake-offs share (--seed seeds graph and runs)."""
+    return dict(graph=_graph(args), n_groups=args.groups, seed=args.seed,
+                target_relative_error=args.target, max_time=args.max_time)
+
+
+#: Subcommand -> (experiment in ``repro.parallel.tasks.REGISTRY``, its
+#: options from the parsed flags, the verdict that sets the exit code;
+#: None: always 0).
+EXPERIMENT_COMMANDS = {
+    "fig6": ("fig6", lambda a: dict(_figure(a), n_groups=a.groups), None),
+    "fig7": ("fig7", lambda a: dict(_figure(a), n_groups=a.groups),
+             lambda result: all(result.monotone.values())),
+    "fig8": ("fig8", lambda a: dict(_figure(a), ks=a.ks), None),
+    "table1": ("table1", lambda a: dict(ns=a.ns, hop_samples=a.hop_samples), None),
+    "partitions": ("partitions", lambda a: dict(
+        _bakeoff(a), strategies=a.strategies, measure_rank=not a.cut_only), None),
+    "engines": ("engines", lambda a: dict(
+        _bakeoff(a), engines=a.engines, walks_per_page=a.walks_per_page), None),
+    "chaos": ("chaos", lambda a: dict(_bakeoff(a), engines=a.engines),
+              lambda result: result.verdicts_agree()),
+    "compression": ("codecs", lambda a: dict(
+        _bakeoff(a), codecs=a.codecs, comm_epsilon=a.comm_epsilon),
+        lambda result: result.certified()),
+    "serve": ("serve", lambda a: dict(
+        web_pages=a.web_pages, web_sites=min(a.sites, a.web_pages),
+        crawl_pages=min(a.crawl, a.web_pages), n_groups=a.groups, epsilon=a.epsilon,
+        phases=a.phases, churn_per_phase=a.churn, crawl_budget=a.budget,
+        queries_per_phase=a.queries, seed=a.seed),
+        lambda result: result.within_budget()),
+}
+
+
+def cmd_experiment(args) -> int:
+    """Run one registered experiment under the artifact cache, print
+    its table, and map its verdict to the exit code."""
     from repro.parallel.cache import activate
+    from repro.parallel.executor import run_suite
 
+    name, options, passed = EXPERIMENT_COMMANDS[args.command]
+    options = options(args)
+    graph = options.pop("graph", None)
     cache = _cache(args)
     with activate(cache) if cache is not None else contextlib.nullcontext():
-        result = run(n_groups=args.groups, seed=args.seed, **kwargs)
+        results, _, _ = run_suite([name], {name: options}, graph=graph)
+    result = results[name]
     print(result.format())
     return 0 if passed is None or passed(result) else 1
-
-
-def cmd_partitions(args) -> int:
-    """Run the partitioner bake-off and print its table."""
-    from repro.experiments import run_partition_bakeoff
-
-    return _bakeoff(
-        args,
-        run_partition_bakeoff,
-        strategies=args.strategies,
-        measure_rank=not args.cut_only,
-        **_workload(args),
-    )
-
-
-def cmd_engines(args) -> int:
-    """Run the engine bake-off and print its table."""
-    from repro.experiments import run_engine_bakeoff
-
-    return _bakeoff(
-        args,
-        run_engine_bakeoff,
-        engines=args.engines,
-        walks_per_page=args.walks_per_page,
-        **_workload(args),
-    )
-
-
-def cmd_serve(args) -> int:
-    """Run the serving-tier demo and print its table."""
-    from repro.experiments import run_serve_demo
-
-    return _bakeoff(
-        args,
-        run_serve_demo,
-        lambda result: result.within_budget(),
-        web_pages=args.web_pages,
-        web_sites=min(args.sites, args.web_pages),
-        crawl_pages=min(args.crawl, args.web_pages),
-        epsilon=args.epsilon,
-        phases=args.phases,
-        churn_per_phase=args.churn,
-        crawl_budget=args.budget,
-        queries_per_phase=args.queries,
-    )
-
-
-def cmd_chaos(args) -> int:
-    """Run the chaos bake-off and print its table."""
-    from repro.experiments import run_chaos_bakeoff
-
-    return _bakeoff(
-        args,
-        run_chaos_bakeoff,
-        lambda result: result.verdicts_agree(),
-        engines=args.engines,
-        **_workload(args),
-    )
-
-
-def cmd_compression(args) -> int:
-    """Run the wire-compression bake-off and print its table."""
-    from repro.experiments import run_compression_bakeoff
-
-    return _bakeoff(
-        args,
-        run_compression_bakeoff,
-        lambda result: result.certified(),
-        codecs=args.codecs,
-        comm_epsilon=args.comm_epsilon,
-        **_workload(args),
-    )
 
 
 def cmd_all(args) -> int:
@@ -532,19 +466,11 @@ def cmd_all(args) -> int:
 
 
 COMMANDS = {
-    "fig6": cmd_fig6,
-    "fig7": cmd_fig7,
-    "fig8": cmd_fig8,
-    "table1": cmd_table1,
     "run": cmd_run,
     "summary": cmd_summary,
     "graphgen": cmd_graphgen,
-    "partitions": cmd_partitions,
-    "engines": cmd_engines,
-    "serve": cmd_serve,
-    "chaos": cmd_chaos,
-    "compression": cmd_compression,
     "all": cmd_all,
+    **dict.fromkeys(EXPERIMENT_COMMANDS, cmd_experiment),
 }
 
 

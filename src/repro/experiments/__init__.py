@@ -5,16 +5,16 @@ and ``format()`` (a paper-shaped text table), so tests can assert on
 shapes and benches can print the reproduction next to the published
 values.
 
-One definition per experiment: each of the nine suite experiments
-(:data:`EXPERIMENTS`) is declared in its module, next to its result
-class — its seeded *point functions* (``@point``), its options and
-defaults (the keyword signature of its ``run_*``), and ``plan`` /
-``assemble`` (``@experiment``); see :mod:`repro.parallel.tasks`.
-``run_*`` and :func:`run_all` execute that one declaration through the
-same task-bag executor, so a single run and the suite section are the
-same bytes.  Importing this package is what fills the registry.  The
-five bake-offs (``run_*_bakeoff``, ``run_serve_demo``) are plain
-functions outside the registry.
+One definition per experiment: each experiment — the nine of the
+suite (:data:`EXPERIMENTS`) and the five bake-offs (``partitions``,
+``engines``, ``chaos``, ``codecs``, ``serve``) — is declared in its
+module, next to its result class: its seeded *point functions*
+(``@point``), its options and defaults (the keyword signature of its
+``run_*``), and ``plan`` / ``assemble`` (``@experiment``); see
+:mod:`repro.parallel.tasks`.  ``run_*`` and :func:`run_all` execute
+that one declaration through the same task-bag executor, so a single
+run and the ``run_all(only=[name])`` section are the same bytes.
+Importing this package is what fills the registry.
 
 Scaling: the paper's runs use ~1M pages and up to 10 000 rankers; the
 defaults here are scaled down (see DESIGN.md §2) and every size is a

@@ -25,23 +25,23 @@ seconds.  The headline claims under test (DESIGN.md §13):
 2. the hybrid engine is substantially faster (the CI gate in
    ``benchmarks/bench_chaos.py`` pins ≥3x at 1e5 pages).
 
-Every per-engine point routes through the artifact cache
-(:func:`repro.parallel.cache.cached_call`), so a warm-cache rerun
-reproduces the table byte-identically.  CLI: ``python -m repro
-chaos``; the gated numbers live in ``BENCH_chaos.json``.
+Declared like the suite experiments (one ``@point`` per engine,
+:mod:`repro.parallel.tasks`); the point measures its own wall clock, so
+a warm-cache rerun replays it and reproduces the table byte-identically.
+CLI: ``python -m repro chaos``; the gated numbers live in ``BENCH_chaos.json``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.graph.webgraph import WebGraph
-from repro.parallel.cache import cached_call
+from repro.parallel.tasks import REF_DEFAULT, experiment, point
 
 __all__ = [
     "CHAOS_ENGINES",
@@ -156,7 +156,7 @@ class ChaosBakeoffResult:
         return table
 
 
-@cached_call("point/chaos", scenario=CHURN_SCENARIO)
+@point("chaos", reference=REF_DEFAULT, scenario=CHURN_SCENARIO)
 def chaos_point(
     graph: WebGraph,
     reference: np.ndarray,
@@ -207,15 +207,31 @@ def chaos_point(
     }
 
 
+def _plan(options: Mapping[str, Any]):
+    shared = {k: v for k, v in options.items() if k != "engines"}
+    return [("n_pages", {})] + [
+        ("chaos", dict(shared, engine=engine)) for engine in options["engines"]
+    ]
+
+
+def _assemble(options: Mapping[str, Any], values: Sequence[Any]) -> ChaosBakeoffResult:
+    return ChaosBakeoffResult(
+        n_pages=values[0],
+        n_groups=options["n_groups"],
+        target_relative_error=options["target_relative_error"],
+        points=dict(zip(options["engines"], values[1:])),
+    )
+
+
+@experiment("chaos", _plan, _assemble)
 def run_chaos_bakeoff(
-    graph: WebGraph,
+    graph: WebGraph = None,
     *,
     n_groups: int = 8,
     engines: Sequence[str] = CHAOS_ENGINES,
     seed: int = 5,
     target_relative_error: float = 1e-4,
     max_time: float = 405.0,
-    reference: Optional[np.ndarray] = None,
 ) -> ChaosBakeoffResult:
     """Run the churn scenario over ``engines`` on one graph.
 
@@ -224,23 +240,3 @@ def run_chaos_bakeoff(
     drive identical fault schedules, so the comparison isolates the
     execution strategy.
     """
-    if reference is None:
-        from repro.experiments.workloads import reference_ranks
-
-        reference = reference_ranks(graph)
-    result = ChaosBakeoffResult(
-        n_pages=graph.n_pages,
-        n_groups=n_groups,
-        target_relative_error=target_relative_error,
-    )
-    for engine in engines:
-        result.points[engine] = chaos_point(
-            graph,
-            reference,
-            engine=engine,
-            n_groups=n_groups,
-            seed=seed,
-            target_relative_error=target_relative_error,
-            max_time=max_time,
-        )
-    return result

@@ -23,24 +23,26 @@ same flat engine) and report, per codec:
   error-budget accounting guarantees, checked by
   :meth:`CompressionBakeoffResult.certified`.
 
-Every per-codec point routes through the artifact cache
-(:func:`repro.parallel.cache.cached_call`), so a warm-cache rerun
-reproduces the table byte-identically.  CLI: ``python -m repro
-compression``; the gated numbers live in ``BENCH_comm.json``
+Declared like the suite experiments under the registry name ``codecs``
+(``compression`` is the delta-suppression ablation's): one ``@point``
+per codec, each returning its final ranks.  The plan always runs the
+uncoded ``none`` contender first, once, and the assembly measures every
+deviation against its ranks — ``none`` is printed only when asked for.
+A warm-cache rerun reproduces the table byte-identically.  CLI:
+``python -m repro compression``; the gated numbers live in ``BENCH_comm.json``
 (benchmarks/bench_comm.py).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.graph.webgraph import WebGraph
-from repro.parallel.cache import cached_call
+from repro.parallel.tasks import REF_DEFAULT, experiment, point
 
 __all__ = [
     "COMPRESSION_CONTENDERS",
@@ -138,11 +140,10 @@ class CompressionBakeoffResult:
         return True
 
 
-@cached_call("point/compression_bakeoff", period=_PERIOD)
+@point("codecs", reference=REF_DEFAULT, period=_PERIOD)
 def compression_bakeoff_point(
     graph: WebGraph,
     reference: np.ndarray,
-    base_ranks: Optional[np.ndarray],
     *,
     name: str,
     n_groups: int,
@@ -150,25 +151,18 @@ def compression_bakeoff_point(
     target_relative_error: float,
     comm_epsilon: float,
     max_time: float,
-) -> Dict[str, float]:
-    """All bake-off metrics for one codec contender (cached).
-
-    ``base_ranks`` is the uncoded run's final rank vector (None only
-    while computing the ``none`` point itself); the deviation column
-    is the raw L1 distance against it, directly comparable to the
-    certificate ε_comm/(1−α), which bounds the same quantity.
-    """
+) -> Dict[str, Any]:
+    """All bake-off metrics for one codec contender (cached), plus its
+    final ``ranks`` for the deviation column."""
     if name not in _SPECS:
         raise ValueError(
             f"unknown codec contender {name!r}; "
             f"pick from {COMPRESSION_CONTENDERS}"
         )
     codec, lossy = _SPECS[name]
-    epsilon = float(comm_epsilon) if lossy else 0.0
 
     from repro.core.coordinator import run_distributed_pagerank
 
-    t0 = time.perf_counter()
     res = run_distributed_pagerank(
         graph,
         n_groups=n_groups,
@@ -183,7 +177,7 @@ def compression_bakeoff_point(
         sample_interval=_PERIOD,
         seed=seed,
         codec=codec,
-        comm_epsilon=epsilon,
+        comm_epsilon=float(comm_epsilon) if lossy else 0.0,
         reference=reference,
         max_time=max_time,
         target_relative_error=target_relative_error,
@@ -191,11 +185,6 @@ def compression_bakeoff_point(
     data = int(res.traffic.data_bytes)
     paper = int(res.traffic.paper_data_bytes)
     cs = res.codec_stats or {}
-    deviation = (
-        0.0
-        if base_ranks is None
-        else float(np.abs(res.ranks - base_ranks).sum())
-    )
     return {
         "rounds": float(res.max_outer_iterations),
         "converged": float(res.converged),
@@ -208,13 +197,45 @@ def compression_bakeoff_point(
         "suppressed_frames": float(cs.get("suppressed_frames", 0)),
         "exact_flushes": float(cs.get("exact_flushes", 0)),
         "certified_bound": float(cs.get("certified_bound", 0.0)),
-        "deviation_l1": deviation,
-        "wall_seconds": time.perf_counter() - t0,
+        "ranks": res.ranks,
     }
 
 
+def _runs(options: Mapping[str, Any]) -> List[str]:
+    """The contenders that run: the uncoded baseline first, then the rest."""
+    return ["none"] + [name for name in options["codecs"] if name != "none"]
+
+
+def _plan(options: Mapping[str, Any]):
+    shared = {k: v for k, v in options.items() if k != "codecs"}
+    return [("n_pages", {})] + [
+        ("codecs", dict(shared, name=name)) for name in _runs(options)
+    ]
+
+
+def _assemble(options: Mapping[str, Any], values: Sequence[Any]) -> CompressionBakeoffResult:
+    # The deviation column is the raw L1 distance from the uncoded
+    # run's ranks, directly comparable to the certificate
+    # ε_comm/(1−α), which bounds the same quantity.
+    by_name = dict(zip(_runs(options), values[1:]))
+    base = by_name["none"]["ranks"]
+    points = {}
+    for name in options["codecs"]:
+        metrics = {k: v for k, v in by_name[name].items() if k != "ranks"}
+        metrics["deviation_l1"] = float(np.abs(by_name[name]["ranks"] - base).sum())
+        points[name] = metrics
+    return CompressionBakeoffResult(
+        n_pages=values[0],
+        n_groups=options["n_groups"],
+        comm_epsilon=options["comm_epsilon"],
+        target_relative_error=options["target_relative_error"],
+        points=points,
+    )
+
+
+@experiment("codecs", _plan, _assemble)
 def run_compression_bakeoff(
-    graph: WebGraph,
+    graph: WebGraph = None,
     *,
     n_groups: int = 16,
     codecs: Sequence[str] = COMPRESSION_CONTENDERS,
@@ -222,66 +243,12 @@ def run_compression_bakeoff(
     target_relative_error: float = 1e-4,
     comm_epsilon: float = 1e-4,
     max_time: float = 3000.0,
-    reference: Optional[np.ndarray] = None,
 ) -> CompressionBakeoffResult:
     """Run the bake-off over ``codecs`` on one graph.
 
-    The uncoded baseline always runs first (even when not listed in
+    The uncoded baseline always runs (first, even when not listed in
     ``codecs``) because every other contender's deviation column is
     measured against its final ranks; all contenders share the
     centralized reference and identical workload parameters — only the
     codec and its budget vary.
     """
-    if reference is None:
-        from repro.experiments.workloads import reference_ranks
-
-        reference = reference_ranks(graph)
-
-    def point(name: str, base_ranks: Optional[np.ndarray]):
-        return compression_bakeoff_point(
-            graph,
-            reference,
-            base_ranks,
-            name=name,
-            n_groups=n_groups,
-            seed=seed,
-            target_relative_error=target_relative_error,
-            comm_epsilon=comm_epsilon,
-            max_time=max_time,
-        )
-
-    # The baseline's ranks feed every deviation measurement; rerun it
-    # outside the cache (cheap relative to the sweep) so the vector is
-    # in hand even on a warm cache.
-    from repro.core.coordinator import run_distributed_pagerank
-
-    base = run_distributed_pagerank(
-        graph,
-        n_groups=n_groups,
-        engine="flat",
-        algorithm="dpr2",
-        partition_strategy="site",
-        transport="direct",
-        overlay="pastry",
-        schedule="sync",
-        t1=_PERIOD,
-        t2=_PERIOD,
-        sample_interval=_PERIOD,
-        seed=seed,
-        reference=reference,
-        max_time=max_time,
-        target_relative_error=target_relative_error,
-    )
-    base_ranks = base.ranks
-
-    result = CompressionBakeoffResult(
-        n_pages=graph.n_pages,
-        n_groups=n_groups,
-        comm_epsilon=comm_epsilon,
-        target_relative_error=target_relative_error,
-    )
-    for name in codecs:
-        result.points[name] = point(
-            name, None if name == "none" else base_ranks
-        )
-    return result

@@ -23,10 +23,10 @@ report, per engine:
   die;
 * wall-clock seconds.
 
-Every per-engine point routes through the artifact cache
-(:func:`repro.parallel.cache.cached_call`), so a warm-cache rerun
-reproduces the table byte-identically.  CLI: ``python -m repro
-engines``; the gated numbers live in ``BENCH_mc.json``
+Declared like the suite experiments (one ``@point`` per contender,
+:mod:`repro.parallel.tasks`); the point measures its own wall clock, so
+a warm-cache rerun replays it and reproduces the table byte-identically.
+CLI: ``python -m repro engines``; the gated numbers live in ``BENCH_mc.json``
 (benchmarks/bench_mc.py) and the measured table in EXPERIMENTS.md.
 """
 
@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.graph.webgraph import WebGraph
 from repro.linalg.montecarlo import mc_error_tolerance
-from repro.parallel.cache import cached_call
+from repro.parallel.tasks import REF_DEFAULT, experiment, point
 
 __all__ = [
     "ENGINE_CONTENDERS",
@@ -123,7 +123,7 @@ class EngineBakeoffResult:
         return table
 
 
-@cached_call("point/engine_bakeoff", period=_PERIOD)
+@point("engines", reference=REF_DEFAULT, period=_PERIOD)
 def engine_bakeoff_point(
     graph: WebGraph,
     reference: np.ndarray,
@@ -161,7 +161,7 @@ def engine_bakeoff_point(
         target_relative_error=target_relative_error,
         **_SPECS[name],
     )
-    point: Dict[str, float] = {
+    metrics: Dict[str, float] = {
         "rounds": float(res.max_outer_iterations),
         "converged": float(res.converged),
         "final_relative_error": float(res.final_relative_error),
@@ -170,14 +170,30 @@ def engine_bakeoff_point(
         "wall_seconds": time.perf_counter() - t0,
     }
     if name == "mc":
-        point["tolerance"] = mc_error_tolerance(
-            reference, walks_per_page
-        )
-    return point
+        metrics["tolerance"] = mc_error_tolerance(reference, walks_per_page)
+    return metrics
 
 
+def _plan(options: Mapping[str, Any]):
+    shared = {k: v for k, v in options.items() if k != "engines"}
+    return [("n_pages", {})] + [
+        ("engines", dict(shared, name=name)) for name in options["engines"]
+    ]
+
+
+def _assemble(options: Mapping[str, Any], values: Sequence[Any]) -> EngineBakeoffResult:
+    return EngineBakeoffResult(
+        n_pages=values[0],
+        n_groups=options["n_groups"],
+        target_relative_error=options["target_relative_error"],
+        walks_per_page=options["walks_per_page"],
+        points=dict(zip(options["engines"], values[1:])),
+    )
+
+
+@experiment("engines", _plan, _assemble)
 def run_engine_bakeoff(
-    graph: WebGraph,
+    graph: WebGraph = None,
     *,
     n_groups: int = 16,
     engines: Sequence[str] = ENGINE_CONTENDERS,
@@ -185,33 +201,9 @@ def run_engine_bakeoff(
     target_relative_error: float = 1e-4,
     max_time: float = 3000.0,
     walks_per_page: int = 16,
-    reference: Optional[np.ndarray] = None,
 ) -> EngineBakeoffResult:
     """Run the bake-off over ``engines`` on one graph.
 
-    All contenders share the centralized reference (computed once,
-    cached when an artifact cache is active) and identical workload
-    parameters; only the engine/algorithm pair varies.
+    All contenders share the centralized reference and identical
+    workload parameters; only the engine/algorithm pair varies.
     """
-    if reference is None:
-        from repro.experiments.workloads import reference_ranks
-
-        reference = reference_ranks(graph)
-    result = EngineBakeoffResult(
-        n_pages=graph.n_pages,
-        n_groups=n_groups,
-        target_relative_error=target_relative_error,
-        walks_per_page=walks_per_page,
-    )
-    for name in engines:
-        result.points[name] = engine_bakeoff_point(
-            graph,
-            reference,
-            name=name,
-            n_groups=n_groups,
-            seed=seed,
-            target_relative_error=target_relative_error,
-            max_time=max_time,
-            walks_per_page=walks_per_page,
-        )
-    return result

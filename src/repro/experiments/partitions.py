@@ -17,14 +17,14 @@ rendezvous and contiguous extensions, and the greedy min-cut streamer
   reference (convergence is partition-dependent through the
   inner/outer solve split).
 
-Every per-strategy point routes through the artifact cache
-(:func:`repro.parallel.cache.cached_call`), so re-running the
-bake-off with a warm cache reproduces the table byte-identically
-without touching the engine.  The experiment works unchanged on
-memory-mapped graphs (cut statistics, LDG, and the engine's operator
-build all stream CSR chunks), which is what makes the 1e7-page smoke
-configuration feasible — at that scale pass ``measure_rank=False`` to
-keep the bake-off to cut statistics and round-traffic estimates.
+Declared like the suite experiments (one ``@point`` per strategy,
+:mod:`repro.parallel.tasks`), so re-running the bake-off with a warm
+cache reproduces the table byte-identically without touching the
+engine.  The experiment works unchanged on memory-mapped graphs (cut
+statistics, LDG, and the engine's operator build all stream CSR
+chunks), which is what makes the 1e7-page smoke configuration feasible
+— at that scale pass ``measure_rank=False``: its cut-only points take
+the graph but no reference, so no centralized solve is planned.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +40,13 @@ from repro.analysis.reporting import format_table
 from repro.graph.partition import make_partition
 from repro.graph.stats import partition_cut_statistics
 from repro.graph.webgraph import WebGraph
-from repro.parallel.cache import cached_call
+from repro.parallel.tasks import REF_DEFAULT, experiment, point
 
 __all__ = [
     "BAKEOFF_STRATEGIES",
     "PartitionBakeoffResult",
     "partition_bakeoff_point",
+    "partition_cut_point",
     "run_partition_bakeoff",
 ]
 
@@ -117,28 +118,25 @@ class PartitionBakeoffResult:
         )
 
 
-@cached_call("point/partition_bakeoff", period=_PERIOD)
-def partition_bakeoff_point(
+def _measure(
     graph: WebGraph,
     reference: Optional[np.ndarray],
-    *,
     strategy: str,
     n_groups: int,
     seed: int,
-    target_relative_error: float,
-    max_time: float,
-    measure_rank: bool,
+    **run: float,
 ) -> Dict[str, float]:
-    """All bake-off metrics for one strategy (cached)."""
+    """Cut and round-traffic metrics of one strategy, plus the flat
+    engine's run to ``run``'s target against ``reference`` when given."""
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         # Split sites are a *column* here, not console noise.
         warnings.simplefilter("ignore", UserWarning)
         part = make_partition(graph, n_groups, strategy, seed=seed)
-    point: Dict[str, float] = {
+    metrics: Dict[str, float] = {
         "partition_seconds": time.perf_counter() - t0,
     }
-    point.update(partition_cut_statistics(graph, part).as_dict())
+    metrics.update(partition_cut_statistics(graph, part).as_dict())
 
     from repro.core.coordinator import DistributedConfig
     from repro.core.engine import SynchronousEngine
@@ -163,29 +161,84 @@ def partition_bakeoff_point(
     )
     engine = SynchronousEngine(graph, config, partition=part, reference=ref)
     paper = engine.paper_round_estimate()
-    point["round_bytes_paper"] = float(paper["data_bytes"])
-    point["round_messages_paper"] = float(paper["data_messages"])
+    metrics["round_bytes_paper"] = float(paper["data_bytes"])
+    metrics["round_messages_paper"] = float(paper["data_messages"])
     round_snap = engine.calibrated_round_traffic()
-    point["round_bytes_measured"] = float(round_snap.total_bytes)
-    point["round_messages_measured"] = float(round_snap.total_messages)
-    if measure_rank:
-        res = engine.run(
-            max_time=max_time,
-            target_relative_error=target_relative_error,
-        )
-        point["rounds_to_target"] = (
+    metrics["round_bytes_measured"] = float(round_snap.total_bytes)
+    metrics["round_messages_measured"] = float(round_snap.total_messages)
+    if reference is not None:
+        res = engine.run(**run)
+        metrics["rounds_to_target"] = (
             float(res.max_outer_iterations) if res.converged else -1.0
         )
-        point["converged"] = float(res.converged)
-        point["final_relative_error"] = float(res.final_relative_error)
-        point["run_bytes_total"] = float(res.traffic.total_bytes)
+        metrics["converged"] = float(res.converged)
+        metrics["final_relative_error"] = float(res.final_relative_error)
+        metrics["run_bytes_total"] = float(res.traffic.total_bytes)
     else:
-        point["rounds_to_target"] = -1.0
-    return point
+        metrics["rounds_to_target"] = -1.0
+    return metrics
 
 
-def run_partition_bakeoff(
+@point("partitions", reference=REF_DEFAULT, period=_PERIOD)
+def partition_bakeoff_point(
     graph: WebGraph,
+    reference: np.ndarray,
+    *,
+    strategy: str,
+    n_groups: int,
+    seed: int,
+    target_relative_error: float,
+    max_time: float,
+) -> Dict[str, float]:
+    """All bake-off metrics for one strategy, rounds-to-ε included (cached)."""
+    return _measure(
+        graph,
+        reference,
+        strategy,
+        n_groups,
+        seed,
+        max_time=max_time,
+        target_relative_error=target_relative_error,
+    )
+
+
+@point("partitions_cut", graph=True, period=_PERIOD)
+def partition_cut_point(
+    graph: WebGraph, *, strategy: str, n_groups: int, seed: int
+) -> Dict[str, float]:
+    """The cut and round-traffic metrics of one strategy (cached); no
+    reference, no convergence run."""
+    return _measure(graph, None, strategy, n_groups, seed)
+
+
+def _plan(options: Mapping[str, Any]):
+    keywords = dict(n_groups=options["n_groups"], seed=options["seed"])
+    if options["measure_rank"]:
+        kind = "partitions"
+        keywords.update(
+            target_relative_error=options["target_relative_error"],
+            max_time=options["max_time"],
+        )
+    else:
+        kind = "partitions_cut"
+    return [("n_pages", {})] + [
+        (kind, dict(keywords, strategy=strategy)) for strategy in options["strategies"]
+    ]
+
+
+def _assemble(options: Mapping[str, Any], values: Sequence[Any]) -> PartitionBakeoffResult:
+    return PartitionBakeoffResult(
+        n_pages=values[0],
+        n_groups=options["n_groups"],
+        target_relative_error=options["target_relative_error"],
+        measure_rank=options["measure_rank"],
+        points=dict(zip(options["strategies"], values[1:])),
+    )
+
+
+@experiment("partitions", _plan, _assemble)
+def run_partition_bakeoff(
+    graph: WebGraph = None,
     *,
     n_groups: int = 16,
     strategies: Sequence[str] = BAKEOFF_STRATEGIES,
@@ -202,26 +255,3 @@ def run_partition_bakeoff(
     (1e7 pages) where the centralized solve is the bottleneck; the
     cut/traffic columns remain exact.
     """
-    reference = None
-    if measure_rank:
-        from repro.experiments.workloads import reference_ranks
-
-        reference = reference_ranks(graph)
-    result = PartitionBakeoffResult(
-        n_pages=graph.n_pages,
-        n_groups=n_groups,
-        target_relative_error=target_relative_error,
-        measure_rank=measure_rank,
-    )
-    for strategy in strategies:
-        result.points[strategy] = partition_bakeoff_point(
-            graph,
-            reference,
-            strategy=strategy,
-            n_groups=n_groups,
-            seed=seed,
-            target_relative_error=target_relative_error,
-            max_time=max_time,
-            measure_rank=measure_rank,
-        )
-    return result

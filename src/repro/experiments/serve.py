@@ -16,9 +16,9 @@ reports, per sync phase:
 * query latency percentiles for the indexed path and the mean
   full-vector-scan latency it replaces.
 
-Every phase routes through the artifact cache
-(:func:`repro.parallel.cache.cached_call`); wall-clock is measured
-inside the cached point, so warm-cache reruns reproduce the table
+Declared like the suite experiments: one ``@point`` that takes no
+workload (:mod:`repro.parallel.tasks`); wall-clock is measured inside
+the cached point, so warm-cache reruns reproduce the table
 byte-identically.  CLI: ``python -m repro serve``; the CI-gated
 numbers at 1e5 pages live in ``benchmarks/bench_serve.py`` →
 ``BENCH_serve.json``.
@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.parallel.cache import cached_call
+from repro.parallel.tasks import experiment, point
 
 __all__ = ["ServeDemoResult", "serve_demo_point", "run_serve_demo"]
 
@@ -149,7 +149,7 @@ class ServeDemoResult:
         return table
 
 
-@cached_call("point/serve")
+@point("serve")
 def serve_demo_point(
     *,
     web_pages: int,
@@ -232,6 +232,22 @@ def serve_demo_point(
     return {"phases": rows, "summary": summary}
 
 
+def _plan(options: Mapping[str, Any]):
+    if options["phases"] < 1:
+        raise ValueError("phases must be >= 1")
+    return [("serve", dict(options))]
+
+
+def _assemble(options: Mapping[str, Any], values: Sequence[Dict[str, Any]]) -> ServeDemoResult:
+    return ServeDemoResult(
+        n_groups=options["n_groups"],
+        epsilon=options["epsilon"],
+        phases=values[0]["phases"],
+        summary=values[0]["summary"],
+    )
+
+
+@experiment("serve", _plan, _assemble)
 def run_serve_demo(
     *,
     web_pages: int = 3000,
@@ -246,23 +262,3 @@ def run_serve_demo(
     seed: int = 2003,
 ) -> ServeDemoResult:
     """Run the serving-tier demo workload; see module docstring."""
-    if phases < 1:
-        raise ValueError("phases must be >= 1")
-    point = serve_demo_point(
-        web_pages=web_pages,
-        web_sites=web_sites,
-        crawl_pages=crawl_pages,
-        n_groups=n_groups,
-        epsilon=epsilon,
-        phases=phases,
-        churn_per_phase=churn_per_phase,
-        crawl_budget=crawl_budget,
-        queries_per_phase=queries_per_phase,
-        seed=seed,
-    )
-    return ServeDemoResult(
-        n_groups=n_groups,
-        epsilon=epsilon,
-        phases=point["phases"],
-        summary=point["summary"],
-    )

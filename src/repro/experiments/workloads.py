@@ -16,11 +16,13 @@ import numpy as np
 
 from repro.graph.generators import google_contest_like
 from repro.graph.webgraph import WebGraph
+from repro.parallel.tasks import point
 
 __all__ = [
     "ExperimentScale",
     "default_graph",
     "reference_ranks",
+    "n_pages_point",
     "DEFAULT_CONFIGS",
 ]
 
@@ -135,6 +137,12 @@ def reference_ranks(graph: WebGraph, *, tol: Optional[float] = None) -> np.ndarr
     ranks = pagerank_open(graph, **kwargs).ranks
     cache.store_arrays(key, ranks=ranks)
     return ranks
+
+
+@point("n_pages", graph=True)
+def n_pages_point(graph: WebGraph) -> int:
+    """The workload's page count, for the tables that print it."""
+    return graph.n_pages
 
 
 #: The paper's three experiment configurations (Figs 6 and 7):

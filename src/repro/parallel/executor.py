@@ -72,9 +72,10 @@ def run_suite(
 
     # Build the shared workload once in the parent, through the active
     # artifact cache: what it holds is read off the planned tasks.
-    needed = {_tasks.POINTS[task.kind].reference for task in plan} - {None}
+    points = [_tasks.POINTS[task.kind] for task in plan]
+    needed = {p.reference for p in points} - {None}
     refs: Dict[str, Any] = {}
-    if not needed:
+    if not any(p.graph for p in points):
         graph = None
     else:
         from repro.experiments.workloads import default_graph, reference_ranks

@@ -5,9 +5,10 @@ An experiment is declared **once**, in its own module under
 
 * its *point functions* — independent, deterministic, seeded
   computations — each registered under a task kind with
-  :func:`point`, which also says whether the point runs on the
-  workload (graph + which reference vector) and derives its cache key
-  from the bound call (:func:`repro.parallel.cache.cached_call`);
+  :func:`point`, which also says what of the workload the point runs
+  on (nothing, the graph, or the graph and one reference vector) and
+  derives its cache key from the bound call
+  (:func:`repro.parallel.cache.cached_call`);
 * its *options and their defaults* — the keyword-only parameters of
   its ``run_*`` function, declared with :func:`experiment` together
   with ``plan(options)`` (which points make up the sweep, in canonical
@@ -105,12 +106,13 @@ class Point:
 
     ``reference`` names the reference vector (a :data:`REFERENCE_TOLS`
     key) of a point called as ``fn(graph, reference, **params)``; a
-    point with ``reference=None`` takes no workload input and is called
-    as ``fn(**params)``.
+    point with ``reference=None`` is called as ``fn(graph, **params)``
+    when ``graph`` is set and as ``fn(**params)`` otherwise.
     """
 
     fn: Callable[..., Any]
     reference: Optional[str] = None
+    graph: bool = False
 
 
 @dataclass(frozen=True)
@@ -135,17 +137,21 @@ POINTS: Dict[str, Point] = {}
 REGISTRY: Dict[str, Experiment] = {}
 
 
-def point(kind: str, *, reference: Optional[str] = None) -> Callable[[Callable], Callable]:
+def point(
+    kind: str, *, reference: Optional[str] = None, graph: bool = False, **constants: Any
+) -> Callable[[Callable], Callable]:
     """Decorator: register a point function under task kind ``kind``.
 
     The function is memoized through the artifact cache as
-    ``point/<kind>``, keyed by its bound call; ``reference`` declares
-    its workload inputs (see :class:`Point`).
+    ``point/<kind>``, keyed by its bound call and ``constants`` (what it
+    bakes in beyond its arguments); ``reference`` and ``graph`` declare
+    its workload inputs (see :class:`Point`; a reference implies the
+    graph).
     """
 
     def decorate(fn: Callable) -> Callable:
-        fn = cached_call(f"point/{kind}")(fn)
-        POINTS[kind] = Point(fn, reference)
+        fn = cached_call(f"point/{kind}", **constants)(fn)
+        POINTS[kind] = Point(fn, reference, graph or reference is not None)
         return fn
 
     return decorate
@@ -302,14 +308,15 @@ def execute_task(kind: str, params: Mapping[str, Any]) -> Tuple[Any, float]:
     """
     registered = _lookup(POINTS, kind, "task kind")
     inputs: Tuple[Any, ...] = ()
-    if registered.reference is not None:
-        graph, refs = _WORKLOAD["graph"], _WORKLOAD["refs"]
-        if graph is None or registered.reference not in refs:
+    if registered.graph:
+        graph, refs, ref = _WORKLOAD["graph"], _WORKLOAD["refs"], registered.reference
+        if graph is None or (ref is not None and ref not in refs):
             raise RuntimeError(
-                f"task {kind!r} needs the workload graph and reference "
-                f"{registered.reference!r}, but they are not installed"
+                f"task {kind!r} needs the workload graph"
+                + ("" if ref is None else f" and reference {ref!r}")
+                + ", but they are not installed"
             )
-        inputs = (graph, refs[registered.reference])
+        inputs = (graph,) if ref is None else (graph, refs[ref])
     t0 = time.perf_counter()
     value = registered.fn(*inputs, **params)
     return value, time.perf_counter() - t0

@@ -201,3 +201,60 @@ class TestCommands:
             ]
         )
         assert rc == 1
+
+
+class TestExperimentCommands:
+    """The subcommands that run a registry experiment through one handler."""
+
+    def test_graphgen_then_cut_only_partitions_solves_no_reference(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import dataclasses
+
+        import repro.core.pagerank
+        from repro.graph.io import backing_memmap
+        from repro.parallel import tasks
+
+        out = tmp_path / "graph"
+        assert main(["graphgen", "--pages", "600", "--sites", "12", "--out", str(out)]) == 0
+        assert "graphgen" in capsys.readouterr().out
+
+        solves, graphs = [], []
+        real = repro.core.pagerank.pagerank_open
+        monkeypatch.setattr(
+            repro.core.pagerank, "pagerank_open",
+            lambda *a, **k: solves.append(1) or real(*a, **k),
+        )
+        registered = tasks.POINTS["partitions_cut"]
+
+        def spy(graph, **params):
+            graphs.append(graph)
+            return registered.fn(graph, **params)
+
+        monkeypatch.setitem(tasks.POINTS, "partitions_cut", dataclasses.replace(registered, fn=spy))
+        rc = main(["partitions", "--graph", str(out), "--groups", "4", "--cut-only"])
+        text = capsys.readouterr().out
+        assert rc == 0
+        assert "partitioner bake-off (n=600, K=4, ε=0.0001, cut-only)" in text
+        assert len(graphs) == 6  # one point per default strategy ...
+        assert all(backing_memmap(g.indices) is not None for g in graphs)  # ... on the mmap load
+        assert solves == []  # and no centralized reference solve
+
+    @pytest.mark.parametrize(
+        "argv, title",
+        [
+            (["fig7", "--groups", "6", "--max-time", "30"], "Fig 7"),
+            (["engines", "--groups", "4"], "engine bake-off (n=500"),
+            (["chaos", "--groups", "4"], "chaos bake-off (n=500"),
+            (["compression", "--groups", "4", "--codecs", "delta,delta-eps"],
+             "wire-compression bake-off (n=500"),
+            (["serve", "--web-pages", "500", "--crawl", "200", "--groups", "3",
+              "--phases", "1", "--queries", "40"], "serving tier under load"),
+        ],
+        ids=["fig7", "engines", "chaos", "compression", "serve"],
+    )
+    def test_smoke(self, capsys, argv, title):
+        workload = [] if argv[0] == "serve" else ["--pages", "500", "--sites", "10"]
+        rc = main([*argv, *workload])
+        assert rc == 0
+        assert title in capsys.readouterr().out

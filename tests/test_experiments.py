@@ -205,3 +205,40 @@ class TestAblations:
         for n in (64, 256):
             assert hops[("pastry", n)] < hops[("can", n)]
         assert "overlay" in res.format()
+
+
+class TestCodecsBakeoff:
+    """The wire-compression bake-off runs each contender exactly once."""
+
+    @pytest.fixture
+    def engine_runs(self, monkeypatch):
+        import repro.core.coordinator as coordinator
+
+        runs = []
+        real = coordinator.run_distributed_pagerank
+
+        def spy(*args, **kwargs):
+            runs.append(kwargs["codec"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, "run_distributed_pagerank", spy)
+        return runs
+
+    @pytest.mark.parametrize(
+        "codecs, planned",
+        [
+            (("none", "delta", "delta-eps", "delta-q16"), 4),
+            (("delta", "delta-eps"), 3),  # the uncoded baseline still runs, once
+        ],
+    )
+    def test_one_engine_run_per_contender(self, small_graph, engine_runs, codecs, planned):
+        from repro.experiments import run_compression_bakeoff
+
+        result = run_compression_bakeoff(small_graph, n_groups=8, codecs=codecs)
+        assert len(engine_runs) == planned
+        assert engine_runs[0] == "none"
+        assert [row[0] for row in result.rows()] == list(codecs)
+        assert result.certified()
+        for row in result.rows():
+            if row[0] in ("none", "delta"):  # lossless: bit-identical to uncoded
+                assert row[7] == 0.0

@@ -208,11 +208,6 @@ import dataclasses
 import inspect
 
 from repro import experiments
-from repro.experiments.chaos import chaos_point
-from repro.experiments.compression import compression_bakeoff_point
-from repro.experiments.engines import engine_bakeoff_point
-from repro.experiments.partitions import partition_bakeoff_point
-from repro.experiments.serve import serve_demo_point
 from repro.parallel import tasks
 from repro.parallel.cache import cached_call
 
@@ -228,13 +223,31 @@ RUNNERS = {
     "tradeoff": experiments.run_time_vs_bandwidth,
 }
 
+#: The five bake-offs: registry experiments outside the default suite.
+BAKEOFFS = {
+    "partitions": experiments.run_partition_bakeoff,
+    "engines": experiments.run_engine_bakeoff,
+    "chaos": experiments.run_chaos_bakeoff,
+    "codecs": experiments.run_compression_bakeoff,
+    "serve": experiments.run_serve_demo,
+}
+RUNNERS.update(BAKEOFFS)
+ALL = (*experiments.EXPERIMENTS, *BAKEOFFS)
+
 
 class TestOneRunner:
     """``run_*`` and ``run_all`` are the same plan on the same executor."""
 
     @pytest.fixture(scope="class")
-    def suite(self):
-        return run_all(scale=TINY)
+    def shared_cache(self, tmp_path_factory):
+        """One artifact cache for the suite run and the single runs, so
+        each point is computed once and a self-timed point replays its
+        measured wall clock."""
+        return ArtifactCache(tmp_path_factory.mktemp("one-runner"))
+
+    @pytest.fixture(scope="class")
+    def suite(self, shared_cache):
+        return run_all(scale=TINY, only=ALL, cache=shared_cache)
 
     @pytest.fixture
     def point_calls(self, monkeypatch):
@@ -252,10 +265,11 @@ class TestOneRunner:
         return calls
 
     def test_registry_is_the_suite(self):
-        assert set(tasks.REGISTRY) == set(experiments.EXPERIMENTS) == set(RUNNERS)
+        assert set(tasks.REGISTRY) == set(experiments.EXPERIMENTS) | set(BAKEOFFS)
+        assert set(tasks.REGISTRY) == set(RUNNERS)
 
-    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
-    def test_single_run_is_the_suite_section(self, name, suite, point_calls):
+    @pytest.mark.parametrize("name", ALL)
+    def test_single_run_is_the_suite_section(self, name, suite, shared_cache, point_calls):
         options = suite_options(TINY)
         run = RUNNERS[name]
         workload = (
@@ -263,7 +277,8 @@ class TestOneRunner:
             if "graph" in inspect.signature(run).parameters
             else {}
         )
-        result = run(**workload, **options.get(name, {}))
+        with activate(shared_cache):
+            result = run(**workload, **options.get(name, {}))
         # Byte for byte the section run_all printed (same defaults) ...
         assert result.format() == suite.sections[name]
         # ... from exactly the planned point calls, in plan order.
@@ -283,23 +298,19 @@ class TestOneRunner:
         )
         with pytest.raises(RuntimeError, match="not installed"):
             tasks.execute_task("fig8_cpr", {"threshold": 1e-4})
+        with pytest.raises(RuntimeError, match="needs the workload graph, but"):
+            tasks.execute_task("n_pages", {})
 
 
-#: Every cached point: the 11 suite points and the 5 bake-off points.
-CACHED_POINTS = [registered.fn for registered in tasks.POINTS.values()] + [
-    engine_bakeoff_point,
-    chaos_point,
-    compression_bakeoff_point,
-    partition_bakeoff_point,
-    serve_demo_point,
-]
+#: Every cached point: the registry's point functions.
+CACHED_POINTS = [registered.fn for registered in tasks.POINTS.values()]
 
 
 def _two_values(name, parameter):
     """Two distinct valid bindings for one point-function parameter."""
     if name == "graph":
         return default_graph(TINY), default_graph(dataclasses.replace(TINY, seed=10))
-    if name in ("reference", "base_ranks"):
+    if name == "reference":
         return np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
     return {
         "int": (3, 4),
@@ -310,8 +321,19 @@ def _two_values(name, parameter):
 
 
 class TestDerivedCacheKeys:
-    def test_all_sixteen_points_covered(self):
-        assert len(CACHED_POINTS) == 16
+    def test_every_cached_point_is_registered(self):
+        """No experiment module memoizes a point outside the registry."""
+        import importlib
+        import pkgutil
+
+        cached = {
+            fn
+            for info in pkgutil.iter_modules(experiments.__path__)
+            for fn in vars(importlib.import_module(f"repro.experiments.{info.name}")).values()
+            if callable(getattr(fn, "key_params", None))
+        }
+        assert cached == set(CACHED_POINTS)
+        assert len(CACHED_POINTS) == 18
 
     @pytest.mark.parametrize("fn", CACHED_POINTS, ids=lambda fn: fn.__name__)
     def test_key_tracks_every_bound_argument(self, fn):
